@@ -64,6 +64,14 @@ class Allocation:
         return [(k, res[1]) for k, res in enumerate(self._slots)
                 if res is not None and res[0] == n]
 
+    def by_rb(self, num_rb):
+        """holders[n]: the (k, l) pairs on RB n, ascending k, in one pass."""
+        holders = [[] for _ in range(num_rb)]
+        for k, res in enumerate(self._slots):
+            if res is not None:
+                holders[res[0]].append((k, res[1]))
+        return holders
+
     def num_assigned(self):
         return sum(1 for s in self._slots if s is not None)
 
@@ -118,16 +126,16 @@ def is_feasible(net, alloc):
 def sum_rate(net, alloc):
     """Total underlay rate in bit/s, with mutual interference from alloc itself."""
     total = 0.0
-    for k, (n, _l) in alloc.assigned_items():
-        total += netmodel.shannon_rate(netmodel.sinr_underlay(net, alloc, k, n), net.rb_bandwidth)
+    for sinr in netmodel.underlay_sinrs(net, alloc):
+        total += netmodel.shannon_rate(sinr, net.rb_bandwidth)
     return total
 
 
 def weighted_benefit(net, alloc):
     """Total weighted spectral efficiency sum_k w1 * log2(1 + SINR_k)."""
     total = 0.0
-    for k, (n, _l) in alloc.assigned_items():
-        total += net.w1 * math.log2(1.0 + netmodel.sinr_underlay(net, alloc, k, n))
+    for sinr in netmodel.underlay_sinrs(net, alloc):
+        total += net.w1 * math.log2(1.0 + sinr)
     return total
 
 

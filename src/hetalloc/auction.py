@@ -90,18 +90,19 @@ def bid_increment(values, chosen, epsilon):
     return float(flat.max() - second + epsilon)
 
 
-def local_auction_round(k, state, net, alloc_prev, interference_prev=None, benefits=None):
+def local_auction_round(k, state, net, alloc_prev, interference_prev=None, benefits=None,
+                        merged=None):
     """Transmitter k's bidding round against the broadcast snapshot.
 
     Returns ``(choice, cost_row, bidder_row, bid_placed)`` where choice is
     k's (rb, level) for this iteration or None.  ``benefits`` may supply
     the precomputed (N, L) benefit row for k; ``interference_prev`` the
-    broadcast per-RB interference of ``alloc_prev`` (both are recomputed
-    when omitted).
+    broadcast per-RB interference of ``alloc_prev``; ``merged`` the
+    snapshot's ``state.merged_view()`` (each is recomputed when omitted).
     """
     if interference_prev is None:
         interference_prev = netmodel.interference_vector(net, alloc_prev)
-    merged, merged_bidder = state.merged_view()
+    merged, merged_bidder = state.merged_view() if merged is None else merged
     cost_row = merged.copy()
     bidder_row = merged_bidder.copy()
     prev = alloc_prev.get(k)
@@ -132,25 +133,6 @@ def local_auction_round(k, state, net, alloc_prev, interference_prev=None, benef
         bidder_row[n_hat, l_hat] = k
         return (n_hat, l_hat), cost_row, bidder_row, True
     return prev, cost_row, bidder_row, False
-
-
-def _repair(net, alloc):
-    # Same eviction rule as the message-passing extraction: concurrent bids
-    # in one synchronous round can jointly overshoot a budget the guard
-    # checked one at a time.
-    for n in range(net.num_rb):
-        while netmodel.aggregated_interference(net, alloc, n) >= net.i_max[n]:
-            holders = alloc.on_rb(n)
-            contribs = [net.ref_gain[k, n] * net.power_levels[l] for k, l in holders]
-            alloc.unassign(holders[int(np.argmax(contribs))][0])
-    return alloc
-
-
-def default_epsilon(net, alloc):
-    """0.01 of the benefit spread at ``alloc``; the documented default scale."""
-    b = netmodel.benefit_table(net, alloc)
-    span = float(b.max() - b.min())
-    return 0.01 * span if span > 0 else 1e-6
 
 
 @dataclass
@@ -202,13 +184,15 @@ def run_auction(net, epsilon=None, t_max=500, seed=None):
         iterations += 1
         i_prev = netmodel.interference_vector(net, x_prev)
         b_prev = netmodel.benefit_table(net, x_prev)
+        merged = state.merged_view()  # the snapshot is not mutated this round
         new_costs = np.empty_like(state.costs)
         new_bidders = np.empty_like(state.bidders)
         x_t = Allocation(K)
         any_bid = False
         for k in range(K):
             choice, cost_row, bidder_row, placed = local_auction_round(
-                k, state, net, x_prev, interference_prev=i_prev, benefits=b_prev[k])
+                k, state, net, x_prev, interference_prev=i_prev, benefits=b_prev[k],
+                merged=merged)
             new_costs[k] = cost_row
             new_bidders[k] = bidder_row
             if choice is not None:
@@ -221,7 +205,9 @@ def run_auction(net, epsilon=None, t_max=500, seed=None):
         x_prev = x_t
 
     merged_costs, merged_bidders = state.merged_view()
-    final = _repair(net, state.assignment.copy())
+    # Concurrent bids in one synchronous round can jointly overshoot a
+    # budget the guard checked one at a time.
+    final = netmodel.repair(net, state.assignment.copy())
     return AuctionResult(
         allocation=final,
         iterations=iterations,

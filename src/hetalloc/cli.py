@@ -42,9 +42,15 @@ def _build_parser():
 def _cmd_run(args):
     config = harness.load_scenario(args.scenario)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
+    try:
+        seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
+        budget = harness.oracle_budget()
+    except ValueError as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 2
     metrics = harness.run_experiment(config, algorithms=algorithms, seeds=seeds,
-                                     with_oracle=args.oracle, t_max=args.t_max)
+                                     with_oracle=args.oracle, t_max=args.t_max,
+                                     budget=budget)
     harness.write_metrics_csv(metrics, args.out)
     print(f"wrote {len(metrics)} rows to {args.out}")
     for m in metrics:

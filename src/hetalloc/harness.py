@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -100,9 +101,21 @@ def serialize_scenario(config):
 
 
 def oracle_budget():
-    """Enumeration guard for the oracle; the environment can override it."""
+    """Enumeration guard for the oracle; the environment can override it.
+
+    The override is any integer-valued number, such as ``100000000`` or
+    ``1e8``; anything else raises ConfigError naming the variable.
+    """
     raw = os.environ.get(ORACLE_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_ORACLE_BUDGET
+    if not raw:
+        return DEFAULT_ORACLE_BUDGET
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():  # also rejects inf and nan
+        raise ConfigError(f"{ORACLE_BUDGET_ENV}={raw!r} is not an integer-valued number")
+    return int(raw) if raw.strip().isdigit() else int(value)  # digits stay exact
 
 
 def _run_one(name, net, t_max):
@@ -206,5 +219,9 @@ def parse_seed_spec(spec):
     spec = spec.strip()
     if ":" in spec:
         lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+        seeds = list(range(int(lo), int(hi)))
+    else:
+        seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
+    if not seeds:
+        raise ValueError(f"seed spec {spec!r} selects no seeds")
+    return seeds

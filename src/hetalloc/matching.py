@@ -12,6 +12,7 @@ matching until the allocation stops changing.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +24,7 @@ from .allocation import Allocation, sum_rate
 
 
 class PreferenceProfile:
-    """A strictly ordered, shrink-only preference list.
+    """A strictly ordered preference list.
 
     ``entries`` holds (key, utility) best-first, where key is (n, l) for a
     transmitter's profile and (k, l) for an RB's profile.  Equal utilities
@@ -50,15 +51,6 @@ class PreferenceProfile:
         """key -> position (0 = most preferred)."""
         return {key: i for i, (key, _u) in enumerate(self.entries)}
 
-    def top(self):
-        return self.entries[0][0] if self.entries else None
-
-    def remove(self, key):
-        self.entries = [(k, u) for k, u in self.entries if k != key]
-
-    def copy(self):
-        return PreferenceProfile(self.owner, self.entries)
-
 
 def _sorted_profile(owner, scored):
     # scored: list of (key, utility); strict order by utility desc, key asc
@@ -70,7 +62,7 @@ def _broadcast_utility(net, alloc_prev, interference_prev, k, n, l):
     # Utility of a hypothetical move, with the reference-user load taken
     # from the broadcast per-RB aggregate rather than re-summed.
     p = net.power_levels[l]
-    gamma = netmodel._hypothetical_sinr(net, alloc_prev, k, n, p)
+    gamma = netmodel._sinr(net, k, n, p, alloc_prev.on_rb(n))
     i_others = (interference_prev[n]
                 - netmodel._own_reference_contribution(net, alloc_prev, k, n))
     i_hyp = net.ref_gain[k, n] * p + i_others
@@ -90,7 +82,8 @@ def build_transmitter_profile(net, alloc_prev, interference_prev, k, utilities=N
         utilities = np.array([
             [_broadcast_utility(net, alloc_prev, interference_prev, k, n, l)
              for l in range(L)] for n in range(N)])
-    scored = [((n, l), float(utilities[n, l])) for n in range(N) for l in range(L)]
+    rows = utilities.tolist()
+    scored = [((n, l), rows[n][l]) for n in range(N) for l in range(L)]
     return _sorted_profile(("tx", k), scored)
 
 
@@ -101,7 +94,8 @@ def build_rb_profile(net, alloc_prev, interference_prev, n, utilities=None):
         utilities = np.array([
             [_broadcast_utility(net, alloc_prev, interference_prev, k, n, l)
              for l in range(L)] for k in range(K)])
-    scored = [((k, l), float(utilities[k, l])) for k in range(K) for l in range(L)]
+    rows = utilities.tolist()
+    scored = [((k, l), rows[k][l]) for k in range(K) for l in range(L)]
     return _sorted_profile(("rb", n), scored)
 
 
@@ -132,42 +126,47 @@ def match_alignments(profiles_tx, profiles_rb, net):
     """
     K = net.num_tx
     P = net.power_levels
-    work_tx = [p.copy() for p in profiles_tx]
-    work_rb = [p.copy() for p in profiles_rb]
-    rank_rb = [p.rank() for p in profiles_rb]  # static original order
-    assigned = {}
+    order_tx = [p.keys() for p in profiles_tx]
+    order_rb = [p.keys() for p in profiles_rb]
+    rank_rb = [p.rank() for p in profiles_rb]
+    # A strike cuts an RB's list at a rank, so it stays the prefix
+    # order_rb[n][:cut[n]].  A transmitter's list is its order minus the
+    # struck keys; head[k], its first unstruck entry, only moves forward.
+    cut = [len(o) for o in order_rb]
+    struck = [set() for _ in range(K)]
+    head = [0] * K
+    match = [None] * K
+    on_rb = [[] for _ in order_rb]  # (k, l) holders, ascending k
     proposals = 0
+
+    def top(i):
+        order = order_tx[i]
+        while head[i] < len(order) and order[head[i]] in struck[i]:
+            head[i] += 1
+        return order[head[i]] if head[i] < len(order) else None
 
     def rb_interference(n):
         # ascending-k summation, matching aggregated_interference exactly
-        return sum(net.ref_gain[kk, n] * P[ll]
-                   for kk, (nn, ll) in sorted(assigned.items()) if nn == n)
+        return sum(net.ref_gain[kk, n] * P[ll] for kk, ll in on_rb[n])
 
     while True:
-        k = next((i for i in range(K) if i not in assigned and work_tx[i].entries), None)
+        k = next((i for i in range(K) if match[i] is None and top(i) is not None), None)
         if k is None:
             break
-        n, l = work_tx[k].top()
+        n, l = match[k] = top(k)
         proposals += 1
-        assigned[k] = (n, l)
-        if rb_interference(n) < net.i_max[n]:
-            continue
+        bisect.insort(on_rb[n], (k, l))
         while rb_interference(n) >= net.i_max[n]:
-            holders = [(kp, lp) for kp, (nn, lp) in assigned.items() if nn == n]
-            lp_pair = max(holders, key=lambda pair: rank_rb[n][pair])
-            del assigned[lp_pair[0]]
+            worst = max(on_rb[n], key=rank_rb[n].__getitem__)
+            on_rb[n].remove(worst)
+            match[worst[0]] = None
             # Strike the revoked pair and all its successors from both sides.
-            cut = rank_rb[n][lp_pair]
-            removed = [(kp, lv) for (kp, lv), _u in work_rb[n].entries
-                       if rank_rb[n][(kp, lv)] >= cut]
-            for kp, lv in removed:
-                work_rb[n].remove((kp, lv))
-                work_tx[kp].remove((n, lv))
+            c = rank_rb[n][worst]
+            for kp, lv in order_rb[n][c:cut[n]]:
+                struck[kp].add((n, lv))
+            cut[n] = c
 
-    alloc = Allocation(K)
-    for k, (n, l) in assigned.items():
-        alloc.assign(k, n, l)
-    return Matching(allocation=alloc, proposals=proposals)
+    return Matching(allocation=Allocation(K, match), proposals=proposals)
 
 
 def find_blocking_pair(matching, profiles_tx, profiles_rb):

@@ -115,26 +115,17 @@ def extract_allocation(state, net):
     """Marginal-driven assignment with per-RB interference repair.
 
     Positive marginals propose; each transmitter keeps only its largest
-    positive marginal (the one-alignment constraint), then every RB over
-    its budget repeatedly evicts the assignment contributing the most
-    reference-user interference (ties toward the lowest transmitter, then
-    lowest level) until strictly under budget.
+    positive marginal (the one-alignment constraint, ties toward the
+    lowest (n, l)), then ``netmodel.repair`` enforces every RB's cap.
     """
     tau = state.tau
-    K, N, L = tau.shape
-    alloc = Allocation(K)
-    for k in range(K):
-        flat = tau[k].ravel()
-        j = int(np.argmax(flat))  # first maximum: lowest (n, l) on ties
-        if flat[j] > 0.0:
-            alloc.assign(k, j // L, j % L)
-    for n in range(N):
-        while netmodel.aggregated_interference(net, alloc, n) >= net.i_max[n]:
-            holders = alloc.on_rb(n)
-            contribs = [net.ref_gain[k, n] * net.power_levels[l] for k, l in holders]
-            worst = holders[int(np.argmax(contribs))]  # holders are (k, l)-sorted
-            alloc.unassign(worst[0])
-    return alloc
+    K, _N, L = tau.shape
+    flat = tau.reshape(K, -1)
+    best = flat.argmax(axis=1)
+    positive = flat[np.arange(K), best] > 0.0
+    alloc = Allocation(K, [divmod(j, L) if ok else None
+                           for j, ok in zip(best.tolist(), positive.tolist())])
+    return netmodel.repair(net, alloc)
 
 
 @dataclass

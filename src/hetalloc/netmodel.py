@@ -318,12 +318,7 @@ def sinr_underlay(net, alloc, k, n):
     res = alloc.get(k)
     if res is None or res[0] != n:
         raise ContractError(f"transmitter {k} is not assigned to RB {n}")
-    p = net.power_levels[res[1]]
-    den = net.gain_mbs_ul[k, n] * net.mbs_power + net.sigma2
-    for kp, (nn, ll) in alloc.assigned_items():
-        if kp != k and nn == n:
-            den += net.gain_ul[kp, k, n] * net.power_levels[ll]
-    return net.gain_ul[k, k, n] * p / den
+    return _sinr(net, k, n, net.power_levels[res[1]], alloc.on_rb(n))
 
 
 def sinr_macro(net, alloc, m, n):
@@ -345,17 +340,46 @@ def aggregated_interference(net, alloc, n):
 
 
 def interference_vector(net, alloc):
-    """Per-RB aggregated reference-user interference as an (N,) array."""
-    return np.array([aggregated_interference(net, alloc, n)
-                     for n in range(net.num_rb)])
+    """Per-RB aggregated reference-user interference as an (N,) array.
+
+    One pass in ascending k: each entry equals ``aggregated_interference``.
+    """
+    agg = [0.0] * net.num_rb
+    for k, (n, l) in alloc.assigned_items():
+        agg[n] += net.ref_gain[k, n] * net.power_levels[l]
+    return np.array(agg)
 
 
-def _hypothetical_sinr(net, alloc, k, n, p):
-    # SINR if k moved to RB n at power p; k's own current entry is ignored.
+def underlay_sinrs(net, alloc):
+    """``sinr_underlay`` of every assigned transmitter, ascending k."""
+    holders = alloc.by_rb(net.num_rb)
+    return [_sinr(net, k, n, net.power_levels[l], holders[n])
+            for k, (n, l) in alloc.assigned_items()]
+
+
+def repair(net, alloc):
+    """Evict holders until every RB is strictly under its cap; returns alloc.
+
+    An RB at or over its cap drops its largest reference-user contributor
+    (ties toward the lowest transmitter), then re-sums its remaining
+    holders in ascending k, exactly as ``aggregated_interference`` does.
+    """
+    for n, holders in enumerate(alloc.by_rb(net.num_rb)):
+        contribs = [float(net.ref_gain[k, n] * net.power_levels[l]) for k, l in holders]
+        while sum(contribs) >= net.i_max[n]:
+            worst = contribs.index(max(contribs))
+            alloc.unassign(holders.pop(worst)[0])
+            del contribs[worst]
+    return alloc
+
+
+def _sinr(net, k, n, p, cochannel):
+    # SINR of k's receiver on RB n at power p under the (k', l') pairs of
+    # ``cochannel`` (ascending k'), k's own entry ignored.
     den = net.gain_mbs_ul[k, n] * net.mbs_power + net.sigma2
-    for kp, (nn, ll) in alloc.assigned_items():
-        if kp != k and nn == n:
-            den += net.gain_ul[kp, k, n] * net.power_levels[ll]
+    for kp, lp in cochannel:
+        if kp != k:
+            den += net.gain_ul[kp, k, n] * net.power_levels[lp]
     return net.gain_ul[k, k, n] * p / den
 
 
@@ -378,7 +402,7 @@ def utility(net, alloc, k, res):
     """
     n, l = res
     p = net.power_levels[l]
-    gamma = _hypothetical_sinr(net, alloc, k, n, p)
+    gamma = _sinr(net, k, n, p, alloc.on_rb(n))
     i_others = aggregated_interference(net, alloc, n) - _own_reference_contribution(net, alloc, k, n)
     i_hyp = net.ref_gain[k, n] * p + i_others
     return net.w1 * math.log2(1.0 + gamma) - net.w2 * (i_hyp / net.i_max[n] - 1.0)
@@ -387,28 +411,44 @@ def utility(net, alloc, k, res):
 def _interference_maps(net, alloc):
     """Receiver-side and reference-user interference aggregates of alloc.
 
-    Returns (rx_int, agg) where rx_int[k, n] is the co-channel power seen
-    by k's receiver on RB n from every other assigned transmitter, and
-    agg[n] is the aggregated reference-user interference on RB n.
+    Returns (rx_int, agg, own) where rx_int[k, n] is the co-channel power
+    seen by k's receiver on RB n from every other assigned transmitter,
+    agg[n] is the aggregated reference-user interference on RB n, and
+    own[k, n] is k's own share of agg[n] (zero off k's RB).
     """
     K, N = net.num_tx, net.num_rb
     rx_int = np.zeros((K, N))
     agg = np.zeros(N)
-    for kp, (n, l) in alloc.assigned_items():
-        p = net.power_levels[l]
-        agg[n] += net.ref_gain[kp, n] * p
-        v = net.gain_ul[kp, :, n] * p
-        v[kp] = 0.0  # a transmitter does not interfere with its own receiver
-        rx_int[:, n] += v
-    return rx_int, agg
+    own = np.zeros((K, N))
+    items = [(k, n, l) for k, (n, l) in alloc.assigned_items()]
+    if items:
+        ks, ns, ls = np.array(items).T
+        p = net.power_levels[ls]
+        own[ks, ns] = c = net.ref_gain[ks, ns] * p
+        v = net.gain_ul[ks, :, ns] * p[:, None]  # (assigned, receiver)
+        v[np.arange(len(ks)), ks] = 0.0  # no transmitter interferes with its own receiver
+        # ufunc.at adds unbuffered in index order, so every entry receives
+        # its co-channel terms one at a time in ascending k.
+        np.add.at(agg, ns, c)
+        np.add.at(rx_int.T, ns, v)
+    return rx_int, agg, own
+
+
+def _gamma(net, rx_int):
+    sig = net.gain_ul[np.arange(net.num_tx), np.arange(net.num_tx), :]  # (K, N)
+    den = net.gain_mbs_ul * net.mbs_power + rx_int + net.sigma2
+    return sig[:, :, None] * net.power_levels[None, None, :] / den[:, :, None]
+
+
+def _cost(net, agg, own):
+    i_others = agg[None, :] - own
+    i_hyp = net.ref_gain[:, :, None] * net.power_levels[None, None, :] + i_others[:, :, None]
+    return net.w2 * (i_hyp / net.i_max[None, :, None] - 1.0)
 
 
 def gamma_table(net, alloc):
     """Hypothetical-move SINR for every (k, n, l) given alloc, shape (K, N, L)."""
-    rx_int, _ = _interference_maps(net, alloc)
-    sig = net.gain_ul[np.arange(net.num_tx), np.arange(net.num_tx), :]  # (K, N)
-    den = net.gain_mbs_ul * net.mbs_power + rx_int + net.sigma2
-    return sig[:, :, None] * net.power_levels[None, None, :] / den[:, :, None]
+    return _gamma(net, _interference_maps(net, alloc)[0])
 
 
 def benefit_table(net, alloc):
@@ -422,15 +462,10 @@ def cost_table(net, alloc):
     I is the RB's aggregated reference-user interference if k moved to
     (n, l), with every other transmitter kept at its alloc assignment.
     """
-    _, agg = _interference_maps(net, alloc)
-    own = np.zeros((net.num_tx, net.num_rb))
-    for k, (n, l) in alloc.assigned_items():
-        own[k, n] = net.ref_gain[k, n] * net.power_levels[l]
-    i_others = agg[None, :] - own
-    i_hyp = net.ref_gain[:, :, None] * net.power_levels[None, None, :] + i_others[:, :, None]
-    return net.w2 * (i_hyp / net.i_max[None, :, None] - 1.0)
+    return _cost(net, *_interference_maps(net, alloc)[1:])
 
 
 def utility_table(net, alloc):
     """Utility for every (k, n, l) given alloc; equals benefit minus cost."""
-    return benefit_table(net, alloc) - cost_table(net, alloc)
+    rx_int, agg, own = _interference_maps(net, alloc)
+    return net.w1 * np.log2(1.0 + _gamma(net, rx_int)) - _cost(net, agg, own)

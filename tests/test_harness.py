@@ -1,6 +1,9 @@
 import csv
 import dataclasses
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ from hetalloc.harness import (RunMetrics, ScenarioFormatError, load_scenario,
                               parse_seed_spec, run_experiment,
                               serialize_scenario, write_metrics_csv)
 from hetalloc.netmodel import ConfigError, build_topology
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, overrides=None, drop=None, name="scen.json"):
@@ -149,6 +154,43 @@ def test_parse_seed_spec():
     assert parse_seed_spec("1,4,9") == [1, 4, 9]
 
 
+@pytest.mark.parametrize("spec", ["5:3", "4:4", ","])
+def test_parse_seed_spec_rejects_empty(spec):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        parse_seed_spec(spec)
+
+
+@pytest.mark.parametrize("raw, expected", [("1e8", 10 ** 8), ("100000000", 10 ** 8),
+                                           ("2.5e3", 2500), (" 42 ", 42)])
+def test_oracle_budget_accepts_integer_valued(monkeypatch, raw, expected):
+    monkeypatch.setenv(harness.ORACLE_BUDGET_ENV, raw)
+    assert harness.oracle_budget() == expected
+
+
+@pytest.mark.parametrize("raw", ["1.5", "1e8x", "inf", "nan", "1e400"])
+def test_oracle_budget_rejects_non_integers(monkeypatch, raw):
+    monkeypatch.setenv(harness.ORACLE_BUDGET_ENV, raw)
+    with pytest.raises(ConfigError, match=f"ALLOC_ORACLE_BUDGET={re.escape(repr(raw))}"):
+        harness.oracle_budget()
+
+
+# Rows of run_experiment on scenarios/default.json, seeds 0..19, every
+# solver, wall time blanked; pinned so that a change meant to be a pure
+# speed-up cannot move any answer.
+GOLDEN_DEFAULT_ROWS_SHA256 = "759f14719a72543e5ea5f2329de4388abac35e49171c2b6a1848337ee8edc06c"
+
+
+def test_golden_answers_default_scenario():
+    cfg = load_scenario(SCENARIOS / "default.json")
+    rows = run_experiment(cfg, seeds=range(20))
+    h = hashlib.sha256()
+    for r in rows:
+        h.update((repr(dataclasses.astuple(dataclasses.replace(r, wall_time_ms=None)))
+                  + "\n").encode())
+    assert len(rows) == 60
+    assert h.hexdigest() == GOLDEN_DEFAULT_ROWS_SHA256
+
+
 # --- CLI ------------------------------------------------------------------------
 
 def test_cli_size(capsys):
@@ -179,3 +221,21 @@ def test_cli_run_end_to_end(tmp_path, capsys):
     with open(out, newline="") as fh:
         recs = list(csv.reader(fh))
     assert len(recs) == 1 + 2 * 4  # two seeds, three algorithms plus oracle
+
+
+@pytest.mark.parametrize("seeds", ["5:3", "9:9"])
+def test_cli_run_empty_seed_range_exits_2(tmp_path, capsys, seeds):
+    path, _ = write_scenario(tmp_path)
+    out = tmp_path / "metrics.csv"
+    rc = cli.main(["run", "--scenario", str(path), "--seeds", seeds, "--out", str(out)])
+    assert rc == 2
+    assert seeds in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
+    path, _ = write_scenario(tmp_path)
+    monkeypatch.setenv(harness.ORACLE_BUDGET_ENV, "lots")
+    rc = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert "ALLOC_ORACLE_BUDGET='lots'" in capsys.readouterr().err

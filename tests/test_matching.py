@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
-from hetalloc.matching import (Matching, build_rb_profile,
+from hetalloc.matching import (Matching, PreferenceProfile, build_rb_profile,
                                build_transmitter_profile, find_blocking_pair,
                                match_alignments, run_stable_matching)
 from hetalloc.netmodel import build_topology, interference_vector, utility
@@ -122,11 +122,7 @@ def test_blocking_pair_on_constructed_bad_matching():
 
 def test_blocking_pair_empty_matching_empty_profiles():
     net = contention_net()
-    empty_tx = [build_transmitter_profile(net, Allocation(2), np.zeros(2), k)
-                for k in range(2)]
-    for p in empty_tx:
-        for key in list(p.keys()):
-            p.remove(key)
+    empty_tx = [PreferenceProfile(("tx", k), []) for k in range(2)]
     _, rb = profiles_for(net)
     m = Matching(allocation=Allocation(2), proposals=0)
     assert find_blocking_pair(m, empty_tx, rb) is None
