@@ -3,24 +3,19 @@ solvers (stable matching, damped max-sum message passing, distributed
 auction), an exhaustive-search oracle, and a benchmark harness."""
 
 from .allocation import (Allocation, EvalReport, OracleBudgetError,
-                         exhaustive_search, is_feasible, search_space_size,
-                         sum_rate, weighted_benefit)
-from .auction import (AuctionResult, AuctionState, bid_increment,
-                      clamped_resource_cost, local_auction_round,
-                      resource_cost, run_auction)
-from .harness import (RunMetrics, ScenarioFormatError, load_scenario,
+                         SolverResult, exhaustive_search, is_feasible,
+                         search_space_size, sum_rate, weighted_benefit)
+from .auction import (AuctionState, bid_increment, local_auction_round,
+                      run_auction)
+from .harness import (SOLVERS, RunMetrics, ScenarioFormatError, load_scenario,
                       run_experiment, serialize_scenario, write_metrics_csv)
-from .matching import (Matching, MatchingRunResult, PreferenceProfile,
-                       build_rb_profile, build_transmitter_profile,
-                       find_blocking_pair, match_alignments,
-                       run_stable_matching)
-from .msgpass import (MessagePassingResult, MessageState, extract_allocation,
-                      res_message_update, run_message_passing,
-                      tx_message_update)
-from .netmodel import (ConfigError, ContractError, Network, Resource,
-                       ScenarioConfig, aggregated_interference, benefit_table,
-                       build_topology, channel_gain, cost_table,
-                       interference_vector, shannon_rate, sinr_macro,
-                       sinr_underlay, utility, utility_table)
+from .matching import (Matching, PreferenceProfile, build_rb_profile,
+                       build_transmitter_profile, find_blocking_pair,
+                       match_alignments, run_stable_matching)
+from .msgpass import MessageState, extract_allocation, run_message_passing
+from .netmodel import (ConfigError, ContractError, Network, ScenarioConfig,
+                       aggregated_interference, benefit_table, build_topology,
+                       channel_gain, cost_table, interference_vector,
+                       shannon_rate, sinr_macro, sinr_underlay, utility_table)
 
 __version__ = "0.1.0"

@@ -83,9 +83,6 @@ class Allocation:
         out._slots = list(self._slots)
         return out
 
-    def as_tuple(self):
-        return tuple(self._slots)
-
     def indicator(self, num_rb, num_levels):
         """The binary tensor x[k, n, l]."""
         x = np.zeros((len(self._slots), num_rb, num_levels), dtype=np.int8)
@@ -96,11 +93,19 @@ class Allocation:
     def __eq__(self, other):
         return isinstance(other, Allocation) and self._slots == other._slots
 
-    def __hash__(self):
-        return hash(self.as_tuple())
-
     def __repr__(self):
         return f"Allocation({self._slots})"
+
+
+@dataclass
+class SolverResult:
+    """What every solver returns; each runner's docstring lists its ``info`` keys."""
+
+    allocation: Allocation
+    iterations: int
+    converged: bool
+    messages: int
+    info: dict
 
 
 @dataclass

@@ -16,12 +16,10 @@ net value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation
+from .allocation import Allocation, SolverResult
 from .matching import random_alignment
 
 NO_BIDDER = -1
@@ -52,28 +50,6 @@ class AuctionState:
         return merged, bidder
 
 
-def resource_cost(net, alloc, k, res):
-    """Unclamped interference cost of k using ``res`` given the others in alloc.
-
-    Expressed in the same dimensionless units as the utility's penalty
-    term, w2 * (I / I_max - 1), where I adds k's own hypothetical
-    reference-user contribution to the other transmitters' standing ones.
-    Negative when the RB stays under budget.
-    """
-    n, l = res
-    own = net.ref_gain[k, n] * net.power_levels[l]
-    others = 0.0
-    for kp, (nn, ll) in alloc.assigned_items():
-        if kp != k and nn == n:
-            others += net.ref_gain[kp, n] * net.power_levels[ll]
-    return net.w2 * ((own + others) / net.i_max[n] - 1.0)
-
-
-def clamped_resource_cost(net, alloc, k, res):
-    """The non-negative cost max{0, c}; zero while the RB is within budget."""
-    return max(0.0, resource_cost(net, alloc, k, res))
-
-
 def bid_increment(values, chosen, epsilon):
     """Minimum-increment bid: (best value - second-best value) + epsilon.
 
@@ -90,25 +66,19 @@ def bid_increment(values, chosen, epsilon):
     return float(flat.max() - second + epsilon)
 
 
-def local_auction_round(k, state, net, alloc_prev, interference_prev=None, benefits=None,
-                        merged=None):
+def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits, merged):
     """Transmitter k's bidding round against the broadcast snapshot.
 
-    Returns ``(choice, cost_row, bidder_row, bid_placed)`` where choice is
-    k's (rb, level) for this iteration or None.  ``benefits`` may supply
-    the precomputed (N, L) benefit row for k; ``interference_prev`` the
-    broadcast per-RB interference of ``alloc_prev``; ``merged`` the
-    snapshot's ``state.merged_view()`` (each is recomputed when omitted).
+    ``interference_prev`` is the broadcast per-RB interference of
+    ``alloc_prev``, ``benefits`` k's (N, L) benefit row under it, and
+    ``merged`` the snapshot's ``state.merged_view()``.  Returns
+    ``(choice, cost_row, bidder_row, bid_placed)`` where choice is k's
+    (rb, level) for this iteration or None.
     """
-    if interference_prev is None:
-        interference_prev = netmodel.interference_vector(net, alloc_prev)
-    merged, merged_bidder = state.merged_view() if merged is None else merged
+    merged, merged_bidder = merged
     cost_row = merged.copy()
     bidder_row = merged_bidder.copy()
     prev = alloc_prev.get(k)
-
-    if benefits is None:
-        benefits = netmodel.benefit_table(net, alloc_prev)[k]
     values = benefits - merged
 
     # The merged cost can only rise, so the re-bid test of "cost grew and
@@ -135,19 +105,7 @@ def local_auction_round(k, state, net, alloc_prev, interference_prev=None, benef
     return prev, cost_row, bidder_row, False
 
 
-@dataclass
-class AuctionResult:
-    allocation: Allocation
-    iterations: int
-    converged: bool
-    epsilon: float
-    merged_costs: np.ndarray    # (N, L) final maximum cost per resource
-    merged_bidders: np.ndarray  # (N, L)
-    benefit_span: float
-    messages: int
-
-
-def run_auction(net, epsilon=None, t_max=500, seed=None):
+def run_auction(net, epsilon=None, t_max=500):
     """MBS-coordinated auction loop.
 
     Starts from a seeded random alignment with costs clamped from the
@@ -162,10 +120,14 @@ def run_auction(net, epsilon=None, t_max=500, seed=None):
 
     The emitted allocation is repaired against the strict interference
     caps before return (simultaneous same-round bids can overshoot them).
+
+    ``info`` keys: ``epsilon`` (the minimum bid increment used),
+    ``merged_costs`` (the final (N, L) maximum cost per resource) and
+    ``benefit_span`` (max minus min of the start state's benefit table).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    rng = np.random.default_rng(net.seed if seed is None else seed)
+    rng = np.random.default_rng(net.seed)
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = random_alignment(net, rng)
 
@@ -191,8 +153,7 @@ def run_auction(net, epsilon=None, t_max=500, seed=None):
         any_bid = False
         for k in range(K):
             choice, cost_row, bidder_row, placed = local_auction_round(
-                k, state, net, x_prev, interference_prev=i_prev, benefits=b_prev[k],
-                merged=merged)
+                k, state, net, x_prev, i_prev, b_prev[k], merged)
             new_costs[k] = cost_row
             new_bidders[k] = bidder_row
             if choice is not None:
@@ -204,17 +165,13 @@ def run_auction(net, epsilon=None, t_max=500, seed=None):
             break
         x_prev = x_t
 
-    merged_costs, merged_bidders = state.merged_view()
     # Concurrent bids in one synchronous round can jointly overshoot a
     # budget the guard checked one at a time.
-    final = netmodel.repair(net, state.assignment.copy())
-    return AuctionResult(
-        allocation=final,
+    return SolverResult(
+        allocation=netmodel.repair(net, state.assignment.copy()),
         iterations=iterations,
         converged=converged,
-        epsilon=epsilon,
-        merged_costs=merged_costs,
-        merged_bidders=merged_bidders,
-        benefit_span=benefit_span,
         messages=iterations * (K * N * L + N * L + N),
+        info={"epsilon": epsilon, "merged_costs": state.merged_view()[0],
+              "benefit_span": benefit_span},
     )

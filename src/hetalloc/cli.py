@@ -18,8 +18,8 @@ def _build_parser():
 
     run = sub.add_parser("run", help="run algorithms over seeds and emit a metrics CSV")
     run.add_argument("--scenario", required=True, help="scenario JSON path")
-    run.add_argument("--algorithms", default=",".join(harness.ALGORITHMS),
-                     help="comma list from: " + ", ".join(harness.ALGORITHMS))
+    run.add_argument("--algorithms", default=",".join(harness.SOLVERS),
+                     help="comma list from: " + ", ".join(harness.SOLVERS))
     run.add_argument("--seeds", default=None,
                      help='seed spec, "A:B" half-open range or comma list '
                           "(default: the scenario's own seed)")
@@ -40,12 +40,15 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    config = harness.load_scenario(args.scenario)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     try:
+        config = harness.load_scenario(args.scenario)
+        if not algorithms or not set(algorithms) <= set(harness.SOLVERS):
+            raise ValueError(f"--algorithms {args.algorithms!r} must name one or more of "
+                             + ", ".join(harness.SOLVERS))
         seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
         budget = harness.oracle_budget()
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ScenarioFormatError, ConfigError too
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     metrics = harness.run_experiment(config, algorithms=algorithms, seeds=seeds,

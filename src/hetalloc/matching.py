@@ -13,14 +13,12 @@ matching until the allocation stops changing.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, sum_rate
+from .allocation import Allocation, SolverResult, sum_rate
 
 
 class PreferenceProfile:
@@ -38,65 +36,32 @@ class PreferenceProfile:
         self.owner = owner
         self.entries = list(entries)
 
-    def __len__(self):
-        return len(self.entries)
-
     def keys(self):
         return [key for key, _u in self.entries]
-
-    def utilities(self):
-        return {key: u for key, u in self.entries}
 
     def rank(self):
         """key -> position (0 = most preferred)."""
         return {key: i for i, (key, _u) in enumerate(self.entries)}
 
 
-def _sorted_profile(owner, scored):
-    # scored: list of (key, utility); strict order by utility desc, key asc
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return PreferenceProfile(owner, scored)
+def _profile(owner, utilities):
+    # Keys enumerate row-major in ascending order, so a stable sort of -u
+    # breaks equal utilities toward the lowest key.
+    L = utilities.shape[1]
+    flat = utilities.ravel()
+    u = flat.tolist()
+    order = np.argsort(-flat, kind="stable").tolist()
+    return PreferenceProfile(owner, [(divmod(i, L), u[i]) for i in order])
 
 
-def _broadcast_utility(net, alloc_prev, interference_prev, k, n, l):
-    # Utility of a hypothetical move, with the reference-user load taken
-    # from the broadcast per-RB aggregate rather than re-summed.
-    p = net.power_levels[l]
-    gamma = netmodel._sinr(net, k, n, p, alloc_prev.on_rb(n))
-    i_others = (interference_prev[n]
-                - netmodel._own_reference_contribution(net, alloc_prev, k, n))
-    i_hyp = net.ref_gain[k, n] * p + i_others
-    return net.w1 * math.log2(1.0 + gamma) - net.w2 * (i_hyp / net.i_max[n] - 1.0)
+def build_transmitter_profile(k, utilities):
+    """Rank transmitter k's N*L alignments by its (N, L) utility row."""
+    return _profile(("tx", k), utilities)
 
 
-def build_transmitter_profile(net, alloc_prev, interference_prev, k, utilities=None):
-    """Rank all N*L alignments for transmitter k against the last allocation.
-
-    ``interference_prev`` is the broadcast per-RB aggregated interference of
-    ``alloc_prev``; k's own previous contribution is removed before scoring
-    a hypothetical move.  ``utilities`` may supply the precomputed (N, L)
-    utility row to skip the scalar evaluation.
-    """
-    N, L = net.num_rb, net.num_levels
-    if utilities is None:
-        utilities = np.array([
-            [_broadcast_utility(net, alloc_prev, interference_prev, k, n, l)
-             for l in range(L)] for n in range(N)])
-    rows = utilities.tolist()
-    scored = [((n, l), rows[n][l]) for n in range(N) for l in range(L)]
-    return _sorted_profile(("tx", k), scored)
-
-
-def build_rb_profile(net, alloc_prev, interference_prev, n, utilities=None):
-    """Rank all (transmitter, level) pairs for RB n, same scoring and tie-break."""
-    K, L = net.num_tx, net.num_levels
-    if utilities is None:
-        utilities = np.array([
-            [_broadcast_utility(net, alloc_prev, interference_prev, k, n, l)
-             for l in range(L)] for k in range(K)])
-    rows = utilities.tolist()
-    scored = [((k, l), rows[k][l]) for k in range(K) for l in range(L)]
-    return _sorted_profile(("rb", n), scored)
+def build_rb_profile(n, utilities):
+    """Rank RB n's (transmitter, level) pairs by its (K, L) utility column."""
+    return _profile(("rb", n), utilities)
 
 
 @dataclass
@@ -105,12 +70,6 @@ class Matching:
 
     allocation: Allocation
     proposals: int  # proposal events consumed by the inner subroutine
-
-    def mu_tx(self, k):
-        return self.allocation.get(k)
-
-    def mu_rb(self, n):
-        return self.allocation.on_rb(n)
 
 
 def match_alignments(profiles_tx, profiles_rb, net):
@@ -179,12 +138,12 @@ def find_blocking_pair(matching, profiles_tx, profiles_rb):
     rank_tx = [p.rank() for p in profiles_tx]
     rank_rb = [p.rank() for p in profiles_rb]
     for k, prof in enumerate(profiles_tx):
-        mine = matching.mu_tx(k)
+        mine = matching.allocation.get(k)
         my_rank = rank_tx[k][mine] if mine is not None else len(prof.entries)
         for (n, l), _u in prof.entries:
             if rank_tx[k][(n, l)] >= my_rank:
                 break  # entries are best-first; nothing below can block
-            holders = matching.mu_rb(n)
+            holders = matching.allocation.on_rb(n)
             pos = rank_rb[n][(k, l)]
             if any(pos < rank_rb[n][pair] for pair in holders):
                 return (k, n, l)
@@ -198,17 +157,6 @@ class MatchingRound:
     matching: Matching
 
 
-@dataclass
-class MatchingRunResult:
-    allocation: Allocation
-    iterations: int
-    converged: bool
-    proposals_per_round: list
-    messages: int
-    rounds: Optional[list] = None
-    best_sum_rate: float = 0.0
-
-
 def random_alignment(net, rng):
     """Every transmitter on a uniformly random (RB, level); the start state."""
     alloc = Allocation(net.num_tx)
@@ -217,7 +165,7 @@ def random_alignment(net, rng):
     return alloc
 
 
-def run_stable_matching(net, t_max=100, seed=None, keep_rounds=False):
+def run_stable_matching(net, t_max=100, keep_rounds=False):
     """Iterated stable matching (profile rebuild + inner matching per round).
 
     Starts from a seeded random alignment, stops when two consecutive
@@ -227,10 +175,14 @@ def run_stable_matching(net, t_max=100, seed=None, keep_rounds=False):
     the K transmitters uploads its N*L profile entries and the MBS
     broadcasts the K allocation entries, so
     ``messages = iterations * (K*N*L + K)``.
+
+    ``info`` keys: ``proposals_per_round`` (proposal events of each inner
+    matching) and ``rounds`` (a MatchingRound per round when
+    ``keep_rounds``, else None).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    rng = np.random.default_rng(net.seed if seed is None else seed)
+    rng = np.random.default_rng(net.seed)
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = random_alignment(net, rng)
 
@@ -243,12 +195,9 @@ def run_stable_matching(net, t_max=100, seed=None, keep_rounds=False):
 
     for _t in range(1, t_max + 1):
         iterations += 1
-        i_prev = netmodel.interference_vector(net, x_prev)
         util = netmodel.utility_table(net, x_prev)
-        profiles_tx = [build_transmitter_profile(net, x_prev, i_prev, k, utilities=util[k])
-                       for k in range(K)]
-        profiles_rb = [build_rb_profile(net, x_prev, i_prev, n, utilities=util[:, n, :])
-                       for n in range(N)]
+        profiles_tx = [build_transmitter_profile(k, util[k]) for k in range(K)]
+        profiles_rb = [build_rb_profile(n, util[:, n, :]) for n in range(N)]
         m = match_alignments(profiles_tx, profiles_rb, net)
         proposals_per_round.append(m.proposals)
         if rounds is not None:
@@ -263,13 +212,10 @@ def run_stable_matching(net, t_max=100, seed=None, keep_rounds=False):
             break
         x_prev = x_t
 
-    allocation = final if converged else best_alloc
-    return MatchingRunResult(
-        allocation=allocation,
+    return SolverResult(
+        allocation=final if converged else best_alloc,
         iterations=iterations,
         converged=converged,
-        proposals_per_round=proposals_per_round,
         messages=iterations * (K * N * L + K),
-        rounds=rounds,
-        best_sum_rate=best_rate,
+        info={"proposals_per_round": proposals_per_round, "rounds": rounds},
     )

@@ -19,12 +19,11 @@ transmitter and repaired per RB until every interference budget holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation
+from .allocation import Allocation, SolverResult
 from .matching import random_alignment
 
 
@@ -49,35 +48,6 @@ class MessageState:
     def tau(self):
         """Node marginals, entrywise sum of the two message directions."""
         return self.psi_tx + self.psi_res
-
-
-def tx_message_update(state, utilities, k, res):
-    """One transmitter-side message from the previous-iteration state.
-
-    ``utilities`` is transmitter k's (N, L) utility table.  With a single
-    resource there is no "other entry" to maximize over, so that term
-    contributes nothing.
-    """
-    n, l = res
-    w = state.omega
-    values = utilities + state.psi_res[k]
-    flat = values.ravel()
-    idx = n * utilities.shape[1] + l
-    others = np.delete(flat, idx)
-    direct = (1.0 - w) * (utilities[n, l] + state.psi_res[k, n, l])
-    if others.size == 0:
-        return utilities[n, l] - direct
-    return utilities[n, l] - w * others.max() - direct
-
-
-def res_message_update(state, res, k):
-    """One resource-side message; with K = 1 the empty maximum is zero."""
-    n, l = res
-    w = state.omega
-    col = state.psi_tx[:, n, l]
-    others = np.delete(col, k)
-    peak = others.max() if others.size else 0.0
-    return -w * peak - (1.0 - w) * col[k]
 
 
 def _max_excluding_self(a, axis):
@@ -128,17 +98,7 @@ def extract_allocation(state, net):
     return netmodel.repair(net, alloc)
 
 
-@dataclass
-class MessagePassingResult:
-    allocation: Allocation
-    iterations: int
-    converged: bool
-    message_deltas: list
-    message_converged_at: Optional[int]
-    messages: int
-
-
-def run_message_passing(net, omega=0.5, t_max=500, seed=None, message_tol=1e-6):
+def run_message_passing(net, omega=0.5, t_max=500, message_tol=1e-6):
     """Full damped max-sum loop.
 
     Per iteration the utilities are re-evaluated against the previous
@@ -151,10 +111,14 @@ def run_message_passing(net, omega=0.5, t_max=500, seed=None, message_tol=1e-6):
 
     Non-convergence is reported through the flag and the delta trace, and
     the last extracted (always feasible) allocation is still returned.
+
+    ``info`` keys: ``message_deltas`` (the max-norm message step of each
+    iteration) and ``message_converged_at`` (the first iteration whose
+    step fell below ``message_tol``, or None).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    rng = np.random.default_rng(net.seed if seed is None else seed)
+    rng = np.random.default_rng(net.seed)
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = random_alignment(net, rng)
     state = MessageState.zeros(K, N, L, omega)
@@ -195,11 +159,10 @@ def run_message_passing(net, omega=0.5, t_max=500, seed=None, message_tol=1e-6):
             break
         x_prev = x_t
 
-    return MessagePassingResult(
+    return SolverResult(
         allocation=final,
         iterations=iterations,
         converged=converged,
-        message_deltas=deltas,
-        message_converged_at=msg_converged_at,
         messages=iterations * 2 * K * N * L,
+        info={"message_deltas": deltas, "message_converged_at": msg_converged_at},
     )

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -33,13 +33,6 @@ class ConfigError(ValueError):
 
 class ContractError(ValueError):
     """A physical-layer query was made against an inconsistent allocation."""
-
-
-class Resource(NamedTuple):
-    """A transmission alignment: (RB index, power-level index), 0-based."""
-
-    rb: int
-    level: int
 
 
 @dataclass(frozen=True)
@@ -150,7 +143,16 @@ class Network:
     w1: float
     w2: float
     rb_bandwidth: float
-    mbs_pos: np.ndarray = field(default_factory=lambda: np.zeros(2))
+
+    def __post_init__(self):
+        # Read-only views: writing to a shared drop raises, and the
+        # caller's own arrays keep their flags.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                view = value.view()
+                view.flags.writeable = False
+                object.__setattr__(self, f.name, view)
 
     @property
     def num_tx(self):
@@ -381,31 +383,6 @@ def _sinr(net, k, n, p, cochannel):
         if kp != k:
             den += net.gain_ul[kp, k, n] * net.power_levels[lp]
     return net.gain_ul[k, k, n] * p / den
-
-
-def _own_reference_contribution(net, alloc, k, n):
-    res = alloc.get(k)
-    if res is not None and res[0] == n:
-        return net.ref_gain[k, n] * net.power_levels[res[1]]
-    return 0.0
-
-
-def utility(net, alloc, k, res):
-    """Biased utility of transmitter k hypothetically using ``res``.
-
-    The rate term is the spectral efficiency log2(1 + SINR) (bit/s/Hz) and
-    the penalty term is the RB's interference overage relative to its
-    budget, (I / I_max) - 1, so w1 and w2 trade off on one dimensionless
-    scale.  Interference from the other transmitters is taken from
-    ``alloc``; k's own current assignment is excluded (a hypothetical
-    move, not an addition).
-    """
-    n, l = res
-    p = net.power_levels[l]
-    gamma = _sinr(net, k, n, p, alloc.on_rb(n))
-    i_others = aggregated_interference(net, alloc, n) - _own_reference_contribution(net, alloc, k, n)
-    i_hyp = net.ref_gain[k, n] * p + i_others
-    return net.w1 * math.log2(1.0 + gamma) - net.w2 * (i_hyp / net.i_max[n] - 1.0)
 
 
 def _interference_maps(net, alloc):

@@ -5,6 +5,10 @@ computes from per-RB holder lists, once per table or once per round.  Each
 one re-scans the whole allocation wherever it needs a co-channel sum, so
 its floating-point additions happen in the plain ascending-k order that
 the optimized code must reproduce bit for bit.
+
+The scalar formulas at the end (one utility, cost or message entry at a
+time) are the definitions the library's tables and sweeps are checked
+against.
 """
 
 from __future__ import annotations
@@ -99,6 +103,14 @@ def weighted_benefit(net, alloc):
     return total
 
 
+def profile(owner, utilities):
+    """Best-first (key, utility) entries, sorted per entry by (-u, key)."""
+    rows = utilities.tolist()
+    scored = [((i, j), u) for i, row in enumerate(rows) for j, u in enumerate(row)]
+    scored.sort(key=lambda e: (-e[1], e[0]))
+    return PreferenceProfile(owner, scored)
+
+
 def remove(profile, key):
     profile.entries = [(k, u) for k, u in profile.entries if k != key]
 
@@ -141,3 +153,80 @@ def match_alignments(profiles_tx, profiles_rb, net):
     for k, (n, l) in assigned.items():
         alloc.assign(k, n, l)
     return Matching(allocation=alloc, proposals=proposals)
+
+
+def _own_reference_contribution(net, alloc, k, n):
+    res = alloc.get(k)
+    if res is not None and res[0] == n:
+        return net.ref_gain[k, n] * net.power_levels[res[1]]
+    return 0.0
+
+
+def utility(net, alloc, k, res):
+    """Biased utility of transmitter k hypothetically using ``res``.
+
+    The rate term is the spectral efficiency log2(1 + SINR) (bit/s/Hz) and
+    the penalty term is the RB's interference overage relative to its
+    budget, (I / I_max) - 1, so w1 and w2 trade off on one dimensionless
+    scale.  Interference from the other transmitters is taken from
+    ``alloc``; k's own current assignment is excluded (a hypothetical
+    move, not an addition).
+    """
+    n, l = res
+    p = net.power_levels[l]
+    gamma = netmodel._sinr(net, k, n, p, alloc.on_rb(n))
+    i_others = (netmodel.aggregated_interference(net, alloc, n)
+                - _own_reference_contribution(net, alloc, k, n))
+    i_hyp = net.ref_gain[k, n] * p + i_others
+    return net.w1 * math.log2(1.0 + gamma) - net.w2 * (i_hyp / net.i_max[n] - 1.0)
+
+
+def resource_cost(net, alloc, k, res):
+    """Unclamped interference cost of k using ``res`` given the others in alloc.
+
+    Expressed in the same dimensionless units as the utility's penalty
+    term, w2 * (I / I_max - 1), where I adds k's own hypothetical
+    reference-user contribution to the other transmitters' standing ones.
+    Negative when the RB stays under budget.
+    """
+    n, l = res
+    own = net.ref_gain[k, n] * net.power_levels[l]
+    others = 0.0
+    for kp, (nn, ll) in alloc.assigned_items():
+        if kp != k and nn == n:
+            others += net.ref_gain[kp, n] * net.power_levels[ll]
+    return net.w2 * ((own + others) / net.i_max[n] - 1.0)
+
+
+def clamped_resource_cost(net, alloc, k, res):
+    """The non-negative cost max{0, c}; zero while the RB is within budget."""
+    return max(0.0, resource_cost(net, alloc, k, res))
+
+
+def tx_message_update(state, utilities, k, res):
+    """One transmitter-side message from the previous-iteration state.
+
+    ``utilities`` is transmitter k's (N, L) utility table.  With a single
+    resource there is no "other entry" to maximize over, so that term
+    contributes nothing.
+    """
+    n, l = res
+    w = state.omega
+    values = utilities + state.psi_res[k]
+    flat = values.ravel()
+    idx = n * utilities.shape[1] + l
+    others = np.delete(flat, idx)
+    direct = (1.0 - w) * (utilities[n, l] + state.psi_res[k, n, l])
+    if others.size == 0:
+        return utilities[n, l] - direct
+    return utilities[n, l] - w * others.max() - direct
+
+
+def res_message_update(state, res, k):
+    """One resource-side message; with K = 1 the empty maximum is zero."""
+    n, l = res
+    w = state.omega
+    col = state.psi_tx[:, n, l]
+    others = np.delete(col, k)
+    peak = others.max() if others.size else 0.0
+    return -w * peak - (1.0 - w) * col[k]

@@ -145,7 +145,7 @@ def test_criterion_4_stability(matching_suite):
     blocked = []
     checked = 0
     for seed, _net, res in matching_suite:
-        for rnd in res.rounds:
+        for rnd in res.info["rounds"]:
             checked += 1
             if find_blocking_pair(rnd.matching, rnd.profiles_tx, rnd.profiles_rb):
                 blocked.append(seed)
@@ -159,7 +159,7 @@ def test_criterion_5_matching_termination_bound(matching_suite):
     worst = 0
     over = []
     for seed, _net, res in matching_suite:
-        for count in res.proposals_per_round:
+        for count in res.info["proposals_per_round"]:
             worst = max(worst, count)
             if count > bound:
                 over.append(seed)
@@ -168,10 +168,10 @@ def test_criterion_5_matching_termination_bound(matching_suite):
 
 
 def test_criterion_6_reduction_identity():
-    from hetalloc.msgpass import (MessageState, res_message_update,
-                                  tx_message_update)
+    from hetalloc.msgpass import MessageState, res_sweep, tx_sweep
     rng = np.random.default_rng(1234)
     worst = 0.0
+    entries = 0
     for _ in range(1000):
         K = int(rng.integers(1, 6))
         N = int(rng.integers(1, 5))
@@ -179,25 +179,29 @@ def test_criterion_6_reduction_identity():
         state = MessageState(rng.normal(0, 5, (K, N, L)),
                              rng.normal(0, 5, (K, N, L)), omega=1.0)
         u = rng.normal(0, 5, (K, N, L))
-        k = int(rng.integers(K))
-        n, l = int(rng.integers(N)), int(rng.integers(L))
-        # undamped transmitter rule: utility minus the best other entry
-        v = (u[k] + state.psi_res[k]).ravel()
-        others = np.delete(v, n * L + l)
-        expect_tx = u[k, n, l] - (others.max() if others.size else 0.0)
-        got_tx = tx_message_update(state, u[k], k, (n, l))
-        # undamped resource rule: minus the best other transmitter message
-        col = np.delete(state.psi_tx[:, n, l], k)
-        expect_res = -(col.max() if col.size else 0.0)
-        got_res = res_message_update(state, (n, l), k)
-        worst = max(worst, abs(got_tx - expect_tx), abs(got_res - expect_res))
+        # still drawn, so every table is the one an entry-sampling run saw
+        rng.integers(K), rng.integers(N), rng.integers(L)
+        got_tx = tx_sweep(state, u)
+        got_res = res_sweep(state)
+        for k, n, l in np.ndindex(K, N, L):
+            # undamped transmitter rule: utility minus the best other entry
+            v = (u[k] + state.psi_res[k]).ravel()
+            others = np.delete(v, n * L + l)
+            expect_tx = u[k, n, l] - (others.max() if others.size else 0.0)
+            # undamped resource rule: minus the best other transmitter message
+            col = np.delete(state.psi_tx[:, n, l], k)
+            expect_res = -(col.max() if col.size else 0.0)
+            worst = max(worst, abs(got_tx[k, n, l] - expect_tx),
+                        abs(got_res[k, n, l] - expect_res))
+            entries += 1
     report(6, worst <= 1e-12,
-           f"1000 random tables, max |weighted(omega=1) - undamped| = {worst:.2e}")
+           f"1000 random tables ({entries} entries), "
+           f"max |sweep(omega=1) - undamped| = {worst:.2e}")
 
 
 def test_criterion_7_message_convergence(msgpass_suite):
     non_convergent = [seed for seed, _net, res in msgpass_suite
-                      if res.message_converged_at is None]
+                      if res.info["message_converged_at"] is None]
     rate = (100 - len(non_convergent)) / 100
     report(7, rate >= 0.95,
            f"max-norm step < 1e-6 before T_max=500 on {100 - len(non_convergent)}"
@@ -211,12 +215,12 @@ def test_criterion_8_epsilon_complementary_slackness(auction_suite):
         iv = interference_vector(net, res.allocation)
         slack = 1e-9 * max(1.0, float(np.abs(b).max()))
         for k, (n0, l0) in res.allocation.assigned_items():
-            values = b[k] - res.merged_costs
+            values = b[k] - res.info["merged_costs"]
             passes_guard = (net.ref_gain[k][:, None] * net.power_levels[None, :]
                             + iv[:, None]) < net.i_max[:, None]
             if not passes_guard.any():
                 continue
-            if values[n0, l0] < values[passes_guard].max() - res.epsilon - slack:
+            if values[n0, l0] < values[passes_guard].max() - res.info["epsilon"] - slack:
                 violations.append((seed, k))
     report(8, not violations,
            f"all assigned transmitters within epsilon of best net value under "
@@ -230,9 +234,10 @@ def test_criterion_9_auction_optimality_gap(auction_suite):
         o_alloc, _ = exhaustive_search(net)
         achieved = weighted_benefit(net, res.allocation)
         optimal = weighted_benefit(net, o_alloc)
-        margin = net.num_tx * res.epsilon + 1e-9 * max(1.0, optimal)
+        eps = res.info["epsilon"]
+        margin = net.num_tx * eps + 1e-9 * max(1.0, optimal)
         if achieved < optimal - margin:
-            failures.append((seed, optimal - achieved, net.num_tx * res.epsilon))
+            failures.append((seed, optimal - achieved, net.num_tx * eps))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 120.0
     report(9, ok, f"sum benefit within K*epsilon of the oracle on 50 loose "
@@ -243,8 +248,8 @@ def test_criterion_10_auction_iteration_bound(auction_suite):
     over = []
     for seed, net, res in auction_suite:
         K, N, L = net.num_tx, net.num_rb, net.num_levels
-        span = res.benefit_span
-        bound = K * N * L * (math.ceil(span / res.epsilon) if span > 0 else 1)
+        span = res.info["benefit_span"]
+        bound = K * N * L * (math.ceil(span / res.info["epsilon"]) if span > 0 else 1)
         if res.iterations > bound:
             over.append((seed, res.iterations, bound))
     report(10, not over,

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import reference
 from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
 from hetalloc.auction import (NO_BIDDER, AuctionState, bid_increment,
-                              clamped_resource_cost, local_auction_round,
-                              resource_cost, run_auction)
-from hetalloc.netmodel import benefit_table, build_topology, cost_table
+                              local_auction_round, run_auction)
+from hetalloc.netmodel import (benefit_table, build_topology, cost_table,
+                               interference_vector)
 
 from conftest import toy_network
 from test_netmodel import make_config, two_tx_net
@@ -15,14 +16,14 @@ from test_netmodel import make_config, two_tx_net
 
 def test_resource_cost_boundary_zero():
     net = two_tx_net(w2=1.0, i_max=1.4)  # k1's own contribution 0.7 * 2.0
-    assert resource_cost(net, Allocation(2), 1, (0, 0)) == pytest.approx(0.0, abs=1e-15)
+    assert reference.resource_cost(net, Allocation(2), 1, (0, 0)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_resource_cost_negative_clamps_to_zero():
     net = two_tx_net(w2=1.0, i_max=10.0)
-    c = resource_cost(net, Allocation(2), 1, (0, 0))
+    c = reference.resource_cost(net, Allocation(2), 1, (0, 0))
     assert c < 0
-    assert clamped_resource_cost(net, Allocation(2), 1, (0, 0)) == 0.0
+    assert reference.clamped_resource_cost(net, Allocation(2), 1, (0, 0)) == 0.0
 
 
 def test_resource_cost_two_transmitter_hand_value():
@@ -30,7 +31,7 @@ def test_resource_cost_two_transmitter_hand_value():
     alloc = Allocation(2, {1: (0, 0)})
     # own 0.6*2 plus standing 0.7*2, relative to the 2.0 budget
     expected = 0.5 * ((1.2 + 1.4) / 2.0 - 1.0)
-    assert resource_cost(net, alloc, 0, (0, 0)) == pytest.approx(expected, rel=1e-12)
+    assert reference.resource_cost(net, alloc, 0, (0, 0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cost_table_matches_scalar():
@@ -45,7 +46,7 @@ def test_cost_table_matches_scalar():
         for n in range(N):
             for l in range(L):
                 assert table[k, n, l] == pytest.approx(
-                    resource_cost(net, alloc, k, (n, l)), rel=1e-12)
+                    reference.resource_cost(net, alloc, k, (n, l)), rel=1e-12)
 
 
 # --- bid increment ----------------------------------------------------------
@@ -84,12 +85,18 @@ def fresh_state(K, N, L, eps=0.1):
                         Allocation(K), eps)
 
 
+def round_on_snapshot(k, state, net, alloc_prev):
+    """local_auction_round with every input derived from alloc_prev and state."""
+    return local_auction_round(k, state, net, alloc_prev, interference_vector(net, alloc_prev),
+                               benefit_table(net, alloc_prev)[k], state.merged_view())
+
+
 def test_local_round_fresh_state_bids_best_value():
     net = two_tx_net(i_max=100.0)
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
     state = fresh_state(2, 1, 1)
     b = benefit_table(net, alloc_prev)
-    choice, cost_row, bidder_row, placed = local_auction_round(0, state, net, alloc_prev)
+    choice, cost_row, bidder_row, placed = round_on_snapshot(0, state, net, alloc_prev)
     assert placed and choice == (0, 0)
     assert bidder_row[0, 0] == 0
     assert cost_row[0, 0] == pytest.approx(bid_increment(b[0], (0, 0), 0.1))
@@ -100,7 +107,7 @@ def test_local_round_content_bidder_keeps():
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
     state = fresh_state(2, 1, 1)
     state.bidders[:, 0, 0] = 0
-    choice, _cost, _bid, placed = local_auction_round(0, state, net, alloc_prev)
+    choice, _cost, _bid, placed = round_on_snapshot(0, state, net, alloc_prev)
     assert not placed and choice == (0, 0)
 
 
@@ -108,7 +115,7 @@ def test_local_round_guard_failure_keeps_previous():
     net = two_tx_net(i_max=1e-9)  # any hypothetical contribution violates
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
     state = fresh_state(2, 1, 1)
-    choice, cost_row, _bid, placed = local_auction_round(0, state, net, alloc_prev)
+    choice, cost_row, _bid, placed = round_on_snapshot(0, state, net, alloc_prev)
     assert not placed and choice == (0, 0)
     assert cost_row[0, 0] == 0.0
 
@@ -124,7 +131,8 @@ def test_two_transmitter_contention_hand_trace():
     iv = np.zeros(2)
 
     def round_all(state, x):
-        rows = [local_auction_round(k, state, net, x, iv, net_b[k]) for k in range(2)]
+        rows = [local_auction_round(k, state, net, x, iv, net_b[k], state.merged_view())
+                for k in range(2)]
         costs = np.stack([r[1] for r in rows])
         bidders = np.stack([r[2] for r in rows])
         x_new = Allocation(2, [r[0] for r in rows])
@@ -163,7 +171,7 @@ def test_run_deterministic():
     a = run_auction(net)
     b = run_auction(net)
     assert a.allocation == b.allocation and a.iterations == b.iterations
-    np.testing.assert_array_equal(a.merged_costs, b.merged_costs)
+    np.testing.assert_array_equal(a.info["merged_costs"], b.info["merged_costs"])
 
 
 def test_run_feasible_and_message_accounting():
@@ -186,7 +194,8 @@ def test_merged_cost_monotone_across_iterations():
     for _ in range(10):
         iv = netmodel.interference_vector(net, x_prev)
         b = benefit_table(net, x_prev)
-        rows = [local_auction_round(k, state, net, x_prev, iv, b[k])
+        merged = state.merged_view()
+        rows = [local_auction_round(k, state, net, x_prev, iv, b[k], merged)
                 for k in range(net.num_tx)]
         x_prev = Allocation(net.num_tx, [r[0] for r in rows])
         state = AuctionState(np.stack([r[1] for r in rows]),

@@ -130,15 +130,20 @@ def test_ties_break_toward_lowest_index():
     state = MessageState(np.ones((3, 2, 1)), np.zeros((3, 2, 1)), 0.5)
     assert extract_allocation(state, net) == reference.extract_allocation(state, net)
     assert extract_allocation(state, net) == Allocation(3, [None, None, (0, 0)])
+    # equal utilities, signed zeros included: the lowest key ranks first
+    u = np.array([[0.0, -0.0, 1.0], [1.0, -0.0, 0.0], [2.0, 2.0, 2.0]])
+    assert build_rb_profile(0, u).entries == reference.profile(("rb", 0), u).entries
+    assert build_rb_profile(0, u).keys()[:3] == [(2, 0), (2, 1), (2, 2)]
 
 
 def profiles(net, alloc):
-    iv = netmodel.interference_vector(net, alloc)
+    """Both profile families, checked entry for entry against the reference sort."""
     util = netmodel.utility_table(net, alloc)
-    tx = [build_transmitter_profile(net, alloc, iv, k, utilities=util[k])
-          for k in range(net.num_tx)]
-    rb = [build_rb_profile(net, alloc, iv, n, utilities=util[:, n, :])
-          for n in range(net.num_rb)]
+    tx = [build_transmitter_profile(k, util[k]) for k in range(net.num_tx)]
+    rb = [build_rb_profile(n, util[:, n, :]) for n in range(net.num_rb)]
+    ref = ([reference.profile(("tx", k), util[k]) for k in range(net.num_tx)]
+           + [reference.profile(("rb", n), util[:, n, :]) for n in range(net.num_rb)])
+    assert [(p.owner, p.entries) for p in tx + rb] == [(p.owner, p.entries) for p in ref]
     return tx, rb
 
 
@@ -174,8 +179,8 @@ def test_auction_round_with_hoisted_merged_view(cfg):
         merged = state.merged_view()
         rows = []
         for k in range(net.num_tx):
-            hoisted = local_auction_round(k, state, net, x_prev, iv, b[k], merged=merged)
-            plain = local_auction_round(k, state, net, x_prev, iv, b[k])
+            hoisted = local_auction_round(k, state, net, x_prev, iv, b[k], merged)
+            plain = local_auction_round(k, state, net, x_prev, iv, b[k], state.merged_view())
             assert hoisted[0] == plain[0] and hoisted[3] == plain[3]
             assert same_array(hoisted[1], plain[1]) and same_array(hoisted[2], plain[2])
             rows.append(hoisted)

@@ -1,8 +1,11 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,8 @@ from hetalloc.harness import (RunMetrics, ScenarioFormatError, load_scenario,
                               serialize_scenario, write_metrics_csv)
 from hetalloc.netmodel import ConfigError, build_topology
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def write_scenario(tmp_path, overrides=None, drop=None, name="scen.json"):
@@ -107,6 +111,34 @@ def test_run_experiment_rejects_unknown_algorithm(tmp_path):
     path, _ = write_scenario(tmp_path)
     with pytest.raises(ValueError, match="simulated-annealing"):
         run_experiment(load_scenario(path), algorithms=["simulated-annealing"])
+
+
+def test_run_experiment_calls_runners_through_module_globals(tmp_path, monkeypatch):
+    # bench/run.py and bench/tracing.py swap these names on harness with
+    # setattr; the swapped-in function must be the one that runs.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("run_stable_matching", "run_message_passing", "run_auction", "exhaustive_search")
+    for name in names:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    path, _ = write_scenario(tmp_path)
+    run_experiment(load_scenario(path), seeds=[0, 1], with_oracle=True, t_max=50)
+    assert calls == {name: 2 for name in names}
+
+
+def test_bench_trace_sites_exist(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [site.name for site in tracing.sites() if site.attr not in site.owner.__dict__]
+    assert not missing
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -239,3 +271,28 @@ def test_cli_run_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
     rc = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert "ALLOC_ORACLE_BUDGET='lots'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithms, reason", [("msgpass,annealing", "annealing"),
+                                                (",", "must name")], ids=["unknown", "empty"])
+def test_cli_run_bad_algorithms_exit_2(tmp_path, capsys, algorithms, reason):
+    path, _ = write_scenario(tmp_path)
+    out = tmp_path / "m.csv"
+    rc = cli.main(["run", "--scenario", str(path), "--algorithms", algorithms,
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+def test_cli_run_bad_scenario_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "scen.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "m.csv"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and "scen.json" in err
+    assert not out.exists()

@@ -4,11 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
+import reference
 from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
 from hetalloc.matching import (Matching, PreferenceProfile, build_rb_profile,
                                build_transmitter_profile, find_blocking_pair,
                                match_alignments, run_stable_matching)
-from hetalloc.netmodel import build_topology, interference_vector, utility
+from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import toy_network
 from test_netmodel import make_config
@@ -28,10 +29,9 @@ def contention_net():
 
 
 def profiles_for(net, alloc=None):
-    alloc = alloc if alloc is not None else Allocation(net.num_tx)
-    iv = interference_vector(net, alloc)
-    tx = [build_transmitter_profile(net, alloc, iv, k) for k in range(net.num_tx)]
-    rb = [build_rb_profile(net, alloc, iv, n) for n in range(net.num_rb)]
+    util = utility_table(net, alloc if alloc is not None else Allocation(net.num_tx))
+    tx = [build_transmitter_profile(k, util[k]) for k in range(net.num_tx)]
+    rb = [build_rb_profile(n, util[:, n, :]) for n in range(net.num_rb)]
     return tx, rb
 
 
@@ -48,7 +48,7 @@ def test_profile_tie_break_lowest_index_first():
     gain_ul = np.full((1, 1, 2), 5.0)  # both RBs identical
     net = toy_network(gain_ul, np.full((1, 1, 2), 0.3), power_levels=(1.0, 2.0),
                       i_max=10.0, w1=1.0, w2=0.0)
-    prof = build_transmitter_profile(net, Allocation(1), np.zeros(2), 0)
+    prof = build_transmitter_profile(0, utility_table(net, Allocation(1))[0])
     # equal utilities inside each level class; order must follow (n, l)
     us = [u for _k, u in prof.entries]
     assert us == sorted(us, reverse=True)
@@ -62,12 +62,12 @@ def test_profile_order_matches_recomputed_utilities():
     alloc = Allocation(2, [(0, 1), (1, 0)])
     tx, rb = profiles_for(net, alloc)
     for k in range(2):
-        scored = sorted((((n, l), utility(net, alloc, k, (n, l)))
+        scored = sorted((((n, l), reference.utility(net, alloc, k, (n, l)))
                          for n in range(2) for l in range(2)),
                         key=lambda e: (-e[1], e[0]))
         assert tx[k].keys() == [key for key, _ in scored]
     for n in range(2):
-        scored = sorted((((k, l), utility(net, alloc, k, (n, l)))
+        scored = sorted((((k, l), reference.utility(net, alloc, k, (n, l)))
                          for k in range(2) for l in range(2)),
                         key=lambda e: (-e[1], e[0]))
         assert rb[n].keys() == [key for key, _ in scored]
@@ -144,7 +144,7 @@ def test_run_deterministic():
     a = run_stable_matching(net)
     b = run_stable_matching(net)
     assert a.allocation == b.allocation
-    assert a.proposals_per_round == b.proposals_per_round
+    assert a.info["proposals_per_round"] == b.info["proposals_per_round"]
     assert a.iterations == b.iterations
 
 
@@ -169,8 +169,8 @@ def test_run_tiny_drop_dominated_by_oracle():
 def test_rounds_recorded_and_stable():
     net = build_topology(make_config())
     res = run_stable_matching(net, keep_rounds=True)
-    assert len(res.rounds) == res.iterations
-    for rnd in res.rounds:
+    assert len(res.info["rounds"]) == res.iterations
+    for rnd in res.info["rounds"]:
         assert find_blocking_pair(rnd.matching, rnd.profiles_tx, rnd.profiles_rb) is None
 
 
@@ -182,7 +182,7 @@ def test_no_stable_matching_dominates_on_tiny_drops():
     for seed in range(10):
         net = build_topology(dataclasses.replace(cfg, seed=seed))
         res = run_stable_matching(net, keep_rounds=True)
-        last = res.rounds[-1]
+        last = res.info["rounds"][-1]
         achieved = sum_rate(net, res.allocation)
         choices = [None, (0, 0), (1, 0)]
         for combo in itertools.product(choices, repeat=2):

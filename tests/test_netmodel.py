@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from hetalloc import netmodel
 from hetalloc.allocation import Allocation
 from hetalloc.netmodel import (ConfigError, ContractError, ScenarioConfig,
                                aggregated_interference, benefit_table,
                                build_topology, channel_gain, cost_table,
                                shannon_rate, sinr_macro, sinr_underlay,
-                               utility, utility_table)
+                               utility_table)
 
 from conftest import toy_network
 
@@ -138,6 +139,13 @@ def test_sigma2_is_noise_density_times_bandwidth():
     cfg = make_config()
     net = build_topology(cfg)
     assert net.sigma2 == cfg.noise_psd * cfg.rb_bandwidth
+
+
+@pytest.mark.parametrize("field", ["gain_ul", "ref_gain"])
+def test_network_arrays_read_only(field):
+    net = build_topology(make_config())
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(net, field)[0, 0] = 1.0
 
 
 def test_gains_positive():
@@ -274,13 +282,13 @@ def test_utility_rate_only():
     net = two_tx_net(w1=1.0, w2=0.0)
     alloc = Allocation(2)
     expected = math.log2(1.0 + 4.0 / 1.4)  # macro 0.4 + noise 1.0
-    assert utility(net, alloc, 0, (0, 0)) == pytest.approx(expected, rel=1e-12)
+    assert reference.utility(net, alloc, 0, (0, 0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_utility_interference_boundary():
     # empty RB and own contribution hitting the cap exactly gives zero
     net = two_tx_net(w1=0.0, w2=1.0, i_max=1.4)  # 0.7 * 2.0 = 1.4
-    assert utility(net, Allocation(2), 1, (0, 0)) == pytest.approx(0.0, abs=1e-15)
+    assert reference.utility(net, Allocation(2), 1, (0, 0)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_utility_mixed_hand_value():
@@ -289,14 +297,14 @@ def test_utility_mixed_hand_value():
     gamma = 4.0 / (0.4 + 0.5 * 2.0 + 1.0)
     overage = (0.6 * 2.0 + 0.7 * 2.0) / 10.0 - 1.0
     expected = 2.0 * math.log2(1.0 + gamma) - 0.5 * overage
-    assert utility(net, alloc, 0, (0, 0)) == pytest.approx(expected, rel=1e-12)
+    assert reference.utility(net, alloc, 0, (0, 0)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_utility_excludes_own_previous_assignment():
     net = two_tx_net(w1=1.0, w2=0.0)
     idle = Allocation(2)
     moved = Allocation(2, {0: (0, 0)})  # k0's own entry must not self-interfere
-    assert utility(net, idle, 0, (0, 0)) == utility(net, moved, 0, (0, 0))
+    assert reference.utility(net, idle, 0, (0, 0)) == reference.utility(net, moved, 0, (0, 0))
 
 
 def test_utility_table_matches_scalar():
@@ -313,7 +321,7 @@ def test_utility_table_matches_scalar():
         for n in range(N):
             for l in range(L):
                 assert table[k, n, l] == pytest.approx(
-                    utility(net, alloc, k, (n, l)), rel=1e-12)
+                    reference.utility(net, alloc, k, (n, l)), rel=1e-12)
     # utility decomposes exactly into benefit minus cost
     np.testing.assert_array_equal(
         table, benefit_table(net, alloc) - cost_table(net, alloc))
