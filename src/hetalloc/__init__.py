@@ -1,10 +1,11 @@
 """Two-tier cellular resource allocation: drop simulator, three distributed
 solvers (stable matching, damped max-sum message passing, distributed
-auction), an exhaustive-search oracle, and a benchmark harness."""
+auction), an exact oracle, and a benchmark harness."""
 
 from .allocation import (Allocation, EvalReport, OracleBudgetError,
                          SolverResult, exhaustive_search, is_feasible,
-                         search_space_size, sum_rate, weighted_benefit)
+                         oracle_cost, search_space_size, sum_rate,
+                         weighted_benefit)
 from .auction import (AuctionState, bid_increment, local_auction_round,
                       run_auction)
 from .harness import (SOLVERS, RunMetrics, ScenarioFormatError, load_scenario,
@@ -15,7 +16,7 @@ from .matching import (Matching, PreferenceProfile, build_rb_profile,
 from .msgpass import MessageState, extract_allocation, run_message_passing
 from .netmodel import (ConfigError, ContractError, Network, ScenarioConfig,
                        aggregated_interference, benefit_table, build_topology,
-                       channel_gain, cost_table, interference_vector,
-                       shannon_rate, sinr_macro, sinr_underlay, utility_table)
+                       cost_table, interference_vector, shannon_rate,
+                       sinr_macro, sinr_underlay, utility_table)
 
 __version__ = "0.1.0"

@@ -3,13 +3,12 @@
 The optimization problem: pick for each underlay transmitter at most one
 (RB, power level) pair maximizing the total underlay rate, subject to a
 strict per-RB cap on aggregated reference-user interference.  The oracle
-enumerates the full search space, so it is the ground truth the distributed
-algorithms are measured against.
+finds an exact optimum by a dynamic program over transmitter subsets, so it
+is the ground truth the distributed algorithms are measured against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,10 +17,11 @@ import numpy as np
 from . import netmodel
 
 DEFAULT_ORACLE_BUDGET = 10 ** 8
+_CHUNK_ROWS = 1 << 14  # level vectors per numpy pass, bounding the oracle's memory
 
 
 class OracleBudgetError(RuntimeError):
-    """The exhaustive search space exceeds the configured budget."""
+    """The oracle's ``oracle_cost`` exceeds the configured budget."""
 
 
 class Allocation:
@@ -118,7 +118,7 @@ class EvalReport:
 
 def is_feasible(net, alloc):
     """Check the strict per-RB interference constraint; returns an EvalReport."""
-    per_rb = [netmodel.aggregated_interference(net, alloc, n) for n in range(net.num_rb)]
+    per_rb = netmodel.interference_vector(net, alloc).tolist()
     violated = [n for n in range(net.num_rb) if per_rb[n] >= net.i_max[n]]
     return EvalReport(
         sum_rate=sum_rate(net, alloc),
@@ -156,69 +156,164 @@ def search_space_size(num_tx, num_rb, num_levels, include_unassigned=False):
     return base ** num_tx
 
 
+def oracle_cost(num_tx, num_rb, num_levels):
+    """Work of ``exhaustive_search``: N * ((L+1)^K + 3^K).
+
+    Per RB it evaluates all (L+1)^K level vectors; joining the RBs visits
+    the 3^K (set, subset) pairs once per RB.  Python integers are exact.
+    """
+    return num_rb * ((num_levels + 1) ** num_tx + 3 ** num_tx)
+
+
 def exhaustive_search(net, budget=None, stats=None):
-    """Centralized oracle: enumerate every allocation, return a feasible maximizer.
+    """Centralized oracle: an exact feasible maximizer of the sum rate.
 
-    Each transmitter independently picks one of the N*L resources or stays
-    unassigned, so (N*L + 1)^K candidates are visited.  Ties are broken
-    toward the lexicographically smallest per-transmitter choice vector
-    (unassigned sorts before resources, resources in (n, l) index order),
-    which the enumeration order yields for free.  Returns
-    ``(allocation, sum_rate)``; the empty allocation (rate 0, always
-    feasible) is the fallback when nothing better is feasible.
+    Rate and cap couple transmitters only within an RB, so the optimum
+    splits per RB.  For each RB n and transmitter set T, ``f_n(T)`` is the
+    best rate of T alone on n over the level vectors that keep n strictly
+    under its cap; all (L+1)^K level vectors per RB are evaluated (a silent
+    transmitter is one more level).  A subset convolution over the RBs,
+    ``g_n(S) = max_{T <= S} f_n(T) + g_{n+1}(S - T)``, then gives the best
+    allocation of all K transmitters; a transmitter in no T stays silent.
+    Allocations are ranked by that RB-by-RB sum, so two whose rates differ
+    only in the last bits may rank as a single ascending-k sum would not.
 
-    ``stats``, if given a dict, receives ``candidates`` (visited count) and
-    ``feasible`` (feasible count).
+    Exact ties: RBs are filled in ascending order.  Each RB takes, among
+    the transmitter sets that still attain the optimum, one that holds
+    transmitter 0 if any does, then, among those, one that holds
+    transmitter 1 if any does, and so on.  Within the RB, among level
+    vectors of equal rate, it takes the lowest level for the lowest
+    transmitter, then for the next.  So two identical transmitters on two
+    identical RBs take RB 0 and RB 1 in index order.
+
+    Returns ``(allocation, sum_rate)``.  The rate is summed from the
+    allocation in ascending k, log2(1 + SINR) per transmitter, times
+    ``rb_bandwidth``.  The empty allocation (rate 0) is the fallback when
+    nothing better is feasible.
+
+    ``stats``, if given a dict, receives ``candidates`` (the N*(L+1)^K
+    per-RB level vectors evaluated) and ``feasible`` (how many of them kept
+    their RB under its cap).
     """
     K, N, L = net.num_tx, net.num_rb, net.num_levels
-    total = search_space_size(K, N, L, include_unassigned=True)
+    cost = oracle_cost(K, N, L)
     limit = DEFAULT_ORACLE_BUDGET if budget is None else budget
-    if total > limit:
+    if cost > limit:
         raise OracleBudgetError(
-            f"search space (N*L+1)^K = {total} exceeds budget {limit}")
+            f"oracle cost N*((L+1)^K + 3^K) = {cost} exceeds budget {limit}")
 
-    choices = [None] + [(n, l) for n in range(N) for l in range(L)]
-    P = net.power_levels
-    contrib = net.ref_gain[:, :, None] * P[None, None, :]       # (K, N, L)
-    signal = net.gain_ul[np.arange(K), np.arange(K), :][:, :, None] * P[None, None, :]
-    base_den = net.gain_mbs_ul * net.mbs_power + net.sigma2     # (K, N)
-    cross = net.gain_ul[:, :, :, None] * P[None, None, None, :]  # (kp, victim, n, l)
-    i_max = net.i_max
-    log2 = math.log2
+    f, best_row, feasible = _rb_tables(net)
+    S, T, starts = _subset_pairs(K)
+    g = np.zeros((N + 1, 1 << K))  # g[n, S]: best rate of set S on RBs n..N-1
+    for n in reversed(range(N)):
+        g[n] = np.maximum.reduceat(f[n, T] + g[n + 1, S ^ T], starts[:-1])
 
-    best_rate = 0.0
-    best = tuple([None] * K)
-    visited = 0
-    feasible_count = 0
-    for cand in itertools.product(choices, repeat=K):
-        visited += 1
-        rb_load = [0.0] * N
-        ok = True
-        for k, res in enumerate(cand):
-            if res is not None:
-                rb_load[res[0]] += contrib[k, res[0], res[1]]
-        for n in range(N):
-            if rb_load[n] >= i_max[n]:
-                ok = False
-                break
-        if not ok:
-            continue
-        feasible_count += 1
-        rate = 0.0
-        for k, res in enumerate(cand):
-            if res is None:
-                continue
-            n, l = res
-            den = base_den[k, n]
-            for kp, other in enumerate(cand):
-                if kp != k and other is not None and other[0] == n:
-                    den += cross[kp, k, n, other[1]]
-            rate += log2(1.0 + signal[k, n, l] / den)
-        if rate > best_rate:
-            best_rate = rate
-            best = cand
+    # Walk the RBs in ascending order.  Of the sets that attain the optimum,
+    # take the one whose bits, read from transmitter 0 up, are largest.
+    left = (1 << K) - 1
+    choice = [None] * K
+    for n in range(N):
+        subs = T[starts[left]:starts[left + 1]]
+        hits = subs[f[n, subs] + g[n + 1, left ^ subs] == g[n, left]]
+        taken = max(hits.tolist(), key=lambda t: f"{t:0{K}b}"[::-1])
+        row = int(best_row[n, taken])
+        for k in range(K):
+            if taken >> k & 1:
+                choice[k] = (n, row // (L + 1) ** (K - 1 - k) % (L + 1) - 1)
+        left ^= taken
+
     if stats is not None:
-        stats["candidates"] = visited
-        stats["feasible"] = feasible_count
-    alloc = Allocation(K, list(best))
-    return alloc, best_rate * net.rb_bandwidth
+        stats["candidates"] = N * (L + 1) ** K
+        stats["feasible"] = feasible
+    alloc = Allocation(K, choice)
+    rate = 0.0
+    for sinr in netmodel.underlay_sinrs(net, alloc):
+        rate += math.log2(1.0 + sinr)
+    return alloc, rate * net.rb_bandwidth
+
+
+def _rb_tables(net):
+    """Best rate of every transmitter set alone on every RB.
+
+    Row r of RB n is the level vector with base-(L+1) digits r (transmitter
+    0 most significant); digit 0 is silent and digit j is power level j-1.
+    Returns ``(f, best_row, feasible)``: ``f[n, T]`` is the best rate of set
+    T (bit k = transmitter k) on RB n, -inf when no level vector of T
+    keeps n under its cap; ``best_row[n, T]`` is the first row reaching
+    it; ``feasible`` counts the rows under cap.  Loads and SINR
+    denominators are summed one term at a time in ascending k, from 0.0
+    and from the same products a full enumeration adds, so every cap test
+    sees the same floats.
+    """
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    B = L + 1
+    power = np.concatenate(([0.0], net.power_levels))         # (B,), silent first
+    contrib = net.ref_gain[:, :, None] * power                 # (K, N, B)
+    signal = net.gain_ul[np.arange(K), np.arange(K), :][:, :, None] * power
+    base_den = net.gain_mbs_ul * net.mbs_power + net.sigma2    # (K, N)
+    cross = net.gain_ul[:, :, :, None] * power                 # (kp, victim, N, B)
+    i_max = net.i_max[:, None]
+
+    f = np.full(N << K, -np.inf)  # flat (n, T) tables, entry n * 2^K + T
+    f[::1 << K] = 0.0  # all silent: the fallback
+    best_row = np.zeros(N << K, dtype=np.int64)
+    feasible = 0
+    # A chunk fixes the leading K-m digits and spans the B^m trailing ones.
+    # Its loads grow one transmitter at a time, in ascending k, so each
+    # partial sum is added once for all the rows that share it.
+    m = K
+    while m > 1 and B ** m > _CHUNK_ROWS:
+        m -= 1
+    for prefix in range(B ** (K - m)):
+        load = np.zeros((N, 1))
+        for k in range(K):
+            if k < K - m:
+                load = load + contrib[k][:, prefix // B ** (K - m - 1 - k) % B, None]
+            else:
+                load = (load[:, :, None] + contrib[k][:, None, :]).reshape(N, -1)
+        n_ok, c_ok = np.nonzero(load < i_max)  # RB-major, rows ascending
+        feasible += len(n_ok)
+        rows = prefix * B ** m + c_ok
+        lev = [rows // B ** (K - 1 - k) % B for k in range(K)]
+        at = [n_ok * B + lv for lv in lev]  # flat (n, level) index per transmitter
+        rate = np.zeros(len(n_ok))
+        mask = np.zeros(len(n_ok), dtype=np.int64)
+        for k in range(K):
+            den = base_den[k, n_ok]
+            for kp in range(K):
+                if kp != k:
+                    den = den + cross[kp, k].take(at[kp])
+            rate += np.log2(1.0 + signal[k].take(at[k]) / den)
+            mask |= (lev[k] > 0).astype(np.int64) << k
+        # Per (n, T), keep this chunk's best only if it beats earlier chunks
+        # strictly, and take its first row: equal rates keep the lowest row.
+        key = n_ok * (1 << K) + mask
+        best = np.full(N << K, -np.inf)
+        np.maximum.at(best, key, rate)
+        hit = rate == best[key]
+        keys, first = np.unique(key[hit], return_index=True)
+        better = best[keys] > f[keys]
+        keys = keys[better]
+        f[keys] = best[keys]
+        best_row[keys] = rows[hit][first[better]]
+    return f.reshape(N, -1), best_row.reshape(N, -1), feasible
+
+
+def _subset_pairs(num_tx):
+    """Every (S, T) with T a subset of S, as bitmask arrays grouped by S.
+
+    Returns ``(S, T, starts)``; the pairs of set s are
+    ``T[starts[s]:starts[s + 1]]``, in ascending T.
+    """
+    digits = np.arange(3 ** num_tx)
+    S = np.zeros(3 ** num_tx, dtype=np.int64)
+    T = np.zeros(3 ** num_tx, dtype=np.int64)
+    for k in range(num_tx):
+        d = digits % 3  # 0: k outside S, 1: in S only, 2: in S and T
+        digits //= 3
+        S |= (d > 0).astype(np.int64) << k
+        T |= (d == 2).astype(np.int64) << k
+    by_set = np.lexsort((T, S))
+    S, T = S[by_set], T[by_set]
+    starts = np.searchsorted(S, np.arange((1 << num_tx) + 1))
+    return S, T, starts

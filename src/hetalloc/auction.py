@@ -62,7 +62,7 @@ def bid_increment(values, chosen, epsilon):
         return float(epsilon)
     flat = values.ravel()
     idx = chosen[0] * values.shape[1] + chosen[1]
-    second = np.delete(flat, idx).max()
+    second = max(flat[:idx].max(initial=-np.inf), flat[idx + 1:].max(initial=-np.inf))
     return float(flat.max() - second + epsilon)
 
 
@@ -90,10 +90,10 @@ def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits, 
     # static benefits that condition can never fire).  A fresh bid lands
     # exactly epsilon below the maximum, so the comparison needs rounding
     # slack or binary noise alone would evict the winner.
-    slack = 1e-12 * max(1.0, float(np.abs(values).max()))
-    if (prev is not None and bidder_row[prev] == k
-            and values[prev] >= float(values.max()) - state.epsilon - slack):
-        return prev, cost_row, bidder_row, False
+    if prev is not None and bidder_row[prev] == k:
+        slack = 1e-12 * max(1.0, float(np.abs(values).max()))
+        if values[prev] >= float(values.max()) - state.epsilon - slack:
+            return prev, cost_row, bidder_row, False
     flat_idx = int(np.argmax(values.ravel()))  # ties: lowest (n, l)
     n_hat, l_hat = divmod(flat_idx, net.num_levels)
     extra = net.ref_gain[k, n_hat] * net.power_levels[l_hat]

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import harness
-from .allocation import search_space_size
+from .allocation import oracle_cost, search_space_size
 from .netmodel import ConfigError
 
 
@@ -32,7 +32,7 @@ def _build_parser():
     val = sub.add_parser("validate", help="lint a scenario file")
     val.add_argument("scenario", help="scenario JSON path")
 
-    size = sub.add_parser("size", help="print exact search-space counts")
+    size = sub.add_parser("size", help="print exact search-space counts and the oracle's cost")
     size.add_argument("-K", type=int, required=True, help="underlay transmitters")
     size.add_argument("-N", type=int, required=True, help="resource blocks")
     size.add_argument("-L", type=int, required=True, help="power levels")
@@ -78,6 +78,7 @@ def _cmd_size(args):
     with_idle = search_space_size(args.K, args.N, args.L, include_unassigned=True)
     print(f"alignment_combinations {plain}")
     print(f"with_unassigned_option {with_idle}")
+    print(f"oracle_cost {oracle_cost(args.K, args.N, args.L)}")
     return 0
 
 

@@ -52,9 +52,14 @@ class MessageState:
 
 def _max_excluding_self(a, axis):
     """out[i] = max of ``a`` along ``axis`` with index i left out."""
-    s = np.sort(a, axis=axis)
-    m1 = np.take(s, [-1], axis=axis)
-    m2 = np.take(s, [-2], axis=axis)
+    # Partitioning at the second-to-last position leaves the two largest
+    # values, exact, in the last two slots.
+    s = np.partition(a, a.shape[axis] - 2, axis=axis)
+    last = [slice(None)] * a.ndim
+    last[axis] = slice(-1, None)
+    m1 = s[tuple(last)]
+    last[axis] = slice(-2, -1)
+    m2 = s[tuple(last)]
     unique_peak = m1 > m2
     return np.where((a == m1) & unique_peak, m2, m1)
 

@@ -184,13 +184,6 @@ class Network:
         return h.hexdigest()
 
 
-def channel_gain(beta, dist, alpha):
-    """Linear link gain: fading power times distance^(-alpha)."""
-    if dist <= 0:
-        raise ValueError(f"distance must be > 0, got {dist}")
-    return beta * dist ** (-alpha)
-
-
 def make_network(config, mue_pos, sbs_pos, sue_pos, d2d_tx_pos, d2d_rx_pos,
                  gain_ul, gain_mbs_ul, gain_mue, gain_mbs_mue,
                  power_levels, i_max, mbs_power, sigma2, w1, w2, rb_bandwidth):

@@ -6,19 +6,22 @@ one re-scans the whole allocation wherever it needs a co-channel sum, so
 its floating-point additions happen in the plain ascending-k order that
 the optimized code must reproduce bit for bit.
 
-The scalar formulas at the end (one utility, cost or message entry at a
-time) are the definitions the library's tables and sweeps are checked
-against.
+The scalar formulas after them (one gain, utility, cost or message entry
+at a time) are the definitions the library's tables and sweeps are
+checked against.  Last comes the oracle the library used before its
+subset dynamic program: a full enumeration of the (N*L+1)^K allocations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from hetalloc import netmodel
-from hetalloc.allocation import Allocation
+from hetalloc.allocation import (DEFAULT_ORACLE_BUDGET, Allocation, OracleBudgetError,
+                                 search_space_size)
 from hetalloc.matching import Matching, PreferenceProfile
 
 
@@ -155,6 +158,13 @@ def match_alignments(profiles_tx, profiles_rb, net):
     return Matching(allocation=alloc, proposals=proposals)
 
 
+def channel_gain(beta, dist, alpha):
+    """Linear link gain: fading power times distance^(-alpha)."""
+    if dist <= 0:
+        raise ValueError(f"distance must be > 0, got {dist}")
+    return beta * dist ** (-alpha)
+
+
 def _own_reference_contribution(net, alloc, k, n):
     res = alloc.get(k)
     if res is not None and res[0] == n:
@@ -203,6 +213,15 @@ def clamped_resource_cost(net, alloc, k, res):
     return max(0.0, resource_cost(net, alloc, k, res))
 
 
+def max_excluding_self(a, axis):
+    """out[i] = max of ``a`` along ``axis`` with index i left out, by a full sort."""
+    s = np.sort(a, axis=axis)
+    m1 = np.take(s, [-1], axis=axis)
+    m2 = np.take(s, [-2], axis=axis)
+    unique_peak = m1 > m2
+    return np.where((a == m1) & unique_peak, m2, m1)
+
+
 def tx_message_update(state, utilities, k, res):
     """One transmitter-side message from the previous-iteration state.
 
@@ -230,3 +249,71 @@ def res_message_update(state, res, k):
     others = np.delete(col, k)
     peak = others.max() if others.size else 0.0
     return -w * peak - (1.0 - w) * col[k]
+
+
+def exhaustive_search(net, budget=None, stats=None):
+    """Centralized oracle: enumerate every allocation, return a feasible maximizer.
+
+    Each transmitter independently picks one of the N*L resources or stays
+    unassigned, so (N*L + 1)^K candidates are visited.  Ties are broken
+    toward the lexicographically smallest per-transmitter choice vector
+    (unassigned sorts before resources, resources in (n, l) index order),
+    which the enumeration order yields for free.  Returns
+    ``(allocation, sum_rate)``; the empty allocation (rate 0, always
+    feasible) is the fallback when nothing better is feasible.
+
+    ``stats``, if given a dict, receives ``candidates`` (visited count) and
+    ``feasible`` (feasible count).
+    """
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    total = search_space_size(K, N, L, include_unassigned=True)
+    limit = DEFAULT_ORACLE_BUDGET if budget is None else budget
+    if total > limit:
+        raise OracleBudgetError(
+            f"search space (N*L+1)^K = {total} exceeds budget {limit}")
+
+    choices = [None] + [(n, l) for n in range(N) for l in range(L)]
+    P = net.power_levels
+    contrib = net.ref_gain[:, :, None] * P[None, None, :]       # (K, N, L)
+    signal = net.gain_ul[np.arange(K), np.arange(K), :][:, :, None] * P[None, None, :]
+    base_den = net.gain_mbs_ul * net.mbs_power + net.sigma2     # (K, N)
+    cross = net.gain_ul[:, :, :, None] * P[None, None, None, :]  # (kp, victim, n, l)
+    i_max = net.i_max
+    log2 = math.log2
+
+    best_rate = 0.0
+    best = tuple([None] * K)
+    visited = 0
+    feasible_count = 0
+    for cand in itertools.product(choices, repeat=K):
+        visited += 1
+        rb_load = [0.0] * N
+        ok = True
+        for k, res in enumerate(cand):
+            if res is not None:
+                rb_load[res[0]] += contrib[k, res[0], res[1]]
+        for n in range(N):
+            if rb_load[n] >= i_max[n]:
+                ok = False
+                break
+        if not ok:
+            continue
+        feasible_count += 1
+        rate = 0.0
+        for k, res in enumerate(cand):
+            if res is None:
+                continue
+            n, l = res
+            den = base_den[k, n]
+            for kp, other in enumerate(cand):
+                if kp != k and other is not None and other[0] == n:
+                    den += cross[kp, k, n, other[1]]
+            rate += log2(1.0 + signal[k, n, l] / den)
+        if rate > best_rate:
+            best_rate = rate
+            best = cand
+    if stats is not None:
+        stats["candidates"] = visited
+        stats["feasible"] = feasible_count
+    alloc = Allocation(K, list(best))
+    return alloc, best_rate * net.rb_bandwidth

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from hetalloc.allocation import (Allocation, OracleBudgetError,
-                                 exhaustive_search, is_feasible,
+                                 exhaustive_search, is_feasible, oracle_cost,
                                  search_space_size, sum_rate)
+from hetalloc.harness import SOLVERS
 from hetalloc.netmodel import build_topology
 
 from conftest import toy_network
@@ -45,6 +48,9 @@ def test_boundary_assignment_infeasible():
     net = two_tx_net(i_max=0.7)  # k1 contributes 0.7 * 2.0 = 1.4 = 2 * cap
     rep = is_feasible(net, Allocation(2, {1: (0, 0)}))
     assert not rep.feasible and rep.violated_rbs == [0]
+    # a load exactly at the cap violates it too
+    rep = is_feasible(two_tx_net(i_max=1.4), Allocation(2, {1: (0, 0)}))
+    assert rep.per_rb_interference == [1.4] and not rep.feasible
 
 
 def test_feasibility_matches_independent_summation():
@@ -128,9 +134,11 @@ def test_oracle_matches_independent_enumeration():
                       rng.uniform(0.1, 1.0, (K, C, N)),
                       gain_mbs_ul=rng.uniform(0.01, 0.2, (K, N)),
                       power_levels=(0.5, 2.0), i_max=1e9, mbs_power=4.0, sigma2=1.0)
-    stats = {}
+    stats, ref_stats = {}, {}
     _, value = exhaustive_search(net, stats=stats)
-    assert stats["candidates"] == 25
+    assert stats["candidates"] == N * (L + 1) ** K
+    assert reference.exhaustive_search(net, stats=ref_stats)[1] == value
+    assert ref_stats["candidates"] == 25
 
     # independent enumeration with its own SINR arithmetic
     choices = [None] + [(n, l) for n in range(N) for l in range(L)]
@@ -154,10 +162,14 @@ def test_oracle_matches_independent_enumeration():
 def test_oracle_enumeration_count_and_feasibility():
     cfg = make_config(num_sbs=2, num_d2d=1, num_rb=2, power_levels=(0.1, 0.5))
     net = build_topology(cfg)
-    stats = {}
+    stats, ref_stats = {}, {}
     alloc, _ = exhaustive_search(net, stats=stats)
-    assert stats["candidates"] == search_space_size(3, 2, 2, include_unassigned=True)
+    assert stats["candidates"] == 2 * (2 + 1) ** 3  # N * (L+1)^K per-RB level vectors
+    assert 0 < stats["feasible"] <= stats["candidates"]
     assert is_feasible(net, alloc).feasible
+    ref_alloc, _ = reference.exhaustive_search(net, stats=ref_stats)
+    assert ref_stats["candidates"] == search_space_size(3, 2, 2, include_unassigned=True)
+    assert ref_alloc == alloc
 
 
 def test_oracle_returns_empty_when_nothing_feasible():
@@ -165,12 +177,37 @@ def test_oracle_returns_empty_when_nothing_feasible():
     net = two_tx_net(i_max=1e-6)
     alloc, value = exhaustive_search(net)
     assert alloc.is_empty() and value == 0.0
+    # caps exactly at k0's contribution (0.6 * 2.0) and below k1's: still empty
+    net = two_tx_net(i_max=1.2)
+    assert exhaustive_search(net) == reference.exhaustive_search(net) == (Allocation(2), 0.0)
 
 
 def test_oracle_budget_guard():
     net = build_topology(make_config())
     with pytest.raises(OracleBudgetError):
         exhaustive_search(net, budget=10)
+
+
+def test_oracle_budget_bounds_oracle_cost():
+    net = build_topology(make_config())
+    cost = oracle_cost(net.num_tx, net.num_rb, net.num_levels)
+    assert cost == net.num_rb * ((net.num_levels + 1) ** net.num_tx + 3 ** net.num_tx)
+    exhaustive_search(net, budget=cost)
+    with pytest.raises(OracleBudgetError, match=str(cost)):
+        exhaustive_search(net, budget=cost - 1)
+
+
+def test_oracle_dominates_solvers_beyond_enumeration():
+    # K=10, N=8, L=3: 9.5e13 allocations to enumerate, under 1e7 DP steps
+    cfg = make_config(num_sbs=6, num_d2d=4, num_rb=8, power_levels=(0.05, 0.2, 1.0),
+                      i_max=1e-7)
+    for seed in range(2):
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        alloc, best = exhaustive_search(net)
+        assert is_feasible(net, alloc).feasible and best > 0
+        for name, run in SOLVERS.items():
+            rep = is_feasible(net, run(net, 500).allocation)
+            assert rep.feasible and rep.sum_rate <= best * (1 + 1e-9), name
 
 
 def test_oracle_dominates_feasible_allocations():

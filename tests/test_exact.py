@@ -1,18 +1,22 @@
-"""Holder-list and per-round code against the scan-based references.
+"""Holder-list, per-round and oracle code against the references.
 
 Every comparison is exact (``==`` or equal bytes): the optimized routines
 make the same floating-point additions in the same order as the plain
-scans in ``reference.py``, so any difference is a defect.
+scans in ``reference.py``, so any difference is a defect.  The subset-DP
+oracle is compared with the full enumeration it replaced; the two break
+exact ties differently, so the tie cases check the DP's documented rule.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
-from hetalloc import netmodel
-from hetalloc.allocation import Allocation, sum_rate, weighted_benefit
+from hetalloc import msgpass, netmodel
+from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, sum_rate,
+                                 weighted_benefit)
 from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round
 from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
                                match_alignments, random_alignment)
@@ -119,6 +123,12 @@ def test_cochannel_sums_run_in_ascending_k():
     tx, rb = profiles(net, Allocation(4))
     m = match_alignments(tx, rb, net)
     assert m.allocation == alloc and m.allocation == reference.match_alignments(tx, rb, net).allocation
+    # the oracle's cap test sums in ascending k too: all 16 subsets fit,
+    # where summing all four from transmitter 3 down would reach the cap
+    stats = {}
+    exhaustive_search(net, stats=stats)
+    loads = [sum(net.ref_gain[k, 0] for k in range(4) if t >> k & 1) for t in range(16)]
+    assert stats["feasible"] == sum(load < net.i_max[0] for load in loads) == 16
 
 
 def test_ties_break_toward_lowest_index():
@@ -188,3 +198,68 @@ def test_auction_round_with_hoisted_merged_view(cfg):
         x_prev = Allocation(net.num_tx, [r[0] for r in rows])
         state = AuctionState(np.stack([r[1] for r in rows]),
                              np.stack([r[2] for r in rows]), x_prev, 0.05)
+
+
+@pytest.mark.parametrize("shape, axis", [((5, 12), 1), ((6, 4, 3), 0), ((2, 2), 1),
+                                         ((2, 1, 1), 0), ((50, 100), 1)])
+def test_max_excluding_self_equals_sort(shape, axis):
+    rng = np.random.default_rng(7)
+    tied = rng.integers(0, 3, size=shape).astype(float)  # repeated peaks
+    for a in (rng.normal(size=shape), tied, np.zeros(shape)):
+        got = msgpass._max_excluding_self(a, axis)
+        want = reference.max_excluding_self(a, axis)
+        assert got.shape == want.shape and (got == want).all()
+
+
+K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
+
+
+def assert_oracle_equals_enumeration(net):
+    alloc, rate = exhaustive_search(net)
+    ref_alloc, ref_rate = reference.exhaustive_search(net)
+    assert alloc == ref_alloc and rate == ref_rate
+
+
+def test_oracle_equals_enumeration_on_k4_drops():
+    for seed in range(20):
+        assert_oracle_equals_enumeration(build_topology(make_config(seed=seed, **K4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 3), N=st.integers(1, 3), L=st.integers(1, 3),
+       cap=st.sampled_from(["per-rb", 0.3, 1.0, 1e9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_oracle_equals_enumeration_on_toy_drops(K, N, L, cap, seed):
+    # Continuous random gains: exact ties, where the two rules differ, have
+    # probability zero.  Contributions span 0.01..2, so the caps bind.
+    rng = np.random.default_rng(seed)
+    net = toy_network(rng.uniform(0.1, 3.0, (K, K, N)), rng.uniform(0.1, 1.0, (K, 2, N)),
+                      gain_mbs_ul=rng.uniform(0.01, 0.2, (K, N)),
+                      power_levels=np.sort(rng.uniform(0.1, 2.0, L)),
+                      i_max=rng.uniform(0.1, 2.0, N) if cap == "per-rb" else cap)
+    assert_oracle_equals_enumeration(net)
+
+
+def identical_net(K, N, power_levels=(1.0,), i_max=1.5):
+    """Every transmitter and every RB alike: own gain 2, cross 0.01, MUE gain 1."""
+    gain_ul = np.full((K, K, N), 0.01)
+    gain_ul[np.arange(K), np.arange(K), :] = 2.0
+    return toy_network(gain_ul, np.ones((K, 1, N)), power_levels=power_levels, i_max=i_max)
+
+
+@pytest.mark.parametrize("K, N, L, i_max, expected", [
+    # one transmitter per RB fits: transmitter k takes RB k
+    (2, 2, 1, 1.5, [(0, 0), (1, 0)]),
+    (3, 3, 1, 1.5, [(0, 0), (1, 0), (2, 0)]),
+    # three transmitters, two RBs: the lowest two get them, transmitter 2
+    # stays silent (the enumeration kept transmitter 0 silent instead)
+    (3, 2, 1, 1.5, [(0, 0), (1, 0), None]),
+    # levels 0.5 and 1.0 fit together, 1.0 twice does not: the lower
+    # level goes to the lower transmitter
+    (2, 1, 2, 1.75, [(0, 0), (0, 1)]),
+], ids=["2x2", "3x3", "3x2", "levels"])
+def test_oracle_exact_ties_follow_documented_rule(K, N, L, i_max, expected):
+    net = identical_net(K, N, power_levels=(0.5, 1.0)[2 - L:], i_max=i_max)
+    alloc, rate = exhaustive_search(net)
+    assert alloc == Allocation(K, expected)
+    assert is_feasible(net, alloc).feasible
+    assert rate == reference.exhaustive_search(net)[1] > 0

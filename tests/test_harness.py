@@ -107,6 +107,16 @@ def test_run_experiment_oracle_budget_skip(tmp_path, caplog):
     assert all(m.oracle_gap is None for m in rows)
 
 
+def test_run_experiment_skips_oracle_exactly_above_its_cost(tmp_path):
+    path, _ = write_scenario(tmp_path)
+    cfg = load_scenario(path)
+    cost = harness.oracle_cost(cfg.num_tx, cfg.num_rb, cfg.num_levels)
+    for budget, runs in ((cost, True), (cost - 1, False)):
+        rows = run_experiment(cfg, algorithms=["msgpass"], seeds=[0], with_oracle=True,
+                              budget=budget)
+        assert any(m.algorithm == "oracle" for m in rows) == runs
+
+
 def test_run_experiment_rejects_unknown_algorithm(tmp_path):
     path, _ = write_scenario(tmp_path)
     with pytest.raises(ValueError, match="simulated-annealing"):
@@ -210,17 +220,38 @@ def test_oracle_budget_rejects_non_integers(monkeypatch, raw):
 # solver, wall time blanked; pinned so that a change meant to be a pure
 # speed-up cannot move any answer.
 GOLDEN_DEFAULT_ROWS_SHA256 = "759f14719a72543e5ea5f2329de4388abac35e49171c2b6a1848337ee8edc06c"
+# The same with the oracle, on default.json (seeds 0..19) and on the K=4,
+# N=4, L=3 drops of bench/run.py's oracle-k4 workload (seeds 0..39); both
+# hashes come from the full-enumeration oracle.
+GOLDEN_DEFAULT_ORACLE_ROWS_SHA256 = (
+    "36153f1fc3466a240a1818449ea872151974e0fc0834664325f91f85add55a53")
+GOLDEN_K4_ORACLE_ROWS_SHA256 = "7cb7e992d37ba642c5ba04a4d1973f2c690fa0e5973be2b17fe42bdd7c857f65"
+K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
 
 
-def test_golden_answers_default_scenario():
-    cfg = load_scenario(SCENARIOS / "default.json")
-    rows = run_experiment(cfg, seeds=range(20))
+def rows_sha256(rows):
     h = hashlib.sha256()
     for r in rows:
         h.update((repr(dataclasses.astuple(dataclasses.replace(r, wall_time_ms=None)))
                   + "\n").encode())
+    return h.hexdigest()
+
+
+def test_golden_answers_default_scenario():
+    rows = run_experiment(load_scenario(SCENARIOS / "default.json"), seeds=range(20))
     assert len(rows) == 60
-    assert h.hexdigest() == GOLDEN_DEFAULT_ROWS_SHA256
+    assert rows_sha256(rows) == GOLDEN_DEFAULT_ROWS_SHA256
+
+
+@pytest.mark.parametrize("overrides, seeds, expected", [
+    ({}, range(20), GOLDEN_DEFAULT_ORACLE_ROWS_SHA256),
+    (K4, range(40), GOLDEN_K4_ORACLE_ROWS_SHA256),
+], ids=["default", "k4"])
+def test_golden_answers_with_oracle(overrides, seeds, expected):
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    rows = run_experiment(cfg, seeds=seeds, with_oracle=True)
+    assert len(rows) == 4 * len(seeds)
+    assert rows_sha256(rows) == expected
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -230,6 +261,7 @@ def test_cli_size(capsys):
     out = capsys.readouterr().out
     assert "alignment_combinations 1889568" in out
     assert "with_unassigned_option 2476099" in out
+    assert out.splitlines()[2] == "oracle_cost 7602"  # 6 * (4^5 + 3^5)
 
 
 def test_cli_validate_ok(tmp_path, capsys):
