@@ -111,17 +111,24 @@ class SolverResult:
 @dataclass
 class EvalReport:
     sum_rate: float
+    weighted_benefit: float
     per_rb_interference: list
     feasible: bool
     violated_rbs: list
 
 
 def is_feasible(net, alloc):
-    """Check the strict per-RB interference constraint; returns an EvalReport."""
+    """Check the strict per-RB interference constraint; returns an EvalReport.
+
+    ``sum_rate`` and ``weighted_benefit`` are summed from one list of SINRs
+    and equal what the two functions of those names return.
+    """
     per_rb = netmodel.interference_vector(net, alloc).tolist()
     violated = [n for n in range(net.num_rb) if per_rb[n] >= net.i_max[n]]
+    sinrs = netmodel.underlay_sinrs(net, alloc)
     return EvalReport(
-        sum_rate=sum_rate(net, alloc),
+        sum_rate=_rate_total(net, sinrs),
+        weighted_benefit=_benefit_total(net, sinrs),
         per_rb_interference=per_rb,
         feasible=not violated,
         violated_rbs=violated,
@@ -130,16 +137,24 @@ def is_feasible(net, alloc):
 
 def sum_rate(net, alloc):
     """Total underlay rate in bit/s, with mutual interference from alloc itself."""
-    total = 0.0
-    for sinr in netmodel.underlay_sinrs(net, alloc):
-        total += netmodel.shannon_rate(sinr, net.rb_bandwidth)
-    return total
+    return _rate_total(net, netmodel.underlay_sinrs(net, alloc))
 
 
 def weighted_benefit(net, alloc):
     """Total weighted spectral efficiency sum_k w1 * log2(1 + SINR_k)."""
+    return _benefit_total(net, netmodel.underlay_sinrs(net, alloc))
+
+
+def _rate_total(net, sinrs):
     total = 0.0
-    for sinr in netmodel.underlay_sinrs(net, alloc):
+    for sinr in sinrs:
+        total += netmodel.shannon_rate(sinr, net.rb_bandwidth)
+    return total
+
+
+def _benefit_total(net, sinrs):
+    total = 0.0
+    for sinr in sinrs:
         total += net.w1 * math.log2(1.0 + sinr)
     return total
 
@@ -151,7 +166,7 @@ def search_space_size(num_tx, num_rb, num_levels, include_unassigned=False):
     giving (N*L + 1)^K.  Python integers are exact at any size.
     """
     if num_tx < 1 or num_rb < 1 or num_levels < 1:
-        raise ValueError("counts must be >= 1")
+        raise ValueError(f"counts must be >= 1, got K={num_tx}, N={num_rb}, L={num_levels}")
     base = num_rb * num_levels + (1 if include_unassigned else 0)
     return base ** num_tx
 
@@ -250,7 +265,7 @@ def _rb_tables(net):
     power = np.concatenate(([0.0], net.power_levels))         # (B,), silent first
     contrib = net.ref_gain[:, :, None] * power                 # (K, N, B)
     signal = net.gain_ul[np.arange(K), np.arange(K), :][:, :, None] * power
-    base_den = net.gain_mbs_ul * net.mbs_power + net.sigma2    # (K, N)
+    base_den = net.mbs_den + net.sigma2                        # (K, N)
     cross = net.gain_ul[:, :, :, None] * power                 # (kp, victim, N, B)
     i_max = net.i_max[:, None]
 

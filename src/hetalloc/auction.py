@@ -12,6 +12,11 @@ best and second-best net values plus the minimum increment epsilon.  The
 cost tables therefore never decrease, and termination (no bids placed in
 a full round) leaves every bidder within epsilon of its best achievable
 net value.
+
+All transmitters bid against the same snapshot, so one round is computed
+as one array step over all K of them (the synchronous, Jacobi form of
+Bertsekas' auction): ``local_auction_round`` takes the whole (K, N, L)
+benefit table and returns every transmitter's local view at once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, SolverResult
+from .allocation import SolverResult
 from .matching import random_alignment
 
 NO_BIDDER = -1
@@ -51,35 +56,39 @@ class AuctionState:
 
 
 def bid_increment(values, chosen, epsilon):
-    """Minimum-increment bid: (best value - second-best value) + epsilon.
+    """Minimum-increment bids: (best value - second-best value) + epsilon.
 
-    ``values`` is the bidder's (N, L) net-value table and ``chosen`` is its
-    argmax.  With a single resource there is no second-best, and the
-    increment degenerates to epsilon alone.
+    ``values`` is a (B, N*L) block of net-value rows, one per bidder, and
+    ``chosen`` the (B,) argmax of each row.  Returns the (B,) increments.
+    With a single resource there is no second-best, and every increment
+    degenerates to epsilon alone.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 1:
-        return float(epsilon)
-    flat = values.ravel()
-    idx = chosen[0] * values.shape[1] + chosen[1]
-    second = max(flat[:idx].max(initial=-np.inf), flat[idx + 1:].max(initial=-np.inf))
-    return float(flat.max() - second + epsilon)
+    if values.shape[1] == 1:
+        return np.full(len(chosen), float(epsilon))
+    rows = np.arange(len(chosen))
+    rest = values.copy()
+    rest[rows, chosen] = -np.inf
+    return (values[rows, chosen] - rest.max(axis=1)) + epsilon
 
 
-def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits, merged):
-    """Transmitter k's bidding round against the broadcast snapshot.
+def local_auction_round(state, net, alloc_prev, interference_prev, benefits, merged):
+    """Every transmitter's bidding round against the broadcast snapshot.
 
     ``interference_prev`` is the broadcast per-RB interference of
-    ``alloc_prev``, ``benefits`` k's (N, L) benefit row under it, and
+    ``alloc_prev``, ``benefits`` the (K, N, L) benefit table under it, and
     ``merged`` the snapshot's ``state.merged_view()``.  Returns
-    ``(choice, cost_row, bidder_row, bid_placed)`` where choice is k's
-    (rb, level) for this iteration or None.
+    ``(allocation, costs, bidders, bids)``: the iteration's allocation,
+    the (K, N, L) cost and bidder tables (row k is k's local view), and
+    the number of bids placed.
     """
     merged, merged_bidder = merged
-    cost_row = merged.copy()
-    bidder_row = merged_bidder.copy()
-    prev = alloc_prev.get(k)
-    values = benefits - merged
+    K, L = benefits.shape[0], net.num_levels
+    values = (benefits - merged).reshape(K, -1)
+    best = values.argmax(axis=1)  # ties: lowest (n, l)
+    rows = np.arange(K)
+    vmax = values[rows, best]
+    prev = np.array([-1 if s is None else s[0] * L + s[1]
+                     for s in map(alloc_prev.get, range(K))])
 
     # The merged cost can only rise, so the re-bid test of "cost grew and
     # someone else holds the high bid" reduces to the bidder check; a
@@ -89,20 +98,26 @@ def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits, 
     # must also still sit within epsilon of its best net value (with
     # static benefits that condition can never fire).  A fresh bid lands
     # exactly epsilon below the maximum, so the comparison needs rounding
-    # slack or binary noise alone would evict the winner.
-    if prev is not None and bidder_row[prev] == k:
-        slack = 1e-12 * max(1.0, float(np.abs(values).max()))
-        if values[prev] >= float(values.max()) - state.epsilon - slack:
-            return prev, cost_row, bidder_row, False
-    flat_idx = int(np.argmax(values.ravel()))  # ties: lowest (n, l)
-    n_hat, l_hat = divmod(flat_idx, net.num_levels)
-    extra = net.ref_gain[k, n_hat] * net.power_levels[l_hat]
-    if extra + interference_prev[n_hat] < net.i_max[n_hat]:
-        delta = bid_increment(values, (n_hat, l_hat), state.epsilon)
-        cost_row[n_hat, l_hat] = merged[n_hat, l_hat] + delta
-        bidder_row[n_hat, l_hat] = k
-        return (n_hat, l_hat), cost_row, bidder_row, True
-    return prev, cost_row, bidder_row, False
+    # slack or binary noise alone would evict the winner.  (Rows without
+    # a previous resource read entry -1 here and are masked out.)
+    slack = 1e-12 * np.maximum(1.0, np.abs(values).max(axis=1))
+    content = ((prev >= 0) & (merged_bidder.reshape(-1)[prev] == rows)
+               & (values[rows, prev] >= (vmax - state.epsilon) - slack))
+    # A bid must keep its RB strictly under the cap given the snapshot.
+    n_hat = best // L
+    fits = net.ref_p.reshape(K, -1)[rows, best] + interference_prev[n_hat] < net.i_max[n_hat]
+
+    ks = np.flatnonzero(fits & ~content)
+    chosen = best[ks]
+    flat_merged = merged.reshape(1, -1)
+    costs = np.repeat(flat_merged, K, axis=0)
+    bidders = np.repeat(merged_bidder.reshape(1, -1), K, axis=0)
+    costs[ks, chosen] = flat_merged[0, chosen] + bid_increment(values[ks], chosen, state.epsilon)
+    bidders[ks, chosen] = ks
+    allocation = alloc_prev.copy()
+    for k, flat in zip(ks.tolist(), chosen.tolist()):
+        allocation.assign(k, *divmod(flat, L))
+    return allocation, costs.reshape(benefits.shape), bidders.reshape(benefits.shape), len(ks)
 
 
 def run_auction(net, epsilon=None, t_max=500):
@@ -146,21 +161,10 @@ def run_auction(net, epsilon=None, t_max=500):
         iterations += 1
         i_prev = netmodel.interference_vector(net, x_prev)
         b_prev = netmodel.benefit_table(net, x_prev)
-        merged = state.merged_view()  # the snapshot is not mutated this round
-        new_costs = np.empty_like(state.costs)
-        new_bidders = np.empty_like(state.bidders)
-        x_t = Allocation(K)
-        any_bid = False
-        for k in range(K):
-            choice, cost_row, bidder_row, placed = local_auction_round(
-                k, state, net, x_prev, i_prev, b_prev[k], merged)
-            new_costs[k] = cost_row
-            new_bidders[k] = bidder_row
-            if choice is not None:
-                x_t.assign(k, choice[0], choice[1])
-            any_bid = any_bid or placed
+        x_t, new_costs, new_bidders, bids = local_auction_round(
+            state, net, x_prev, i_prev, b_prev, state.merged_view())
         state = AuctionState(new_costs, new_bidders, x_t, epsilon)
-        if not any_bid:
+        if not bids:
             converged = True  # nothing can change from here on
             break
         x_prev = x_t

@@ -48,6 +48,8 @@ def _cmd_run(args):
                              + ", ".join(harness.SOLVERS))
         seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
         budget = harness.oracle_budget()
+        if args.t_max < 1:
+            raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     except (OSError, ValueError) as exc:  # ScenarioFormatError, ConfigError too
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
@@ -74,7 +76,11 @@ def _cmd_validate(args):
 
 
 def _cmd_size(args):
-    plain = search_space_size(args.K, args.N, args.L)
+    try:
+        plain = search_space_size(args.K, args.N, args.L)
+    except ValueError as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 2
     with_idle = search_space_size(args.K, args.N, args.L, include_unassigned=True)
     print(f"alignment_combinations {plain}")
     print(f"with_unassigned_option {with_idle}")

@@ -84,7 +84,7 @@ def match_alignments(profiles_tx, profiles_rb, net):
     ever proposed twice.  The caller's profiles are not modified.
     """
     K = net.num_tx
-    P = net.power_levels
+    ref_p = net.ref_p_list
     order_tx = [p.keys() for p in profiles_tx]
     order_rb = [p.keys() for p in profiles_rb]
     rank_rb = [p.rank() for p in profiles_rb]
@@ -106,7 +106,7 @@ def match_alignments(profiles_tx, profiles_rb, net):
 
     def rb_interference(n):
         # ascending-k summation, matching aggregated_interference exactly
-        return sum(net.ref_gain[kk, n] * P[ll] for kk, ll in on_rb[n])
+        return sum(ref_p[kk][n][ll] for kk, ll in on_rb[n])
 
     while True:
         k = next((i for i in range(K) if match[i] is None and top(i) is not None), None)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -174,6 +175,30 @@ class Network:
     def seed(self):
         return self.config.seed if self.config is not None else 0
 
+    # Per-drop constants the tables and the auction read on every round,
+    # built on first use.  They are not fields: checksum and == ignore them.
+
+    @cached_property
+    def sig_p(self):
+        """(K, N, L): ``gain_ul[k, k, n] * power_levels[l]``, k's own signal."""
+        k = np.arange(self.num_tx)
+        return _read_only(self.gain_ul[k, k, :][:, :, None] * self.power_levels)
+
+    @cached_property
+    def mbs_den(self):
+        """(K, N): ``gain_mbs_ul * mbs_power``, the MBS power at k's receiver."""
+        return _read_only(self.gain_mbs_ul * self.mbs_power)
+
+    @cached_property
+    def ref_p(self):
+        """(K, N, L): ``ref_gain[k, n] * power_levels[l]``, k's reference-user load."""
+        return _read_only(self.ref_gain[:, :, None] * self.power_levels)
+
+    @cached_property
+    def ref_p_list(self):
+        """``ref_p`` as nested lists of floats, for per-holder scalar reads."""
+        return self.ref_p.tolist()
+
     def checksum(self):
         """Hex digest over positions and gains; identical drops hash equal."""
         h = hashlib.sha256()
@@ -182,6 +207,11 @@ class Network:
                   self.gain_mue, self.gain_mbs_mue):
             h.update(np.ascontiguousarray(a).tobytes())
         return h.hexdigest()
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def make_network(config, mue_pos, sbs_pos, sue_pos, d2d_tx_pos, d2d_rx_pos,
@@ -340,8 +370,9 @@ def interference_vector(net, alloc):
     One pass in ascending k: each entry equals ``aggregated_interference``.
     """
     agg = [0.0] * net.num_rb
+    ref_p = net.ref_p_list
     for k, (n, l) in alloc.assigned_items():
-        agg[n] += net.ref_gain[k, n] * net.power_levels[l]
+        agg[n] += ref_p[k][n][l]
     return np.array(agg)
 
 
@@ -359,8 +390,9 @@ def repair(net, alloc):
     (ties toward the lowest transmitter), then re-sums its remaining
     holders in ascending k, exactly as ``aggregated_interference`` does.
     """
+    ref_p = net.ref_p_list
     for n, holders in enumerate(alloc.by_rb(net.num_rb)):
-        contribs = [float(net.ref_gain[k, n] * net.power_levels[l]) for k, l in holders]
+        contribs = [ref_p[k][n][l] for k, l in holders]
         while sum(contribs) >= net.i_max[n]:
             worst = contribs.index(max(contribs))
             alloc.unassign(holders.pop(worst)[0])
@@ -371,7 +403,7 @@ def repair(net, alloc):
 def _sinr(net, k, n, p, cochannel):
     # SINR of k's receiver on RB n at power p under the (k', l') pairs of
     # ``cochannel`` (ascending k'), k's own entry ignored.
-    den = net.gain_mbs_ul[k, n] * net.mbs_power + net.sigma2
+    den = net.mbs_den[k, n] + net.sigma2
     for kp, lp in cochannel:
         if kp != k:
             den += net.gain_ul[kp, k, n] * net.power_levels[lp]
@@ -405,14 +437,12 @@ def _interference_maps(net, alloc):
 
 
 def _gamma(net, rx_int):
-    sig = net.gain_ul[np.arange(net.num_tx), np.arange(net.num_tx), :]  # (K, N)
-    den = net.gain_mbs_ul * net.mbs_power + rx_int + net.sigma2
-    return sig[:, :, None] * net.power_levels[None, None, :] / den[:, :, None]
+    den = net.mbs_den + rx_int + net.sigma2
+    return net.sig_p / den[:, :, None]
 
 
 def _cost(net, agg, own):
-    i_others = agg[None, :] - own
-    i_hyp = net.ref_gain[:, :, None] * net.power_levels[None, None, :] + i_others[:, :, None]
+    i_hyp = net.ref_p + (agg[None, :] - own)[:, :, None]
     return net.w2 * (i_hyp / net.i_max[None, :, None] - 1.0)
 
 

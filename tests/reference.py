@@ -8,8 +8,10 @@ the optimized code must reproduce bit for bit.
 
 The scalar formulas after them (one gain, utility, cost or message entry
 at a time) are the definitions the library's tables and sweeps are
-checked against.  Last comes the oracle the library used before its
-subset dynamic program: a full enumeration of the (N*L+1)^K allocations.
+checked against.  Then comes the auction round the library computed one
+transmitter at a time before its whole-round array step, and last the
+oracle the library used before its subset dynamic program: a full
+enumeration of the (N*L+1)^K allocations.
 """
 
 from __future__ import annotations
@@ -249,6 +251,61 @@ def res_message_update(state, res, k):
     others = np.delete(col, k)
     peak = others.max() if others.size else 0.0
     return -w * peak - (1.0 - w) * col[k]
+
+
+def bid_increment(values, chosen, epsilon):
+    """Minimum-increment bid: (best value - second-best value) + epsilon.
+
+    ``values`` is the bidder's (N, L) net-value table and ``chosen`` is its
+    argmax.  With a single resource there is no second-best, and the
+    increment degenerates to epsilon alone.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 1:
+        return float(epsilon)
+    flat = values.ravel()
+    idx = chosen[0] * values.shape[1] + chosen[1]
+    second = max(flat[:idx].max(initial=-np.inf), flat[idx + 1:].max(initial=-np.inf))
+    return float(flat.max() - second + epsilon)
+
+
+def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits, merged):
+    """Transmitter k's bidding round against the broadcast snapshot.
+
+    ``interference_prev`` is the broadcast per-RB interference of
+    ``alloc_prev``, ``benefits`` k's (N, L) benefit row under it, and
+    ``merged`` the snapshot's ``state.merged_view()``.  Returns
+    ``(choice, cost_row, bidder_row, bid_placed)`` where choice is k's
+    (rb, level) for this iteration or None.
+    """
+    merged, merged_bidder = merged
+    cost_row = merged.copy()
+    bidder_row = merged_bidder.copy()
+    prev = alloc_prev.get(k)
+    values = benefits - merged
+
+    # The merged cost can only rise, so the re-bid test of "cost grew and
+    # someone else holds the high bid" reduces to the bidder check; a
+    # resource with no recorded winner counts as held by someone else.
+    # Holding the high bid is not enough on its own here: co-channel
+    # coupling moves the benefit rows between rounds, so a content bidder
+    # must also still sit within epsilon of its best net value (with
+    # static benefits that condition can never fire).  A fresh bid lands
+    # exactly epsilon below the maximum, so the comparison needs rounding
+    # slack or binary noise alone would evict the winner.
+    if prev is not None and bidder_row[prev] == k:
+        slack = 1e-12 * max(1.0, float(np.abs(values).max()))
+        if values[prev] >= float(values.max()) - state.epsilon - slack:
+            return prev, cost_row, bidder_row, False
+    flat_idx = int(np.argmax(values.ravel()))  # ties: lowest (n, l)
+    n_hat, l_hat = divmod(flat_idx, net.num_levels)
+    extra = net.ref_gain[k, n_hat] * net.power_levels[l_hat]
+    if extra + interference_prev[n_hat] < net.i_max[n_hat]:
+        delta = bid_increment(values, (n_hat, l_hat), state.epsilon)
+        cost_row[n_hat, l_hat] = merged[n_hat, l_hat] + delta
+        bidder_row[n_hat, l_hat] = k
+        return (n_hat, l_hat), cost_row, bidder_row, True
+    return prev, cost_row, bidder_row, False
 
 
 def exhaustive_search(net, budget=None, stats=None):

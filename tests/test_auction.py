@@ -51,18 +51,25 @@ def test_cost_table_matches_scalar():
 
 # --- bid increment ----------------------------------------------------------
 
+def increment(values, chosen, epsilon):
+    """bid_increment of one bidder's (N, L) table at its (n, l) argmax."""
+    values = np.asarray(values, dtype=float)
+    flat = chosen[0] * values.shape[1] + chosen[1]
+    return float(bid_increment(values.reshape(1, -1), np.array([flat]), epsilon)[0])
+
+
 def test_bid_increment_direct_formula():
     values = np.array([[5.0, 3.0], [1.0, 0.0]])
-    assert bid_increment(values, (0, 0), 0.1) == pytest.approx(2.1, abs=1e-12)
+    assert increment(values, (0, 0), 0.1) == pytest.approx(2.1, abs=1e-12)
 
 
 def test_bid_increment_equal_values_is_epsilon():
     values = np.array([[2.0, 2.0]])
-    assert bid_increment(values, (0, 0), 0.25) == pytest.approx(0.25, abs=1e-12)
+    assert increment(values, (0, 0), 0.25) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_bid_increment_single_resource_is_epsilon():
-    assert bid_increment(np.array([[7.0]]), (0, 0), 0.3) == pytest.approx(0.3)
+    assert increment(np.array([[7.0]]), (0, 0), 0.3) == pytest.approx(0.3)
 
 
 def test_bid_increment_random_tables_match_independent_computation():
@@ -73,9 +80,19 @@ def test_bid_increment_random_tables_match_independent_computation():
         flat = values.ravel()
         chosen = int(np.argmax(flat))
         want = flat.max() - max(np.delete(flat, chosen)) + 0.05 if flat.size > 1 else 0.05
-        got = bid_increment(values, divmod(chosen, l), 0.05)
+        got = increment(values, divmod(chosen, l), 0.05)
         assert got == pytest.approx(want, abs=1e-12)
         assert got > 0
+
+
+def test_bid_increment_block_rows_are_independent():
+    rng = np.random.default_rng(9)
+    block = rng.normal(size=(6, 5))
+    chosen = block.argmax(axis=1)
+    got = bid_increment(block, chosen, 0.05)
+    assert got.shape == (6,)
+    for b in range(6):
+        assert got[b] == reference.bid_increment(block[b:b + 1], (0, chosen[b]), 0.05)
 
 
 # --- local round -------------------------------------------------------------
@@ -85,10 +102,21 @@ def fresh_state(K, N, L, eps=0.1):
                         Allocation(K), eps)
 
 
+def row(k, result, merged):
+    """Transmitter k's part of a whole-round result: (choice, cost_row,
+    bidder_row, placed).  A placed bid raises k's cost row above the
+    merged snapshot it read."""
+    alloc, costs, bidders, _bids = result
+    return alloc.get(k), costs[k], bidders[k], bool((costs[k] != merged[0]).any())
+
+
 def round_on_snapshot(k, state, net, alloc_prev):
-    """local_auction_round with every input derived from alloc_prev and state."""
-    return local_auction_round(k, state, net, alloc_prev, interference_vector(net, alloc_prev),
-                               benefit_table(net, alloc_prev)[k], state.merged_view())
+    """Transmitter k's row of local_auction_round with every input derived
+    from alloc_prev and state."""
+    merged = state.merged_view()
+    return row(k, local_auction_round(state, net, alloc_prev,
+                                      interference_vector(net, alloc_prev),
+                                      benefit_table(net, alloc_prev), merged), merged)
 
 
 def test_local_round_fresh_state_bids_best_value():
@@ -99,7 +127,7 @@ def test_local_round_fresh_state_bids_best_value():
     choice, cost_row, bidder_row, placed = round_on_snapshot(0, state, net, alloc_prev)
     assert placed and choice == (0, 0)
     assert bidder_row[0, 0] == 0
-    assert cost_row[0, 0] == pytest.approx(bid_increment(b[0], (0, 0), 0.1))
+    assert cost_row[0, 0] == pytest.approx(increment(b[0], (0, 0), 0.1))
 
 
 def test_local_round_content_bidder_keeps():
@@ -124,19 +152,19 @@ def test_two_transmitter_contention_hand_trace():
     # static benefit rows: k0 [5, 3], k1 [4, 1]; both start outbid
     net = toy_network(np.ones((2, 2, 2)), np.full((2, 1, 2), 1e-9),
                       power_levels=(1.0,), i_max=1e6)
-    net_b = {0: np.array([[5.0], [3.0]]), 1: np.array([[4.0], [1.0]])}
+    net_b = np.array([[[5.0], [3.0]], [[4.0], [1.0]]])
     eps = 0.1
     state = fresh_state(2, 2, 1, eps)
     x = Allocation(2, [(1, 0), (0, 0)])
     iv = np.zeros(2)
 
     def round_all(state, x):
-        rows = [local_auction_round(k, state, net, x, iv, net_b[k], state.merged_view())
-                for k in range(2)]
-        costs = np.stack([r[1] for r in rows])
-        bidders = np.stack([r[2] for r in rows])
-        x_new = Allocation(2, [r[0] for r in rows])
-        return AuctionState(costs, bidders, x_new, eps), x_new, [r[3] for r in rows]
+        merged = state.merged_view()
+        result = local_auction_round(state, net, x, iv, net_b, merged)
+        x_new, costs, bidders, bids = result
+        placed = [row(k, result, merged)[3] for k in range(2)]
+        assert bids == sum(placed)
+        return AuctionState(costs, bidders, x_new, eps), x_new, placed
 
     state, x, placed = round_all(state, x)
     assert placed == [True, True]
@@ -185,7 +213,7 @@ def test_run_feasible_and_message_accounting():
 def test_merged_cost_monotone_across_iterations():
     cfg = make_config(num_sbs=2, num_d2d=1, num_rb=2, i_max=1.0, w2=0.05)
     net = build_topology(cfg)
-    from hetalloc import auction, msgpass, netmodel
+    from hetalloc import msgpass, netmodel
     rng = np.random.default_rng(net.seed)
     x_prev = msgpass.random_alignment(net, rng)
     costs = np.maximum(0.0, cost_table(net, x_prev))
@@ -194,12 +222,9 @@ def test_merged_cost_monotone_across_iterations():
     for _ in range(10):
         iv = netmodel.interference_vector(net, x_prev)
         b = benefit_table(net, x_prev)
-        merged = state.merged_view()
-        rows = [local_auction_round(k, state, net, x_prev, iv, b[k], merged)
-                for k in range(net.num_tx)]
-        x_prev = Allocation(net.num_tx, [r[0] for r in rows])
-        state = AuctionState(np.stack([r[1] for r in rows]),
-                             np.stack([r[2] for r in rows]), x_prev, 0.05)
+        x_prev, costs, bidders, _bids = local_auction_round(
+            state, net, x_prev, iv, b, state.merged_view())
+        state = AuctionState(costs, bidders, x_prev, 0.05)
         merged = state.merged_view()[0]
         assert (merged >= prev_merged - 1e-15).all()
         prev_merged = merged

@@ -176,6 +176,52 @@ def test_matching_equals_list_rebuild_on_mid_drops():
     assert revoked_rounds > 0  # revocation and striking were exercised
 
 
+def reference_round(state, net, alloc_prev, iv, benefits, merged):
+    """The per-transmitter rounds of ``reference.local_auction_round``,
+    assembled as the kernel returns them; also each transmitter's flag."""
+    K = net.num_tx
+    rows = [reference.local_auction_round(k, state, net, alloc_prev, iv, benefits[k], merged)
+            for k in range(K)]
+    alloc = Allocation(K, [r[0] for r in rows])
+    placed = [r[3] for r in rows]
+    return alloc, np.stack([r[1] for r in rows]), np.stack([r[2] for r in rows]), placed
+
+
+def assert_round_equals_reference(state, net, alloc_prev, iv, benefits, merged):
+    got = local_auction_round(state, net, alloc_prev, iv, benefits, merged)
+    want = reference_round(state, net, alloc_prev, iv, benefits, merged)
+    assert got[0] == want[0]
+    assert same_array(got[1], want[1]) and same_array(got[2], want[2])
+    assert got[3] == sum(want[3])
+    return got, want[3]
+
+
+K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
+ROUND_CASES = ([make_config(seed=s, i_max=cap, **WIDE) for cap in (1e-6, 1e-8) for s in range(2)]
+               + [make_config(seed=s, **MID) for s in range(3)]
+               + [make_config(seed=s, **K4) for s in range(3)])
+
+
+@pytest.mark.parametrize("cfg", ROUND_CASES,
+                         ids=[f"K{c.num_tx}-cap{c.i_max:g}-s{c.seed}" for c in ROUND_CASES])
+def test_auction_kernel_equals_per_transmitter_rounds(cfg):
+    net = build_topology(cfg)
+    x_prev = random_alignment(net, np.random.default_rng(cfg.seed))
+    costs = np.maximum(0.0, netmodel.cost_table(net, x_prev))
+    state = AuctionState(costs, np.full(costs.shape, NO_BIDDER, np.int64), x_prev, 0.05)
+    outcomes = set()
+    for _ in range(6):
+        iv = netmodel.interference_vector(net, x_prev)
+        b = netmodel.benefit_table(net, x_prev)
+        (x_prev, costs, bidders, _bids), placed = assert_round_equals_reference(
+            state, net, x_prev, iv, b, state.merged_view())
+        outcomes.update(placed)
+        state = AuctionState(costs, bidders, x_prev, 0.05)
+    # At the tight cap the random start state loads every RB, so the guard
+    # blocks every bid there.
+    assert (True in outcomes) == (cfg.i_max > 1e-8)
+
+
 @pytest.mark.parametrize("cfg", [make_config(seed=s, i_max=1e-6, **WIDE) for s in range(2)]
                          + [make_config(seed=s, **MID) for s in range(2)])
 def test_auction_round_with_hoisted_merged_view(cfg):
@@ -187,17 +233,117 @@ def test_auction_round_with_hoisted_merged_view(cfg):
         iv = netmodel.interference_vector(net, x_prev)
         b = netmodel.benefit_table(net, x_prev)
         merged = state.merged_view()
-        rows = []
-        for k in range(net.num_tx):
-            hoisted = local_auction_round(k, state, net, x_prev, iv, b[k], merged)
-            plain = local_auction_round(k, state, net, x_prev, iv, b[k], state.merged_view())
-            assert hoisted[0] == plain[0] and hoisted[3] == plain[3]
-            assert same_array(hoisted[1], plain[1]) and same_array(hoisted[2], plain[2])
-            rows.append(hoisted)
+        hoisted = local_auction_round(state, net, x_prev, iv, b, merged)
+        plain = local_auction_round(state, net, x_prev, iv, b, state.merged_view())
+        assert hoisted[0] == plain[0] and hoisted[3] == plain[3]
+        assert same_array(hoisted[1], plain[1]) and same_array(hoisted[2], plain[2])
         assert all(same_array(x, y) for x, y in zip(merged, state.merged_view()))
-        x_prev = Allocation(net.num_tx, [r[0] for r in rows])
-        state = AuctionState(np.stack([r[1] for r in rows]),
-                             np.stack([r[2] for r in rows]), x_prev, 0.05)
+        x_prev = hoisted[0]
+        state = AuctionState(hoisted[1], hoisted[2], x_prev, 0.05)
+
+
+@st.composite
+def toy_rounds(draw):
+    """A random snapshot for one round at K, N, L <= 3.
+
+    Values come from a few levels, so ties are common; merged costs may be
+    huge (so ``merged + increment == merged``); a recorded bidder may be
+    NO_BIDDER, the transmitter itself at its previous resource (a content
+    or an evicted holder) or another one; caps may block the best entry.
+    """
+    K, N, L = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    levels = np.array([0.0, 0.5, 1.0, 2.0])
+    net = toy_network(rng.uniform(0.1, 3.0, (K, K, N)), rng.uniform(0.1, 1.0, (K, 2, N)),
+                      power_levels=np.sort(rng.uniform(0.1, 2.0, L)),
+                      i_max=rng.uniform(0.2, 4.0, N))
+    benefits = levels[rng.integers(0, 4, (K, N, L))]
+    merged = levels[rng.integers(0, 4, (N, L))]
+    if draw(st.booleans()):
+        merged[rng.uniform(size=(N, L)) < 0.5] = 1e20
+    bidder = rng.integers(NO_BIDDER, K, (N, L))
+    slots = [None if rng.uniform() < 0.3 else (int(rng.integers(N)), int(rng.integers(L)))
+             for _ in range(K)]
+    for k, slot in enumerate(slots):
+        if slot is not None and rng.uniform() < 0.6:
+            bidder[slot] = k
+    alloc = Allocation(K, slots)
+    iv = rng.uniform(0.0, 2.0, N)
+    eps = draw(st.sampled_from([0.25, 0.5, 1.0, 1e-3]))
+    state = AuctionState(np.zeros((K, N, L)), np.full((K, N, L), NO_BIDDER, np.int64),
+                         alloc, eps)
+    return state, net, alloc, iv, benefits, (merged, bidder)
+
+
+@settings(max_examples=300, deadline=None)
+@given(toy_rounds())
+def test_auction_kernel_equals_reference_on_toy_states(case):
+    assert_round_equals_reference(*case)
+
+
+def test_auction_kernel_absorbed_increment_and_degenerate_shapes():
+    # A huge merged cost absorbs the increment: the bid is placed, the cost
+    # does not move.  K = 1 and N*L = 1 run through the same step.
+    net = toy_network(np.ones((1, 1, 1)), np.full((1, 1, 1), 1e-9), i_max=1.0)
+    state = AuctionState(np.zeros((1, 1, 1)), np.full((1, 1, 1), NO_BIDDER, np.int64),
+                         Allocation(1), 0.5)
+    merged = (np.full((1, 1), 1e20), np.full((1, 1), NO_BIDDER))
+    (alloc, costs, bidders, bids), placed = assert_round_equals_reference(
+        state, net, Allocation(1), np.zeros(1), np.ones((1, 1, 1)), merged)
+    assert placed == [True] and bids == 1 and alloc == Allocation(1, [(0, 0)])
+    assert costs[0, 0, 0] == 1e20 and bidders[0, 0, 0] == 0
+
+
+# Best value 0.8, epsilon 0.3: the content threshold (vmax - eps) - slack,
+# with slack = 1e-12 * max(1, 0.8), lies one ulp below vmax - (eps + slack).
+THRESHOLD = (0.8 - 0.3) - 1e-12 * max(1.0, 0.8)
+
+
+@pytest.mark.parametrize("held_value, content", [(THRESHOLD, True),
+                                                 (np.nextafter(THRESHOLD, -np.inf), False)],
+                         ids=["at", "below"])
+def test_auction_kernel_content_threshold_is_inclusive(held_value, content):
+    # Transmitter 0 holds the high bid on RB 1; RB 0 is worth more.
+    net = toy_network(np.ones((1, 1, 2)), np.full((1, 1, 2), 1e-9), i_max=1.0)
+    prev = Allocation(1, [(1, 0)])
+    state = AuctionState(np.zeros((1, 2, 1)), np.full((1, 2, 1), NO_BIDDER, np.int64), prev, 0.3)
+    merged = (np.zeros((2, 1)), np.array([[NO_BIDDER], [0]]))
+    benefits = np.array([[[0.8], [held_value]]])
+    (alloc, _costs, _bidders, bids), _ = assert_round_equals_reference(
+        state, net, prev, np.zeros(2), benefits, merged)
+    assert bids == (0 if content else 1)
+    assert alloc == Allocation(1, [(1, 0) if content else (0, 0)])
+
+
+@pytest.mark.parametrize("load, bids", [(0.5, 0), (np.nextafter(1.0, 0.0) - 0.5, 1)],
+                         ids=["at-cap", "under-cap"])
+def test_auction_kernel_guard_is_strict(load, bids):
+    # The bidder's own reference-user load is 0.5 on a cap of 1.
+    net = toy_network(np.ones((1, 1, 1)), np.full((1, 1, 1), 0.5), i_max=1.0)
+    state = AuctionState(np.zeros((1, 1, 1)), np.full((1, 1, 1), NO_BIDDER, np.int64),
+                         Allocation(1), 0.1)
+    result, _ = assert_round_equals_reference(state, net, Allocation(1), np.array([load]),
+                                              np.ones((1, 1, 1)), state.merged_view())
+    assert result[3] == bids
+
+
+def test_network_constant_tables_equal_inline_and_read_only():
+    net = build_topology(make_config(seed=3, **MID))
+    K = net.num_tx
+    sig = net.gain_ul[np.arange(K), np.arange(K), :]
+    assert same_array(net.sig_p, sig[:, :, None] * net.power_levels[None, None, :])
+    assert same_array(net.mbs_den, net.gain_mbs_ul * net.mbs_power)
+    assert same_array(net.ref_p, net.ref_gain[:, :, None] * net.power_levels[None, None, :])
+    assert net.ref_p_list == net.ref_p.tolist()
+    for table in (net.sig_p, net.mbs_den, net.ref_p):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1.0
+    assert net.sig_p is net.sig_p  # built once per drop
+    again = build_topology(make_config(seed=3, **MID))
+    assert again.checksum() == net.checksum()
+    assert "sig_p" not in {f.name for f in dataclasses.fields(net)}
 
 
 @pytest.mark.parametrize("shape, axis", [((5, 12), 1), ((6, 4, 3), 0), ((2, 2), 1),
@@ -209,9 +355,6 @@ def test_max_excluding_self_equals_sort(shape, axis):
         got = msgpass._max_excluding_self(a, axis)
         want = reference.max_excluding_self(a, axis)
         assert got.shape == want.shape and (got == want).all()
-
-
-K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
 
 
 def assert_oracle_equals_enumeration(net):

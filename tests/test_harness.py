@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from hetalloc import cli, harness
+from hetalloc import cli, harness, netmodel
+from hetalloc.allocation import exhaustive_search, is_feasible, sum_rate, weighted_benefit
 from hetalloc.harness import (RunMetrics, ScenarioFormatError, load_scenario,
                               parse_seed_spec, run_experiment,
                               serialize_scenario, write_metrics_csv)
@@ -227,6 +228,12 @@ GOLDEN_DEFAULT_ORACLE_ROWS_SHA256 = (
     "36153f1fc3466a240a1818449ea872151974e0fc0834664325f91f85add55a53")
 GOLDEN_K4_ORACLE_ROWS_SHA256 = "7cb7e992d37ba642c5ba04a4d1973f2c690fa0e5973be2b17fe42bdd7c857f65"
 K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
+# Message passing and the auction at K=50, N=25, L=4 under the loose cap of
+# bench/run.py's wide-k50-loose workload, seeds 0..4, t_max=100; pinned
+# from the auction that bid one transmitter at a time.
+GOLDEN_K50_ROWS_SHA256 = "e092b5c0070de361f9570010a804fc9ce036a88be4816997b6d3d3aec0741076"
+K50_LOOSE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.2, 1.0),
+                 i_max=1e-6)
 
 
 def rows_sha256(rows):
@@ -252,6 +259,58 @@ def test_golden_answers_with_oracle(overrides, seeds, expected):
     rows = run_experiment(cfg, seeds=seeds, with_oracle=True)
     assert len(rows) == 4 * len(seeds)
     assert rows_sha256(rows) == expected
+
+
+def test_golden_answers_k50_loose():
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **K50_LOOSE)
+    rows = run_experiment(cfg, algorithms=("msgpass", "auction"), seeds=range(5), t_max=100)
+    assert len(rows) == 10
+    assert rows_sha256(rows) == GOLDEN_K50_ROWS_SHA256
+
+
+def test_each_row_computes_its_sinrs_once(monkeypatch):
+    # Count the SINR lists run_experiment computes to evaluate its rows,
+    # not those a solver or the oracle computes while it runs.
+    calls, busy = [], []
+    original = netmodel.underlay_sinrs
+
+    def counting(net, alloc):
+        if not busy:
+            calls.append(alloc)
+        return original(net, alloc)
+
+    def quiet(fn):
+        def run(*args, **kwargs):
+            busy.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                busy.pop()
+        return run
+
+    monkeypatch.setattr(netmodel, "underlay_sinrs", counting)
+    monkeypatch.setattr(harness, "SOLVERS", {k: quiet(v) for k, v in harness.SOLVERS.items()})
+    monkeypatch.setattr(harness, "exhaustive_search", quiet(harness.exhaustive_search))
+    cfg = load_scenario(SCENARIOS / "default.json")
+    for with_oracle in (False, True):
+        calls.clear()
+        rows = run_experiment(cfg, seeds=range(2), with_oracle=with_oracle)
+        assert len(rows) == (8 if with_oracle else 6) and len(calls) == len(rows)
+
+
+def test_rows_take_rate_and_benefit_from_one_report():
+    cfg = load_scenario(SCENARIOS / "default.json")
+    rows = run_experiment(cfg, seeds=[0, 1], with_oracle=True)
+    for seed in (0, 1):
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        for r in (r for r in rows if r.seed == seed):
+            alloc = (exhaustive_search(net)[0] if r.algorithm == "oracle"
+                     else harness.SOLVERS[r.algorithm](net, 500).allocation)
+            report = is_feasible(net, alloc)
+            assert report.weighted_benefit == weighted_benefit(net, alloc) == r.weighted_benefit
+            assert report.sum_rate == sum_rate(net, alloc)
+            if r.algorithm != "oracle":
+                assert r.sum_rate == report.sum_rate
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -316,6 +375,28 @@ def test_cli_run_bad_algorithms_exit_2(tmp_path, capsys, algorithms, reason):
     err = capsys.readouterr().err
     assert err.startswith("invalid: ") and reason in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", ["0", "-3"])
+def test_cli_run_bad_t_max_exits_2(tmp_path, capsys, t_max):
+    path, _ = write_scenario(tmp_path)
+    out = tmp_path / "m.csv"
+    rc = cli.main(["run", "--scenario", str(path), "--t-max", t_max, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and "--t-max" in err and t_max in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("counts", [("0", "3", "2"), ("5", "0", "2"), ("5", "3", "-1")],
+                         ids=["K0", "N0", "L-1"])
+def test_cli_size_bad_counts_exit_2(capsys, counts):
+    K, N, L = counts
+    assert cli.main(["size", "-K", K, "-N", N, "-L", L]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid: ") and "counts must be >= 1" in captured.err
+    assert f"K={K}, N={N}, L={L}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
