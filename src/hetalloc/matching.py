@@ -1,13 +1,13 @@
 """Stable-matching resource allocation.
 
 Transmitters rank (RB, level) pairs and each RB ranks (transmitter, level)
-pairs, both by the biased utility.  The inner subroutine runs deferred
-acceptance with revocation: a transmitter grabs its best remaining
-alignment, and whenever an RB's interference budget is exceeded the RB
-revokes its least preferred holders, striking the revoked pair and every
-pair ranked below it from both sides' lists.  The outer loop re-derives
-both preference families from the latest allocation and repeats the inner
-matching until the allocation stops changing.
+pairs by the biased utility, as int lists from one stable argsort per
+side.  Deferred acceptance with revocation runs on those ints: a
+transmitter grabs its best remaining alignment, and whenever an RB's
+budget is exceeded the RB revokes its least preferred holders, striking
+the revoked pair and every pair ranked below it from both sides' lists.
+The outer loop re-ranks until the allocation stops changing.
+``PreferenceProfile`` objects are built only for kept rounds.
 """
 
 from __future__ import annotations
@@ -36,22 +36,16 @@ class PreferenceProfile:
         self.owner = owner
         self.entries = list(entries)
 
-    def keys(self):
-        return [key for key, _u in self.entries]
-
     def rank(self):
         """key -> position (0 = most preferred)."""
         return {key: i for i, (key, _u) in enumerate(self.entries)}
 
 
 def _profile(owner, utilities):
-    # Keys enumerate row-major in ascending order, so a stable sort of -u
-    # breaks equal utilities toward the lowest key.
-    L = utilities.shape[1]
-    flat = utilities.ravel()
-    u = flat.tolist()
-    order = np.argsort(-flat, kind="stable").tolist()
-    return PreferenceProfile(owner, [(divmod(i, L), u[i]) for i in order])
+    # A one-row table's transmitter order runs over the row-major keys.
+    u = utilities.ravel().tolist()
+    order = preference_orders(utilities[None])[0]
+    return PreferenceProfile(owner, [(divmod(s, utilities.shape[1]), u[s]) for s in order])
 
 
 def build_transmitter_profile(k, utilities):
@@ -64,6 +58,26 @@ def build_rb_profile(n, utilities):
     return _profile(("rb", n), utilities)
 
 
+def preference_orders(util):
+    """Both sides' orders as flat int lists ``(tx, rank, rb)``.
+
+    Alignment (k, n, l) is ``s = k*N*L + n*L + l``.  ``tx[k*N*L + h]`` is
+    the s of k's h-th best (n, l), ``rb[n][h]`` that of RB n's h-th best
+    (k, l), and ``rank[s]`` is s's position in ``rb[n]``.  Equal utilities,
+    signed zeros included, rank by ascending key: the argsorts are stable.
+    """
+    K, N, L = util.shape
+    NL = N * L
+    neg = -util
+    by_tx = np.argsort(neg.reshape(K, NL), axis=1, kind="stable")
+    by_rb = np.argsort(neg.transpose(1, 0, 2).reshape(N, K * L), axis=1, kind="stable")
+    # RB n's entry k*L + l is alignment k*N*L + n*L + l.
+    rb = by_rb + (by_rb // L) * (NL - L) + np.arange(0, NL, L)[:, None]
+    rank = by_rb.argsort(axis=1).reshape(N, K, L).transpose(1, 0, 2).ravel()
+    tx = by_tx + np.arange(0, K * NL, NL)[:, None]
+    return tx.ravel().tolist(), rank.tolist(), rb.tolist()
+
+
 @dataclass
 class Matching:
     """A many-to-one matching: one alignment per transmitter, a set per RB."""
@@ -72,60 +86,56 @@ class Matching:
     proposals: int  # proposal events consumed by the inner subroutine
 
 
-def match_alignments(profiles_tx, profiles_rb, net):
-    """Deferred acceptance with budget-driven revocation.
+def match_alignments(orders, net):
+    """Deferred acceptance with budget-driven revocation on ``preference_orders``.
 
-    Unassigned transmitters propose in ascending index order, each taking
-    the top entry of its remaining list.  If the target RB's estimated
-    interference reaches its cap, the RB repeatedly drops the least
-    preferred currently assigned (k, l) pair; the dropped pair and every
-    pair ranked below it are deleted from the RB's list and the mirrored
-    (n, l) entries from the affected transmitters' lists, so no pair is
-    ever proposed twice.  The caller's profiles are not modified.
+    The lowest unmatched transmitter with entries left proposes its top
+    remaining alignment.  While the RB's load, summed over its holders in
+    ascending k, reaches its cap, the RB drops its least preferred holder
+    and strikes that pair and every pair it ranks below from both sides'
+    lists, so no pair is proposed twice.  ``orders`` is not modified.
     """
-    K = net.num_tx
-    ref_p = net.ref_p_list
-    order_tx = [p.keys() for p in profiles_tx]
-    order_rb = [p.keys() for p in profiles_rb]
-    rank_rb = [p.rank() for p in profiles_rb]
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    NL = N * L
+    tx, rank, rb = orders
+    load = net.ref_p.ravel().tolist()
+    i_max = net.i_max.tolist()
     # A strike cuts an RB's list at a rank, so it stays the prefix
-    # order_rb[n][:cut[n]].  A transmitter's list is its order minus the
-    # struck keys; head[k], its first unstruck entry, only moves forward.
-    cut = [len(o) for o in order_rb]
-    struck = [set() for _ in range(K)]
-    head = [0] * K
+    # rb[n][:cut[n]].  A transmitter's list is its order minus the struck
+    # alignments; head[k], its first unstruck entry, only moves forward.
+    struck = bytearray(K * NL)
+    cut = [K * L] * N
+    head = list(range(0, K * NL, NL))
     match = [None] * K
-    on_rb = [[] for _ in order_rb]  # (k, l) holders, ascending k
+    on_rb = [[] for _ in range(N)]  # holders' flat indices, ascending k
+    free = list(range(K))  # ascending: unmatched, not yet found exhausted
     proposals = 0
 
-    def top(i):
-        order = order_tx[i]
-        while head[i] < len(order) and order[head[i]] in struck[i]:
-            head[i] += 1
-        return order[head[i]] if head[i] < len(order) else None
-
-    def rb_interference(n):
-        # ascending-k summation, matching aggregated_interference exactly
-        return sum(ref_p[kk][n][ll] for kk, ll in on_rb[n])
-
-    while True:
-        k = next((i for i in range(K) if match[i] is None and top(i) is not None), None)
-        if k is None:
-            break
-        n, l = match[k] = top(k)
+    while free:
+        k = free.pop(0)
+        h, end = head[k], (k + 1) * NL
+        while h < end and struck[tx[h]]:
+            h += 1
+        head[k] = h
+        if h == end:
+            continue  # nothing left to propose: k stays unmatched
+        s = match[k] = tx[h]
+        n = s // L % N
         proposals += 1
-        bisect.insort(on_rb[n], (k, l))
-        while rb_interference(n) >= net.i_max[n]:
-            worst = max(on_rb[n], key=rank_rb[n].__getitem__)
+        bisect.insort(on_rb[n], s)
+        while netmodel.load_sum([load[j] for j in on_rb[n]]) >= i_max[n]:
+            worst = max(on_rb[n], key=rank.__getitem__)
             on_rb[n].remove(worst)
-            match[worst[0]] = None
+            match[worst // NL] = None
+            bisect.insort(free, worst // NL)
             # Strike the revoked pair and all its successors from both sides.
-            c = rank_rb[n][worst]
-            for kp, lv in order_rb[n][c:cut[n]]:
-                struck[kp].add((n, lv))
+            c = rank[worst]
+            for j in rb[n][c:cut[n]]:
+                struck[j] = 1
             cut[n] = c
 
-    return Matching(allocation=Allocation(K, match), proposals=proposals)
+    pairs = [None if s is None else divmod(s % NL, L) for s in match]
+    return Matching(allocation=Allocation(K, pairs), proposals=proposals)
 
 
 def find_blocking_pair(matching, profiles_tx, profiles_rb):
@@ -166,7 +176,7 @@ def random_alignment(net, rng):
 
 
 def run_stable_matching(net, t_max=100, keep_rounds=False):
-    """Iterated stable matching (profile rebuild + inner matching per round).
+    """Iterated stable matching (``preference_orders`` + inner matching per round).
 
     Starts from a seeded random alignment, stops when two consecutive
     allocations coincide or ``t_max`` rounds elapse.  On non-convergence
@@ -178,7 +188,7 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
 
     ``info`` keys: ``proposals_per_round`` (proposal events of each inner
     matching) and ``rounds`` (a MatchingRound per round when
-    ``keep_rounds``, else None).
+    ``keep_rounds``, else None; only kept rounds build PreferenceProfiles).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -196,12 +206,12 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
     for _t in range(1, t_max + 1):
         iterations += 1
         util = netmodel.utility_table(net, x_prev)
-        profiles_tx = [build_transmitter_profile(k, util[k]) for k in range(K)]
-        profiles_rb = [build_rb_profile(n, util[:, n, :]) for n in range(N)]
-        m = match_alignments(profiles_tx, profiles_rb, net)
+        m = match_alignments(preference_orders(util), net)
         proposals_per_round.append(m.proposals)
         if rounds is not None:
-            rounds.append(MatchingRound(profiles_tx, profiles_rb, m))
+            rounds.append(MatchingRound([build_transmitter_profile(k, util[k]) for k in range(K)],
+                                        [build_rb_profile(n, util[:, n, :]) for n in range(N)],
+                                        m))
         x_t = m.allocation
         rate = sum_rate(net, x_t)
         if rate > best_rate:

@@ -364,6 +364,16 @@ def aggregated_interference(net, alloc, n):
     return total
 
 
+def load_sum(loads):
+    """Plain left fold from 0.0: every cap test sums an RB's loads in
+    ascending k this way, as ``interference_vector`` does (the builtin
+    ``sum`` is compensated since Python 3.12)."""
+    total = 0.0
+    for x in loads:
+        total += x
+    return total
+
+
 def interference_vector(net, alloc):
     """Per-RB aggregated reference-user interference as an (N,) array.
 
@@ -388,12 +398,12 @@ def repair(net, alloc):
 
     An RB at or over its cap drops its largest reference-user contributor
     (ties toward the lowest transmitter), then re-sums its remaining
-    holders in ascending k, exactly as ``aggregated_interference`` does.
+    holders in ascending k with ``load_sum``.
     """
     ref_p = net.ref_p_list
     for n, holders in enumerate(alloc.by_rb(net.num_rb)):
         contribs = [ref_p[k][n][l] for k, l in holders]
-        while sum(contribs) >= net.i_max[n]:
+        while load_sum(contribs) >= net.i_max[n]:
             worst = contribs.index(max(contribs))
             alloc.unassign(holders.pop(worst)[0])
             del contribs[worst]

@@ -108,6 +108,11 @@ def weighted_benefit(net, alloc):
     return total
 
 
+def keys(profile):
+    """A profile's keys, best first."""
+    return [key for key, _u in profile.entries]
+
+
 def profile(owner, utilities):
     """Best-first (key, utility) entries, sorted per entry by (-u, key)."""
     rows = utilities.tolist()
@@ -131,8 +136,8 @@ def match_alignments(profiles_tx, profiles_rb, net):
     proposals = 0
 
     def rb_interference(n):
-        return sum(net.ref_gain[kk, n] * P[ll]
-                   for kk, (nn, ll) in sorted(assigned.items()) if nn == n)
+        return netmodel.load_sum([net.ref_gain[kk, n] * P[ll]
+                                  for kk, (nn, ll) in sorted(assigned.items()) if nn == n])
 
     while True:
         k = next((i for i in range(K) if i not in assigned and work_tx[i].entries), None)

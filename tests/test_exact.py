@@ -7,7 +7,9 @@ oracle is compared with the full enumeration it replaced; the two break
 exact ties differently, so the tie cases check the DP's documented rule.
 """
 
+import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, sum
                                  weighted_benefit)
 from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round
 from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
-                               match_alignments, random_alignment)
+                               match_alignments, preference_orders, random_alignment)
 from hetalloc.msgpass import MessageState, extract_allocation
 from hetalloc.netmodel import build_topology
 
@@ -120,8 +122,8 @@ def test_cochannel_sums_run_in_ascending_k():
     assert netmodel.underlay_sinrs(net, alloc)[3] == 1.0
     assert sum_rate(net, alloc) == reference.sum_rate(net, alloc)
     assert netmodel.repair(net, alloc.copy()) == alloc  # 1.0 is under the cap
-    tx, rb = profiles(net, Allocation(4))
-    m = match_alignments(tx, rb, net)
+    orders, tx, rb = profiles(net, Allocation(4))
+    m = match_alignments(orders, net)
     assert m.allocation == alloc and m.allocation == reference.match_alignments(tx, rb, net).allocation
     # the oracle's cap test sums in ascending k too: all 16 subsets fit,
     # where summing all four from transmitter 3 down would reach the cap
@@ -143,37 +145,109 @@ def test_ties_break_toward_lowest_index():
     # equal utilities, signed zeros included: the lowest key ranks first
     u = np.array([[0.0, -0.0, 1.0], [1.0, -0.0, 0.0], [2.0, 2.0, 2.0]])
     assert build_rb_profile(0, u).entries == reference.profile(("rb", 0), u).entries
-    assert build_rb_profile(0, u).keys()[:3] == [(2, 0), (2, 1), (2, 2)]
+    assert reference.keys(build_rb_profile(0, u))[:3] == [(2, 0), (2, 1), (2, 2)]
+    # the same table as K=3 transmitters on one RB: both orders agree
+    util = u[:, None, :]
+    tx, rb = order_keys(preference_orders(util), *util.shape)
+    assert rb == [reference.keys(reference.profile(("rb", 0), u))]
+    assert tx == [reference.keys(reference.profile(("tx", k), util[k])) for k in range(3)]
 
 
-def profiles(net, alloc):
-    """Both profile families, checked entry for entry against the reference sort."""
-    util = netmodel.utility_table(net, alloc)
-    tx = [build_transmitter_profile(k, util[k]) for k in range(net.num_tx)]
-    rb = [build_rb_profile(n, util[:, n, :]) for n in range(net.num_rb)]
-    ref = ([reference.profile(("tx", k), util[k]) for k in range(net.num_tx)]
-           + [reference.profile(("rb", n), util[:, n, :]) for n in range(net.num_rb)])
-    assert [(p.owner, p.entries) for p in tx + rb] == [(p.owner, p.entries) for p in ref]
+def order_keys(orders, K, N, L):
+    """``preference_orders`` as profile keys: (n, l) per transmitter, (k, l) per RB."""
+    NL = N * L
+    tx_order, rank, rb_order = orders
+    assert all(sorted(tx_order[k * NL:(k + 1) * NL]) == list(range(k * NL, (k + 1) * NL))
+               for k in range(K))
+    assert all(s // L % N == n and rb_order[n][rank[s]] == s
+               for n in range(N) for s in rb_order[n])
+    tx = [[divmod(s % NL, L) for s in tx_order[k * NL:(k + 1) * NL]] for k in range(K)]
+    rb = [[(s // NL, s % L) for s in rb_order[n]] for n in range(N)]
     return tx, rb
 
 
-def test_matching_equals_list_rebuild_on_mid_drops():
-    cfg = make_config(**MID)
+def profiles(net, alloc):
+    """The round's orders and both profile families, each checked entry for
+    entry against the reference sort."""
+    util = netmodel.utility_table(net, alloc)
+    orders = preference_orders(util)
+    tx = [build_transmitter_profile(k, util[k]) for k in range(net.num_tx)]
+    rb = [build_rb_profile(n, util[:, n, :]) for n in range(net.num_rb)]
+    ref_tx = [reference.profile(("tx", k), util[k]) for k in range(net.num_tx)]
+    ref_rb = [reference.profile(("rb", n), util[:, n, :]) for n in range(net.num_rb)]
+    assert [(p.owner, p.entries) for p in tx + rb] == [(p.owner, p.entries)
+                                                       for p in ref_tx + ref_rb]
+    assert order_keys(orders, *util.shape) == ([reference.keys(p) for p in ref_tx],
+                                               [reference.keys(p) for p in ref_rb])
+    return orders, tx, rb
+
+
+def assert_matching_equals_list_rebuild(cfg, seeds, rounds):
+    """Match ``rounds`` rounds per drop against the reference; returns how
+    many rounds revoked a holder."""
     revoked_rounds = 0
-    for seed in range(20):
+    for seed in seeds:
         net = build_topology(dataclasses.replace(cfg, seed=seed))
         x = random_alignment(net, np.random.default_rng(seed))
-        for _round in range(4):
-            tx, rb = profiles(net, x)
-            keys_before = [p.keys() for p in tx + rb]
-            m = match_alignments(tx, rb, net)
+        for _round in range(rounds):
+            orders, tx, rb = profiles(net, x)
+            orders_before = copy.deepcopy(orders)
+            keys_before = [reference.keys(p) for p in tx + rb]
+            m = match_alignments(orders, net)
             ref = reference.match_alignments(tx, rb, net)
             assert m.allocation == ref.allocation
             assert m.proposals == ref.proposals
-            assert [p.keys() for p in tx + rb] == keys_before
+            assert orders == orders_before
+            assert [reference.keys(p) for p in tx + rb] == keys_before
             revoked_rounds += m.proposals > m.allocation.num_assigned()
             x = m.allocation
+    return revoked_rounds
+
+
+def test_matching_equals_list_rebuild_on_mid_drops():
+    revoked_rounds = assert_matching_equals_list_rebuild(make_config(**MID), range(20), 4)
     assert revoked_rounds > 0  # revocation and striking were exercised
+
+
+K30 = dict(num_sbs=20, num_d2d=10, num_rb=15, power_levels=(0.02, 0.05, 0.2, 1.0))
+
+
+@pytest.mark.parametrize("i_max", [1e-6, 1e-8])
+def test_matching_equals_list_rebuild_at_k30(i_max):
+    revoked_rounds = assert_matching_equals_list_rebuild(
+        make_config(i_max=i_max, **K30), range(3), 4)
+    assert revoked_rounds == 12  # every round revoked and struck
+
+
+def test_cap_sums_are_sequential_not_compensated():
+    # 1 + 1e-16 rounds back to 1, so the plain left fold of the three loads
+    # is exactly 1.0 and stays under the cap 1 + 2**-52; a compensated sum
+    # (math.fsum, or the builtin sum since Python 3.12) reaches the cap.
+    loads = [1.0, 1e-16, 1e-16]
+    cap = float(np.nextafter(1.0, 2.0))
+    assert netmodel.load_sum(loads) == 1.0 < cap <= math.fsum(loads)
+    net = toy_network(np.full((3, 3, 1), 1e-3), np.array(loads).reshape(3, 1, 1), i_max=cap)
+    alloc = Allocation(3, [(0, 0)] * 3)
+    assert netmodel.repair(net, alloc.copy()) == alloc
+    assert is_feasible(net, alloc).feasible
+    orders, tx, rb = profiles(net, Allocation(3))
+    assert match_alignments(orders, net).allocation == alloc
+    assert reference.match_alignments(tx, rb, net).allocation == alloc
+
+
+def test_cap_reached_exactly_counts_as_over():
+    # loads 0.5 + 0.5 reach the cap 1.0 exactly; the cap is strict, so RB 0
+    # keeps only the transmitter it ranks first (k0, the stronger link)
+    net = toy_network(np.array([[2.0, 1e-3], [1e-3, 1.0]])[:, :, None],
+                      np.full((2, 1, 1), 0.5), i_max=1.0)
+    both = Allocation(2, [(0, 0), (0, 0)])
+    assert not is_feasible(net, both).feasible
+    assert netmodel.repair(net, both.copy()) == Allocation(2, [None, (0, 0)])
+    orders, tx, rb = profiles(net, Allocation(2))
+    m = match_alignments(orders, net)
+    assert m.allocation == Allocation(2, [(0, 0), None])
+    assert m.allocation == reference.match_alignments(tx, rb, net).allocation
+    assert m.proposals == 2
 
 
 def reference_round(state, net, alloc_prev, iv, benefits, merged):

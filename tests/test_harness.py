@@ -234,6 +234,11 @@ K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1
 GOLDEN_K50_ROWS_SHA256 = "e092b5c0070de361f9570010a804fc9ce036a88be4816997b6d3d3aec0741076"
 K50_LOOSE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.2, 1.0),
                  i_max=1e-6)
+# All three solvers on the K=10, N=8, L=3 drops of bench/run.py's mid-k10
+# workload, seeds 0..39, t_max=500; pinned from the matching that ranked
+# with per-entry profile lists.
+GOLDEN_MID_K10_ROWS_SHA256 = "a265c2fdd4372e80415dbe9992f00c0fc9e95610773622f2f715e74c6368708a"
+MID_K10 = dict(num_sbs=6, num_d2d=4, num_rb=8, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
 
 
 def rows_sha256(rows):
@@ -266,6 +271,13 @@ def test_golden_answers_k50_loose():
     rows = run_experiment(cfg, algorithms=("msgpass", "auction"), seeds=range(5), t_max=100)
     assert len(rows) == 10
     assert rows_sha256(rows) == GOLDEN_K50_ROWS_SHA256
+
+
+def test_golden_answers_mid_k10():
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
+    rows = run_experiment(cfg, seeds=range(40), t_max=500)
+    assert len(rows) == 120
+    assert rows_sha256(rows) == GOLDEN_MID_K10_ROWS_SHA256
 
 
 def test_each_row_computes_its_sinrs_once(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 
@@ -8,7 +9,8 @@ import reference
 from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
 from hetalloc.matching import (Matching, PreferenceProfile, build_rb_profile,
                                build_transmitter_profile, find_blocking_pair,
-                               match_alignments, run_stable_matching)
+                               match_alignments, preference_orders, random_alignment,
+                               run_stable_matching)
 from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import toy_network
@@ -35,13 +37,18 @@ def profiles_for(net, alloc=None):
     return tx, rb
 
 
+def orders_for(net, alloc=None):
+    return preference_orders(utility_table(net, alloc if alloc is not None
+                                           else Allocation(net.num_tx)))
+
+
 # --- preference profiles --------------------------------------------------
 
 def test_transmitter_profile_ranks_by_sinr_when_unweighted():
     net = contention_net()
     prof, _ = profiles_for(net)
-    assert prof[0].keys() == [(0, 0), (1, 0)]
-    assert prof[1].keys() == [(0, 0), (1, 0)]
+    assert reference.keys(prof[0]) == [(0, 0), (1, 0)]
+    assert reference.keys(prof[1]) == [(0, 0), (1, 0)]
 
 
 def test_profile_tie_break_lowest_index_first():
@@ -52,8 +59,8 @@ def test_profile_tie_break_lowest_index_first():
     # equal utilities inside each level class; order must follow (n, l)
     us = [u for _k, u in prof.entries]
     assert us == sorted(us, reverse=True)
-    assert prof.keys()[0] == (0, 1)   # higher power wins, RB 0 before RB 1
-    assert prof.keys() == [(0, 1), (1, 1), (0, 0), (1, 0)]
+    assert reference.keys(prof)[0] == (0, 1)   # higher power wins, RB 0 before RB 1
+    assert reference.keys(prof) == [(0, 1), (1, 1), (0, 0), (1, 0)]
 
 
 def test_profile_order_matches_recomputed_utilities():
@@ -65,12 +72,12 @@ def test_profile_order_matches_recomputed_utilities():
         scored = sorted((((n, l), reference.utility(net, alloc, k, (n, l)))
                          for n in range(2) for l in range(2)),
                         key=lambda e: (-e[1], e[0]))
-        assert tx[k].keys() == [key for key, _ in scored]
+        assert reference.keys(tx[k]) == [key for key, _ in scored]
     for n in range(2):
         scored = sorted((((k, l), reference.utility(net, alloc, k, (n, l)))
                          for k in range(2) for l in range(2)),
                         key=lambda e: (-e[1], e[0]))
-        assert rb[n].keys() == [key for key, _ in scored]
+        assert reference.keys(rb[n]) == [key for key, _ in scored]
 
 
 # --- inner matching -------------------------------------------------------
@@ -80,21 +87,23 @@ def test_single_transmitter_gets_top_feasible_choice():
     net = toy_network(gain_ul, np.array([[[2.0, 0.1]]]), power_levels=(1.0,),
                       i_max=1.0, w1=1.0, w2=0.0)
     # top choice RB 0 violates the cap alone (2.0 >= 1.0); falls back to RB 1
-    tx, rb = profiles_for(net)
-    m = match_alignments(tx, rb, net)
+    m = match_alignments(orders_for(net), net)
     assert m.allocation.get(0) == (1, 0)
 
 
 def test_contention_hand_trace():
     net = contention_net()
     tx, rb = profiles_for(net)
-    m = match_alignments(tx, rb, net)
+    orders = orders_for(net)
+    before = copy.deepcopy(orders)
+    m = match_alignments(orders, net)
     # RB 0 keeps its preferred transmitter 1; 0 is revoked and re-proposes RB 1
     assert m.allocation.get(1) == (0, 0)
     assert m.allocation.get(0) == (1, 0)
     assert m.proposals == 3
-    # the caller's profiles are left intact
-    assert tx[0].keys() == [(0, 0), (1, 0)]
+    # the caller's orders are left intact
+    assert orders == before
+    assert reference.keys(tx[0]) == [(0, 0), (1, 0)]
     assert find_blocking_pair(m, tx, rb) is None
 
 
@@ -103,7 +112,7 @@ def test_matching_feasible_and_proposal_bound_on_drops():
     for seed in range(10):
         net = build_topology(dataclasses.replace(cfg, seed=seed))
         tx, rb = profiles_for(net)
-        m = match_alignments(tx, rb, net)
+        m = match_alignments(orders_for(net), net)
         assert m.proposals <= net.num_tx * net.num_rb * net.num_levels
         assert is_feasible(net, m.allocation).feasible
         assert find_blocking_pair(m, tx, rb) is None
@@ -192,3 +201,45 @@ def test_no_stable_matching_dominates_on_tiny_drops():
             m = Matching(allocation=cand, proposals=0)
             if find_blocking_pair(m, last.profiles_tx, last.profiles_rb) is None:
                 assert sum_rate(net, cand) <= achieved * (1 + 1e-9)
+
+
+def test_fast_path_builds_no_profiles(monkeypatch):
+    built = []
+    original = PreferenceProfile.__init__
+
+    def counting_init(self, owner, entries):
+        built.append(owner)
+        original(self, owner, entries)
+
+    monkeypatch.setattr(PreferenceProfile, "__init__", counting_init)
+    net = build_topology(make_config())
+    res = run_stable_matching(net, keep_rounds=False)
+    assert res.info["rounds"] is None
+    assert built == []
+    # the counter sees every profile of a kept round
+    kept = run_stable_matching(net, keep_rounds=True)
+    assert kept.allocation == res.allocation
+    assert len(built) == kept.iterations * (net.num_tx + net.num_rb)
+
+
+def test_kept_profiles_equal_reference_sort_with_signed_zero_ties():
+    # w1 = -0.0 and w2 = 0.0 make every utility a zero: -0.0 where the move
+    # would put its RB over the cap and 0.0 where it stays under.  The kept
+    # profiles must rank them by key alone and keep each zero's sign.
+    gain_ul = np.full((3, 3, 2), 1e-3)
+    gain_mue = np.array([[0.2, 0.7], [0.5, 0.1], [0.9, 0.3]]).reshape(3, 1, 2)
+    net = toy_network(gain_ul, gain_mue, power_levels=(0.5, 1.0), i_max=0.6,
+                      w1=-0.0, w2=0.0)
+    util = utility_table(net, Allocation(3))
+    assert {repr(u) for u in util.ravel().tolist()} == {"0.0", "-0.0"}
+    res = run_stable_matching(net, keep_rounds=True)
+    x = random_alignment(net, np.random.default_rng(net.seed))
+    for rnd in res.info["rounds"]:
+        util = utility_table(net, x)
+        want_tx = [reference.profile(("tx", k), util[k]) for k in range(3)]
+        want_rb = [reference.profile(("rb", n), util[:, n, :]) for n in range(2)]
+        assert [(p.owner, p.entries) for p in rnd.profiles_tx + rnd.profiles_rb] == \
+            [(p.owner, p.entries) for p in want_tx + want_rb]
+        assert [repr(u) for p in rnd.profiles_tx + rnd.profiles_rb for _k, u in p.entries] == \
+            [repr(u) for p in want_tx + want_rb for _k, u in p.entries]
+        x = rnd.matching.allocation
