@@ -27,14 +27,17 @@ class OracleBudgetError(RuntimeError):
 class Allocation:
     """Assignment of each transmitter to at most one (RB, level) pair.
 
-    Equivalent to the binary indicator tensor x[k, n, l] with at most one
-    non-zero entry per k.  Indices are 0-based.
+    ``rb[k]`` and ``level[k]`` are int64 arrays holding transmitter k's RB
+    and power level, both -1 while k is silent.  Solvers read and write
+    them directly; ``pairs`` (a list or a dict k -> (n, l), None for
+    silent) and ``assign`` take 0-based, non-negative indices.
     """
 
-    __slots__ = ("_slots",)
+    __slots__ = ("rb", "level")
 
     def __init__(self, num_tx, pairs=None):
-        self._slots = [None] * num_tx
+        self.rb = np.full(num_tx, -1, dtype=np.int64)
+        self.level = self.rb.copy()
         if pairs:
             for k, res in pairs.items() if isinstance(pairs, dict) else enumerate(pairs):
                 if res is not None:
@@ -42,59 +45,55 @@ class Allocation:
 
     @property
     def num_tx(self):
-        return len(self._slots)
+        return len(self.rb)
 
     def assign(self, k, n, l):
-        self._slots[k] = (int(n), int(l))
+        n, l = int(n), int(l)
+        if n < 0 or l < 0:  # -1 marks a silent transmitter, never an index
+            raise ValueError(f"transmitter {k}: RB {n} and level {l} must be >= 0")
+        self.rb[k], self.level[k] = n, l
 
     def unassign(self, k):
-        self._slots[k] = None
+        self.rb[k] = self.level[k] = -1
 
     def get(self, k):
-        return self._slots[k]
+        n = int(self.rb[k])
+        return None if n < 0 else (n, int(self.level[k]))
 
     def assigned_items(self):
         """Yield (k, (n, l)) for every assigned transmitter, ascending k."""
-        for k, res in enumerate(self._slots):
-            if res is not None:
-                yield k, res
+        for k, (n, l) in enumerate(zip(self.rb.tolist(), self.level.tolist())):
+            if n >= 0:
+                yield k, (n, l)
 
     def on_rb(self, n):
         """All (k, l) pairs currently assigned to RB n, ascending k."""
-        return [(k, res[1]) for k, res in enumerate(self._slots)
-                if res is not None and res[0] == n]
+        ks = np.flatnonzero(self.rb == n)
+        return list(zip(ks.tolist(), self.level[ks].tolist()))
 
     def by_rb(self, num_rb):
         """holders[n]: the (k, l) pairs on RB n, ascending k, in one pass."""
         holders = [[] for _ in range(num_rb)]
-        for k, res in enumerate(self._slots):
-            if res is not None:
-                holders[res[0]].append((k, res[1]))
+        for k, (n, l) in enumerate(zip(self.rb.tolist(), self.level.tolist())):
+            if n >= 0:
+                holders[n].append((k, l))
         return holders
 
     def num_assigned(self):
-        return sum(1 for s in self._slots if s is not None)
-
-    def is_empty(self):
-        return all(s is None for s in self._slots)
+        return int(np.count_nonzero(self.rb >= 0))
 
     def copy(self):
-        out = Allocation(len(self._slots))
-        out._slots = list(self._slots)
+        out = Allocation.__new__(Allocation)
+        out.rb, out.level = self.rb.copy(), self.level.copy()
         return out
 
-    def indicator(self, num_rb, num_levels):
-        """The binary tensor x[k, n, l]."""
-        x = np.zeros((len(self._slots), num_rb, num_levels), dtype=np.int8)
-        for k, (n, l) in self.assigned_items():
-            x[k, n, l] = 1
-        return x
-
     def __eq__(self, other):
-        return isinstance(other, Allocation) and self._slots == other._slots
+        # Both are 1-D int64 arrays: equal bytes mean equal lengths and entries.
+        return (isinstance(other, Allocation) and self.rb.tobytes() == other.rb.tobytes()
+                and self.level.tobytes() == other.level.tobytes())
 
     def __repr__(self):
-        return f"Allocation({self._slots})"
+        return f"Allocation({[self.get(k) for k in range(self.num_tx)]})"
 
 
 @dataclass
@@ -226,7 +225,7 @@ def exhaustive_search(net, budget=None, stats=None):
     # Walk the RBs in ascending order.  Of the sets that attain the optimum,
     # take the one whose bits, read from transmitter 0 up, are largest.
     left = (1 << K) - 1
-    choice = [None] * K
+    alloc = Allocation(K)
     for n in range(N):
         subs = T[starts[left]:starts[left + 1]]
         hits = subs[f[n, subs] + g[n + 1, left ^ subs] == g[n, left]]
@@ -234,13 +233,12 @@ def exhaustive_search(net, budget=None, stats=None):
         row = int(best_row[n, taken])
         for k in range(K):
             if taken >> k & 1:
-                choice[k] = (n, row // (L + 1) ** (K - 1 - k) % (L + 1) - 1)
+                alloc.assign(k, n, row // (L + 1) ** (K - 1 - k) % (L + 1) - 1)
         left ^= taken
 
     if stats is not None:
         stats["candidates"] = N * (L + 1) ** K
         stats["feasible"] = feasible
-    alloc = Allocation(K, choice)
     rate = 0.0
     for sinr in netmodel.underlay_sinrs(net, alloc):
         rate += math.log2(1.0 + sinr)

@@ -1,22 +1,25 @@
 """Distributed auction for transmission alignments.
 
-Each transmitter holds a local view of every resource's cost and highest
-bidder.  Per iteration (all transmitters acting on the same broadcast
-snapshot) a transmitter first folds in the maximum cost seen by anyone,
-together with that maximum's bidder; if it is no longer the recorded
-highest bidder of its own resource it re-bids: it picks the resource with
-the best net value (benefit minus current cost), checks that joining that
-RB would keep the interference budget intact, and if so assigns itself,
-records itself as the bidder, and raises the cost by the gap between its
-best and second-best net values plus the minimum increment epsilon.  The
-cost tables therefore never decrease, and termination (no bids placed in
-a full round) leaves every bidder within epsilon of its best achievable
-net value.
+The MBS broadcasts every resource's cost and highest bidder.  Per
+iteration (all transmitters acting on the same broadcast snapshot) a
+transmitter that is no longer the recorded highest bidder of its own
+resource re-bids: it picks the resource with the best net value (benefit
+minus current cost), checks that joining that RB would keep the
+interference budget intact, and if so assigns itself, records itself as
+the bidder, and raises the cost by the gap between its best and
+second-best net values plus the minimum increment epsilon.  The costs
+therefore never decrease, and termination (no bids placed in a full
+round) leaves every bidder within epsilon of its best achievable net
+value.
 
 All transmitters bid against the same snapshot, so one round is computed
 as one array step over all K of them (the synchronous, Jacobi form of
-Bertsekas' auction): ``local_auction_round`` takes the whole (K, N, L)
-benefit table and returns every transmitter's local view at once.
+Bertsekas' auction).  That is also why the state needs only the merged
+(N, L) table.  After a round, transmitter k's local view is the snapshot
+with k's own bid written in, so the K views differ only where someone
+bid.  The next snapshot, their maximum per resource with ties to the
+lowest transmitter, is thus the old one with the round's bids folded in,
+and ``local_auction_round`` folds them in directly.
 """
 
 from __future__ import annotations
@@ -31,28 +34,21 @@ NO_BIDDER = -1
 
 
 class AuctionState:
-    """Per-transmitter local cost/bidder views plus the assignment map."""
+    """The broadcast cost and bidder tables plus the assignment map."""
 
     __slots__ = ("costs", "bidders", "assignment", "epsilon")
 
     def __init__(self, costs, bidders, assignment, epsilon):
         if epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        self.costs = costs        # (K, N, L) floats, >= 0
-        self.bidders = bidders    # (K, N, L) ints, NO_BIDDER when unset
+        self.costs = costs        # (N, L) floats, >= 0
+        self.bidders = bidders    # (N, L) ints, NO_BIDDER when unset
         self.assignment = assignment
         self.epsilon = float(epsilon)
 
     def merged_view(self):
-        """Global maximum cost per resource and the bidder who set it.
-
-        Ties resolve toward the lowest transmitter index, so the merge is
-        deterministic and independent of sweep order.
-        """
-        merged = self.costs.max(axis=0)
-        src = self.costs.argmax(axis=0)  # first (lowest-k) maximizer
-        bidder = np.take_along_axis(self.bidders, src[None, :, :], axis=0)[0]
-        return merged, bidder
+        """The broadcast ``(costs, bidders)`` pair; the state holds nothing else."""
+        return self.costs, self.bidders
 
 
 def bid_increment(values, chosen, epsilon):
@@ -71,24 +67,22 @@ def bid_increment(values, chosen, epsilon):
     return (values[rows, chosen] - rest.max(axis=1)) + epsilon
 
 
-def local_auction_round(state, net, alloc_prev, interference_prev, benefits, merged):
-    """Every transmitter's bidding round against the broadcast snapshot.
+def local_auction_round(state, net, alloc_prev, interference_prev, benefits):
+    """Every transmitter's bidding round against the broadcast snapshot ``state``.
 
     ``interference_prev`` is the broadcast per-RB interference of
-    ``alloc_prev``, ``benefits`` the (K, N, L) benefit table under it, and
-    ``merged`` the snapshot's ``state.merged_view()``.  Returns
-    ``(allocation, costs, bidders, bids)``: the iteration's allocation,
-    the (K, N, L) cost and bidder tables (row k is k's local view), and
+    ``alloc_prev`` and ``benefits`` the (K, N, L) benefit table under it.
+    Returns ``(allocation, costs, bidders, bids)``: the iteration's
+    allocation, the next snapshot's (N, L) cost and bidder tables, and
     the number of bids placed.
     """
-    merged, merged_bidder = merged
     K, L = benefits.shape[0], net.num_levels
-    values = (benefits - merged).reshape(K, -1)
+    merged, merged_bidder = state.costs.reshape(-1), state.bidders.reshape(-1)
+    values = benefits.reshape(K, -1) - merged
     best = values.argmax(axis=1)  # ties: lowest (n, l)
     rows = np.arange(K)
     vmax = values[rows, best]
-    prev = np.array([-1 if s is None else s[0] * L + s[1]
-                     for s in map(alloc_prev.get, range(K))])
+    prev = np.where(alloc_prev.rb >= 0, alloc_prev.rb * L + alloc_prev.level, -1)
 
     # The merged cost can only rise, so the re-bid test of "cost grew and
     # someone else holds the high bid" reduces to the bidder check; a
@@ -101,7 +95,7 @@ def local_auction_round(state, net, alloc_prev, interference_prev, benefits, mer
     # slack or binary noise alone would evict the winner.  (Rows without
     # a previous resource read entry -1 here and are masked out.)
     slack = 1e-12 * np.maximum(1.0, np.abs(values).max(axis=1))
-    content = ((prev >= 0) & (merged_bidder.reshape(-1)[prev] == rows)
+    content = ((prev >= 0) & (merged_bidder[prev] == rows)
                & (values[rows, prev] >= (vmax - state.epsilon) - slack))
     # A bid must keep its RB strictly under the cap given the snapshot.
     n_hat = best // L
@@ -109,15 +103,20 @@ def local_auction_round(state, net, alloc_prev, interference_prev, benefits, mer
 
     ks = np.flatnonzero(fits & ~content)
     chosen = best[ks]
-    flat_merged = merged.reshape(1, -1)
-    costs = np.repeat(flat_merged, K, axis=0)
-    bidders = np.repeat(merged_bidder.reshape(1, -1), K, axis=0)
-    costs[ks, chosen] = flat_merged[0, chosen] + bid_increment(values[ks], chosen, state.epsilon)
-    bidders[ks, chosen] = ks
+    bids = merged[chosen] + bid_increment(values[ks], chosen, state.epsilon)
+    # A resource's new cost is the highest of its old cost and its bids
+    # (an increment is positive, but a huge cost can absorb it).  A raised
+    # cost goes to the lowest k bidding that much; an unmoved one goes to
+    # transmitter 0 if it bid there (its view comes first), else stays.
+    costs = merged.copy()
+    np.maximum.at(costs, chosen, bids)
+    lowest = np.full(len(costs), K)
+    np.minimum.at(lowest, chosen, np.where(bids == costs[chosen], ks, K))
+    bidders = np.where((costs > merged) | (lowest == 0), lowest, merged_bidder)
     allocation = alloc_prev.copy()
-    for k, flat in zip(ks.tolist(), chosen.tolist()):
-        allocation.assign(k, *divmod(flat, L))
-    return allocation, costs.reshape(benefits.shape), bidders.reshape(benefits.shape), len(ks)
+    allocation.rb[ks], allocation.level[ks] = np.divmod(chosen, L)
+    shape = state.costs.shape
+    return allocation, costs.reshape(shape), bidders.reshape(shape), len(ks)
 
 
 def run_auction(net, epsilon=None, t_max=500):
@@ -151,9 +150,8 @@ def run_auction(net, epsilon=None, t_max=500):
     if epsilon is None:
         epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
 
-    costs = np.maximum(0.0, netmodel.cost_table(net, x_prev))
-    bidders = np.full((K, N, L), NO_BIDDER, dtype=np.int64)
-    state = AuctionState(costs, bidders, x_prev, epsilon)
+    costs = np.maximum(0.0, netmodel.cost_table(net, x_prev)).max(axis=0)
+    state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), x_prev, epsilon)
 
     converged = False
     iterations = 0
@@ -161,9 +159,8 @@ def run_auction(net, epsilon=None, t_max=500):
         iterations += 1
         i_prev = netmodel.interference_vector(net, x_prev)
         b_prev = netmodel.benefit_table(net, x_prev)
-        x_t, new_costs, new_bidders, bids = local_auction_round(
-            state, net, x_prev, i_prev, b_prev, state.merged_view())
-        state = AuctionState(new_costs, new_bidders, x_t, epsilon)
+        x_t, costs, bidders, bids = local_auction_round(state, net, x_prev, i_prev, b_prev)
+        state = AuctionState(costs, bidders, x_t, epsilon)
         if not bids:
             converged = True  # nothing can change from here on
             break
@@ -176,6 +173,6 @@ def run_auction(net, epsilon=None, t_max=500):
         iterations=iterations,
         converged=converged,
         messages=iterations * (K * N * L + N * L + N),
-        info={"epsilon": epsilon, "merged_costs": state.merged_view()[0],
+        info={"epsilon": epsilon, "merged_costs": state.costs,
               "benefit_span": benefit_span},
     )

@@ -98,7 +98,7 @@ def match_alignments(orders, net):
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     NL = N * L
     tx, rank, rb = orders
-    load = net.ref_p.ravel().tolist()
+    load = net.ref_p_list
     i_max = net.i_max.tolist()
     # A strike cuts an RB's list at a rank, so it stays the prefix
     # rb[n][:cut[n]].  A transmitter's list is its order minus the struck
@@ -106,7 +106,6 @@ def match_alignments(orders, net):
     struck = bytearray(K * NL)
     cut = [K * L] * N
     head = list(range(0, K * NL, NL))
-    match = [None] * K
     on_rb = [[] for _ in range(N)]  # holders' flat indices, ascending k
     free = list(range(K))  # ascending: unmatched, not yet found exhausted
     proposals = 0
@@ -119,14 +118,13 @@ def match_alignments(orders, net):
         head[k] = h
         if h == end:
             continue  # nothing left to propose: k stays unmatched
-        s = match[k] = tx[h]
+        s = tx[h]
         n = s // L % N
         proposals += 1
         bisect.insort(on_rb[n], s)
         while netmodel.load_sum([load[j] for j in on_rb[n]]) >= i_max[n]:
             worst = max(on_rb[n], key=rank.__getitem__)
             on_rb[n].remove(worst)
-            match[worst // NL] = None
             bisect.insort(free, worst // NL)
             # Strike the revoked pair and all its successors from both sides.
             c = rank[worst]
@@ -134,8 +132,10 @@ def match_alignments(orders, net):
                 struck[j] = 1
             cut[n] = c
 
-    pairs = [None if s is None else divmod(s % NL, L) for s in match]
-    return Matching(allocation=Allocation(K, pairs), proposals=proposals)
+    held = np.array([s for on in on_rb for s in on], dtype=np.int64)
+    alloc = Allocation(K)
+    alloc.rb[held // NL], alloc.level[held // NL] = np.divmod(held % NL, L)
+    return Matching(allocation=alloc, proposals=proposals)
 
 
 def find_blocking_pair(matching, profiles_tx, profiles_rb):

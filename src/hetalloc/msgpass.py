@@ -98,8 +98,8 @@ def extract_allocation(state, net):
     flat = tau.reshape(K, -1)
     best = flat.argmax(axis=1)
     positive = flat[np.arange(K), best] > 0.0
-    alloc = Allocation(K, [divmod(j, L) if ok else None
-                           for j, ok in zip(best.tolist(), positive.tolist())])
+    alloc = Allocation(K)
+    alloc.rb[positive], alloc.level[positive] = np.divmod(best[positive], L)
     return netmodel.repair(net, alloc)
 
 

@@ -196,8 +196,8 @@ class Network:
 
     @cached_property
     def ref_p_list(self):
-        """``ref_p`` as nested lists of floats, for per-holder scalar reads."""
-        return self.ref_p.tolist()
+        """``ref_p`` as one flat list of floats, entry ``k*N*L + n*L + l``."""
+        return self.ref_p.ravel().tolist()
 
     def checksum(self):
         """Hex digest over positions and gains; identical drops hash equal."""
@@ -377,13 +377,14 @@ def load_sum(loads):
 def interference_vector(net, alloc):
     """Per-RB aggregated reference-user interference as an (N,) array.
 
-    One pass in ascending k: each entry equals ``aggregated_interference``.
+    ufunc.at adds unbuffered in index order, so each entry sums its
+    holders in ascending k and equals ``aggregated_interference``.
     """
-    agg = [0.0] * net.num_rb
-    ref_p = net.ref_p_list
-    for k, (n, l) in alloc.assigned_items():
-        agg[n] += ref_p[k][n][l]
-    return np.array(agg)
+    ks = np.flatnonzero(alloc.rb >= 0)
+    ns = alloc.rb[ks]
+    agg = np.zeros(net.num_rb)
+    np.add.at(agg, ns, net.ref_p[ks, ns, alloc.level[ks]])
+    return agg
 
 
 def underlay_sinrs(net, alloc):
@@ -400,9 +401,10 @@ def repair(net, alloc):
     (ties toward the lowest transmitter), then re-sums its remaining
     holders in ascending k with ``load_sum``.
     """
+    N, L = net.num_rb, net.num_levels
     ref_p = net.ref_p_list
-    for n, holders in enumerate(alloc.by_rb(net.num_rb)):
-        contribs = [ref_p[k][n][l] for k, l in holders]
+    for n, holders in enumerate(alloc.by_rb(N)):
+        contribs = [ref_p[(k * N + n) * L + l] for k, l in holders]
         while load_sum(contribs) >= net.i_max[n]:
             worst = contribs.index(max(contribs))
             alloc.unassign(holders.pop(worst)[0])
@@ -432,17 +434,16 @@ def _interference_maps(net, alloc):
     rx_int = np.zeros((K, N))
     agg = np.zeros(N)
     own = np.zeros((K, N))
-    items = [(k, n, l) for k, (n, l) in alloc.assigned_items()]
-    if items:
-        ks, ns, ls = np.array(items).T
-        p = net.power_levels[ls]
-        own[ks, ns] = c = net.ref_gain[ks, ns] * p
-        v = net.gain_ul[ks, :, ns] * p[:, None]  # (assigned, receiver)
-        v[np.arange(len(ks)), ks] = 0.0  # no transmitter interferes with its own receiver
-        # ufunc.at adds unbuffered in index order, so every entry receives
-        # its co-channel terms one at a time in ascending k.
-        np.add.at(agg, ns, c)
-        np.add.at(rx_int.T, ns, v)
+    ks = np.flatnonzero(alloc.rb >= 0)
+    ns = alloc.rb[ks]
+    p = net.power_levels[alloc.level[ks]]
+    own[ks, ns] = c = net.ref_gain[ks, ns] * p
+    v = net.gain_ul[ks, :, ns] * p[:, None]  # (assigned, receiver)
+    v[np.arange(len(ks)), ks] = 0.0  # no transmitter interferes with its own receiver
+    # ufunc.at adds unbuffered in index order, so every entry receives
+    # its co-channel terms one at a time in ascending k.
+    np.add.at(agg, ns, c)
+    np.add.at(rx_int.T, ns, v)
     return rx_int, agg, own
 
 

@@ -1,15 +1,17 @@
 """Scan-based reference implementations, kept for exact-equality tests.
 
-These are the straightforward versions of routines that the library now
-computes from per-RB holder lists, once per table or once per round.  Each
-one re-scans the whole allocation wherever it needs a co-channel sum, so
-its floating-point additions happen in the plain ascending-k order that
-the optimized code must reproduce bit for bit.
+First come two views of an allocation that only tests read.  Then the
+straightforward versions of routines that the library now computes on
+the allocation's int arrays, once per table or once per round.  Each one
+re-scans the whole allocation wherever it needs a co-channel sum, so its
+floating-point additions happen in the plain ascending-k order that the
+optimized code must reproduce bit for bit.
 
 The scalar formulas after them (one gain, utility, cost or message entry
 at a time) are the definitions the library's tables and sweeps are
 checked against.  Then comes the auction round the library computed one
-transmitter at a time before its whole-round array step, and last the
+transmitter at a time before its whole-round array step, with the K local
+views it kept before it stored only their merged table, and last the
 oracle the library used before its subset dynamic program: a full
 enumeration of the (N*L+1)^K allocations.
 """
@@ -25,6 +27,19 @@ from hetalloc import netmodel
 from hetalloc.allocation import (DEFAULT_ORACLE_BUDGET, Allocation, OracleBudgetError,
                                  search_space_size)
 from hetalloc.matching import Matching, PreferenceProfile
+
+
+def indicator(alloc, num_rb, num_levels):
+    """The binary tensor x[k, n, l] of an allocation."""
+    x = np.zeros((alloc.num_tx, num_rb, num_levels), dtype=np.int8)
+    for k, (n, l) in alloc.assigned_items():
+        x[k, n, l] = 1
+    return x
+
+
+def is_empty(alloc):
+    """Whether every transmitter is silent."""
+    return all(alloc.get(k) is None for k in range(alloc.num_tx))
 
 
 def repair(net, alloc):
@@ -274,16 +289,16 @@ def bid_increment(values, chosen, epsilon):
     return float(flat.max() - second + epsilon)
 
 
-def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits, merged):
-    """Transmitter k's bidding round against the broadcast snapshot.
+def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits):
+    """Transmitter k's bidding round against the broadcast snapshot ``state``.
 
     ``interference_prev`` is the broadcast per-RB interference of
-    ``alloc_prev``, ``benefits`` k's (N, L) benefit row under it, and
-    ``merged`` the snapshot's ``state.merged_view()``.  Returns
-    ``(choice, cost_row, bidder_row, bid_placed)`` where choice is k's
-    (rb, level) for this iteration or None.
+    ``alloc_prev`` and ``benefits`` k's (N, L) benefit row under it.
+    Returns ``(choice, cost_row, bidder_row, bid_placed)``: choice is k's
+    (rb, level) for this iteration or None, and the rows are k's local
+    view, the snapshot with k's own bid written in.
     """
-    merged, merged_bidder = merged
+    merged, merged_bidder = state.costs, state.bidders
     cost_row = merged.copy()
     bidder_row = merged_bidder.copy()
     prev = alloc_prev.get(k)
@@ -311,6 +326,25 @@ def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits, 
         bidder_row[n_hat, l_hat] = k
         return (n_hat, l_hat), cost_row, bidder_row, True
     return prev, cost_row, bidder_row, False
+
+
+def auction_rows(state, net, alloc_prev, interference_prev, benefits):
+    """Every transmitter's ``local_auction_round`` on one snapshot, stacked.
+
+    Returns ``(allocation, costs, bidders, placed)``: the (K, N, L) local
+    views, one row per transmitter, and each transmitter's bid flag.
+    """
+    rows = [local_auction_round(k, state, net, alloc_prev, interference_prev, benefits[k])
+            for k in range(net.num_tx)]
+    return (Allocation(net.num_tx, [r[0] for r in rows]), np.stack([r[1] for r in rows]),
+            np.stack([r[2] for r in rows]), [r[3] for r in rows])
+
+
+def merged_view(costs, bidders):
+    """The K local views reduced to one snapshot: the maximum cost per
+    resource and the bidder of the lowest transmitter whose view holds it."""
+    src = costs.argmax(axis=0)  # first (lowest-k) maximizer
+    return costs.max(axis=0), np.take_along_axis(bidders, src[None], axis=0)[0]
 
 
 def exhaustive_search(net, budget=None, stats=None):

@@ -19,19 +19,58 @@ from test_netmodel import make_config, two_tx_net
 
 def test_allocation_container_basics():
     a = Allocation(3)
-    assert a.is_empty() and a.num_assigned() == 0
+    assert reference.is_empty(a) and a.num_assigned() == 0
     a.assign(1, 2, 0)
     assert a.get(1) == (2, 0)
     assert a.on_rb(2) == [(1, 0)]
     b = a.copy()
     b.unassign(1)
-    assert a.get(1) == (2, 0) and b.is_empty()
+    assert a.get(1) == (2, 0) and reference.is_empty(b)
     assert a != b and a == Allocation(3, {1: (2, 0)})
+
+
+PAIRS = st.lists(st.none() | st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=6)
+
+
+@given(PAIRS, st.data())
+def test_allocation_arrays_match_pairs_list(pairs, data):
+    K = len(pairs)
+    a = Allocation(K, pairs)
+    assigned = [(k, p) for k, p in enumerate(pairs) if p is not None]
+    assert [a.get(k) for k in range(K)] == pairs
+    assert list(a.assigned_items()) == assigned
+    holders = a.by_rb(5)
+    for n in range(5):
+        assert a.on_rb(n) == holders[n] == [(k, l) for k, (nn, l) in assigned if nn == n]
+    assert a.num_assigned() == len(assigned)
+    assert a == Allocation(K, dict(assigned)) and a != Allocation(K + 1, pairs)
+    b = a.copy()
+    assert b == a
+    if K:
+        k = data.draw(st.integers(0, K - 1))
+        b.unassign(k)
+        b.assign((k + 1) % K, 3, 2)
+        changed = list(pairs)
+        changed[k], changed[(k + 1) % K] = None, (3, 2)
+        assert [a.get(j) for j in range(K)] == pairs  # the copy shares nothing
+        assert [b.get(j) for j in range(K)] == changed
+        assert (b == a) == (changed == pairs)
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1)])
+def test_negative_index_raises_naming_it(pair):
+    # -1 marks a silent transmitter; as an index it would alias the last RB
+    # or level.
+    message = f"transmitter 1: RB {pair[0]} and level {pair[1]}"
+    with pytest.raises(ValueError, match=message):
+        Allocation(2, [None, pair])
+    with pytest.raises(ValueError, match=message):
+        Allocation(2).assign(1, *pair)
 
 
 def test_indicator_tensor_one_entry_per_transmitter():
     a = Allocation(3, [(0, 1), None, (2, 0)])
-    x = a.indicator(3, 2)
+    x = reference.indicator(a, 3, 2)
     assert x.sum() == 2
     assert x[0, 0, 1] == 1 and x[2, 2, 0] == 1
 
@@ -176,7 +215,7 @@ def test_oracle_returns_empty_when_nothing_feasible():
     # cap below any single contribution: only the silent allocation survives
     net = two_tx_net(i_max=1e-6)
     alloc, value = exhaustive_search(net)
-    assert alloc.is_empty() and value == 0.0
+    assert reference.is_empty(alloc) and value == 0.0
     # caps exactly at k0's contribution (0.6 * 2.0) and below k1's: still empty
     net = two_tx_net(i_max=1.2)
     assert exhaustive_search(net) == reference.exhaustive_search(net) == (Allocation(2), 0.0)

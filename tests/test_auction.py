@@ -98,54 +98,43 @@ def test_bid_increment_block_rows_are_independent():
 # --- local round -------------------------------------------------------------
 
 def fresh_state(K, N, L, eps=0.1):
-    return AuctionState(np.zeros((K, N, L)), np.full((K, N, L), NO_BIDDER, np.int64),
+    return AuctionState(np.zeros((N, L)), np.full((N, L), NO_BIDDER, np.int64),
                         Allocation(K), eps)
 
 
-def row(k, result, merged):
-    """Transmitter k's part of a whole-round result: (choice, cost_row,
-    bidder_row, placed).  A placed bid raises k's cost row above the
-    merged snapshot it read."""
-    alloc, costs, bidders, _bids = result
-    return alloc.get(k), costs[k], bidders[k], bool((costs[k] != merged[0]).any())
-
-
-def round_on_snapshot(k, state, net, alloc_prev):
-    """Transmitter k's row of local_auction_round with every input derived
-    from alloc_prev and state."""
-    merged = state.merged_view()
-    return row(k, local_auction_round(state, net, alloc_prev,
-                                      interference_vector(net, alloc_prev),
-                                      benefit_table(net, alloc_prev), merged), merged)
+def round_on_snapshot(state, net, alloc_prev):
+    """local_auction_round with every input derived from alloc_prev and state."""
+    return local_auction_round(state, net, alloc_prev, interference_vector(net, alloc_prev),
+                               benefit_table(net, alloc_prev))
 
 
 def test_local_round_fresh_state_bids_best_value():
     net = two_tx_net(i_max=100.0)
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
-    state = fresh_state(2, 1, 1)
     b = benefit_table(net, alloc_prev)
-    choice, cost_row, bidder_row, placed = round_on_snapshot(0, state, net, alloc_prev)
-    assert placed and choice == (0, 0)
-    assert bidder_row[0, 0] == 0
-    assert cost_row[0, 0] == pytest.approx(increment(b[0], (0, 0), 0.1))
+    alloc, costs, bidders, bids = round_on_snapshot(fresh_state(2, 1, 1), net, alloc_prev)
+    assert bids == 2 and alloc.get(0) == (0, 0)
+    # equal bids on the one resource: the lowest transmitter holds it
+    assert bidders[0, 0] == 0
+    assert costs[0, 0] == pytest.approx(increment(b[0], (0, 0), 0.1))
 
 
 def test_local_round_content_bidder_keeps():
     net = two_tx_net(i_max=100.0)
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
     state = fresh_state(2, 1, 1)
-    state.bidders[:, 0, 0] = 0
-    choice, _cost, _bid, placed = round_on_snapshot(0, state, net, alloc_prev)
-    assert not placed and choice == (0, 0)
+    state.bidders[0, 0] = 0
+    alloc, _costs, bidders, bids = round_on_snapshot(state, net, alloc_prev)
+    # k0 holds the high bid and stays; only k1 bids, and takes it over
+    assert bids == 1 and alloc.get(0) == (0, 0) and bidders[0, 0] == 1
 
 
 def test_local_round_guard_failure_keeps_previous():
     net = two_tx_net(i_max=1e-9)  # any hypothetical contribution violates
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
-    state = fresh_state(2, 1, 1)
-    choice, cost_row, _bid, placed = round_on_snapshot(0, state, net, alloc_prev)
-    assert not placed and choice == (0, 0)
-    assert cost_row[0, 0] == 0.0
+    alloc, costs, bidders, bids = round_on_snapshot(fresh_state(2, 1, 1), net, alloc_prev)
+    assert bids == 0 and alloc == alloc_prev
+    assert costs[0, 0] == 0.0 and bidders[0, 0] == NO_BIDDER
 
 
 def test_two_transmitter_contention_hand_trace():
@@ -159,26 +148,26 @@ def test_two_transmitter_contention_hand_trace():
     iv = np.zeros(2)
 
     def round_all(state, x):
-        merged = state.merged_view()
-        result = local_auction_round(state, net, x, iv, net_b, merged)
-        x_new, costs, bidders, bids = result
-        placed = [row(k, result, merged)[3] for k in range(2)]
-        assert bids == sum(placed)
-        return AuctionState(costs, bidders, x_new, eps), x_new, placed
+        x_new, costs, bidders, bids = local_auction_round(state, net, x, iv, net_b)
+        rows = reference.auction_rows(state, net, x, iv, net_b)
+        assert bids == sum(rows[3])
+        return AuctionState(costs, bidders, x_new, eps), x_new, rows
 
-    state, x, placed = round_all(state, x)
+    state, x, (_x, cost_rows, _bidder_rows, placed) = round_all(state, x)
     assert placed == [True, True]
     assert x.get(0) == (0, 0) and x.get(1) == (0, 0)  # both bid the best slot
-    assert state.costs[0, 0, 0] == pytest.approx(2.1)  # 5 - 3 + eps
-    assert state.costs[1, 0, 0] == pytest.approx(3.1)  # 4 - 1 + eps
+    assert cost_rows[0, 0, 0] == pytest.approx(2.1)  # 5 - 3 + eps
+    assert cost_rows[1, 0, 0] == pytest.approx(3.1)  # 4 - 1 + eps
+    assert state.costs[0, 0] == cost_rows[1, 0, 0] and state.bidders[0, 0] == 1
 
-    state, x, placed = round_all(state, x)
+    state, x, (_x, cost_rows, _bidder_rows, placed) = round_all(state, x)
     # k1's higher bid stands; k0 is outbid and re-bids its second-best slot
     assert x.get(1) == (0, 0) and x.get(0) == (1, 0)
     assert placed == [True, False]
-    assert state.costs[0, 1, 0] == pytest.approx(3.0 - 1.9 + eps)
+    assert cost_rows[0, 1, 0] == pytest.approx(3.0 - 1.9 + eps)
+    assert state.costs[1, 0] == cost_rows[0, 1, 0] and state.bidders[1, 0] == 0
 
-    state, x, placed = round_all(state, x)
+    state, x, (_x, _cost_rows, _bidder_rows, placed) = round_all(state, x)
     assert placed == [False, False]  # quiescent: everyone content
 
 
@@ -216,18 +205,14 @@ def test_merged_cost_monotone_across_iterations():
     from hetalloc import msgpass, netmodel
     rng = np.random.default_rng(net.seed)
     x_prev = msgpass.random_alignment(net, rng)
-    costs = np.maximum(0.0, cost_table(net, x_prev))
+    costs = np.maximum(0.0, cost_table(net, x_prev)).max(axis=0)
     state = AuctionState(costs, np.full(costs.shape, NO_BIDDER, np.int64), x_prev, 0.05)
-    prev_merged = state.merged_view()[0]
     for _ in range(10):
         iv = netmodel.interference_vector(net, x_prev)
         b = benefit_table(net, x_prev)
-        x_prev, costs, bidders, _bids = local_auction_round(
-            state, net, x_prev, iv, b, state.merged_view())
+        x_prev, costs, bidders, _bids = local_auction_round(state, net, x_prev, iv, b)
+        assert (costs >= state.costs - 1e-15).all()
         state = AuctionState(costs, bidders, x_prev, 0.05)
-        merged = state.merged_view()[0]
-        assert (merged >= prev_merged - 1e-15).all()
-        prev_merged = merged
 
 
 def test_run_epsilon_validation():

@@ -19,7 +19,7 @@ import reference
 from hetalloc import msgpass, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, sum_rate,
                                  weighted_benefit)
-from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round
+from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round, run_auction
 from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
                                match_alignments, preference_orders, random_alignment)
 from hetalloc.msgpass import MessageState, extract_allocation
@@ -250,24 +250,17 @@ def test_cap_reached_exactly_counts_as_over():
     assert m.proposals == 2
 
 
-def reference_round(state, net, alloc_prev, iv, benefits, merged):
-    """The per-transmitter rounds of ``reference.local_auction_round``,
-    assembled as the kernel returns them; also each transmitter's flag."""
-    K = net.num_tx
-    rows = [reference.local_auction_round(k, state, net, alloc_prev, iv, benefits[k], merged)
-            for k in range(K)]
-    alloc = Allocation(K, [r[0] for r in rows])
-    placed = [r[3] for r in rows]
-    return alloc, np.stack([r[1] for r in rows]), np.stack([r[2] for r in rows]), placed
-
-
-def assert_round_equals_reference(state, net, alloc_prev, iv, benefits, merged):
-    got = local_auction_round(state, net, alloc_prev, iv, benefits, merged)
-    want = reference_round(state, net, alloc_prev, iv, benefits, merged)
-    assert got[0] == want[0]
-    assert same_array(got[1], want[1]) and same_array(got[2], want[2])
-    assert got[3] == sum(want[3])
-    return got, want[3]
+def assert_round_equals_reference(state, net, alloc_prev, iv, benefits):
+    """The kernel against K per-transmitter rounds, their local views
+    merged by ``reference.merged_view``; returns the kernel's result and
+    each transmitter's bid flag."""
+    got = local_auction_round(state, net, alloc_prev, iv, benefits)
+    alloc, costs, bidders, placed = reference.auction_rows(state, net, alloc_prev, iv, benefits)
+    merged_costs, merged_bidders = reference.merged_view(costs, bidders)
+    assert got[0] == alloc
+    assert same_array(got[1], merged_costs) and same_array(got[2], merged_bidders)
+    assert got[3] == sum(placed)
+    return got, placed
 
 
 K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
@@ -281,14 +274,14 @@ ROUND_CASES = ([make_config(seed=s, i_max=cap, **WIDE) for cap in (1e-6, 1e-8) f
 def test_auction_kernel_equals_per_transmitter_rounds(cfg):
     net = build_topology(cfg)
     x_prev = random_alignment(net, np.random.default_rng(cfg.seed))
-    costs = np.maximum(0.0, netmodel.cost_table(net, x_prev))
+    costs = np.maximum(0.0, netmodel.cost_table(net, x_prev)).max(axis=0)
     state = AuctionState(costs, np.full(costs.shape, NO_BIDDER, np.int64), x_prev, 0.05)
     outcomes = set()
     for _ in range(6):
         iv = netmodel.interference_vector(net, x_prev)
         b = netmodel.benefit_table(net, x_prev)
         (x_prev, costs, bidders, _bids), placed = assert_round_equals_reference(
-            state, net, x_prev, iv, b, state.merged_view())
+            state, net, x_prev, iv, b)
         outcomes.update(placed)
         state = AuctionState(costs, bidders, x_prev, 0.05)
     # At the tight cap the random start state loads every RB, so the guard
@@ -296,24 +289,37 @@ def test_auction_kernel_equals_per_transmitter_rounds(cfg):
     assert (True in outcomes) == (cfg.i_max > 1e-8)
 
 
+def k_row_auction(net, t_max):
+    """``run_auction`` as it ran before it stored only the merged table: K
+    local views per round from ``reference.local_auction_round``, reduced
+    by ``reference.merged_view`` at the start of the next round.  Returns
+    ``(allocation, iterations, converged, merged_costs)``."""
+    x = random_alignment(net, np.random.default_rng(net.seed))
+    b0 = netmodel.benefit_table(net, x)
+    span = float(b0.max() - b0.min())
+    eps = 0.01 * span if span > 0 else 1e-6
+    costs = np.maximum(0.0, netmodel.cost_table(net, x))
+    bidders = np.full(costs.shape, NO_BIDDER, np.int64)
+    for t in range(1, t_max + 1):
+        state = AuctionState(*reference.merged_view(costs, bidders), x, eps)
+        x_t, costs, bidders, placed = reference.auction_rows(
+            state, net, x, netmodel.interference_vector(net, x), netmodel.benefit_table(net, x))
+        if not any(placed):
+            break
+        x = x_t
+    return (netmodel.repair(net, x_t.copy()), t, not any(placed),
+            reference.merged_view(costs, bidders)[0])
+
+
 @pytest.mark.parametrize("cfg", [make_config(seed=s, i_max=1e-6, **WIDE) for s in range(2)]
                          + [make_config(seed=s, **MID) for s in range(2)])
-def test_auction_round_with_hoisted_merged_view(cfg):
+def test_run_auction_equals_k_row_reference_loop(cfg):
     net = build_topology(cfg)
-    x_prev = random_alignment(net, np.random.default_rng(cfg.seed))
-    costs = np.maximum(0.0, netmodel.cost_table(net, x_prev))
-    state = AuctionState(costs, np.full(costs.shape, NO_BIDDER, np.int64), x_prev, 0.05)
-    for _ in range(6):
-        iv = netmodel.interference_vector(net, x_prev)
-        b = netmodel.benefit_table(net, x_prev)
-        merged = state.merged_view()
-        hoisted = local_auction_round(state, net, x_prev, iv, b, merged)
-        plain = local_auction_round(state, net, x_prev, iv, b, state.merged_view())
-        assert hoisted[0] == plain[0] and hoisted[3] == plain[3]
-        assert same_array(hoisted[1], plain[1]) and same_array(hoisted[2], plain[2])
-        assert all(same_array(x, y) for x, y in zip(merged, state.merged_view()))
-        x_prev = hoisted[0]
-        state = AuctionState(hoisted[1], hoisted[2], x_prev, 0.05)
+    res = run_auction(net, t_max=100)
+    alloc, iterations, converged, merged_costs = k_row_auction(net, 100)
+    assert res.allocation == alloc and res.iterations == iterations
+    assert res.converged == converged
+    assert same_array(res.info["merged_costs"], merged_costs)
 
 
 @st.composite
@@ -345,9 +351,7 @@ def toy_rounds(draw):
     alloc = Allocation(K, slots)
     iv = rng.uniform(0.0, 2.0, N)
     eps = draw(st.sampled_from([0.25, 0.5, 1.0, 1e-3]))
-    state = AuctionState(np.zeros((K, N, L)), np.full((K, N, L), NO_BIDDER, np.int64),
-                         alloc, eps)
-    return state, net, alloc, iv, benefits, (merged, bidder)
+    return AuctionState(merged, bidder, alloc, eps), net, alloc, iv, benefits
 
 
 @settings(max_examples=300, deadline=None)
@@ -360,13 +364,26 @@ def test_auction_kernel_absorbed_increment_and_degenerate_shapes():
     # A huge merged cost absorbs the increment: the bid is placed, the cost
     # does not move.  K = 1 and N*L = 1 run through the same step.
     net = toy_network(np.ones((1, 1, 1)), np.full((1, 1, 1), 1e-9), i_max=1.0)
-    state = AuctionState(np.zeros((1, 1, 1)), np.full((1, 1, 1), NO_BIDDER, np.int64),
-                         Allocation(1), 0.5)
-    merged = (np.full((1, 1), 1e20), np.full((1, 1), NO_BIDDER))
+    state = AuctionState(np.full((1, 1), 1e20), np.full((1, 1), NO_BIDDER), Allocation(1), 0.5)
     (alloc, costs, bidders, bids), placed = assert_round_equals_reference(
-        state, net, Allocation(1), np.zeros(1), np.ones((1, 1, 1)), merged)
+        state, net, Allocation(1), np.zeros(1), np.ones((1, 1, 1)))
     assert placed == [True] and bids == 1 and alloc == Allocation(1, [(0, 0)])
-    assert costs[0, 0, 0] == 1e20 and bidders[0, 0, 0] == 0
+    assert costs[0, 0] == 1e20 and bidders[0, 0] == 0
+
+
+@pytest.mark.parametrize("k0_load, bidder", [(1e-9, 0), (10.0, 2)],
+                         ids=["k0-bids", "k0-blocked"])
+def test_auction_kernel_absorbed_increment_bidder(k0_load, bidder):
+    # Three bids that a huge cost absorbs: the cost does not move, and its
+    # bidder becomes transmitter 0 only if 0 bid (the cap blocks it when
+    # its load is 10); otherwise the recorded bidder 2 stays.
+    net = toy_network(np.ones((3, 3, 1)), np.array([[[k0_load]], [[1e-9]], [[1e-9]]]),
+                      i_max=1.0)
+    state = AuctionState(np.full((1, 1), 1e20), np.full((1, 1), 2), Allocation(3), 0.5)
+    (_alloc, costs, bidders, bids), placed = assert_round_equals_reference(
+        state, net, Allocation(3), np.zeros(1), np.ones((3, 1, 1)))
+    assert placed == [k0_load < 1.0, True, True] and bids == sum(placed)
+    assert costs[0, 0] == 1e20 and bidders[0, 0] == bidder
 
 
 # Best value 0.8, epsilon 0.3: the content threshold (vmax - eps) - slack,
@@ -381,11 +398,10 @@ def test_auction_kernel_content_threshold_is_inclusive(held_value, content):
     # Transmitter 0 holds the high bid on RB 1; RB 0 is worth more.
     net = toy_network(np.ones((1, 1, 2)), np.full((1, 1, 2), 1e-9), i_max=1.0)
     prev = Allocation(1, [(1, 0)])
-    state = AuctionState(np.zeros((1, 2, 1)), np.full((1, 2, 1), NO_BIDDER, np.int64), prev, 0.3)
-    merged = (np.zeros((2, 1)), np.array([[NO_BIDDER], [0]]))
+    state = AuctionState(np.zeros((2, 1)), np.array([[NO_BIDDER], [0]]), prev, 0.3)
     benefits = np.array([[[0.8], [held_value]]])
     (alloc, _costs, _bidders, bids), _ = assert_round_equals_reference(
-        state, net, prev, np.zeros(2), benefits, merged)
+        state, net, prev, np.zeros(2), benefits)
     assert bids == (0 if content else 1)
     assert alloc == Allocation(1, [(1, 0) if content else (0, 0)])
 
@@ -395,10 +411,10 @@ def test_auction_kernel_content_threshold_is_inclusive(held_value, content):
 def test_auction_kernel_guard_is_strict(load, bids):
     # The bidder's own reference-user load is 0.5 on a cap of 1.
     net = toy_network(np.ones((1, 1, 1)), np.full((1, 1, 1), 0.5), i_max=1.0)
-    state = AuctionState(np.zeros((1, 1, 1)), np.full((1, 1, 1), NO_BIDDER, np.int64),
+    state = AuctionState(np.zeros((1, 1)), np.full((1, 1), NO_BIDDER, np.int64),
                          Allocation(1), 0.1)
     result, _ = assert_round_equals_reference(state, net, Allocation(1), np.array([load]),
-                                              np.ones((1, 1, 1)), state.merged_view())
+                                              np.ones((1, 1, 1)))
     assert result[3] == bids
 
 
@@ -409,7 +425,10 @@ def test_network_constant_tables_equal_inline_and_read_only():
     assert same_array(net.sig_p, sig[:, :, None] * net.power_levels[None, None, :])
     assert same_array(net.mbs_den, net.gain_mbs_ul * net.mbs_power)
     assert same_array(net.ref_p, net.ref_gain[:, :, None] * net.power_levels[None, None, :])
-    assert net.ref_p_list == net.ref_p.tolist()
+    assert net.ref_p_list == net.ref_p.ravel().tolist()
+    k, n, l = K - 1, net.num_rb - 2, 1
+    assert net.ref_p_list[(k * net.num_rb + n) * net.num_levels + l] == net.ref_p[k, n, l]
+    assert net.ref_p_list is net.ref_p_list
     for table in (net.sig_p, net.mbs_den, net.ref_p):
         assert not table.flags.writeable
         with pytest.raises(ValueError):

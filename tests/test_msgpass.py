@@ -132,7 +132,7 @@ def repair_net():
 
 def test_extract_all_nonpositive_marginals_is_empty():
     s = state_with(psi_tx=np.full((2, 1, 1), -1.0), shape=(2, 1, 1))
-    assert extract_allocation(s, repair_net()).is_empty()
+    assert reference.is_empty(extract_allocation(s, repair_net()))
 
 
 def test_extract_single_positive_marginal():

@@ -258,7 +258,7 @@ def test_aggregated_interference_matches_indicator_tensor():
     for k in range(K):
         if rng.uniform() < 0.8:
             alloc.assign(k, rng.integers(N), rng.integers(L))
-    x = alloc.indicator(N, L)
+    x = reference.indicator(alloc, N, L)
     for n in range(N):
         brute = 0.0
         for k in range(K):
