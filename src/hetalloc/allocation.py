@@ -107,6 +107,17 @@ class SolverResult:
     info: dict
 
 
+def start_alignment(net):
+    """The start state of every solver: each transmitter on a uniformly
+    random (RB, level), drawn from ``default_rng(net.seed)`` as
+    ``integers(N)`` then ``integers(L)`` per transmitter, ascending k."""
+    rng = np.random.default_rng(net.seed)
+    alloc = Allocation(net.num_tx)
+    for k in range(net.num_tx):
+        alloc.assign(k, int(rng.integers(net.num_rb)), int(rng.integers(net.num_levels)))
+    return alloc
+
+
 @dataclass
 class EvalReport:
     sum_rate: float

@@ -27,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import netmodel
-from .allocation import SolverResult
-from .matching import random_alignment
+from .allocation import SolverResult, start_alignment
 
 NO_BIDDER = -1
 
@@ -119,52 +118,50 @@ def local_auction_round(state, net, alloc_prev, interference_prev, benefits):
     return allocation, costs.reshape(shape), bidders.reshape(shape), len(ks)
 
 
-def run_auction(net, epsilon=None, t_max=500):
+def run_auction(net, t_max=500):
     """MBS-coordinated auction loop.
 
-    Starts from a seeded random alignment with costs clamped from the
+    Starts from ``start_alignment`` with costs clamped from the
     interference overage of that start state and no recorded bidders (so
-    every transmitter bids in round one).  All local rounds of an
-    iteration read the same snapshot; the merged tables and the new
-    allocation are then rebroadcast.  A full round without a single bid
-    is a fixed point, so the loop stops there (or at ``t_max``).  Per
-    iteration each transmitter uploads N*L (cost, bidder, assignment)
-    tuples and the MBS broadcasts the merged table plus the per-RB
-    interference: ``messages = iterations * (K*N*L + N*L + N)``.
+    every transmitter bids in round one).  The minimum bid increment is
+    epsilon = 0.01 * (max - min of the start state's benefit table), or
+    1e-6 when that span is 0.  All local rounds of an iteration read the
+    same snapshot; the merged tables and the new allocation are then
+    rebroadcast.  A full round without a single bid is a fixed point, so
+    the loop stops there (or at ``t_max``).  Per iteration each
+    transmitter uploads N*L (cost, bidder, assignment) tuples and the MBS
+    broadcasts the merged table plus the per-RB interference:
+    ``messages = iterations * (K*N*L + N*L + N)``.
 
     The emitted allocation is repaired against the strict interference
     caps before return (simultaneous same-round bids can overshoot them).
 
-    ``info`` keys: ``epsilon`` (the minimum bid increment used),
+    ``info`` keys: ``epsilon`` (the minimum bid increment),
     ``merged_costs`` (the final (N, L) maximum cost per resource) and
     ``benefit_span`` (max minus min of the start state's benefit table).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    rng = np.random.default_rng(net.seed)
     K, N, L = net.num_tx, net.num_rb, net.num_levels
-    x_prev = random_alignment(net, rng)
+    x_prev = start_alignment(net)
 
-    b0 = netmodel.benefit_table(net, x_prev)
-    benefit_span = float(b0.max() - b0.min())
-    if epsilon is None:
-        epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
+    b_prev = netmodel.benefit_table(net, x_prev)
+    benefit_span = float(b_prev.max() - b_prev.min())
+    epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
 
     costs = np.maximum(0.0, netmodel.cost_table(net, x_prev)).max(axis=0)
     state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), x_prev, epsilon)
 
     converged = False
-    iterations = 0
-    for _t in range(1, t_max + 1):
-        iterations += 1
+    for iterations in range(1, t_max + 1):
         i_prev = netmodel.interference_vector(net, x_prev)
-        b_prev = netmodel.benefit_table(net, x_prev)
         x_t, costs, bidders, bids = local_auction_round(state, net, x_prev, i_prev, b_prev)
         state = AuctionState(costs, bidders, x_t, epsilon)
         if not bids:
             converged = True  # nothing can change from here on
             break
         x_prev = x_t
+        b_prev = netmodel.benefit_table(net, x_prev)
 
     # Concurrent bids in one synchronous round can jointly overshoot a
     # budget the guard checked one at a time.

@@ -2,11 +2,8 @@
 
 One experiment fixes a scenario and a seed list; per seed a single drop is
 built and every selected algorithm runs on that identical drop, optionally
-next to the exhaustive oracle.  Signaling units per algorithm (documented
-with each runner): matching ships K*N*L profile entries plus K allocation
-entries per round, message passing ships 2*K*N*L message values per sweep,
-and the auction ships K*N*L (cost, bidder, assignment) tuples up plus the
-merged N*L table and N interference values down per round.
+next to the exhaustive oracle.  The ``messages_exchanged`` column is each
+runner's ``messages``; the runners' docstrings give its formula.
 """
 
 from __future__ import annotations
@@ -22,8 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import netmodel
-from .allocation import (DEFAULT_ORACLE_BUDGET, exhaustive_search, is_feasible,
-                         oracle_cost)
+from .allocation import (DEFAULT_ORACLE_BUDGET, OracleBudgetError, exhaustive_search,
+                         is_feasible)
 # Unused here, but bench/tracing.py wraps harness.sum_rate and
 # harness.weighted_benefit.
 from .allocation import sum_rate, weighted_benefit  # noqa: F401
@@ -113,8 +110,9 @@ def serialize_scenario(config):
 def oracle_budget():
     """Bound on the oracle's ``oracle_cost``; the environment can override it.
 
-    The override is any integer-valued number, such as ``100000000`` or
-    ``1e8``; anything else raises ConfigError naming the variable.
+    The override is any integer-valued number of at least 1, such as
+    ``100000000`` or ``1e8``; anything else raises ConfigError naming the
+    variable.
     """
     raw = os.environ.get(ORACLE_BUDGET_ENV)
     if not raw:
@@ -125,6 +123,8 @@ def oracle_budget():
         value = math.nan
     if not value.is_integer():  # also rejects inf and nan
         raise ConfigError(f"{ORACLE_BUDGET_ENV}={raw!r} is not an integer-valued number")
+    if value < 1:
+        raise ConfigError(f"{ORACLE_BUDGET_ENV}={raw!r} must be >= 1")
     return int(raw) if raw.strip().isdigit() else int(value)  # digits stay exact
 
 
@@ -133,9 +133,9 @@ def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=Fa
     """Run every selected algorithm on one identical drop per seed.
 
     Returns RunMetrics rows sorted by (seed, algorithm).  When the oracle
-    is requested but its ``oracle_cost`` exceeds the budget it is skipped
-    for that seed with a logged warning and empty oracle gaps; it is
-    never truncated silently.
+    is requested but refuses the budget (``OracleBudgetError``) it is
+    skipped for that seed with a logged warning and empty oracle gaps; it
+    is never truncated silently.
     """
     seeds = [config.seed] if seeds is None else list(seeds)
     unknown = [a for a in algorithms if a not in SOLVERS]
@@ -151,13 +151,12 @@ def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=Fa
 
         oracle_rate = None
         if with_oracle:
-            cost = oracle_cost(net.num_tx, net.num_rb, net.num_levels)
-            if cost > budget:
-                log.warning("seed %d: oracle skipped, cost %d exceeds budget %d",
-                            seed, cost, budget)
-            else:
-                t0 = time.perf_counter()
+            t0 = time.perf_counter()
+            try:
                 o_alloc, oracle_rate = exhaustive_search(net, budget=budget)
+            except OracleBudgetError as exc:
+                log.warning("seed %d: oracle skipped: %s", seed, exc)
+            else:
                 wall = (time.perf_counter() - t0) * 1e3
                 report = is_feasible(net, o_alloc)
                 rows.append(RunMetrics(
@@ -214,7 +213,8 @@ def write_metrics_csv(metrics, path):
 
 
 def parse_seed_spec(spec):
-    """Seed list from "A:B" (half-open range) or a comma list like "1,4,9"."""
+    """Seed list from "A:B" (half-open range) or a comma list like "1,4,9";
+    every seed must be >= 0."""
     spec = spec.strip()
     if ":" in spec:
         lo, hi = spec.split(":", 1)
@@ -223,4 +223,6 @@ def parse_seed_spec(spec):
         seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
     if not seeds:
         raise ValueError(f"seed spec {spec!r} selects no seeds")
+    if min(seeds) < 0:
+        raise ValueError(f"seed spec {spec!r} selects negative seed {min(seeds)}")
     return seeds

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, SolverResult, sum_rate
+from .allocation import Allocation, SolverResult, start_alignment, sum_rate
 
 
 class PreferenceProfile:
@@ -167,18 +167,10 @@ class MatchingRound:
     matching: Matching
 
 
-def random_alignment(net, rng):
-    """Every transmitter on a uniformly random (RB, level); the start state."""
-    alloc = Allocation(net.num_tx)
-    for k in range(net.num_tx):
-        alloc.assign(k, int(rng.integers(net.num_rb)), int(rng.integers(net.num_levels)))
-    return alloc
-
-
 def run_stable_matching(net, t_max=100, keep_rounds=False):
     """Iterated stable matching (``preference_orders`` + inner matching per round).
 
-    Starts from a seeded random alignment, stops when two consecutive
+    Starts from ``start_alignment``, stops when two consecutive
     allocations coincide or ``t_max`` rounds elapse.  On non-convergence
     the best-sum-rate round result is returned (every round's output is
     feasible by construction).  Signaling accounting: per round each of
@@ -192,19 +184,15 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    rng = np.random.default_rng(net.seed)
     K, N, L = net.num_tx, net.num_rb, net.num_levels
-    x_prev = random_alignment(net, rng)
+    x_prev = start_alignment(net)
 
     proposals_per_round = []
     rounds = [] if keep_rounds else None
     best_alloc, best_rate = None, -1.0
     converged = False
-    iterations = 0
-    final = x_prev
 
-    for _t in range(1, t_max + 1):
-        iterations += 1
+    for iterations in range(1, t_max + 1):
         util = netmodel.utility_table(net, x_prev)
         m = match_alignments(preference_orders(util), net)
         proposals_per_round.append(m.proposals)
@@ -216,14 +204,13 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
         rate = sum_rate(net, x_t)
         if rate > best_rate:
             best_alloc, best_rate = x_t, rate
-        final = x_t
         if x_t == x_prev:
             converged = True
             break
         x_prev = x_t
 
     return SolverResult(
-        allocation=final if converged else best_alloc,
+        allocation=x_t if converged else best_alloc,
         iterations=iterations,
         converged=converged,
         messages=iterations * (K * N * L + K),

@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, SolverResult
-from .matching import random_alignment
+from .allocation import Allocation, SolverResult, start_alignment
+
+MESSAGE_TOL = 1e-6  # max-norm message step below which the messages count as settled
 
 
 @dataclass
@@ -51,7 +52,10 @@ class MessageState:
 
 
 def _max_excluding_self(a, axis):
-    """out[i] = max of ``a`` along ``axis`` with index i left out."""
+    """out[i] = max of ``a`` along ``axis`` with index i left out, 0 when
+    nothing is left (a length-1 axis)."""
+    if a.shape[axis] == 1:
+        return np.zeros_like(a)
     # Partitioning at the second-to-last position leaves the two largest
     # values, exact, in the last two slots.
     s = np.partition(a, a.shape[axis] - 2, axis=axis)
@@ -69,21 +73,15 @@ def tx_sweep(state, utilities):
     w = state.omega
     K = utilities.shape[0]
     values = (utilities + state.psi_res).reshape(K, -1)
-    direct = (1.0 - w) * values
-    if values.shape[1] == 1:
-        out = utilities.reshape(K, -1) - direct
-    else:
-        out = utilities.reshape(K, -1) - w * _max_excluding_self(values, axis=1) - direct
+    out = (utilities.reshape(K, -1) - w * _max_excluding_self(values, axis=1)
+           - (1.0 - w) * values)
     return out.reshape(utilities.shape)
 
 
 def res_sweep(state):
     """All resource-side messages, synchronously from the old state."""
     w = state.omega
-    direct = (1.0 - w) * state.psi_tx
-    if state.psi_tx.shape[0] == 1:
-        return -direct
-    return -w * _max_excluding_self(state.psi_tx, axis=0) - direct
+    return -w * _max_excluding_self(state.psi_tx, axis=0) - (1.0 - w) * state.psi_tx
 
 
 def extract_allocation(state, net):
@@ -103,39 +101,35 @@ def extract_allocation(state, net):
     return netmodel.repair(net, alloc)
 
 
-def run_message_passing(net, omega=0.5, t_max=500, message_tol=1e-6):
+def run_message_passing(net, omega=0.5, t_max=500):
     """Full damped max-sum loop.
 
-    Per iteration the utilities are re-evaluated against the previous
-    allocation, both message tables are swept synchronously from the
-    previous tables, marginals are formed and an allocation extracted.
-    The run converges when the allocation repeats *and* the max-norm
-    message step falls below ``message_tol``; it always stops at
-    ``t_max``.  Every sweep ships 2*K*N*L message values, so
-    ``messages = iterations * 2*K*N*L``.
+    Starts from ``start_alignment``.  Per iteration the utilities are
+    re-evaluated against the previous allocation, both message tables are
+    swept synchronously from the previous tables, marginals are formed and
+    an allocation extracted.  The run converges when the allocation
+    repeats *and* the max-norm message step falls below ``MESSAGE_TOL``;
+    it always stops at ``t_max``.  Every sweep ships 2*K*N*L message
+    values, so ``messages = iterations * 2*K*N*L``.
 
     Non-convergence is reported through the flag and the delta trace, and
     the last extracted (always feasible) allocation is still returned.
 
     ``info`` keys: ``message_deltas`` (the max-norm message step of each
     iteration) and ``message_converged_at`` (the first iteration whose
-    step fell below ``message_tol``, or None).
+    step fell below ``MESSAGE_TOL``, or None).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    rng = np.random.default_rng(net.seed)
     K, N, L = net.num_tx, net.num_rb, net.num_levels
-    x_prev = random_alignment(net, rng)
+    x_prev = start_alignment(net)
     state = MessageState.zeros(K, N, L, omega)
 
     deltas = []
     msg_converged_at = None
     converged = False
-    iterations = 0
-    final = x_prev
 
-    for t in range(1, t_max + 1):
-        iterations = t
+    for iterations in range(1, t_max + 1):
         util = netmodel.utility_table(net, x_prev)
         new_tx = tx_sweep(state, util)
         # Resource replies fold in the transmitter messages just received;
@@ -156,16 +150,15 @@ def run_message_passing(net, omega=0.5, t_max=500, message_tol=1e-6):
         deltas.append(delta)
         state = replace(state, psi_tx=new_tx, psi_res=new_res)
         x_t = extract_allocation(state, net)
-        if msg_converged_at is None and delta < message_tol:
-            msg_converged_at = t
-        final = x_t
-        if x_t == x_prev and delta < message_tol:
+        if msg_converged_at is None and delta < MESSAGE_TOL:
+            msg_converged_at = iterations
+        if x_t == x_prev and delta < MESSAGE_TOL:
             converged = True
             break
         x_prev = x_t
 
     return SolverResult(
-        allocation=final,
+        allocation=x_t,
         iterations=iterations,
         converged=converged,
         messages=iterations * 2 * K * N * L,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
@@ -72,6 +73,12 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
+        for name in ("seed", "num_mue", "num_sbs", "num_d2d", "num_rb"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_mue < 1:
             raise ConfigError("num_mue must be >= 1")
         if self.num_rb < 1:
@@ -278,7 +285,7 @@ def build_topology(config):
 
     sbs_pos = _sample_disk(rng, np.zeros(2), config.cell_radius, S)
     d2d_tx_pos = _sample_disk(rng, np.zeros(2), config.cell_radius, D)
-    tx_pos = np.vstack([sbs_pos, d2d_tx_pos]) if K else np.zeros((0, 2))
+    tx_pos = np.vstack([sbs_pos, d2d_tx_pos])
     # Every placed receiver must keep MIN_LINK_DIST from all gain
     # counterparts: the MBS and every underlay transmitter.
     anchors = np.vstack([np.zeros((1, 2)), tx_pos])
@@ -296,7 +303,7 @@ def build_topology(config):
         for d in range(D)
     ]).reshape(D, 2)
 
-    rx_pos = np.vstack([sue_pos, d2d_rx_pos]) if K else np.zeros((0, 2))
+    rx_pos = np.vstack([sue_pos, d2d_rx_pos])
 
     def dist(a, b):
         return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)

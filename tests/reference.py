@@ -1,6 +1,8 @@
 """Scan-based reference implementations, kept for exact-equality tests.
 
-First come two views of an allocation that only tests read.  Then the
+First come the solvers' start-state draw, as it was written before it
+moved into ``allocation.start_alignment``, and two views of an
+allocation that only tests read.  Then the
 straightforward versions of routines that the library now computes on
 the allocation's int arrays, once per table or once per round.  Each one
 re-scans the whole allocation wherever it needs a co-channel sum, so its
@@ -27,6 +29,14 @@ from hetalloc import netmodel
 from hetalloc.allocation import (DEFAULT_ORACLE_BUDGET, Allocation, OracleBudgetError,
                                  search_space_size)
 from hetalloc.matching import Matching, PreferenceProfile
+
+
+def random_alignment(net, rng):
+    """Every transmitter on a uniformly random (RB, level); the start state."""
+    alloc = Allocation(net.num_tx)
+    for k in range(net.num_tx):
+        alloc.assign(k, int(rng.integers(net.num_rb)), int(rng.integers(net.num_levels)))
+    return alloc
 
 
 def indicator(alloc, num_rb, num_levels):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -9,11 +10,12 @@ from hypothesis import given, strategies as st
 import reference
 from hetalloc.allocation import (Allocation, OracleBudgetError,
                                  exhaustive_search, is_feasible, oracle_cost,
-                                 search_space_size, sum_rate)
-from hetalloc.harness import SOLVERS
+                                 search_space_size, start_alignment, sum_rate)
+from hetalloc.harness import SOLVERS, load_scenario
 from hetalloc.netmodel import build_topology
 
 from conftest import toy_network
+from test_harness import K4, K50_LOOSE, MID_K10, ROOT, SCENARIOS
 from test_netmodel import make_config, two_tx_net
 
 
@@ -261,3 +263,36 @@ def test_oracle_dominates_feasible_allocations():
                 alloc.assign(k, rng.integers(net.num_rb), rng.integers(net.num_levels))
         if is_feasible(net, alloc).feasible:
             assert sum_rate(net, alloc) <= best * (1 + 1e-9)
+
+
+# --- solver start state and layering --------------------------------------
+
+@pytest.mark.parametrize("overrides", [{}, K4, MID_K10, K50_LOOSE, dict(K50_LOOSE, i_max=1e-8)],
+                         ids=["default", "k4", "mid-k10", "k50-loose", "k50-tight"])
+def test_start_alignment_equals_reference_draw(overrides):
+    # Pins the stream layout: default_rng(net.seed), integers(N) then
+    # integers(L) per transmitter, ascending k.
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    for seed in range(5):
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        want = reference.random_alignment(net, np.random.default_rng(seed))
+        assert start_alignment(net) == want and want.num_assigned() == net.num_tx
+
+
+def imported_modules(path):
+    """Last dotted component of every module a source file imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in (None, "hetalloc"):  # from . import x, from hetalloc import x
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.rsplit(".", 1)[-1]
+
+
+def test_solver_modules_import_no_other_solver():
+    solvers = {"matching", "msgpass", "auction"}
+    for name in solvers:
+        path = ROOT / "src" / "hetalloc" / f"{name}.py"
+        assert not (set(imported_modules(path)) & solvers - {name}), name

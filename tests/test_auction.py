@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import reference
-from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
+from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
+                                 sum_rate)
 from hetalloc.auction import (NO_BIDDER, AuctionState, bid_increment,
                               local_auction_round, run_auction)
 from hetalloc.netmodel import (benefit_table, build_topology, cost_table,
@@ -202,9 +203,8 @@ def test_run_feasible_and_message_accounting():
 def test_merged_cost_monotone_across_iterations():
     cfg = make_config(num_sbs=2, num_d2d=1, num_rb=2, i_max=1.0, w2=0.05)
     net = build_topology(cfg)
-    from hetalloc import msgpass, netmodel
-    rng = np.random.default_rng(net.seed)
-    x_prev = msgpass.random_alignment(net, rng)
+    from hetalloc import netmodel
+    x_prev = start_alignment(net)
     costs = np.maximum(0.0, cost_table(net, x_prev)).max(axis=0)
     state = AuctionState(costs, np.full(costs.shape, NO_BIDDER, np.int64), x_prev, 0.05)
     for _ in range(10):
@@ -216,6 +216,9 @@ def test_merged_cost_monotone_across_iterations():
 
 
 def test_run_epsilon_validation():
-    net = build_topology(make_config())
-    with pytest.raises(ValueError):
-        run_auction(net, epsilon=-1.0)
+    # run_auction always derives a positive epsilon; the state still refuses others.
+    costs = np.zeros((2, 2))
+    bidders = np.full((2, 2), NO_BIDDER, np.int64)
+    for eps in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            AuctionState(costs, bidders, Allocation(2), epsilon=eps)

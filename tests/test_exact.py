@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from hetalloc import msgpass, netmodel
-from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, sum_rate,
-                                 weighted_benefit)
+from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
+                                 sum_rate, weighted_benefit)
 from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round, run_auction
 from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
-                               match_alignments, preference_orders, random_alignment)
+                               match_alignments, preference_orders)
 from hetalloc.msgpass import MessageState, extract_allocation
 from hetalloc.netmodel import build_topology
 
@@ -188,7 +188,7 @@ def assert_matching_equals_list_rebuild(cfg, seeds, rounds):
     revoked_rounds = 0
     for seed in seeds:
         net = build_topology(dataclasses.replace(cfg, seed=seed))
-        x = random_alignment(net, np.random.default_rng(seed))
+        x = start_alignment(net)
         for _round in range(rounds):
             orders, tx, rb = profiles(net, x)
             orders_before = copy.deepcopy(orders)
@@ -273,7 +273,7 @@ ROUND_CASES = ([make_config(seed=s, i_max=cap, **WIDE) for cap in (1e-6, 1e-8) f
                          ids=[f"K{c.num_tx}-cap{c.i_max:g}-s{c.seed}" for c in ROUND_CASES])
 def test_auction_kernel_equals_per_transmitter_rounds(cfg):
     net = build_topology(cfg)
-    x_prev = random_alignment(net, np.random.default_rng(cfg.seed))
+    x_prev = start_alignment(net)
     costs = np.maximum(0.0, netmodel.cost_table(net, x_prev)).max(axis=0)
     state = AuctionState(costs, np.full(costs.shape, NO_BIDDER, np.int64), x_prev, 0.05)
     outcomes = set()
@@ -294,7 +294,7 @@ def k_row_auction(net, t_max):
     local views per round from ``reference.local_auction_round``, reduced
     by ``reference.merged_view`` at the start of the next round.  Returns
     ``(allocation, iterations, converged, merged_costs)``."""
-    x = random_alignment(net, np.random.default_rng(net.seed))
+    x = start_alignment(net)
     b0 = netmodel.benefit_table(net, x)
     span = float(b0.max() - b0.min())
     eps = 0.01 * span if span > 0 else 1e-6

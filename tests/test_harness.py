@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from hetalloc import cli, harness, netmodel
-from hetalloc.allocation import exhaustive_search, is_feasible, sum_rate, weighted_benefit
+from hetalloc.allocation import (exhaustive_search, is_feasible, oracle_cost, sum_rate,
+                                 weighted_benefit)
 from hetalloc.harness import (RunMetrics, ScenarioFormatError, load_scenario,
                               parse_seed_spec, run_experiment,
                               serialize_scenario, write_metrics_csv)
@@ -111,7 +112,7 @@ def test_run_experiment_oracle_budget_skip(tmp_path, caplog):
 def test_run_experiment_skips_oracle_exactly_above_its_cost(tmp_path):
     path, _ = write_scenario(tmp_path)
     cfg = load_scenario(path)
-    cost = harness.oracle_cost(cfg.num_tx, cfg.num_rb, cfg.num_levels)
+    cost = oracle_cost(cfg.num_tx, cfg.num_rb, cfg.num_levels)
     for budget, runs in ((cost, True), (cost - 1, False)):
         rows = run_experiment(cfg, algorithms=["msgpass"], seeds=[0], with_oracle=True,
                               budget=budget)
@@ -197,7 +198,7 @@ def test_parse_seed_spec():
     assert parse_seed_spec("1,4,9") == [1, 4, 9]
 
 
-@pytest.mark.parametrize("spec", ["5:3", "4:4", ","])
+@pytest.mark.parametrize("spec", ["5:3", "4:4", ",", "-2:1", "3,-1"])
 def test_parse_seed_spec_rejects_empty(spec):
     with pytest.raises(ValueError, match=re.escape(repr(spec))):
         parse_seed_spec(spec)
@@ -210,7 +211,7 @@ def test_oracle_budget_accepts_integer_valued(monkeypatch, raw, expected):
     assert harness.oracle_budget() == expected
 
 
-@pytest.mark.parametrize("raw", ["1.5", "1e8x", "inf", "nan", "1e400"])
+@pytest.mark.parametrize("raw", ["1.5", "1e8x", "inf", "nan", "1e400", "-5", "0"])
 def test_oracle_budget_rejects_non_integers(monkeypatch, raw):
     monkeypatch.setenv(harness.ORACLE_BUDGET_ENV, raw)
     with pytest.raises(ConfigError, match=f"ALLOC_ORACLE_BUDGET={re.escape(repr(raw))}"):
@@ -374,6 +375,24 @@ def test_cli_run_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
     rc = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert "ALLOC_ORACLE_BUDGET='lots'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, seeds, name", [
+    ({"seed": -1}, None, "seed"),
+    ({"num_rb": 2.0}, None, "num_rb"),
+    ({"seed": True}, None, "seed"),
+    ({}, "-2:1", "'-2:1'"),
+], ids=["seed-negative", "num_rb-float", "seed-bool", "seeds-negative"])
+def test_cli_rejects_bad_integers_exit_2(tmp_path, capsys, overrides, seeds, name):
+    path, _ = write_scenario(tmp_path, overrides=overrides)
+    out = tmp_path / "m.csv"
+    run = ["run", "--scenario", str(path), "--out", str(out)]
+    commands = [run + [f"--seeds={seeds}"]] if seeds else [run, ["validate", str(path)]]
+    for argv in commands:
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: ") and name in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("algorithms, reason", [("msgpass,annealing", "annealing"),

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import reference
-from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
+from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
+                                 sum_rate)
 from hetalloc.matching import (Matching, PreferenceProfile, build_rb_profile,
                                build_transmitter_profile, find_blocking_pair,
-                               match_alignments, preference_orders, random_alignment,
-                               run_stable_matching)
+                               match_alignments, preference_orders, run_stable_matching)
 from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import toy_network
@@ -233,7 +233,7 @@ def test_kept_profiles_equal_reference_sort_with_signed_zero_ties():
     util = utility_table(net, Allocation(3))
     assert {repr(u) for u in util.ravel().tolist()} == {"0.0", "-0.0"}
     res = run_stable_matching(net, keep_rounds=True)
-    x = random_alignment(net, np.random.default_rng(net.seed))
+    x = start_alignment(net)
     for rnd in res.info["rounds"]:
         util = utility_table(net, x)
         want_tx = [reference.profile(("tx", k), util[k]) for k in range(3)]

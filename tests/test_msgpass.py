@@ -113,6 +113,32 @@ def test_sweeps_match_scalar_updates():
                         reference.res_message_update(s, (n, l), k), abs=1e-12)
 
 
+def signed_table(rng, shape):
+    """Normal entries with about half of them replaced by +0.0 or -0.0."""
+    a = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.5
+    a[zero] = np.copysign(0.0, rng.normal(size=shape))[zero]
+    return a
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 3), (5, 1, 1), (1, 1, 1)])
+def test_size_one_sweeps_equal_explicit_formulas(shape):
+    # With nothing left to take a max over, the sweeps reduce to their
+    # damping terms, bit for bit: K = 1 for the resource side, N*L = 1
+    # for the transmitter side.
+    K, N, L = shape
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        omega = float(rng.choice([0.3, 0.5, 1.0]))
+        u, psi_tx, psi_res = (signed_table(rng, shape) for _ in range(3))
+        s = state_with(psi_tx=psi_tx, psi_res=psi_res, omega=omega, shape=shape)
+        if N * L == 1:
+            want = u - (1.0 - omega) * (u + psi_res)
+            assert tx_sweep(s, u).tobytes() == want.tobytes()
+        if K == 1:
+            assert res_sweep(s).tobytes() == (-((1.0 - omega) * psi_tx)).tobytes()
+
+
 def test_marginals_are_entrywise_sum():
     rng = np.random.default_rng(1)
     s = state_with(psi_tx=rng.normal(size=(2, 2, 2)),

@@ -44,9 +44,14 @@ def test_config_defaults_rb_bandwidth():
     dict(i_max=0.0),
     dict(i_max=(1e-7, 1e-7)),  # wrong length for num_rb=3
     dict(cell_radius=-1.0),
+    dict(seed=-1),
+    dict(seed=2.5),
+    dict(seed=True),
+    dict(num_rb=2.0),
+    dict(num_sbs=1.5),
 ])
 def test_config_rejects_invalid(bad):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=next(iter(bad))):  # the error names the field
         make_config(**bad)
 
 
