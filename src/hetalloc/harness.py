@@ -80,7 +80,7 @@ def load_scenario(path):
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int too long to convert
             raise ScenarioFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioFormatError(f"{path}: top level must be a JSON object")

@@ -6,7 +6,8 @@ side.  Deferred acceptance with revocation runs on those ints: a
 transmitter grabs its best remaining alignment, and whenever an RB's
 budget is exceeded the RB revokes its least preferred holders, striking
 the revoked pair and every pair ranked below it from both sides' lists.
-The outer loop re-ranks until the allocation stops changing.
+The outer loop re-ranks until the allocation stops changing; once an
+allocation repeats an earlier one, the rounds left are replayed.
 ``PreferenceProfile`` objects are built only for kept rounds.
 """
 
@@ -178,19 +179,30 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
     broadcasts the K allocation entries, so
     ``messages = iterations * (K*N*L + K)``.
 
+    A round is a pure function of the previous allocation, so once an
+    allocation repeats an earlier one (the start state included) the
+    rounds that follow repeat that cycle up to ``t_max``.  They are
+    replayed, not recomputed: the result equals, field by field, what
+    computing all ``t_max`` rounds returns.
+
     ``info`` keys: ``proposals_per_round`` (proposal events of each inner
-    matching) and ``rounds`` (a MatchingRound per round when
-    ``keep_rounds``, else None; only kept rounds build PreferenceProfiles).
+    matching), ``rounds`` (a MatchingRound per round when ``keep_rounds``,
+    else None; only computed rounds build PreferenceProfiles, and a
+    replayed round is the same object as the one a period earlier) and
+    ``cycle`` (``(first, period)`` when rounds ``first``..``t_max`` were
+    replayed from ``period`` rounds earlier, else None).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
+    seen = {(x_prev.rb.tobytes(), x_prev.level.tobytes()): 0}  # allocation -> round
 
     proposals_per_round = []
     rounds = [] if keep_rounds else None
     best_alloc, best_rate = None, -1.0
     converged = False
+    cycle = None
 
     for iterations in range(1, t_max + 1):
         util = netmodel.utility_table(net, x_prev)
@@ -207,12 +219,26 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
         if x_t == x_prev:
             converged = True
             break
+        # A repeated allocation repeats its rates too, which the strict >
+        # above never lets replace best_alloc.
+        seen_at = seen.setdefault((x_t.rb.tobytes(), x_t.level.tobytes()), iterations)
+        if seen_at < iterations < t_max:
+            cycle = (iterations + 1, iterations - seen_at)
+            break
         x_prev = x_t
+
+    if cycle is not None:
+        period = cycle[1]
+        for log in (proposals_per_round, rounds):
+            if log is not None:
+                tail = log[-period:]
+                log += [tail[i % period] for i in range(t_max - iterations)]
+        iterations = t_max
 
     return SolverResult(
         allocation=x_t if converged else best_alloc,
         iterations=iterations,
         converged=converged,
         messages=iterations * (K * N * L + K),
-        info={"proposals_per_round": proposals_per_round, "rounds": rounds},
+        info={"proposals_per_round": proposals_per_round, "rounds": rounds, "cycle": cycle},
     )

@@ -14,6 +14,8 @@ transmitter messages (the composition whose damped fixed-point iteration
 contracts).  Node marginals are the sum of the two directed messages;
 positive marginals propose assignments, which are then thinned to one per
 transmitter and repaired per RB until every interference budget holds.
+An iteration is a pure function of the previous messages and allocation,
+so once that state repeats bit for bit, the iterations left are replayed.
 """
 
 from __future__ import annotations
@@ -101,6 +103,46 @@ def extract_allocation(state, net):
     return netmodel.repair(net, alloc)
 
 
+class CycleWatch:
+    """Finds the period of a deterministic iteration from cheap keys.
+
+    ``step(key, state, output)`` is called once per iteration with a
+    hashable ``key`` of the iteration, the tuple of arrays the next
+    iteration is a pure function of, and the iteration's ``output``.  A
+    key last seen p steps back proposes the period p, replacing an open
+    proposal of a longer period.  The proposal is confirmed when the
+    state p steps later is bit-equal to the state at the proposal, and
+    dropped otherwise, so equal keys of unequal states can delay or
+    prevent a confirmation but never make a wrong one.  ``step`` returns the
+    confirmed period, else None, and ``outputs`` then holds the outputs
+    of the last p steps, oldest first.  The arrays passed must not be
+    written to afterwards.
+    """
+
+    def __init__(self):
+        self._steps = 0
+        self._seen = {}  # key -> the step it was last seen at
+        self._open = None  # (state, period) of the proposal being checked
+        self.outputs = []
+
+    def step(self, key, state, output):
+        self._steps += 1
+        if self._open is not None:
+            self.outputs.append(output)
+            proposed, period = self._open
+            if len(self.outputs) == period:
+                self._open = None
+                if all(a.tobytes() == b.tobytes() for a, b in zip(proposed, state)):
+                    return period
+        seen_at = self._seen.get(key)
+        self._seen[key] = self._steps
+        if seen_at is not None and (self._open is None
+                                    or self._steps - seen_at < self._open[1]):
+            self._open = (state, self._steps - seen_at)
+            self.outputs = []
+        return None
+
+
 def run_message_passing(net, omega=0.5, t_max=500):
     """Full damped max-sum loop.
 
@@ -115,9 +157,16 @@ def run_message_passing(net, omega=0.5, t_max=500):
     Non-convergence is reported through the flag and the delta trace, and
     the last extracted (always feasible) allocation is still returned.
 
+    Once both message tables and the allocation repeat an earlier
+    iteration's bit for bit (found by ``CycleWatch``), the iterations left
+    up to ``t_max`` are replayed, not recomputed: the result equals, field
+    by field, what computing all ``t_max`` iterations returns.
+
     ``info`` keys: ``message_deltas`` (the max-norm message step of each
-    iteration) and ``message_converged_at`` (the first iteration whose
-    step fell below ``MESSAGE_TOL``, or None).
+    iteration), ``message_converged_at`` (the first iteration whose
+    step fell below ``MESSAGE_TOL``, or None) and ``cycle``
+    (``(first, period)`` when iterations ``first``..``t_max`` were
+    replayed from ``period`` iterations earlier, else None).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -128,6 +177,8 @@ def run_message_passing(net, omega=0.5, t_max=500):
     deltas = []
     msg_converged_at = None
     converged = False
+    watch = CycleWatch()
+    cycle = None
 
     for iterations in range(1, t_max + 1):
         util = netmodel.utility_table(net, x_prev)
@@ -155,12 +206,27 @@ def run_message_passing(net, omega=0.5, t_max=500):
         if x_t == x_prev and delta < MESSAGE_TOL:
             converged = True
             break
+        # (delta, shift) is a cheap key of the step; the watch confirms a
+        # repeat on the full state.  A repeated step repeats both tests
+        # above, so a replay never converges nor sets msg_converged_at.
+        period = watch.step((delta, shift),
+                            (new_tx, new_res, x_t.rb, x_t.level), x_t)
+        if period and iterations < t_max:
+            cycle = (iterations + 1, period)
+            break
         x_prev = x_t
+
+    if cycle is not None:
+        tail = deltas[-period:]
+        deltas += [tail[i % period] for i in range(t_max - iterations)]
+        x_t = watch.outputs[(t_max - iterations - 1) % period]
+        iterations = t_max
 
     return SolverResult(
         allocation=x_t,
         iterations=iterations,
         converged=converged,
         messages=iterations * 2 * K * N * L,
-        info={"message_deltas": deltas, "message_converged_at": msg_converged_at},
+        info={"message_deltas": deltas, "message_converged_at": msg_converged_at,
+              "cycle": cycle},
     )

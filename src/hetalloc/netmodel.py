@@ -37,6 +37,18 @@ class ContractError(ValueError):
     """A physical-layer query was made against an inconsistent allocation."""
 
 
+def _finite_real(name, value):
+    """``value`` as a float; a ConfigError naming ``name`` unless it is a
+    finite real number and not a bool."""
+    try:
+        if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value)):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parameters of one simulation scenario.
@@ -65,11 +77,12 @@ class ScenarioConfig:
     rb_bandwidth: float = 180e3  # one LTE RB: 12 subcarriers of 15 kHz
 
     def __post_init__(self):
-        object.__setattr__(self, "power_levels", tuple(float(p) for p in self.power_levels))
+        object.__setattr__(self, "power_levels",
+                           tuple(_finite_real("power_levels", p) for p in self.power_levels))
         if isinstance(self.i_max, (list, tuple, np.ndarray)):
-            object.__setattr__(self, "i_max", tuple(float(v) for v in self.i_max))
+            object.__setattr__(self, "i_max", tuple(_finite_real("i_max", v) for v in self.i_max))
         else:
-            object.__setattr__(self, "i_max", float(self.i_max))
+            object.__setattr__(self, "i_max", _finite_real("i_max", self.i_max))
         self.validate()
 
     def validate(self):
@@ -77,6 +90,9 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("cell_radius", "mbs_power", "noise_psd", "pathloss_exp", "w1", "w2",
+                     "d2d_max_dist", "sbs_ue_max_dist", "rb_bandwidth"):
+            _finite_real(name, getattr(self, name))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_mue < 1:

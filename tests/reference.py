@@ -13,21 +13,25 @@ The scalar formulas after them (one gain, utility, cost or message entry
 at a time) are the definitions the library's tables and sweeps are
 checked against.  Then comes the auction round the library computed one
 transmitter at a time before its whole-round array step, with the K local
-views it kept before it stored only their merged table, and last the
-oracle the library used before its subset dynamic program: a full
-enumeration of the (N*L+1)^K allocations.
+views it kept before it stored only their merged table, and the oracle
+the library used before its subset dynamic program: a full enumeration
+of the (N*L+1)^K allocations.  Last come the matching and
+message-passing runners as they were before a repeated state was
+replayed: they compute every round up to ``t_max``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 
-from hetalloc import netmodel
+from hetalloc import matching, msgpass, netmodel
 from hetalloc.allocation import (DEFAULT_ORACLE_BUDGET, Allocation, OracleBudgetError,
-                                 search_space_size)
+                                 SolverResult, search_space_size, start_alignment)
+from hetalloc.allocation import sum_rate as alloc_sum_rate
 from hetalloc.matching import Matching, PreferenceProfile
 
 
@@ -423,3 +427,83 @@ def exhaustive_search(net, budget=None, stats=None):
         stats["feasible"] = feasible_count
     alloc = Allocation(K, list(best))
     return alloc, best_rate * net.rb_bandwidth
+
+
+def run_stable_matching(net, t_max=100, keep_rounds=False):
+    """The matching runner computing every round up to ``t_max``."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    x_prev = start_alignment(net)
+
+    proposals_per_round = []
+    rounds = [] if keep_rounds else None
+    best_alloc, best_rate = None, -1.0
+    converged = False
+
+    for iterations in range(1, t_max + 1):
+        util = netmodel.utility_table(net, x_prev)
+        m = matching.match_alignments(matching.preference_orders(util), net)
+        proposals_per_round.append(m.proposals)
+        if rounds is not None:
+            rounds.append(matching.MatchingRound(
+                [matching.build_transmitter_profile(k, util[k]) for k in range(K)],
+                [matching.build_rb_profile(n, util[:, n, :]) for n in range(N)],
+                m))
+        x_t = m.allocation
+        rate = alloc_sum_rate(net, x_t)
+        if rate > best_rate:
+            best_alloc, best_rate = x_t, rate
+        if x_t == x_prev:
+            converged = True
+            break
+        x_prev = x_t
+
+    return SolverResult(
+        allocation=x_t if converged else best_alloc,
+        iterations=iterations,
+        converged=converged,
+        messages=iterations * (K * N * L + K),
+        info={"proposals_per_round": proposals_per_round, "rounds": rounds},
+    )
+
+
+def run_message_passing(net, omega=0.5, t_max=500):
+    """The message-passing runner computing every iteration up to ``t_max``."""
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    x_prev = start_alignment(net)
+    state = msgpass.MessageState.zeros(K, N, L, omega)
+
+    deltas = []
+    msg_converged_at = None
+    converged = False
+
+    for iterations in range(1, t_max + 1):
+        util = netmodel.utility_table(net, x_prev)
+        new_tx = msgpass.tx_sweep(state, util)
+        new_res = msgpass.res_sweep(dataclasses.replace(state, psi_tx=new_tx))
+        shift = (float(np.sum(new_res - state.psi_res))
+                 - float(np.sum(new_tx - state.psi_tx))) / (2 * K * N * L)
+        new_tx = new_tx + shift
+        new_res = new_res - shift
+        delta = max(float(np.max(np.abs(new_tx - state.psi_tx))),
+                    float(np.max(np.abs(new_res - state.psi_res))))
+        deltas.append(delta)
+        state = dataclasses.replace(state, psi_tx=new_tx, psi_res=new_res)
+        x_t = msgpass.extract_allocation(state, net)
+        if msg_converged_at is None and delta < msgpass.MESSAGE_TOL:
+            msg_converged_at = iterations
+        if x_t == x_prev and delta < msgpass.MESSAGE_TOL:
+            converged = True
+            break
+        x_prev = x_t
+
+    return SolverResult(
+        allocation=x_t,
+        iterations=iterations,
+        converged=converged,
+        messages=iterations * 2 * K * N * L,
+        info={"message_deltas": deltas, "message_converged_at": msg_converged_at},
+    )

@@ -382,7 +382,14 @@ def test_cli_run_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
     ({"num_rb": 2.0}, None, "num_rb"),
     ({"seed": True}, None, "seed"),
     ({}, "-2:1", "'-2:1'"),
-], ids=["seed-negative", "num_rb-float", "seed-bool", "seeds-negative"])
+    ({"w1": "x"}, None, "w1"),
+    ({"w2": None}, None, "w2"),
+    ({"cell_radius": True}, None, "cell_radius"),
+    ({"mbs_power": float("nan")}, None, "mbs_power"),
+    ({"i_max": float("nan")}, None, "i_max"),
+    ({"power_levels": [0.1, float("nan")]}, None, "power_levels"),
+], ids=["seed-negative", "num_rb-float", "seed-bool", "seeds-negative", "w1-string",
+        "w2-null", "cell_radius-bool", "mbs_power-nan", "i_max-nan", "power_level-nan"])
 def test_cli_rejects_bad_integers_exit_2(tmp_path, capsys, overrides, seeds, name):
     path, _ = write_scenario(tmp_path, overrides=overrides)
     out = tmp_path / "m.csv"
@@ -430,13 +437,15 @@ def test_cli_size_bad_counts_exit_2(capsys, counts):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "malformed"])
+@pytest.mark.parametrize("content", [None, "{not json", '{"seed": 1%s}' % ("0" * 5000)],
+                         ids=["missing", "malformed", "int-too-long"])
 def test_cli_run_bad_scenario_exits_2(tmp_path, capsys, content):
     path = tmp_path / "scen.json"
     if content is not None:
         path.write_text(content)
     out = tmp_path / "m.csv"
-    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid: ") and "scen.json" in err
+    for argv in (["run", "--scenario", str(path), "--out", str(out)], ["validate", str(path)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: ") and "scen.json" in err
     assert not out.exists()

@@ -6,15 +6,27 @@ import numpy as np
 import pytest
 
 import reference
+from hetalloc import netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate)
 from hetalloc.matching import (Matching, PreferenceProfile, build_rb_profile,
                                build_transmitter_profile, find_blocking_pair,
                                match_alignments, preference_orders, run_stable_matching)
+from hetalloc.harness import load_scenario
 from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import toy_network
+from test_harness import MID_K10, SCENARIOS
 from test_netmodel import make_config
+
+# Drops of bench/run.py's mid-k10 workload whose matching never converges:
+# from round 3-6 on, every allocation equals the one two rounds back.
+MID_K10_OSCILLATING = (7, 15, 23, 24, 31, 35, 38)
+
+
+def mid_k10_net(seed):
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
+    return build_topology(dataclasses.replace(cfg, seed=seed))
 
 
 def contention_net():
@@ -243,3 +255,53 @@ def test_kept_profiles_equal_reference_sort_with_signed_zero_ties():
         assert [repr(u) for p in rnd.profiles_tx + rnd.profiles_rb for _k, u in p.entries] == \
             [repr(u) for p in want_tx + want_rb for _k, u in p.entries]
         x = rnd.matching.allocation
+
+
+# --- cycle replay ------------------------------------------------------------
+
+def assert_same_run(got, want):
+    """Field-by-field equality with the full loop, ``cycle`` aside."""
+    assert got.allocation == want.allocation
+    assert (got.iterations, got.converged, got.messages) == \
+        (want.iterations, want.converged, want.messages)
+    assert got.info["proposals_per_round"] == want.info["proposals_per_round"]
+    if want.info["rounds"] is None:
+        assert got.info["rounds"] is None
+        return
+    assert len(got.info["rounds"]) == len(want.info["rounds"]) == got.iterations
+    for g, w in zip(got.info["rounds"], want.info["rounds"]):
+        assert [(p.owner, p.entries) for p in g.profiles_tx + g.profiles_rb] == \
+            [(p.owner, p.entries) for p in w.profiles_tx + w.profiles_rb]
+        assert g.matching == w.matching
+
+
+@pytest.mark.parametrize("seed", MID_K10_OSCILLATING)
+def test_replay_equals_full_loop(seed):
+    net = mid_k10_net(seed)
+    first, period = run_stable_matching(net, t_max=500).info["cycle"]
+    assert period == 2 and first <= 8
+    # first - 1 finds the repeat in its last round and replays nothing;
+    # the others end at both phases of the cycle.
+    short = [first - 1, first, first + 1, first + 2, first + 2 * period + 1]
+    for t_max, keep in [(t, True) for t in short] + [(500, False), (501, False)]:
+        got = run_stable_matching(net, t_max=t_max, keep_rounds=keep)
+        assert_same_run(got, reference.run_stable_matching(net, t_max=t_max, keep_rounds=keep))
+        assert got.info["cycle"] == (None if t_max < first else (first, period))
+        if keep and t_max >= first:
+            rounds = got.info["rounds"]
+            assert all(rounds[r] is rounds[r - period] for r in range(first - 1, t_max))
+
+
+def test_oscillating_drop_computes_few_rounds(monkeypatch):
+    calls = []
+    original = netmodel.utility_table
+
+    def counting(net, alloc):
+        calls.append(1)
+        return original(net, alloc)
+
+    monkeypatch.setattr(netmodel, "utility_table", counting)
+    res = run_stable_matching(mid_k10_net(7), t_max=500)
+    assert (res.iterations, res.converged) == (500, False)
+    assert len(res.info["proposals_per_round"]) == 500
+    assert len(calls) <= 10

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import reference
+from hetalloc import netmodel
 from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
-from hetalloc.msgpass import (MessageState, extract_allocation, res_sweep,
+from hetalloc.harness import load_scenario
+from hetalloc.msgpass import (CycleWatch, MessageState, extract_allocation, res_sweep,
                               run_message_passing, tx_sweep)
 from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import toy_network
+from test_harness import K4, MID_K10, SCENARIOS
 from test_netmodel import make_config
 
 
@@ -230,3 +233,72 @@ def test_run_tiny_drops_dominated_by_oracle():
         if rep.sum_rate >= best * (1 - 1e-9):
             equal += 1
     assert equal >= 10  # typically optimal when the cap is loose
+
+
+# --- cycle replay ------------------------------------------------------------
+
+def test_cycle_watch_confirms_only_a_repeated_state():
+    # The map 5 -> 7 -> 6 -> 1 -> 2 -> 3 -> 1.  The key of step 3 repeats
+    # step 1's, but the state two steps later is not step 3's: that
+    # proposal is dropped.  The states cycle with period 3 from step 4, a
+    # repeat proposed at step 7 and confirmed at step 10.
+    states = [5, 7, 6, 1, 2, 3, 1, 2, 3, 1]
+    keys = ["a", "b", "a", "c", "d", "e", "c", "d", "e", "c"]
+    watch = CycleWatch()
+    found = [watch.step(key, (np.array([s]),), f"out{i}")
+             for i, (key, s) in enumerate(zip(keys, states), 1)]
+    assert found == [None] * 9 + [3]
+    assert watch.outputs == ["out8", "out9", "out10"]
+
+
+def test_cycle_watch_shorter_period_replaces_open_proposal():
+    # Step 3 proposes period 2 (its key was seen at step 1); step 4 proposes
+    # period 1, which replaces it and is confirmed at step 5.
+    states = [1, 2, 3, 4, 4]
+    keys = ["a", "b", "a", "a", "a"]
+    watch = CycleWatch()
+    found = [watch.step(key, (np.array([s]),), s) for key, s in zip(keys, states)]
+    assert found == [None] * 4 + [1]
+    assert watch.outputs == [4]
+
+
+def test_cycle_watch_compares_bits():
+    # -0.0 == 0.0 as floats, but a state holding one does not repeat the
+    # other: step 3's -0.0 fails the period-1 proposal made at step 2 on
+    # 0.0, and step 4 confirms the one made at step 3.
+    watch = CycleWatch()
+    found = [watch.step("k", (np.array([z]),), z) for z in (0.0, 0.0, -0.0, -0.0)]
+    assert found == [None, None, None, 1]
+
+
+# Drops of bench/run.py's mid-k10 and oracle-k4 workloads on which the
+# messages fall into an exact cycle of period 2-10 after 140-280 iterations.
+CYCLING = [(MID_K10, s) for s in (4, 20, 22, 38)] + [(K4, s) for s in (14, 17, 39)]
+
+
+@pytest.mark.parametrize("overrides, seed", CYCLING,
+                         ids=[f"mid-k10-{s}" for s in (4, 20, 22, 38)]
+                         + [f"oracle-k4-{s}" for s in (14, 17, 39)])
+def test_replay_equals_full_loop(monkeypatch, overrides, seed):
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    net = build_topology(dataclasses.replace(cfg, seed=seed))
+    calls = []
+    original = netmodel.utility_table
+
+    def counting(net, alloc):
+        calls.append(1)
+        return original(net, alloc)
+
+    monkeypatch.setattr(netmodel, "utility_table", counting)
+    first, period = run_message_passing(net, t_max=500).info["cycle"]
+    assert len(calls) == first - 1 < 300 and 2 <= period <= 10
+    # first - 1 confirms the repeat in its last iteration and replays
+    # nothing; the others end at several phases of the cycle.
+    for t_max in sorted({first - 1, first, first + 1, first + period - 1, 500, 501}):
+        got = run_message_passing(net, t_max=t_max)
+        want = reference.run_message_passing(net, t_max=t_max)
+        assert got.allocation == want.allocation
+        assert (got.iterations, got.converged, got.messages) == \
+            (want.iterations, want.converged, want.messages)
+        assert got.info.pop("cycle") == (None if t_max < first else (first, period))
+        assert got.info == want.info

@@ -49,6 +49,17 @@ def test_config_defaults_rb_bandwidth():
     dict(seed=True),
     dict(num_rb=2.0),
     dict(num_sbs=1.5),
+    dict(w1="x"),
+    dict(w2=None),
+    dict(cell_radius=True),
+    dict(mbs_power=float("nan")),
+    dict(noise_psd=float("inf")),
+    dict(rb_bandwidth=10 ** 400),
+    dict(i_max=float("nan")),
+    dict(i_max=(1e-7, float("nan"), 1e-7)),
+    dict(i_max=True),
+    dict(power_levels=(0.1, float("nan"))),
+    dict(power_levels=(True,)),
 ])
 def test_config_rejects_invalid(bad):
     with pytest.raises(ConfigError, match=next(iter(bad))):  # the error names the field
