@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
+from pathlib import Path
 
 from . import harness
 from .allocation import oracle_cost, search_space_size
@@ -46,10 +48,18 @@ def _cmd_run(args):
         if not algorithms or not set(algorithms) <= set(harness.SOLVERS):
             raise ValueError(f"--algorithms {args.algorithms!r} must name one or more of "
                              + ", ".join(harness.SOLVERS))
+        repeated = [a for a, count in Counter(algorithms).items() if count > 1]
+        if repeated:
+            raise ValueError(f"--algorithms {args.algorithms!r} repeats " + ", ".join(repeated))
         seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
         budget = harness.oracle_budget()
         if args.t_max < 1:
             raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
+        out = Path(args.out)
+        if out.is_dir():
+            raise ValueError(f"--out {args.out!r} is a directory")
+        if not out.parent.is_dir():
+            raise ValueError(f"--out {args.out!r}: directory {str(out.parent)!r} does not exist")
     except (OSError, ValueError) as exc:  # ScenarioFormatError, ConfigError too
         print(f"invalid: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -214,7 +215,7 @@ def write_metrics_csv(metrics, path):
 
 def parse_seed_spec(spec):
     """Seed list from "A:B" (half-open range) or a comma list like "1,4,9";
-    every seed must be >= 0."""
+    every seed must be >= 0 and appear once."""
     spec = spec.strip()
     if ":" in spec:
         lo, hi = spec.split(":", 1)
@@ -225,4 +226,8 @@ def parse_seed_spec(spec):
         raise ValueError(f"seed spec {spec!r} selects no seeds")
     if min(seeds) < 0:
         raise ValueError(f"seed spec {spec!r} selects negative seed {min(seeds)}")
+    repeated = [seed for seed, count in Counter(seeds).items() if count > 1]
+    if repeated:
+        raise ValueError(f"seed spec {spec!r} repeats seed "
+                         + ", ".join(map(str, repeated)))
     return seeds

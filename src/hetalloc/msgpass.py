@@ -20,7 +20,7 @@ so once that state repeats bit for bit, the iterations left are replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +86,15 @@ def res_sweep(state):
     return -w * _max_excluding_self(state.psi_tx, axis=0) - (1.0 - w) * state.psi_tx
 
 
+def proposal(tau):
+    """Each transmitter's largest marginal as a flat index n*L + l (ties
+    toward the lowest), or -1 where that marginal is not positive."""
+    flat = tau.reshape(tau.shape[0], -1)
+    best = flat.argmax(axis=1)
+    best[~(flat.max(axis=1) > 0.0)] = -1
+    return best
+
+
 def extract_allocation(state, net):
     """Marginal-driven assignment with per-RB interference repair.
 
@@ -93,13 +102,10 @@ def extract_allocation(state, net):
     positive marginal (the one-alignment constraint, ties toward the
     lowest (n, l)), then ``netmodel.repair`` enforces every RB's cap.
     """
-    tau = state.tau
-    K, _N, L = tau.shape
-    flat = tau.reshape(K, -1)
-    best = flat.argmax(axis=1)
-    positive = flat[np.arange(K), best] > 0.0
-    alloc = Allocation(K)
-    alloc.rb[positive], alloc.level[positive] = np.divmod(best[positive], L)
+    best = proposal(state.tau)
+    alloc = Allocation.__new__(Allocation)
+    alloc.rb, alloc.level = np.divmod(best, net.num_levels)
+    alloc.level[best < 0] = -1  # divmod(-1, L) leaves rb at -1 but level at L - 1
     return netmodel.repair(net, alloc)
 
 
@@ -157,6 +163,15 @@ def run_message_passing(net, omega=0.5, t_max=500):
     Non-convergence is reported through the flag and the delta trace, and
     the last extracted (always feasible) allocation is still returned.
 
+    Work whose input is bit-equal to the previous iteration's is reused,
+    not redone.  The utility table is a pure function of the previous
+    allocation, so it is recomputed only when that allocation changed.
+    The extracted allocation is a pure function of the proposal (the
+    per-transmitter argmax, or silence), since repair reads nothing else;
+    it is re-extracted only when the proposal's bytes changed.  Once the
+    allocation settles while the messages still move toward
+    ``MESSAGE_TOL``, an iteration is just the two sweeps.
+
     Once both message tables and the allocation repeat an earlier
     iteration's bit for bit (found by ``CycleWatch``), the iterations left
     up to ``t_max`` are replayed, not recomputed: the result equals, field
@@ -179,28 +194,33 @@ def run_message_passing(net, omega=0.5, t_max=500):
     converged = False
     watch = CycleWatch()
     cycle = None
+    util_for = None  # the allocation ``util`` was computed for
+    proposed = None  # the bytes of the proposal ``x_t`` was extracted from
 
     for iterations in range(1, t_max + 1):
-        util = netmodel.utility_table(net, x_prev)
+        if x_prev is not util_for and x_prev != util_for:
+            util, util_for = netmodel.utility_table(net, x_prev), x_prev
         new_tx = tx_sweep(state, util)
         # Resource replies fold in the transmitter messages just received;
         # replying to the stale sweep instead locks the exchange into a
         # period-2 cycle on this bipartite graph.
-        new_res = res_sweep(replace(state, psi_tx=new_tx))
+        new_res = res_sweep(MessageState(new_tx, state.psi_res, state.omega))
         # Both update rules are exactly equivariant under shifting every
         # transmitter message by -c and every resource message by +c, a
         # direction that cancels in all marginals but otherwise
         # accumulates without bound; pin it so the messages themselves
         # can reach the fixed point.
-        shift = (float(np.sum(new_res - state.psi_res))
-                 - float(np.sum(new_tx - state.psi_tx))) / (2 * K * N * L)
+        shift = (float((new_res - state.psi_res).sum())
+                 - float((new_tx - state.psi_tx).sum())) / (2 * K * N * L)
         new_tx = new_tx + shift
         new_res = new_res - shift
-        delta = max(float(np.max(np.abs(new_tx - state.psi_tx))),
-                    float(np.max(np.abs(new_res - state.psi_res))))
+        delta = max(float(np.abs(new_tx - state.psi_tx).max()),
+                    float(np.abs(new_res - state.psi_res).max()))
         deltas.append(delta)
-        state = replace(state, psi_tx=new_tx, psi_res=new_res)
-        x_t = extract_allocation(state, net)
+        state = MessageState(new_tx, new_res, state.omega)
+        key = proposal(state.tau).tobytes()
+        if key != proposed:
+            x_t, proposed = extract_allocation(state, net), key
         if msg_converged_at is None and delta < MESSAGE_TOL:
             msg_converged_at = iterations
         if x_t == x_prev and delta < MESSAGE_TOL:

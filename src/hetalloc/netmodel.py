@@ -420,18 +420,31 @@ def underlay_sinrs(net, alloc):
 def repair(net, alloc):
     """Evict holders until every RB is strictly under its cap; returns alloc.
 
-    An RB at or over its cap drops its largest reference-user contributor
-    (ties toward the lowest transmitter), then re-sums its remaining
-    holders in ascending k with ``load_sum``.
+    One pass over the transmitters gathers each RB's holders and sums its
+    load; only the RBs at or over their cap are visited.  Such an RB drops
+    its largest reference-user contributor (ties toward the lowest
+    transmitter), then re-sums its remaining holders with ``load_sum``.
+    Every load is a fold from 0.0 in ascending k, as in
+    ``interference_vector``, so the cap tests agree with it bit for bit.
     """
     N, L = net.num_rb, net.num_levels
     ref_p = net.ref_p_list
-    for n, holders in enumerate(alloc.by_rb(N)):
-        contribs = [ref_p[(k * N + n) * L + l] for k, l in holders]
-        while load_sum(contribs) >= net.i_max[n]:
-            worst = contribs.index(max(contribs))
-            alloc.unassign(holders.pop(worst)[0])
-            del contribs[worst]
+    holders = [[] for _ in range(N)]
+    contribs = [[] for _ in range(N)]
+    loads = [0.0] * N
+    for k, (n, l) in enumerate(zip(alloc.rb.tolist(), alloc.level.tolist())):
+        if n >= 0:
+            c = ref_p[(k * N + n) * L + l]
+            holders[n].append(k)
+            contribs[n].append(c)
+            loads[n] += c
+    for n, cap in enumerate(net.i_max.tolist()):
+        load, ks, cs = loads[n], holders[n], contribs[n]
+        while load >= cap:
+            worst = cs.index(max(cs))
+            alloc.unassign(ks.pop(worst))
+            del cs[worst]
+            load = load_sum(cs)
     return alloc
 
 

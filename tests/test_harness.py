@@ -204,6 +204,12 @@ def test_parse_seed_spec_rejects_empty(spec):
         parse_seed_spec(spec)
 
 
+@pytest.mark.parametrize("spec, repeated", [("3,3", "3"), ("1,4,1,4,2", "1, 4")])
+def test_parse_seed_spec_rejects_repeats(spec, repeated):
+    with pytest.raises(ValueError, match=re.escape(f"{spec!r} repeats seed {repeated}")):
+        parse_seed_spec(spec)
+
+
 @pytest.mark.parametrize("raw, expected", [("1e8", 10 ** 8), ("100000000", 10 ** 8),
                                            ("2.5e3", 2500), (" 42 ", 42)])
 def test_oracle_budget_accepts_integer_valued(monkeypatch, raw, expected):
@@ -235,6 +241,10 @@ K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1
 GOLDEN_K50_ROWS_SHA256 = "e092b5c0070de361f9570010a804fc9ce036a88be4816997b6d3d3aec0741076"
 K50_LOOSE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.2, 1.0),
                  i_max=1e-6)
+# The same under the tight cap of wide-k50-tight, where most RBs are over
+# their cap at every repair; pinned from the repair that scanned every RB.
+GOLDEN_K50_TIGHT_ROWS_SHA256 = "474dd8469feeaba59f7b56104010a7cf59d38b312689ea2cee9ceb413ff8ccc9"
+K50_TIGHT = dict(K50_LOOSE, i_max=1e-8)
 # All three solvers on the K=10, N=8, L=3 drops of bench/run.py's mid-k10
 # workload, seeds 0..39, t_max=500; pinned from the matching that ranked
 # with per-entry profile lists.
@@ -267,11 +277,19 @@ def test_golden_answers_with_oracle(overrides, seeds, expected):
     assert rows_sha256(rows) == expected
 
 
-def test_golden_answers_k50_loose():
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **K50_LOOSE)
+def k50_rows(overrides):
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
     rows = run_experiment(cfg, algorithms=("msgpass", "auction"), seeds=range(5), t_max=100)
     assert len(rows) == 10
-    assert rows_sha256(rows) == GOLDEN_K50_ROWS_SHA256
+    return rows
+
+
+def test_golden_answers_k50_loose():
+    assert rows_sha256(k50_rows(K50_LOOSE)) == GOLDEN_K50_ROWS_SHA256
+
+
+def test_golden_answers_k50_tight():
+    assert rows_sha256(k50_rows(K50_TIGHT)) == GOLDEN_K50_TIGHT_ROWS_SHA256
 
 
 def test_golden_answers_mid_k10():
@@ -382,14 +400,16 @@ def test_cli_run_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
     ({"num_rb": 2.0}, None, "num_rb"),
     ({"seed": True}, None, "seed"),
     ({}, "-2:1", "'-2:1'"),
+    ({}, "3,3", "'3,3' repeats seed 3"),
     ({"w1": "x"}, None, "w1"),
     ({"w2": None}, None, "w2"),
     ({"cell_radius": True}, None, "cell_radius"),
     ({"mbs_power": float("nan")}, None, "mbs_power"),
     ({"i_max": float("nan")}, None, "i_max"),
     ({"power_levels": [0.1, float("nan")]}, None, "power_levels"),
-], ids=["seed-negative", "num_rb-float", "seed-bool", "seeds-negative", "w1-string",
-        "w2-null", "cell_radius-bool", "mbs_power-nan", "i_max-nan", "power_level-nan"])
+], ids=["seed-negative", "num_rb-float", "seed-bool", "seeds-negative", "seeds-repeated",
+        "w1-string", "w2-null", "cell_radius-bool", "mbs_power-nan", "i_max-nan",
+        "power_level-nan"])
 def test_cli_rejects_bad_integers_exit_2(tmp_path, capsys, overrides, seeds, name):
     path, _ = write_scenario(tmp_path, overrides=overrides)
     out = tmp_path / "m.csv"
@@ -403,7 +423,9 @@ def test_cli_rejects_bad_integers_exit_2(tmp_path, capsys, overrides, seeds, nam
 
 
 @pytest.mark.parametrize("algorithms, reason", [("msgpass,annealing", "annealing"),
-                                                (",", "must name")], ids=["unknown", "empty"])
+                                                (",", "must name"),
+                                                ("auction,msgpass,auction", "repeats auction")],
+                         ids=["unknown", "empty", "repeated"])
 def test_cli_run_bad_algorithms_exit_2(tmp_path, capsys, algorithms, reason):
     path, _ = write_scenario(tmp_path)
     out = tmp_path / "m.csv"
@@ -424,6 +446,20 @@ def test_cli_run_bad_t_max_exits_2(tmp_path, capsys, t_max):
     err = capsys.readouterr().err
     assert err.startswith("invalid: ") and "--t-max" in err and t_max in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out, reason", [("missing/m.csv", "does not exist"),
+                                         (".", "is a directory")], ids=["no-parent", "directory"])
+def test_cli_run_bad_out_exits_2(tmp_path, capsys, monkeypatch, out, reason):
+    # The path is checked before any drop runs.
+    path, _ = write_scenario(tmp_path)
+    monkeypatch.setattr(harness, "run_experiment", None)
+    out = str(tmp_path / out)
+    rc = cli.main(["run", "--scenario", str(path), "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: --out {out!r}") and reason in err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("counts", [("0", "3", "2"), ("5", "0", "2"), ("5", "3", "-1")],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from hetalloc import netmodel
+from hetalloc import msgpass, netmodel
 from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
 from hetalloc.harness import load_scenario
 from hetalloc.msgpass import (CycleWatch, MessageState, extract_allocation, res_sweep,
@@ -12,7 +12,7 @@ from hetalloc.msgpass import (CycleWatch, MessageState, extract_allocation, res_
 from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import toy_network
-from test_harness import K4, MID_K10, SCENARIOS
+from test_harness import K4, K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
 from test_netmodel import make_config
 
 
@@ -188,6 +188,28 @@ def test_extract_interference_repair_evicts_largest_contributor():
     assert alloc.get(0) is None and alloc.get(1) == (0, 0)
 
 
+def test_repair_evicts_on_load_equal_to_cap():
+    # RB 0's loads 0.25 + 0.25 + 0.5 sum to the cap 1.0 exactly; the cap
+    # is strict, so RB 0 drops its largest contributor, k2.  RB 1 (load
+    # 0.9) is under its cap and keeps k3.
+    gain_mue = np.array([[0.25, 0.1], [0.25, 0.1], [0.5, 0.1], [0.1, 0.9]]).reshape(4, 1, 2)
+    net = toy_network(np.ones((4, 4, 2)), gain_mue, i_max=1.0)
+    alloc = Allocation(4, [(0, 0), (0, 0), (0, 0), (1, 0)])
+    assert netmodel.interference_vector(net, alloc).tolist() == [1.0, 0.9]
+    assert netmodel.repair(net, alloc) == Allocation(4, [(0, 0), (0, 0), None, (1, 0)])
+
+
+def test_repair_under_cap_returns_allocation_untouched():
+    gain_mue = np.array([[0.25, 0.1], [0.25, 0.1], [0.4, 0.1]]).reshape(3, 1, 2)
+    net = toy_network(np.ones((3, 3, 2)), gain_mue, i_max=1.0)
+    for pairs in ([(0, 0), (0, 0), (0, 0)], [(1, 0), None, (0, 0)], [None] * 3):
+        alloc = Allocation(3, pairs)
+        rb, level = alloc.rb, alloc.level
+        assert netmodel.repair(net, alloc) is alloc
+        assert alloc.rb is rb and alloc.level is level
+        assert alloc == Allocation(3, pairs)
+
+
 # --- full loop ----------------------------------------------------------------
 
 def test_single_transmitter_matches_oracle():
@@ -233,6 +255,27 @@ def test_run_tiny_drops_dominated_by_oracle():
         if rep.sum_rate >= best * (1 - 1e-9):
             equal += 1
     assert equal >= 10  # typically optimal when the cap is loose
+
+
+# The four bench/run.py workloads, with their t_max.
+WORKLOADS = [(K4, 500), (MID_K10, 500), (K50_LOOSE, 100), (K50_TIGHT, 100)]
+
+
+@pytest.mark.parametrize("overrides, t_max", WORKLOADS,
+                         ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
+def test_run_equals_full_loop_on_workload_drops(overrides, t_max):
+    # Reused tables and extractions, and replayed cycles, leave every field
+    # of the result equal to the loop that computes all of them.
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    for seed in range(10):
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        got = run_message_passing(net, t_max=t_max)
+        want = reference.run_message_passing(net, t_max=t_max)
+        assert got.allocation == want.allocation
+        assert (got.iterations, got.converged, got.messages) == \
+            (want.iterations, want.converged, want.messages)
+        got.info.pop("cycle")
+        assert got.info == want.info
 
 
 # --- cycle replay ------------------------------------------------------------
@@ -282,16 +325,28 @@ CYCLING = [(MID_K10, s) for s in (4, 20, 22, 38)] + [(K4, s) for s in (14, 17, 3
 def test_replay_equals_full_loop(monkeypatch, overrides, seed):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
     net = build_topology(dataclasses.replace(cfg, seed=seed))
-    calls = []
-    original = netmodel.utility_table
+    tables, sweeps = [], []
+    utility_table, tx_sweep = netmodel.utility_table, msgpass.tx_sweep
 
-    def counting(net, alloc):
-        calls.append(1)
-        return original(net, alloc)
+    def recording_table(net, alloc):
+        tables.append(alloc.copy())
+        return utility_table(net, alloc)
 
-    monkeypatch.setattr(netmodel, "utility_table", counting)
+    def counting_sweep(state, util):
+        sweeps.append(1)
+        return tx_sweep(state, util)
+
+    monkeypatch.setattr(netmodel, "utility_table", recording_table)
+    monkeypatch.setattr(msgpass, "tx_sweep", counting_sweep)
     first, period = run_message_passing(net, t_max=500).info["cycle"]
-    assert len(calls) == first - 1 < 300 and 2 <= period <= 10
+    assert len(sweeps) == first - 1 < 300 and 2 <= period <= 10
+    # The table is recomputed exactly when the previous allocation moved:
+    # count the moves among the allocations the full loop evaluates.
+    computed = len(tables)
+    tables.clear()
+    reference.run_message_passing(net, t_max=first - 1)
+    assert len(tables) == first - 1
+    assert computed == 1 + sum(a != b for a, b in zip(tables, tables[1:])) < first - 1
     # first - 1 confirms the repeat in its last iteration and replays
     # nothing; the others end at several phases of the cycle.
     for t_max in sorted({first - 1, first, first + 1, first + period - 1, 500, 501}):
