@@ -9,10 +9,9 @@ from .allocation import (Allocation, EvalReport, OracleBudgetError,
 from .auction import (AuctionState, bid_increment, local_auction_round,
                       run_auction)
 from .harness import (SOLVERS, RunMetrics, ScenarioFormatError, load_scenario,
-                      run_experiment, serialize_scenario, write_metrics_csv)
-from .matching import (Matching, PreferenceProfile, build_rb_profile,
-                       build_transmitter_profile, find_blocking_pair,
-                       match_alignments, preference_orders, run_stable_matching)
+                      run_experiment, write_metrics_csv)
+from .matching import (Matching, find_blocking_pair, match_alignments,
+                       preference_orders, run_stable_matching)
 from .msgpass import MessageState, extract_allocation, run_message_passing
 from .netmodel import (ConfigError, ContractError, Network, ScenarioConfig,
                        aggregated_interference, benefit_table, build_topology,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import harness
@@ -45,12 +44,7 @@ def _cmd_run(args):
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     try:
         config = harness.load_scenario(args.scenario)
-        if not algorithms or not set(algorithms) <= set(harness.SOLVERS):
-            raise ValueError(f"--algorithms {args.algorithms!r} must name one or more of "
-                             + ", ".join(harness.SOLVERS))
-        repeated = [a for a, count in Counter(algorithms).items() if count > 1]
-        if repeated:
-            raise ValueError(f"--algorithms {args.algorithms!r} repeats " + ", ".join(repeated))
+        harness.check_algorithms(algorithms, f"--algorithms {args.algorithms!r}")
         seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
         budget = harness.oracle_budget()
         if args.t_max < 1:
@@ -92,9 +86,19 @@ def _cmd_size(args):
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     with_idle = search_space_size(args.K, args.N, args.L, include_unassigned=True)
-    print(f"alignment_combinations {plain}")
-    print(f"with_unassigned_option {with_idle}")
-    print(f"oracle_cost {oracle_cost(args.K, args.N, args.L)}")
+    # The counts are exact at any size: lift the limit on converting a
+    # long int to decimal (Python 3.11+, not in early 3.10) for these
+    # prints only.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(f"alignment_combinations {plain}")
+        print(f"with_unassigned_option {with_idle}")
+        print(f"oracle_cost {oracle_cost(args.K, args.N, args.L)}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

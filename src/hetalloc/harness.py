@@ -99,15 +99,6 @@ def load_scenario(path):
         raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
-def serialize_scenario(config):
-    """The JSON-ready dict form; inverse of load_scenario up to list/tuple."""
-    out = dataclasses.asdict(config)
-    out["power_levels"] = list(config.power_levels)
-    if isinstance(config.i_max, tuple):
-        out["i_max"] = list(config.i_max)
-    return out
-
-
 def oracle_budget():
     """Bound on the oracle's ``oracle_cost``; the environment can override it.
 
@@ -136,12 +127,12 @@ def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=Fa
     Returns RunMetrics rows sorted by (seed, algorithm).  When the oracle
     is requested but refuses the budget (``OracleBudgetError``) it is
     skipped for that seed with a logged warning and empty oracle gaps; it
-    is never truncated silently.
+    is never truncated silently.  A selection that ``check_algorithms`` or
+    ``check_seeds`` rejects raises ValueError before any drop is built.
     """
+    algorithms = check_algorithms(algorithms, f"algorithms {algorithms!r}")
     seeds = [config.seed] if seeds is None else list(seeds)
-    unknown = [a for a in algorithms if a not in SOLVERS]
-    if unknown:
-        raise ValueError(f"unknown algorithm(s): {', '.join(unknown)}")
+    check_seeds(seeds, f"seeds {seeds!r}")
     if budget is None:
         budget = oracle_budget()
 
@@ -213,21 +204,50 @@ def write_metrics_csv(metrics, path):
             ])
 
 
+def _repeated(values):
+    """The values that appear more than once, comma-separated."""
+    return ", ".join(str(v) for v, count in Counter(values).items() if count > 1)
+
+
+def check_algorithms(algorithms, label):
+    """``algorithms`` as a list; raises ValueError, starting with ``label``
+    (the field and its value), unless it holds one or more distinct
+    SOLVERS names."""
+    if isinstance(algorithms, str):
+        raise ValueError(f"{label} must be a sequence of names, not a string")
+    algorithms = list(algorithms)
+    if not algorithms or not set(algorithms) <= set(SOLVERS):
+        raise ValueError(f"{label} must name one or more of " + ", ".join(SOLVERS))
+    repeated = _repeated(algorithms)
+    if repeated:
+        raise ValueError(f"{label} repeats {repeated}")
+    return algorithms
+
+
+def check_seeds(seeds, label):
+    """Raise ValueError, starting with ``label`` (the field and its value),
+    unless ``seeds`` holds one or more distinct seeds, each >= 0."""
+    if not seeds:
+        raise ValueError(f"{label} selects no seeds")
+    if min(seeds) < 0:
+        raise ValueError(f"{label} selects negative seed {min(seeds)}")
+    repeated = _repeated(seeds)
+    if repeated:
+        raise ValueError(f"{label} repeats seed {repeated}")
+
+
 def parse_seed_spec(spec):
     """Seed list from "A:B" (half-open range) or a comma list like "1,4,9";
     every seed must be >= 0 and appear once."""
     spec = spec.strip()
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        seeds = list(range(int(lo), int(hi)))
-    else:
-        seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
-    if not seeds:
-        raise ValueError(f"seed spec {spec!r} selects no seeds")
-    if min(seeds) < 0:
-        raise ValueError(f"seed spec {spec!r} selects negative seed {min(seeds)}")
-    repeated = [seed for seed, count in Counter(seeds).items() if count > 1]
-    if repeated:
-        raise ValueError(f"seed spec {spec!r} repeats seed "
-                         + ", ".join(map(str, repeated)))
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"seed spec {spec!r} is neither \"A:B\" nor a comma list "
+                         "of integers") from None
+    check_seeds(seeds, f"seed spec {spec!r}")
     return seeds

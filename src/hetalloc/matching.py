@@ -8,7 +8,6 @@ budget is exceeded the RB revokes its least preferred holders, striking
 the revoked pair and every pair ranked below it from both sides' lists.
 The outer loop re-ranks until the allocation stops changing; once an
 allocation repeats an earlier one, the rounds left are replayed.
-``PreferenceProfile`` objects are built only for kept rounds.
 """
 
 from __future__ import annotations
@@ -22,41 +21,16 @@ from . import netmodel
 from .allocation import Allocation, SolverResult, start_alignment, sum_rate
 
 
-class PreferenceProfile:
-    """A strictly ordered preference list.
-
-    ``entries`` holds (key, utility) best-first, where key is (n, l) for a
-    transmitter's profile and (k, l) for an RB's profile.  Equal utilities
-    are ordered by ascending key index, so the order is a strict total
-    order and every run is reproducible.
-    """
-
-    __slots__ = ("owner", "entries")
-
-    def __init__(self, owner, entries):
-        self.owner = owner
-        self.entries = list(entries)
-
-    def rank(self):
-        """key -> position (0 = most preferred)."""
-        return {key: i for i, (key, _u) in enumerate(self.entries)}
-
-
-def _profile(owner, utilities):
-    # A one-row table's transmitter order runs over the row-major keys.
-    u = utilities.ravel().tolist()
-    order = preference_orders(utilities[None])[0]
-    return PreferenceProfile(owner, [(divmod(s, utilities.shape[1]), u[s]) for s in order])
-
-
+# Nothing here calls the two builders below; bench/tracing.py times them by
+# name, so they stay until the benchmark drops those sites.
 def build_transmitter_profile(k, utilities):
-    """Rank transmitter k's N*L alignments by its (N, L) utility row."""
-    return _profile(("tx", k), utilities)
+    """Transmitter k's (n, l) keys, best first, by its (N, L) utility row."""
+    return [divmod(s, utilities.shape[1]) for s in preference_orders(utilities[None])[0]]
 
 
 def build_rb_profile(n, utilities):
-    """Rank RB n's (transmitter, level) pairs by its (K, L) utility column."""
-    return _profile(("rb", n), utilities)
+    """RB n's (k, l) keys, best first, by its (K, L) utility column."""
+    return [divmod(s, utilities.shape[1]) for s in preference_orders(utilities[None])[0]]
 
 
 def preference_orders(util):
@@ -139,43 +113,40 @@ def match_alignments(orders, net):
     return Matching(allocation=alloc, proposals=proposals)
 
 
-def find_blocking_pair(matching, profiles_tx, profiles_rb):
-    """Return a blocking (k, n, l) tuple, or None if the matching is stable.
+def find_blocking_pair(allocation, orders):
+    """Return a blocking (k, n, l) tuple, or None if the allocation is stable.
 
-    A tuple blocks when transmitter k strictly prefers (n, l) to its own
-    match and RB n strictly prefers (k, l) to at least one pair currently
-    assigned to it, both judged by the given profiles' strict order.
+    A tuple blocks when transmitter k ranks (n, l) above its own alignment
+    (any alignment, while k is silent) and RB n ranks (k, l) above at
+    least one of its holders, k itself included, both judged by the
+    ``preference_orders`` ``orders``.
     """
-    rank_tx = [p.rank() for p in profiles_tx]
-    rank_rb = [p.rank() for p in profiles_rb]
-    for k, prof in enumerate(profiles_tx):
-        mine = matching.allocation.get(k)
-        my_rank = rank_tx[k][mine] if mine is not None else len(prof.entries)
-        for (n, l), _u in prof.entries:
-            if rank_tx[k][(n, l)] >= my_rank:
-                break  # entries are best-first; nothing below can block
-            holders = matching.allocation.on_rb(n)
-            pos = rank_rb[n][(k, l)]
-            if any(pos < rank_rb[n][pair] for pair in holders):
-                return (k, n, l)
+    tx, rank, rb = orders
+    K, N = allocation.num_tx, len(rb)
+    NL = len(tx) // K
+    L = NL // N
+    mine = [-1] * K
+    worst = [-1] * N  # the largest rank among RB n's holders
+    for k, (n, l) in allocation.assigned_items():
+        mine[k] = s = k * NL + n * L + l
+        worst[n] = max(worst[n], rank[s])
+    for k in range(K):
+        for s in tx[k * NL:(k + 1) * NL]:
+            if s == mine[k]:
+                break  # best-first: nothing below k's own alignment blocks
+            if rank[s] < worst[s // L % N]:
+                return (k, s // L % N, s % L)
     return None
 
 
-@dataclass
-class MatchingRound:
-    profiles_tx: list
-    profiles_rb: list
-    matching: Matching
-
-
-def run_stable_matching(net, t_max=100, keep_rounds=False):
+def run_stable_matching(net, t_max=100):
     """Iterated stable matching (``preference_orders`` + inner matching per round).
 
     Starts from ``start_alignment``, stops when two consecutive
     allocations coincide or ``t_max`` rounds elapse.  On non-convergence
     the best-sum-rate round result is returned (every round's output is
     feasible by construction).  Signaling accounting: per round each of
-    the K transmitters uploads its N*L profile entries and the MBS
+    the K transmitters uploads its N*L preference entries and the MBS
     broadcasts the K allocation entries, so
     ``messages = iterations * (K*N*L + K)``.
 
@@ -186,11 +157,13 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
     computing all ``t_max`` rounds returns.
 
     ``info`` keys: ``proposals_per_round`` (proposal events of each inner
-    matching), ``rounds`` (a MatchingRound per round when ``keep_rounds``,
-    else None; only computed rounds build PreferenceProfiles, and a
+    matching), ``allocations`` (each round's inner-matching allocation; a
     replayed round is the same object as the one a period earlier) and
     ``cycle`` (``(first, period)`` when rounds ``first``..``t_max`` were
-    replayed from ``period`` rounds earlier, else None).
+    replayed from ``period`` rounds earlier, else None).  Round r's orders
+    are ``preference_orders(netmodel.utility_table(net, prev))``, where
+    ``prev`` is round r-1's allocation and ``start_alignment(net)`` for
+    round 1.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -199,20 +172,16 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
     seen = {(x_prev.rb.tobytes(), x_prev.level.tobytes()): 0}  # allocation -> round
 
     proposals_per_round = []
-    rounds = [] if keep_rounds else None
+    allocations = []
     best_alloc, best_rate = None, -1.0
     converged = False
     cycle = None
 
     for iterations in range(1, t_max + 1):
-        util = netmodel.utility_table(net, x_prev)
-        m = match_alignments(preference_orders(util), net)
-        proposals_per_round.append(m.proposals)
-        if rounds is not None:
-            rounds.append(MatchingRound([build_transmitter_profile(k, util[k]) for k in range(K)],
-                                        [build_rb_profile(n, util[:, n, :]) for n in range(N)],
-                                        m))
+        m = match_alignments(preference_orders(netmodel.utility_table(net, x_prev)), net)
         x_t = m.allocation
+        proposals_per_round.append(m.proposals)
+        allocations.append(x_t)
         rate = sum_rate(net, x_t)
         if rate > best_rate:
             best_alloc, best_rate = x_t, rate
@@ -229,10 +198,9 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
 
     if cycle is not None:
         period = cycle[1]
-        for log in (proposals_per_round, rounds):
-            if log is not None:
-                tail = log[-period:]
-                log += [tail[i % period] for i in range(t_max - iterations)]
+        for log in (proposals_per_round, allocations):
+            tail = log[-period:]
+            log += [tail[i % period] for i in range(t_max - iterations)]
         iterations = t_max
 
     return SolverResult(
@@ -240,5 +208,6 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
         iterations=iterations,
         converged=converged,
         messages=iterations * (K * N * L + K),
-        info={"proposals_per_round": proposals_per_round, "rounds": rounds, "cycle": cycle},
+        info={"proposals_per_round": proposals_per_round, "allocations": allocations,
+              "cycle": cycle},
     )

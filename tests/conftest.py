@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hetalloc import netmodel
+from hetalloc.allocation import start_alignment
+from hetalloc.matching import preference_orders
 
 
 def toy_network(gain_ul, gain_mue, gain_mbs_ul=None, gain_mbs_mue=None,
@@ -22,6 +24,15 @@ def toy_network(gain_ul, gain_mue, gain_mbs_ul=None, gain_mbs_mue=None,
         None, np.zeros((C, 2)), zeros, zeros, np.zeros((K, 2)), np.zeros((K, 2)),
         gain_ul, gain_mbs_ul, gain_mue, gain_mbs_mue,
         power_levels, i_max_arr, mbs_power, sigma2, w1, w2, rb_bandwidth)
+
+
+def round_orders(net, res):
+    """Yield (orders, allocation) for each round of a ``run_stable_matching``
+    result, rebuilding the round's orders from the allocation before it."""
+    prev = start_alignment(net)
+    for alloc in res.info["allocations"]:
+        yield preference_orders(netmodel.utility_table(net, prev)), alloc
+        prev = alloc
 
 
 @pytest.fixture

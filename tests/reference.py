@@ -7,7 +7,10 @@ straightforward versions of routines that the library now computes on
 the allocation's int arrays, once per table or once per round.  Each one
 re-scans the whole allocation wherever it needs a co-channel sum, so its
 floating-point additions happen in the plain ascending-k order that the
-optimized code must reproduce bit for bit.
+optimized code must reproduce bit for bit.  Among them, preference
+profiles of (key, utility) entries, and the blocking-pair scan over their
+rank dicts, are what the matching's int orders and its stability scan
+are compared with.
 
 The scalar formulas after them (one gain, utility, cost or message entry
 at a time) are the definitions the library's tables and sweeps are
@@ -32,7 +35,7 @@ from hetalloc import matching, msgpass, netmodel
 from hetalloc.allocation import (DEFAULT_ORACLE_BUDGET, Allocation, OracleBudgetError,
                                  SolverResult, search_space_size, start_alignment)
 from hetalloc.allocation import sum_rate as alloc_sum_rate
-from hetalloc.matching import Matching, PreferenceProfile
+from hetalloc.matching import Matching
 
 
 def random_alignment(net, rng):
@@ -137,6 +140,26 @@ def weighted_benefit(net, alloc):
     return total
 
 
+class PreferenceProfile:
+    """A strictly ordered preference list.
+
+    ``entries`` holds (key, utility) best-first, where key is (n, l) for a
+    transmitter's profile and (k, l) for an RB's profile.  Equal utilities
+    are ordered by ascending key index, so the order is a strict total
+    order and every run is reproducible.
+    """
+
+    __slots__ = ("owner", "entries")
+
+    def __init__(self, owner, entries):
+        self.owner = owner
+        self.entries = list(entries)
+
+    def rank(self):
+        """key -> position (0 = most preferred)."""
+        return {key: i for i, (key, _u) in enumerate(self.entries)}
+
+
 def keys(profile):
     """A profile's keys, best first."""
     return [key for key, _u in profile.entries]
@@ -192,6 +215,28 @@ def match_alignments(profiles_tx, profiles_rb, net):
     for k, (n, l) in assigned.items():
         alloc.assign(k, n, l)
     return Matching(allocation=alloc, proposals=proposals)
+
+
+def find_blocking_pair(allocation, profiles_tx, profiles_rb):
+    """Return a blocking (k, n, l) tuple, or None if the allocation is stable.
+
+    A tuple blocks when transmitter k strictly prefers (n, l) to its own
+    match and RB n strictly prefers (k, l) to at least one pair currently
+    assigned to it, both judged by the given profiles' strict order.
+    """
+    rank_tx = [p.rank() for p in profiles_tx]
+    rank_rb = [p.rank() for p in profiles_rb]
+    for k, prof in enumerate(profiles_tx):
+        mine = allocation.get(k)
+        my_rank = rank_tx[k][mine] if mine is not None else len(prof.entries)
+        for (n, l), _u in prof.entries:
+            if rank_tx[k][(n, l)] >= my_rank:
+                break  # entries are best-first; nothing below can block
+            holders = allocation.on_rb(n)
+            pos = rank_rb[n][(k, l)]
+            if any(pos < rank_rb[n][pair] for pair in holders):
+                return (k, n, l)
+    return None
 
 
 def channel_gain(beta, dist, alpha):
@@ -429,7 +474,7 @@ def exhaustive_search(net, budget=None, stats=None):
     return alloc, best_rate * net.rb_bandwidth
 
 
-def run_stable_matching(net, t_max=100, keep_rounds=False):
+def run_stable_matching(net, t_max=100):
     """The matching runner computing every round up to ``t_max``."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -437,7 +482,7 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
     x_prev = start_alignment(net)
 
     proposals_per_round = []
-    rounds = [] if keep_rounds else None
+    allocations = []
     best_alloc, best_rate = None, -1.0
     converged = False
 
@@ -445,11 +490,7 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
         util = netmodel.utility_table(net, x_prev)
         m = matching.match_alignments(matching.preference_orders(util), net)
         proposals_per_round.append(m.proposals)
-        if rounds is not None:
-            rounds.append(matching.MatchingRound(
-                [matching.build_transmitter_profile(k, util[k]) for k in range(K)],
-                [matching.build_rb_profile(n, util[:, n, :]) for n in range(N)],
-                m))
+        allocations.append(m.allocation)
         x_t = m.allocation
         rate = alloc_sum_rate(net, x_t)
         if rate > best_rate:
@@ -464,7 +505,7 @@ def run_stable_matching(net, t_max=100, keep_rounds=False):
         iterations=iterations,
         converged=converged,
         messages=iterations * (K * N * L + K),
-        info={"proposals_per_round": proposals_per_round, "rounds": rounds},
+        info={"proposals_per_round": proposals_per_round, "allocations": allocations},
     )
 
 

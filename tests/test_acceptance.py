@@ -26,6 +26,8 @@ from hetalloc.msgpass import run_message_passing
 from hetalloc.netmodel import (ScenarioConfig, benefit_table, build_topology,
                                interference_vector)
 
+from conftest import round_orders
+
 DESK = ScenarioConfig(
     seed=7, cell_radius=400.0, num_mue=3, num_sbs=3, num_d2d=2, num_rb=6,
     power_levels=(0.05, 0.2, 1.0), mbs_power=10.0, noise_psd=3.98e-21,
@@ -66,7 +68,7 @@ def matching_suite():
     runs = []
     for seed in range(100):
         net = build_topology(dataclasses.replace(DESK, seed=seed))
-        res = run_stable_matching(net, keep_rounds=True)
+        res = run_stable_matching(net)
         feasibility_log.append(("matching", seed, "matching",
                                 is_feasible(net, res.allocation).feasible))
         runs.append((seed, net, res))
@@ -144,10 +146,10 @@ def test_criterion_3_oracle_dominance():
 def test_criterion_4_stability(matching_suite):
     blocked = []
     checked = 0
-    for seed, _net, res in matching_suite:
-        for rnd in res.info["rounds"]:
+    for seed, net, res in matching_suite:
+        for orders, alloc in round_orders(net, res):
             checked += 1
-            if find_blocking_pair(rnd.matching, rnd.profiles_tx, rnd.profiles_rb):
+            if find_blocking_pair(alloc, orders):
                 blocked.append(seed)
     report(4, not blocked,
            f"{checked} inner matchings over 100 drops, blocking pairs on "

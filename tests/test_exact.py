@@ -21,11 +21,13 @@ from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, sta
                                  sum_rate, weighted_benefit)
 from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round, run_auction
 from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
-                               match_alignments, preference_orders)
+                               find_blocking_pair, match_alignments, preference_orders,
+                               run_stable_matching)
 from hetalloc.msgpass import MessageState, extract_allocation
 from hetalloc.netmodel import build_topology
 
 from conftest import toy_network
+from test_acceptance import DESK
 from test_netmodel import make_config
 
 WIDE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.2, 1.0))
@@ -144,8 +146,8 @@ def test_ties_break_toward_lowest_index():
     assert extract_allocation(state, net) == Allocation(3, [None, None, (0, 0)])
     # equal utilities, signed zeros included: the lowest key ranks first
     u = np.array([[0.0, -0.0, 1.0], [1.0, -0.0, 0.0], [2.0, 2.0, 2.0]])
-    assert build_rb_profile(0, u).entries == reference.profile(("rb", 0), u).entries
-    assert reference.keys(build_rb_profile(0, u))[:3] == [(2, 0), (2, 1), (2, 2)]
+    assert build_rb_profile(0, u) == reference.keys(reference.profile(("rb", 0), u))
+    assert build_rb_profile(0, u)[:3] == [(2, 0), (2, 1), (2, 2)]
     # the same table as K=3 transmitters on one RB: both orders agree
     util = u[:, None, :]
     tx, rb = order_keys(preference_orders(util), *util.shape)
@@ -167,18 +169,17 @@ def order_keys(orders, K, N, L):
 
 
 def profiles(net, alloc):
-    """The round's orders and both profile families, each checked entry for
-    entry against the reference sort."""
+    """The round's orders and both reference profile families; the orders
+    and the profile builders are checked key for key against the
+    reference sort."""
     util = netmodel.utility_table(net, alloc)
     orders = preference_orders(util)
-    tx = [build_transmitter_profile(k, util[k]) for k in range(net.num_tx)]
-    rb = [build_rb_profile(n, util[:, n, :]) for n in range(net.num_rb)]
-    ref_tx = [reference.profile(("tx", k), util[k]) for k in range(net.num_tx)]
-    ref_rb = [reference.profile(("rb", n), util[:, n, :]) for n in range(net.num_rb)]
-    assert [(p.owner, p.entries) for p in tx + rb] == [(p.owner, p.entries)
-                                                       for p in ref_tx + ref_rb]
-    assert order_keys(orders, *util.shape) == ([reference.keys(p) for p in ref_tx],
-                                               [reference.keys(p) for p in ref_rb])
+    tx = [reference.profile(("tx", k), util[k]) for k in range(net.num_tx)]
+    rb = [reference.profile(("rb", n), util[:, n, :]) for n in range(net.num_rb)]
+    want = ([reference.keys(p) for p in tx], [reference.keys(p) for p in rb])
+    assert order_keys(orders, *util.shape) == want
+    assert ([build_transmitter_profile(k, util[k]) for k in range(net.num_tx)],
+            [build_rb_profile(n, util[:, n, :]) for n in range(net.num_rb)]) == want
     return orders, tx, rb
 
 
@@ -217,6 +218,40 @@ def test_matching_equals_list_rebuild_at_k30(i_max):
     revoked_rounds = assert_matching_equals_list_rebuild(
         make_config(i_max=i_max, **K30), range(3), 4)
     assert revoked_rounds == 12  # every round revoked and struck
+
+
+def test_blocking_scan_equals_profile_scan():
+    # Criterion 4's 100 drops: every inner matching, and per round five
+    # candidates that each re-draw about half of the transmitters' choices
+    # from silence and every (n, l).  So candidates hold silent
+    # transmitters, and RBs that hold the scanning transmitter itself at
+    # another level.
+    outcomes = {True: 0, False: 0}
+    matchings = 0
+    for seed in range(100):
+        net = build_topology(dataclasses.replace(DESK, seed=seed))
+        K, N, L = net.num_tx, net.num_rb, net.num_levels
+        rng = np.random.default_rng(seed)
+        x = start_alignment(net)
+        for alloc in run_stable_matching(net).info["allocations"]:
+            orders, tx, rb = profiles(net, x)
+            assert find_blocking_pair(alloc, orders) == \
+                reference.find_blocking_pair(alloc, tx, rb)
+            matchings += 1
+            for _ in range(5):
+                cand = alloc.copy()
+                for k in np.flatnonzero(rng.random(K) < 0.5).tolist():
+                    j = int(rng.integers(N * L + 1)) - 1
+                    if j < 0:
+                        cand.unassign(k)
+                    else:
+                        cand.assign(k, *divmod(j, L))
+                got = find_blocking_pair(cand, orders)
+                assert got == reference.find_blocking_pair(cand, tx, rb)
+                outcomes[got is None] += 1
+            x = alloc
+    assert matchings == 543
+    assert min(outcomes.values()) > 100  # both stable and blocked candidates
 
 
 def test_cap_sums_are_sequential_not_compensated():

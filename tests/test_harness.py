@@ -14,8 +14,7 @@ from hetalloc import cli, harness, netmodel
 from hetalloc.allocation import (exhaustive_search, is_feasible, oracle_cost, sum_rate,
                                  weighted_benefit)
 from hetalloc.harness import (RunMetrics, ScenarioFormatError, load_scenario,
-                              parse_seed_spec, run_experiment,
-                              serialize_scenario, write_metrics_csv)
+                              parse_seed_spec, run_experiment, write_metrics_csv)
 from hetalloc.netmodel import ConfigError, build_topology
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,7 +77,8 @@ def test_load_accepts_per_rb_i_max(tmp_path):
 
 def test_scenario_round_trip(tmp_path):
     path, data = write_scenario(tmp_path)
-    assert serialize_scenario(load_scenario(path)) == data
+    assert dataclasses.asdict(load_scenario(path)) == \
+        {**data, "power_levels": tuple(data["power_levels"])}
 
 
 # --- experiment orchestration -------------------------------------------------
@@ -123,6 +123,29 @@ def test_run_experiment_rejects_unknown_algorithm(tmp_path):
     path, _ = write_scenario(tmp_path)
     with pytest.raises(ValueError, match="simulated-annealing"):
         run_experiment(load_scenario(path), algorithms=["simulated-annealing"])
+
+
+@pytest.mark.parametrize("selection, message", [
+    ({"seeds": []}, "seeds [] selects no seeds"),
+    ({"algorithms": []}, "algorithms [] must name one or more of"),
+    ({"seeds": [2, 0, 2]}, "seeds [2, 0, 2] repeats seed 2"),
+    ({"algorithms": ["auction", "msgpass", "auction"]},
+     "algorithms ['auction', 'msgpass', 'auction'] repeats auction"),
+    ({"algorithms": "auction"}, "algorithms 'auction' must be a sequence of names, not a string"),
+], ids=["no-seeds", "no-algorithms", "repeated-seed", "repeated-algorithm", "algorithms-string"])
+def test_run_experiment_rejects_bad_selection(tmp_path, monkeypatch, selection, message):
+    path, _ = write_scenario(tmp_path)
+    monkeypatch.setattr(netmodel, "build_topology", None)  # no drop may be built
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(load_scenario(path), **selection)
+
+
+def test_run_experiment_takes_one_pass_selections(tmp_path):
+    path, _ = write_scenario(tmp_path)
+    rows = run_experiment(load_scenario(path), algorithms=iter(["msgpass", "auction"]),
+                          seeds=iter([1, 0]), t_max=20)
+    assert [(m.seed, m.algorithm) for m in rows] == \
+        [(0, "auction"), (0, "msgpass"), (1, "auction"), (1, "msgpass")]
 
 
 def test_run_experiment_calls_runners_through_module_globals(tmp_path, monkeypatch):
@@ -201,6 +224,12 @@ def test_parse_seed_spec():
 @pytest.mark.parametrize("spec", ["5:3", "4:4", ",", "-2:1", "3,-1"])
 def test_parse_seed_spec_rejects_empty(spec):
     with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        parse_seed_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["a:b", "0:1:2", "1.5"])
+def test_parse_seed_spec_rejects_non_integers(spec):
+    with pytest.raises(ValueError, match=re.escape(f"seed spec {spec!r} is neither")):
         parse_seed_spec(spec)
 
 
@@ -352,6 +381,24 @@ def test_cli_size(capsys):
     assert "alignment_combinations 1889568" in out
     assert "with_unassigned_option 2476099" in out
     assert out.splitlines()[2] == "oracle_cost 7602"  # 6 * (4^5 + 3^5)
+
+
+def test_cli_size_exact_past_the_int_digit_limit(capsys):
+    # 18**5000 has 6277 digits, past the 4300 that Python 3.11+ converts
+    # by default; the limit is lifted for the print and then restored.
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    assert cli.main(["size", "-K", "5000", "-N", "6", "-L", "3"]) == 0
+    assert get_limit() == limit
+    lines = capsys.readouterr().out.splitlines()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert lines[0] == f"alignment_combinations {18 ** 5000}"
+        assert lines[1] == f"with_unassigned_option {19 ** 5000}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_cli_validate_ok(tmp_path, capsys):

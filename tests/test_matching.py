@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 import reference
-from hetalloc import netmodel
+from hetalloc import matching, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate)
-from hetalloc.matching import (Matching, PreferenceProfile, build_rb_profile,
-                               build_transmitter_profile, find_blocking_pair,
-                               match_alignments, preference_orders, run_stable_matching)
+from hetalloc.matching import (find_blocking_pair, match_alignments, preference_orders,
+                               run_stable_matching)
 from hetalloc.harness import load_scenario
 from hetalloc.netmodel import build_topology, utility_table
 
-from conftest import toy_network
+from conftest import round_orders, toy_network
+from test_exact import order_keys
 from test_harness import MID_K10, SCENARIOS
 from test_netmodel import make_config
 
@@ -42,54 +42,53 @@ def contention_net():
                        power_levels=(1.0,), i_max=1.0, sigma2=1.0, w1=1.0, w2=0.0)
 
 
-def profiles_for(net, alloc=None):
-    util = utility_table(net, alloc if alloc is not None else Allocation(net.num_tx))
-    tx = [build_transmitter_profile(k, util[k]) for k in range(net.num_tx)]
-    rb = [build_rb_profile(n, util[:, n, :]) for n in range(net.num_rb)]
-    return tx, rb
-
-
 def orders_for(net, alloc=None):
     return preference_orders(utility_table(net, alloc if alloc is not None
                                            else Allocation(net.num_tx)))
+
+
+def keys_for(net, alloc=None):
+    """Both sides' best-first keys: (n, l) per transmitter, (k, l) per RB."""
+    return order_keys(orders_for(net, alloc), net.num_tx, net.num_rb, net.num_levels)
 
 
 # --- preference profiles --------------------------------------------------
 
 def test_transmitter_profile_ranks_by_sinr_when_unweighted():
     net = contention_net()
-    prof, _ = profiles_for(net)
-    assert reference.keys(prof[0]) == [(0, 0), (1, 0)]
-    assert reference.keys(prof[1]) == [(0, 0), (1, 0)]
+    tx, _ = keys_for(net)
+    assert tx[0] == [(0, 0), (1, 0)]
+    assert tx[1] == [(0, 0), (1, 0)]
 
 
 def test_profile_tie_break_lowest_index_first():
     gain_ul = np.full((1, 1, 2), 5.0)  # both RBs identical
     net = toy_network(gain_ul, np.full((1, 1, 2), 0.3), power_levels=(1.0, 2.0),
                       i_max=10.0, w1=1.0, w2=0.0)
-    prof = build_transmitter_profile(0, utility_table(net, Allocation(1))[0])
+    util = utility_table(net, Allocation(1))
+    (tx,), _ = keys_for(net)
     # equal utilities inside each level class; order must follow (n, l)
-    us = [u for _k, u in prof.entries]
-    assert us == sorted(us, reverse=True)
-    assert reference.keys(prof)[0] == (0, 1)   # higher power wins, RB 0 before RB 1
-    assert reference.keys(prof) == [(0, 1), (1, 1), (0, 0), (1, 0)]
+    us = [util[0, n, l] for n, l in tx]
+    assert us == sorted(us, reverse=True) and us[0] == us[1] and us[2] == us[3]
+    assert tx[0] == (0, 1)   # higher power wins, RB 0 before RB 1
+    assert tx == [(0, 1), (1, 1), (0, 0), (1, 0)]
 
 
 def test_profile_order_matches_recomputed_utilities():
     cfg = make_config(num_sbs=1, num_d2d=1, num_rb=2, power_levels=(0.1, 0.5))
     net = build_topology(cfg)
     alloc = Allocation(2, [(0, 1), (1, 0)])
-    tx, rb = profiles_for(net, alloc)
+    tx, rb = keys_for(net, alloc)
     for k in range(2):
         scored = sorted((((n, l), reference.utility(net, alloc, k, (n, l)))
                          for n in range(2) for l in range(2)),
                         key=lambda e: (-e[1], e[0]))
-        assert reference.keys(tx[k]) == [key for key, _ in scored]
+        assert tx[k] == [key for key, _ in scored]
     for n in range(2):
         scored = sorted((((k, l), reference.utility(net, alloc, k, (n, l)))
                          for k in range(2) for l in range(2)),
                         key=lambda e: (-e[1], e[0]))
-        assert reference.keys(rb[n]) == [key for key, _ in scored]
+        assert rb[n] == [key for key, _ in scored]
 
 
 # --- inner matching -------------------------------------------------------
@@ -105,7 +104,6 @@ def test_single_transmitter_gets_top_feasible_choice():
 
 def test_contention_hand_trace():
     net = contention_net()
-    tx, rb = profiles_for(net)
     orders = orders_for(net)
     before = copy.deepcopy(orders)
     m = match_alignments(orders, net)
@@ -115,38 +113,37 @@ def test_contention_hand_trace():
     assert m.proposals == 3
     # the caller's orders are left intact
     assert orders == before
-    assert reference.keys(tx[0]) == [(0, 0), (1, 0)]
-    assert find_blocking_pair(m, tx, rb) is None
+    assert find_blocking_pair(m.allocation, orders) is None
 
 
 def test_matching_feasible_and_proposal_bound_on_drops():
     cfg = make_config(num_sbs=3, num_d2d=2, num_rb=3)
     for seed in range(10):
         net = build_topology(dataclasses.replace(cfg, seed=seed))
-        tx, rb = profiles_for(net)
-        m = match_alignments(orders_for(net), net)
+        orders = orders_for(net)
+        m = match_alignments(orders, net)
         assert m.proposals <= net.num_tx * net.num_rb * net.num_levels
         assert is_feasible(net, m.allocation).feasible
-        assert find_blocking_pair(m, tx, rb) is None
+        assert find_blocking_pair(m.allocation, orders) is None
 
 
 # --- blocking pairs -------------------------------------------------------
 
 def test_blocking_pair_on_constructed_bad_matching():
     net = contention_net()
-    tx, rb = profiles_for(net)
+    orders = orders_for(net)
     # RB 0 holds its less preferred transmitter while the favorite sits on
     # its own worst entry: (1, 0, 0) blocks
-    bad = Matching(allocation=Allocation(2, [(0, 0), (1, 0)]), proposals=0)
-    assert find_blocking_pair(bad, tx, rb) == (1, 0, 0)
+    assert find_blocking_pair(Allocation(2, [(0, 0), (1, 0)]), orders) == (1, 0, 0)
 
 
-def test_blocking_pair_empty_matching_empty_profiles():
+def test_blocking_pair_needs_a_holder_to_displace():
     net = contention_net()
-    empty_tx = [PreferenceProfile(("tx", k), []) for k in range(2)]
-    _, rb = profiles_for(net)
-    m = Matching(allocation=Allocation(2), proposals=0)
-    assert find_blocking_pair(m, empty_tx, rb) is None
+    orders = orders_for(net)
+    # an RB without holders has no pair that (k, l) could displace
+    assert find_blocking_pair(Allocation(2), orders) is None
+    # silent k0 prefers RB 0, but RB 0 ranks its holder k1 first
+    assert find_blocking_pair(Allocation(2, [None, (0, 0)]), orders) is None
 
 
 # --- outer loop ------------------------------------------------------------
@@ -189,72 +186,74 @@ def test_run_tiny_drop_dominated_by_oracle():
 
 def test_rounds_recorded_and_stable():
     net = build_topology(make_config())
-    res = run_stable_matching(net, keep_rounds=True)
-    assert len(res.info["rounds"]) == res.iterations
-    for rnd in res.info["rounds"]:
-        assert find_blocking_pair(rnd.matching, rnd.profiles_tx, rnd.profiles_rb) is None
+    res = run_stable_matching(net)
+    assert len(res.info["allocations"]) == res.iterations
+    assert res.info["allocations"][-1] == res.allocation  # converged
+    for orders, alloc in round_orders(net, res):
+        assert find_blocking_pair(alloc, orders) is None
 
 
 def test_no_stable_matching_dominates_on_tiny_drops():
     # enumerate every allocation of a 2x2x1 drop; among those that are
-    # feasible and blocking-pair-free under the final-round profiles, none
+    # feasible and blocking-pair-free under the final round's orders, none
     # beats the returned sum rate
     cfg = make_config(num_sbs=1, num_d2d=1, num_rb=2, power_levels=(0.5,))
     for seed in range(10):
         net = build_topology(dataclasses.replace(cfg, seed=seed))
-        res = run_stable_matching(net, keep_rounds=True)
-        last = res.info["rounds"][-1]
+        res = run_stable_matching(net)
+        last, _ = list(round_orders(net, res))[-1]
         achieved = sum_rate(net, res.allocation)
         choices = [None, (0, 0), (1, 0)]
         for combo in itertools.product(choices, repeat=2):
             cand = Allocation(2, list(combo))
             if not is_feasible(net, cand).feasible:
                 continue
-            m = Matching(allocation=cand, proposals=0)
-            if find_blocking_pair(m, last.profiles_tx, last.profiles_rb) is None:
+            if find_blocking_pair(cand, last) is None:
                 assert sum_rate(net, cand) <= achieved * (1 + 1e-9)
 
 
 def test_fast_path_builds_no_profiles(monkeypatch):
+    # one pair of orders per computed round, and the profile builders kept
+    # for the benchmark's tracer are never called
     built = []
-    original = PreferenceProfile.__init__
+    original = matching.preference_orders
 
-    def counting_init(self, owner, entries):
-        built.append(owner)
-        original(self, owner, entries)
+    def counting_orders(util):
+        built.append("orders")
+        return original(util)
 
-    monkeypatch.setattr(PreferenceProfile, "__init__", counting_init)
+    def no_profiles(*_args):
+        raise AssertionError("run_stable_matching built a profile")
+
+    monkeypatch.setattr(matching, "preference_orders", counting_orders)
+    monkeypatch.setattr(matching, "build_transmitter_profile", no_profiles)
+    monkeypatch.setattr(matching, "build_rb_profile", no_profiles)
     net = build_topology(make_config())
-    res = run_stable_matching(net, keep_rounds=False)
-    assert res.info["rounds"] is None
-    assert built == []
-    # the counter sees every profile of a kept round
-    kept = run_stable_matching(net, keep_rounds=True)
-    assert kept.allocation == res.allocation
-    assert len(built) == kept.iterations * (net.num_tx + net.num_rb)
+    res = run_stable_matching(net)
+    assert len(built) == res.iterations == len(res.info["allocations"])
 
 
-def test_kept_profiles_equal_reference_sort_with_signed_zero_ties():
+def test_round_orders_equal_reference_sort_with_signed_zero_ties():
     # w1 = -0.0 and w2 = 0.0 make every utility a zero: -0.0 where the move
-    # would put its RB over the cap and 0.0 where it stays under.  The kept
-    # profiles must rank them by key alone and keep each zero's sign.
+    # would put its RB over the cap and 0.0 where it stays under.  Each
+    # round's orders must rank them by key alone, as the reference sort on
+    # (-u, key) does with -0.0 == 0.0.
     gain_ul = np.full((3, 3, 2), 1e-3)
     gain_mue = np.array([[0.2, 0.7], [0.5, 0.1], [0.9, 0.3]]).reshape(3, 1, 2)
     net = toy_network(gain_ul, gain_mue, power_levels=(0.5, 1.0), i_max=0.6,
                       w1=-0.0, w2=0.0)
     util = utility_table(net, Allocation(3))
     assert {repr(u) for u in util.ravel().tolist()} == {"0.0", "-0.0"}
-    res = run_stable_matching(net, keep_rounds=True)
+    res = run_stable_matching(net)
     x = start_alignment(net)
-    for rnd in res.info["rounds"]:
+    for orders, alloc in round_orders(net, res):
         util = utility_table(net, x)
-        want_tx = [reference.profile(("tx", k), util[k]) for k in range(3)]
-        want_rb = [reference.profile(("rb", n), util[:, n, :]) for n in range(2)]
-        assert [(p.owner, p.entries) for p in rnd.profiles_tx + rnd.profiles_rb] == \
-            [(p.owner, p.entries) for p in want_tx + want_rb]
-        assert [repr(u) for p in rnd.profiles_tx + rnd.profiles_rb for _k, u in p.entries] == \
-            [repr(u) for p in want_tx + want_rb for _k, u in p.entries]
-        x = rnd.matching.allocation
+        assert {repr(u) for u in util.ravel().tolist()} <= {"0.0", "-0.0"}
+        want_tx = [reference.keys(reference.profile(("tx", k), util[k])) for k in range(3)]
+        want_rb = [reference.keys(reference.profile(("rb", n), util[:, n, :]))
+                   for n in range(2)]
+        assert order_keys(orders, 3, 2, 2) == (want_tx, want_rb)
+        x = alloc
 
 
 # --- cycle replay ------------------------------------------------------------
@@ -265,14 +264,8 @@ def assert_same_run(got, want):
     assert (got.iterations, got.converged, got.messages) == \
         (want.iterations, want.converged, want.messages)
     assert got.info["proposals_per_round"] == want.info["proposals_per_round"]
-    if want.info["rounds"] is None:
-        assert got.info["rounds"] is None
-        return
-    assert len(got.info["rounds"]) == len(want.info["rounds"]) == got.iterations
-    for g, w in zip(got.info["rounds"], want.info["rounds"]):
-        assert [(p.owner, p.entries) for p in g.profiles_tx + g.profiles_rb] == \
-            [(p.owner, p.entries) for p in w.profiles_tx + w.profiles_rb]
-        assert g.matching == w.matching
+    assert got.info["allocations"] == want.info["allocations"]
+    assert len(got.info["allocations"]) == got.iterations
 
 
 @pytest.mark.parametrize("seed", MID_K10_OSCILLATING)
@@ -282,14 +275,13 @@ def test_replay_equals_full_loop(seed):
     assert period == 2 and first <= 8
     # first - 1 finds the repeat in its last round and replays nothing;
     # the others end at both phases of the cycle.
-    short = [first - 1, first, first + 1, first + 2, first + 2 * period + 1]
-    for t_max, keep in [(t, True) for t in short] + [(500, False), (501, False)]:
-        got = run_stable_matching(net, t_max=t_max, keep_rounds=keep)
-        assert_same_run(got, reference.run_stable_matching(net, t_max=t_max, keep_rounds=keep))
+    for t_max in [first - 1, first, first + 1, first + 2, first + 2 * period + 1, 500, 501]:
+        got = run_stable_matching(net, t_max=t_max)
+        assert_same_run(got, reference.run_stable_matching(net, t_max=t_max))
         assert got.info["cycle"] == (None if t_max < first else (first, period))
-        if keep and t_max >= first:
-            rounds = got.info["rounds"]
-            assert all(rounds[r] is rounds[r - period] for r in range(first - 1, t_max))
+        if t_max >= first:
+            allocations = got.info["allocations"]
+            assert all(allocations[r] is allocations[r - period] for r in range(first - 1, t_max))
 
 
 def test_oscillating_drop_computes_few_rounds(monkeypatch):
