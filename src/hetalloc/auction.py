@@ -145,23 +145,26 @@ def run_auction(net, t_max=500):
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
 
-    b_prev = netmodel.benefit_table(net, x_prev)
+    # One interference pass per round gives both the benefit table and the
+    # per-RB interference the guard reads.
+    rx_int, i_prev, own = netmodel._interference_maps(net, x_prev)
+    b_prev = netmodel._benefit(net, rx_int)
     benefit_span = float(b_prev.max() - b_prev.min())
     epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
 
-    costs = np.maximum(0.0, netmodel.cost_table(net, x_prev)).max(axis=0)
+    costs = np.maximum(0.0, netmodel._cost(net, i_prev, own)).max(axis=0)
     state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), x_prev, epsilon)
 
     converged = False
     for iterations in range(1, t_max + 1):
-        i_prev = netmodel.interference_vector(net, x_prev)
         x_t, costs, bidders, bids = local_auction_round(state, net, x_prev, i_prev, b_prev)
         state = AuctionState(costs, bidders, x_t, epsilon)
         if not bids:
             converged = True  # nothing can change from here on
             break
         x_prev = x_t
-        b_prev = netmodel.benefit_table(net, x_prev)
+        rx_int, i_prev, _ = netmodel._interference_maps(net, x_prev)
+        b_prev = netmodel._benefit(net, rx_int)
 
     # Concurrent bids in one synchronous round can jointly overshoot a
     # budget the guard checked one at a time.

@@ -55,19 +55,33 @@ class MessageState:
 
 def _max_excluding_self(a, axis):
     """out[i] = max of ``a`` along ``axis`` with index i left out, 0 when
-    nothing is left (a length-1 axis)."""
-    if a.shape[axis] == 1:
+    nothing is left (a length-1 axis).  ``axis`` is 0 or the last axis.
+
+    Each line's answer is its max everywhere except at its first argmax,
+    which gets the max of the line with that entry set to -inf (the peak
+    again when the peak is shared).  One argmax, one max and flat-index
+    gathers and scatters: no partition and no full-size mask.  The values
+    equal those of the top-two form (the largest, or the second largest
+    at a unique peak), but a peak of exactly +0.0 or -0.0 may come back
+    with the other sign of zero, since max does not order the two zeros.
+    """
+    n = a.shape[axis]
+    if n == 1:
         return np.zeros_like(a)
-    # Partitioning at the second-to-last position leaves the two largest
-    # values, exact, in the last two slots.
-    s = np.partition(a, a.shape[axis] - 2, axis=axis)
-    last = [slice(None)] * a.ndim
-    last[axis] = slice(-1, None)
-    m1 = s[tuple(last)]
-    last[axis] = slice(-2, -1)
-    m2 = s[tuple(last)]
-    unique_peak = m1 > m2
-    return np.where((a == m1) & unique_peak, m2, m1)
+    if axis == 0:
+        out = a.reshape(n, -1).copy()
+        m = out.shape[1]
+        at = out.argmax(axis=0) * m + np.arange(m)
+    else:
+        out = a.reshape(-1, n).copy()
+        at = out.argmax(axis=1) + np.arange(0, out.size, n)
+    flat = out.reshape(-1)
+    peak = flat[at]
+    flat[at] = -np.inf
+    rest = out.max(axis=axis)
+    out[...] = peak if axis == 0 else peak[:, None]
+    flat[at] = rest
+    return out.reshape(a.shape)
 
 
 def tx_sweep(state, utilities):
@@ -95,14 +109,17 @@ def proposal(tau):
     return best
 
 
-def extract_allocation(state, net):
+def extract_allocation(state, net, best=None):
     """Marginal-driven assignment with per-RB interference repair.
 
     Positive marginals propose; each transmitter keeps only its largest
     positive marginal (the one-alignment constraint, ties toward the
     lowest (n, l)), then ``netmodel.repair`` enforces every RB's cap.
+    ``best`` is ``proposal(state.tau)`` when the caller has formed it
+    already; it is formed here otherwise.
     """
-    best = proposal(state.tau)
+    if best is None:
+        best = proposal(state.tau)
     alloc = Allocation.__new__(Allocation)
     alloc.rb, alloc.level = np.divmod(best, net.num_levels)
     alloc.level[best < 0] = -1  # divmod(-1, L) leaves rb at -1 but level at L - 1
@@ -218,9 +235,10 @@ def run_message_passing(net, omega=0.5, t_max=500):
                     float(np.abs(new_res - state.psi_res).max()))
         deltas.append(delta)
         state = MessageState(new_tx, new_res, state.omega)
-        key = proposal(state.tau).tobytes()
+        best = proposal(state.tau)
+        key = best.tobytes()
         if key != proposed:
-            x_t, proposed = extract_allocation(state, net), key
+            x_t, proposed = extract_allocation(state, net, best), key
         if msg_converged_at is None and delta < MESSAGE_TOL:
             msg_converged_at = iterations
         if x_t == x_prev and delta < MESSAGE_TOL:

@@ -389,25 +389,31 @@ def aggregated_interference(net, alloc, n):
 
 def load_sum(loads):
     """Plain left fold from 0.0: every cap test sums an RB's loads in
-    ascending k this way, as ``interference_vector`` does (the builtin
-    ``sum`` is compensated since Python 3.12)."""
+    ascending k this way, as the ``np.bincount`` fold of
+    ``interference_vector`` does (the builtin ``sum`` is compensated since
+    Python 3.12)."""
     total = 0.0
     for x in loads:
         total += x
     return total
 
 
+def _fold(bins, weights, size):
+    """(size,) float sums of ``weights`` by bin.  ``np.bincount`` adds in
+    input order, so each sum is a left fold from 0.0 over its weights in
+    the order given; it returns int zeros for empty input, hence the cast."""
+    return np.bincount(bins, weights, size).astype(float, copy=False)
+
+
 def interference_vector(net, alloc):
     """Per-RB aggregated reference-user interference as an (N,) array.
 
-    ufunc.at adds unbuffered in index order, so each entry sums its
-    holders in ascending k and equals ``aggregated_interference``.
+    An ``np.bincount`` fold over the holders in ascending k, so each entry
+    equals ``aggregated_interference``.
     """
     ks = np.flatnonzero(alloc.rb >= 0)
     ns = alloc.rb[ks]
-    agg = np.zeros(net.num_rb)
-    np.add.at(agg, ns, net.ref_p[ks, ns, alloc.level[ks]])
-    return agg
+    return _fold(ns, net.ref_p[ks, ns, alloc.level[ks]], net.num_rb)
 
 
 def underlay_sinrs(net, alloc):
@@ -420,31 +426,36 @@ def underlay_sinrs(net, alloc):
 def repair(net, alloc):
     """Evict holders until every RB is strictly under its cap; returns alloc.
 
-    One pass over the transmitters gathers each RB's holders and sums its
-    load; only the RBs at or over their cap are visited.  Such an RB drops
-    its largest reference-user contributor (ties toward the lowest
-    transmitter), then re-sums its remaining holders with ``load_sum``.
-    Every load is a fold from 0.0 in ascending k, as in
-    ``interference_vector``, so the cap tests agree with it bit for bit.
+    The loads come from the ``np.bincount`` fold of ``interference_vector``;
+    only the holders of RBs at or over their cap are gathered.  Such an RB
+    drops its largest reference-user contributor (ties toward the lowest
+    transmitter), then re-sums its remaining holders with ``load_sum``, a
+    fold from 0.0 in ascending k like the first, so the cap tests agree
+    with ``interference_vector`` bit for bit.  The evictions are written
+    back in one assignment.
     """
-    N, L = net.num_rb, net.num_levels
-    ref_p = net.ref_p_list
-    holders = [[] for _ in range(N)]
-    contribs = [[] for _ in range(N)]
-    loads = [0.0] * N
-    for k, (n, l) in enumerate(zip(alloc.rb.tolist(), alloc.level.tolist())):
-        if n >= 0:
-            c = ref_p[(k * N + n) * L + l]
-            holders[n].append(k)
-            contribs[n].append(c)
-            loads[n] += c
-    for n, cap in enumerate(net.i_max.tolist()):
-        load, ks, cs = loads[n], holders[n], contribs[n]
+    ks = np.flatnonzero(alloc.rb >= 0)
+    ns = alloc.rb[ks]
+    cs = net.ref_p[ks, ns, alloc.level[ks]]
+    loads = _fold(ns, cs, net.num_rb)
+    hot = (loads >= net.i_max)[ns]
+    holders = {}  # n -> (holders, their loads), ascending k
+    for k, n, c in zip(ks[hot].tolist(), ns[hot].tolist(), cs[hot].tolist()):
+        if n in holders:
+            holders[n][0].append(k)
+            holders[n][1].append(c)
+        else:
+            holders[n] = ([k], [c])
+    evicted = []
+    for n, (on, contribs) in holders.items():
+        load, cap = loads[n], net.i_max[n]
         while load >= cap:
-            worst = cs.index(max(cs))
-            alloc.unassign(ks.pop(worst))
-            del cs[worst]
-            load = load_sum(cs)
+            worst = contribs.index(max(contribs))
+            evicted.append(on.pop(worst))
+            del contribs[worst]
+            load = load_sum(contribs)
+    if evicted:
+        alloc.rb[evicted] = alloc.level[evicted] = -1
     return alloc
 
 
@@ -464,11 +475,11 @@ def _interference_maps(net, alloc):
     Returns (rx_int, agg, own) where rx_int[k, n] is the co-channel power
     seen by k's receiver on RB n from every other assigned transmitter,
     agg[n] is the aggregated reference-user interference on RB n, and
-    own[k, n] is k's own share of agg[n] (zero off k's RB).
+    own[k, n] is k's own share of agg[n] (zero off k's RB).  rx_int and
+    agg are ``np.bincount`` folds over the holders in ascending k, as in
+    ``interference_vector``.
     """
     K, N = net.num_tx, net.num_rb
-    rx_int = np.zeros((K, N))
-    agg = np.zeros(N)
     own = np.zeros((K, N))
     ks = np.flatnonzero(alloc.rb >= 0)
     ns = alloc.rb[ks]
@@ -476,16 +487,21 @@ def _interference_maps(net, alloc):
     own[ks, ns] = c = net.ref_gain[ks, ns] * p
     v = net.gain_ul[ks, :, ns] * p[:, None]  # (assigned, receiver)
     v[np.arange(len(ks)), ks] = 0.0  # no transmitter interferes with its own receiver
-    # ufunc.at adds unbuffered in index order, so every entry receives
-    # its co-channel terms one at a time in ascending k.
-    np.add.at(agg, ns, c)
-    np.add.at(rx_int.T, ns, v)
-    return rx_int, agg, own
+    # Entry (receiver j, RB n) is bin j*N + n.  The bins are listed
+    # transmitter by transmitter, so each entry folds its co-channel terms
+    # one at a time in ascending k.
+    bins = ns[:, None] + np.arange(0, K * N, N)
+    rx_int = _fold(bins.ravel(), v.ravel(), K * N).reshape(K, N)
+    return rx_int, _fold(ns, c, N), own
 
 
 def _gamma(net, rx_int):
     den = net.mbs_den + rx_int + net.sigma2
     return net.sig_p / den[:, :, None]
+
+
+def _benefit(net, rx_int):
+    return net.w1 * np.log2(1.0 + _gamma(net, rx_int))
 
 
 def _cost(net, agg, own):
@@ -500,7 +516,7 @@ def gamma_table(net, alloc):
 
 def benefit_table(net, alloc):
     """Weighted spectral efficiency w1 * log2(1 + SINR) per (k, n, l)."""
-    return net.w1 * np.log2(1.0 + gamma_table(net, alloc))
+    return _benefit(net, _interference_maps(net, alloc)[0])
 
 
 def cost_table(net, alloc):
@@ -515,4 +531,4 @@ def cost_table(net, alloc):
 def utility_table(net, alloc):
     """Utility for every (k, n, l) given alloc; equals benefit minus cost."""
     rx_int, agg, own = _interference_maps(net, alloc)
-    return net.w1 * np.log2(1.0 + _gamma(net, rx_int)) - _cost(net, agg, own)
+    return _benefit(net, rx_int) - _cost(net, agg, own)

@@ -14,11 +14,12 @@ are compared with.
 
 The scalar formulas after them (one gain, utility, cost or message entry
 at a time) are the definitions the library's tables and sweeps are
-checked against.  Then comes the auction round the library computed one
-transmitter at a time before its whole-round array step, with the K local
-views it kept before it stored only their merged table, and the oracle
-the library used before its subset dynamic program: a full enumeration
-of the (N*L+1)^K allocations.  Last come the matching and
+checked against, next to the two message sweeps on the top-two
+(partition) form they took before their argmax form.  Then comes the
+auction round the library computed one transmitter at a time before its
+whole-round array step, with the K local views it kept before it stored
+only their merged table, and the oracle the library used before its
+subset dynamic program: a full enumeration of the (N*L+1)^K allocations.  Last come the matching and
 message-passing runners as they were before a repeated state was
 replayed: they compute every round up to ``t_max``.
 """
@@ -301,6 +302,38 @@ def max_excluding_self(a, axis):
     m2 = np.take(s, [-2], axis=axis)
     unique_peak = m1 > m2
     return np.where((a == m1) & unique_peak, m2, m1)
+
+
+def max_excluding_self_top2(a, axis):
+    """The top-two form of ``msgpass._max_excluding_self``: the two largest
+    along ``axis`` by ``np.partition``, then a full-size mask picks the
+    second largest at a unique peak and the largest everywhere else."""
+    if a.shape[axis] == 1:
+        return np.zeros_like(a)
+    s = np.partition(a, a.shape[axis] - 2, axis=axis)
+    last = [slice(None)] * a.ndim
+    last[axis] = slice(-1, None)
+    m1 = s[tuple(last)]
+    last[axis] = slice(-2, -1)
+    m2 = s[tuple(last)]
+    unique_peak = m1 > m2
+    return np.where((a == m1) & unique_peak, m2, m1)
+
+
+def tx_sweep(state, utilities):
+    """``msgpass.tx_sweep`` on the top-two form."""
+    w = state.omega
+    K = utilities.shape[0]
+    values = (utilities + state.psi_res).reshape(K, -1)
+    out = (utilities.reshape(K, -1) - w * max_excluding_self_top2(values, axis=1)
+           - (1.0 - w) * values)
+    return out.reshape(utilities.shape)
+
+
+def res_sweep(state):
+    """``msgpass.res_sweep`` on the top-two form."""
+    w = state.omega
+    return -w * max_excluding_self_top2(state.psi_tx, axis=0) - (1.0 - w) * state.psi_tx
 
 
 def tx_message_update(state, utilities, k, res):

@@ -485,6 +485,66 @@ def test_max_excluding_self_equals_sort(shape, axis):
         assert got.shape == want.shape and (got == want).all()
 
 
+# Nonzero entries with many repeats; no sum of one from NONZERO_U and one
+# from NONZERO_RES is zero, so every message line is free of zeros too.
+NONZERO_U = np.array([-3.0, -1.0, 0.5, 2.0])
+NONZERO_RES = np.array([-0.25, 0.75, 1.5])
+
+
+@pytest.mark.parametrize("shape", [(10, 8, 3), (50, 25, 4)], ids=["K10", "K50"])
+def test_sweeps_equal_top2_form_bytes(shape):
+    # Away from zeros the argmax form returns the very floats the
+    # partition form did, shared peaks included.
+    rng = np.random.default_rng(5)
+    for i in range(60):
+        omega = (0.3, 0.5, 1.0)[i % 3]
+        if i % 2:
+            u, psi_tx = rng.choice(NONZERO_U, size=(2,) + shape)
+            psi_res = rng.choice(NONZERO_RES, size=shape)
+        else:
+            u, psi_tx, psi_res = rng.normal(size=(3,) + shape)
+        s = MessageState(psi_tx, psi_res, omega)
+        assert same_array(msgpass.tx_sweep(s, u), reference.tx_sweep(s, u))
+        assert same_array(msgpass.res_sweep(s), reference.res_sweep(s))
+
+
+def zero_heavy_table(rng, shape):
+    """Normal entries with 95% of them replaced by +0.0 or -0.0."""
+    a = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.95
+    a[zero] = np.copysign(0.0, rng.normal(size=shape))[zero]
+    return a
+
+
+def flip_zero_signs(a):
+    return np.where(a == 0.0, -a, a)
+
+
+@pytest.mark.parametrize("cfg", [make_config(seed=1, **MID), make_config(seed=1, **WIDE)],
+                         ids=["K10", "K50"])
+def test_signs_of_zero_reach_no_allocation(cfg):
+    # A peak of exactly +-0 may leave the argmax form with the other sign
+    # of zero than the top-two form; the values stay equal, and neither the
+    # proposal nor the extraction reads the sign of a zero.
+    net = build_topology(cfg)
+    shape = (net.num_tx, net.num_rb, net.num_levels)
+    rng = np.random.default_rng(11)
+    proposing = 0
+    for i in range(50):
+        s = MessageState(zero_heavy_table(rng, shape), zero_heavy_table(rng, shape),
+                         (0.3, 0.5, 1.0)[i % 3])
+        u = zero_heavy_table(rng, shape)
+        assert (msgpass.tx_sweep(s, u) == reference.tx_sweep(s, u)).all()
+        assert (msgpass.res_sweep(s) == reference.res_sweep(s)).all()
+        flipped = MessageState(flip_zero_signs(s.psi_tx), flip_zero_signs(s.psi_res), s.omega)
+        assert not same_array(flipped.tau, s.tau)
+        best = msgpass.proposal(s.tau)
+        assert same_array(msgpass.proposal(flipped.tau), best)
+        assert extract_allocation(flipped, net) == extract_allocation(s, net)
+        proposing += int((best >= 0).sum())
+    assert proposing > 0
+
+
 def assert_oracle_equals_enumeration(net):
     alloc, rate = exhaustive_search(net)
     ref_alloc, ref_rate = reference.exhaustive_search(net)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -357,3 +358,32 @@ def test_replay_equals_full_loop(monkeypatch, overrides, seed):
             (want.iterations, want.converged, want.messages)
         assert got.info.pop("cycle") == (None if t_max < first else (first, period))
         assert got.info == want.info
+
+
+# --- message bytes -------------------------------------------------------------
+
+def message_bytes_sha256(overrides, t_max):
+    """sha256 over each drop's allocation bytes, iterations, converged flag,
+    message deltas (float64 bytes) and cycle, for the 40-drop pool of the
+    bench/run.py workload ``overrides`` names."""
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    h = hashlib.sha256()
+    for seed in range(40):
+        res = run_message_passing(build_topology(dataclasses.replace(cfg, seed=seed)),
+                                  t_max=t_max)
+        h.update(res.allocation.rb.tobytes() + res.allocation.level.tobytes())
+        h.update(repr((res.iterations, res.converged, res.info["cycle"])).encode())
+        h.update(np.asarray(res.info["message_deltas"], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# Pinned from the sweeps that took the top two by ``np.partition`` and the
+# folds that added with ``np.add.at``; the row hashes of test_harness see
+# only the allocation and counters, not the message arithmetic.
+@pytest.mark.parametrize("overrides, t_max, expected", [
+    (MID_K10, 500, "7e4709427c4c27cafd0e774bf0d261d0ef2bcc3ffcc28ce364c23257bd72fe84"),
+    (K50_LOOSE, 100, "e91b70a961a10979f9a7ebef1ee95d9072a9a9b9c291792ab48dfbc05a339a49"),
+    (K50_TIGHT, 100, "182b58d63627aebba0e50e5ee713a05878b6b028eb9b44830a3d106a0ef00162"),
+], ids=["mid-k10", "wide-k50-loose", "wide-k50-tight"])
+def test_golden_message_bytes(overrides, t_max, expected):
+    assert message_bytes_sha256(overrides, t_max) == expected
