@@ -47,8 +47,7 @@ def _cmd_run(args):
         harness.check_algorithms(algorithms, f"--algorithms {args.algorithms!r}")
         seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
         budget = harness.oracle_budget()
-        if args.t_max < 1:
-            raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
+        harness.check_t_max(args.t_max, "--t-max")
         out = Path(args.out)
         if out.is_dir():
             raise ValueError(f"--out {args.out!r} is a directory")

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import os
 import time
 from collections import Counter
@@ -127,12 +128,14 @@ def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=Fa
     Returns RunMetrics rows sorted by (seed, algorithm).  When the oracle
     is requested but refuses the budget (``OracleBudgetError``) it is
     skipped for that seed with a logged warning and empty oracle gaps; it
-    is never truncated silently.  A selection that ``check_algorithms`` or
-    ``check_seeds`` rejects raises ValueError before any drop is built.
+    is never truncated silently.  A selection that ``check_algorithms``,
+    ``check_seeds`` or ``check_t_max`` rejects raises ValueError before any
+    drop is built.
     """
     algorithms = check_algorithms(algorithms, f"algorithms {algorithms!r}")
     seeds = [config.seed] if seeds is None else list(seeds)
     check_seeds(seeds, f"seeds {seeds!r}")
+    check_t_max(t_max, "t_max")
     if budget is None:
         budget = oracle_budget()
 
@@ -234,6 +237,15 @@ def check_seeds(seeds, label):
     repeated = _repeated(seeds)
     if repeated:
         raise ValueError(f"{label} repeats seed {repeated}")
+
+
+def check_t_max(t_max, label):
+    """Raise ValueError, starting with ``label`` (the field) and ending with
+    the value, unless ``t_max`` is an integer, not a bool, and >= 1."""
+    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral):
+        raise ValueError(f"{label} must be an integer, got {t_max!r}")
+    if t_max < 1:
+        raise ValueError(f"{label} must be >= 1, got {t_max}")
 
 
 def parse_seed_spec(spec):

@@ -28,6 +28,7 @@ from . import netmodel
 from .allocation import Allocation, SolverResult, start_alignment
 
 MESSAGE_TOL = 1e-6  # max-norm message step below which the messages count as settled
+REUSE_DEPTH = 4  # utility tables, and extractions, the loop keeps for reuse
 
 
 @dataclass
@@ -126,6 +127,18 @@ def extract_allocation(state, net, best=None):
     return netmodel.repair(net, alloc)
 
 
+def _recall(window, key, compute):
+    """``window[key]``, else ``compute()`` stored under ``key``.  The dict
+    ``window`` holds the ``REUSE_DEPTH`` keys used last, least recent first."""
+    value = window.pop(key, None)
+    if value is None:
+        if len(window) == REUSE_DEPTH:
+            del window[next(iter(window))]
+        value = compute()
+    window[key] = value
+    return value
+
+
 class CycleWatch:
     """Finds the period of a deterministic iteration from cheap keys.
 
@@ -180,14 +193,17 @@ def run_message_passing(net, omega=0.5, t_max=500):
     Non-convergence is reported through the flag and the delta trace, and
     the last extracted (always feasible) allocation is still returned.
 
-    Work whose input is bit-equal to the previous iteration's is reused,
-    not redone.  The utility table is a pure function of the previous
-    allocation, so it is recomputed only when that allocation changed.
+    Work whose input bit-equals one of the last ``REUSE_DEPTH`` distinct
+    inputs of its kind is reused, not redone.  The utility table is a pure
+    function of the previous allocation, so it is computed only for an
+    allocation outside the last ``REUSE_DEPTH`` ones evaluated.
     The extracted allocation is a pure function of the proposal (the
     per-transmitter argmax, or silence), since repair reads nothing else;
-    it is re-extracted only when the proposal's bytes changed.  Once the
-    allocation settles while the messages still move toward
-    ``MESSAGE_TOL``, an iteration is just the two sweeps.
+    it is extracted only for a proposal whose bytes are outside the last
+    ``REUSE_DEPTH`` ones.  Each window drops its least recently used entry,
+    so an allocation that oscillates among a few states, or settles while
+    the messages still move toward ``MESSAGE_TOL``, costs just the two
+    sweeps per iteration.
 
     Once both message tables and the allocation repeat an earlier
     iteration's bit for bit (found by ``CycleWatch``), the iterations left
@@ -211,12 +227,12 @@ def run_message_passing(net, omega=0.5, t_max=500):
     converged = False
     watch = CycleWatch()
     cycle = None
-    util_for = None  # the allocation ``util`` was computed for
-    proposed = None  # the bytes of the proposal ``x_t`` was extracted from
+    tables = {}  # allocation bytes -> its utility table
+    extractions = {}  # proposal bytes -> the allocation extracted from it
 
     for iterations in range(1, t_max + 1):
-        if x_prev is not util_for and x_prev != util_for:
-            util, util_for = netmodel.utility_table(net, x_prev), x_prev
+        util = _recall(tables, x_prev.rb.tobytes() + x_prev.level.tobytes(),
+                       lambda: netmodel.utility_table(net, x_prev))
         new_tx = tx_sweep(state, util)
         # Resource replies fold in the transmitter messages just received;
         # replying to the stale sweep instead locks the exchange into a
@@ -236,9 +252,8 @@ def run_message_passing(net, omega=0.5, t_max=500):
         deltas.append(delta)
         state = MessageState(new_tx, new_res, state.omega)
         best = proposal(state.tau)
-        key = best.tobytes()
-        if key != proposed:
-            x_t, proposed = extract_allocation(state, net, best), key
+        x_t = _recall(extractions, best.tobytes(),
+                      lambda: extract_allocation(state, net, best))
         if msg_converged_at is None and delta < MESSAGE_TOL:
             msg_converged_at = iterations
         if x_t == x_prev and delta < MESSAGE_TOL:

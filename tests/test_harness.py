@@ -132,7 +132,11 @@ def test_run_experiment_rejects_unknown_algorithm(tmp_path):
     ({"algorithms": ["auction", "msgpass", "auction"]},
      "algorithms ['auction', 'msgpass', 'auction'] repeats auction"),
     ({"algorithms": "auction"}, "algorithms 'auction' must be a sequence of names, not a string"),
-], ids=["no-seeds", "no-algorithms", "repeated-seed", "repeated-algorithm", "algorithms-string"])
+    ({"t_max": 0}, "t_max must be >= 1, got 0"),
+    ({"t_max": True}, "t_max must be an integer, got True"),
+    ({"t_max": 2.0}, "t_max must be an integer, got 2.0"),
+], ids=["no-seeds", "no-algorithms", "repeated-seed", "repeated-algorithm", "algorithms-string",
+        "t_max-zero", "t_max-bool", "t_max-float"])
 def test_run_experiment_rejects_bad_selection(tmp_path, monkeypatch, selection, message):
     path, _ = write_scenario(tmp_path)
     monkeypatch.setattr(netmodel, "build_topology", None)  # no drop may be built

@@ -320,34 +320,79 @@ def test_cycle_watch_compares_bits():
 CYCLING = [(MID_K10, s) for s in (4, 20, 22, 38)] + [(K4, s) for s in (14, 17, 39)]
 
 
+def lru_misses(keys, depth):
+    """How many of ``keys`` are absent from the last ``depth`` distinct
+    keys before them."""
+    window, misses = [], 0
+    for key in keys:
+        if key in window:
+            window.remove(key)
+        else:
+            misses += 1
+        window = (window + [key])[-depth:]
+    return misses
+
+
+def test_lru_misses_hand_sequence():
+    # a b c a d e a: a's second use is a hit, and d and e push b and c
+    # out, leaving a (used at step 4) in the window for step 7.
+    assert lru_misses("abcadea", 4) == 5
+    assert lru_misses("abcadea", 2) == 7
+    assert lru_misses("abab", 2) == 2
+    assert lru_misses("aaaa", 1) == 1
+
+
+def record_inputs(monkeypatch):
+    """Patch ``netmodel.utility_table`` and ``msgpass.extract_allocation`` to
+    log the bytes of each call's allocation and proposal; returns both logs."""
+    tables, proposals = [], []
+    utility_table, extract = netmodel.utility_table, msgpass.extract_allocation
+
+    def recording_table(net, alloc):
+        tables.append(alloc.rb.tobytes() + alloc.level.tobytes())
+        return utility_table(net, alloc)
+
+    def recording_extract(state, net, best=None):
+        proposals.append(msgpass.proposal(state.tau).tobytes())
+        return extract(state, net, best)
+
+    monkeypatch.setattr(netmodel, "utility_table", recording_table)
+    monkeypatch.setattr(msgpass, "extract_allocation", recording_extract)
+    return tables, proposals
+
+
+def assert_window_counts(net, tables, proposals, t_max):
+    """A table or an extraction is computed exactly when its input is not
+    among the last REUSE_DEPTH distinct inputs: ``tables`` and
+    ``proposals``, logged from one run, hold as many entries as that window
+    misses over the inputs the full loop evaluates up to ``t_max``."""
+    computed = len(tables), len(proposals)
+    tables.clear()
+    proposals.clear()
+    reference.run_message_passing(net, t_max=t_max)
+    assert computed == (lru_misses(tables, msgpass.REUSE_DEPTH),
+                        lru_misses(proposals, msgpass.REUSE_DEPTH))
+    return computed, (len(tables), len(proposals))
+
+
 @pytest.mark.parametrize("overrides, seed", CYCLING,
                          ids=[f"mid-k10-{s}" for s in (4, 20, 22, 38)]
                          + [f"oracle-k4-{s}" for s in (14, 17, 39)])
 def test_replay_equals_full_loop(monkeypatch, overrides, seed):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
     net = build_topology(dataclasses.replace(cfg, seed=seed))
-    tables, sweeps = [], []
-    utility_table, tx_sweep = netmodel.utility_table, msgpass.tx_sweep
-
-    def recording_table(net, alloc):
-        tables.append(alloc.copy())
-        return utility_table(net, alloc)
+    tables, proposals = record_inputs(monkeypatch)
+    sweeps, tx_sweep = [], msgpass.tx_sweep
 
     def counting_sweep(state, util):
         sweeps.append(1)
         return tx_sweep(state, util)
 
-    monkeypatch.setattr(netmodel, "utility_table", recording_table)
     monkeypatch.setattr(msgpass, "tx_sweep", counting_sweep)
     first, period = run_message_passing(net, t_max=500).info["cycle"]
     assert len(sweeps) == first - 1 < 300 and 2 <= period <= 10
-    # The table is recomputed exactly when the previous allocation moved:
-    # count the moves among the allocations the full loop evaluates.
-    computed = len(tables)
-    tables.clear()
-    reference.run_message_passing(net, t_max=first - 1)
-    assert len(tables) == first - 1
-    assert computed == 1 + sum(a != b for a, b in zip(tables, tables[1:])) < first - 1
+    computed, full = assert_window_counts(net, tables, proposals, first - 1)
+    assert full == (first - 1, first - 1) and max(computed) < first - 1
     # first - 1 confirms the repeat in its last iteration and replays
     # nothing; the others end at several phases of the cycle.
     for t_max in sorted({first - 1, first, first + 1, first + period - 1, 500, 501}):
@@ -358,6 +403,20 @@ def test_replay_equals_full_loop(monkeypatch, overrides, seed):
             (want.iterations, want.converged, want.messages)
         assert got.info.pop("cycle") == (None if t_max < first else (first, period))
         assert got.info == want.info
+
+
+# Drops of wide-k50-tight whose allocations revisit a state after three or
+# more others, so a window that dropped its oldest entry instead of its least
+# recently used one would compute more tables or extractions.
+@pytest.mark.parametrize("seed", [0, 3])
+def test_window_drops_least_recently_used(monkeypatch, seed):
+    cfg = load_scenario(SCENARIOS / "default.json")
+    net = build_topology(dataclasses.replace(cfg, seed=seed, **K50_TIGHT))
+    tables, proposals = record_inputs(monkeypatch)
+    res = run_message_passing(net, t_max=100)
+    assert res.info["cycle"] is None
+    computed, full = assert_window_counts(net, tables, proposals, 100)
+    assert full == (100, 100) and max(computed) < 100
 
 
 # --- message bytes -------------------------------------------------------------
@@ -378,12 +437,15 @@ def message_bytes_sha256(overrides, t_max):
 
 
 # Pinned from the sweeps that took the top two by ``np.partition`` and the
-# folds that added with ``np.add.at``; the row hashes of test_harness see
-# only the allocation and counters, not the message arithmetic.
+# folds that added with ``np.add.at`` (the oracle-k4 row from the loop that
+# reused only the previous iteration's table and extraction); the row hashes
+# of test_harness see only the allocation and counters, not the message
+# arithmetic.
 @pytest.mark.parametrize("overrides, t_max, expected", [
+    (K4, 500, "747a32e7a843cc01041d636ebd7d9b9101b6474fc681122b0e4a7ba58717df86"),
     (MID_K10, 500, "7e4709427c4c27cafd0e774bf0d261d0ef2bcc3ffcc28ce364c23257bd72fe84"),
     (K50_LOOSE, 100, "e91b70a961a10979f9a7ebef1ee95d9072a9a9b9c291792ab48dfbc05a339a49"),
     (K50_TIGHT, 100, "182b58d63627aebba0e50e5ee713a05878b6b028eb9b44830a3d106a0ef00162"),
-], ids=["mid-k10", "wide-k50-loose", "wide-k50-tight"])
+], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
 def test_golden_message_bytes(overrides, t_max, expected):
     assert message_bytes_sha256(overrides, t_max) == expected
