@@ -110,11 +110,13 @@ class SolverResult:
 def start_alignment(net):
     """The start state of every solver: each transmitter on a uniformly
     random (RB, level), drawn from ``default_rng(net.seed)`` as
-    ``integers(N)`` then ``integers(L)`` per transmitter, ascending k."""
-    rng = np.random.default_rng(net.seed)
-    alloc = Allocation(net.num_tx)
-    for k in range(net.num_tx):
-        alloc.assign(k, int(rng.integers(net.num_rb)), int(rng.integers(net.num_levels)))
+    ``integers(N)`` then ``integers(L)`` per transmitter, ascending k.  One
+    broadcast call draws them all: bounds ``[N, L, N, L, ...]`` give the
+    values of those scalar calls in the same order."""
+    K = net.num_tx
+    draw = np.random.default_rng(net.seed).integers(0, np.tile([net.num_rb, net.num_levels], K))
+    alloc = Allocation.__new__(Allocation)
+    alloc.rb, alloc.level = draw.reshape(K, 2).T.copy()
     return alloc
 
 

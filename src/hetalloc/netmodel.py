@@ -118,10 +118,15 @@ class ScenarioConfig:
                 raise ConfigError("i_max entries must be > 0")
         elif self.i_max <= 0:
             raise ConfigError("i_max must be > 0")
-        for name in ("cell_radius", "mbs_power", "noise_psd", "rb_bandwidth",
-                     "d2d_max_dist", "sbs_ue_max_dist"):
+        for name in ("mbs_power", "noise_psd", "rb_bandwidth"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
+        # A receiver disk must reach past MIN_LINK_DIST from its centre,
+        # where the MBS or the receiver's own transmitter stands.
+        for name in ("cell_radius", "d2d_max_dist", "sbs_ue_max_dist"):
+            if getattr(self, name) <= MIN_LINK_DIST:
+                raise ConfigError(f"{name} must be > MIN_LINK_DIST = {MIN_LINK_DIST} m, "
+                                  f"got {getattr(self, name)!r}")
 
     @property
     def num_tx(self):
@@ -274,12 +279,19 @@ def _sample_disk(rng, center, radius, count):
 
 
 def _sample_receiver(rng, center, radius, anchors, label):
-    """Draw one point in a disk, at least MIN_LINK_DIST from every anchor."""
+    """Draw one point in a disk, at least MIN_LINK_DIST from every anchor.
+
+    A try draws the values ``_sample_disk(rng, center, radius, 1)`` does,
+    one at a time, and the distance test is that of ``np.linalg.norm``.
+    """
+    ax, ay = anchors.T
     for _ in range(MAX_PLACE_TRIES):
-        p = _sample_disk(rng, center, radius, 1)[0]
-        d = np.linalg.norm(anchors - p, axis=1)
-        if d.min() >= MIN_LINK_DIST:
-            return p
+        r = radius * np.sqrt(rng.uniform())
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        x, y = center[0] + r * np.cos(theta), center[1] + r * np.sin(theta)
+        dx, dy = ax - x, ay - y
+        if np.sqrt((dx * dx + dy * dy).min()) >= MIN_LINK_DIST:
+            return x, y
     raise ConfigError(f"could not place {label} at {MIN_LINK_DIST} m from all "
                       f"transmitters after {MAX_PLACE_TRIES} tries")
 
@@ -426,19 +438,35 @@ def underlay_sinrs(net, alloc):
 def repair(net, alloc):
     """Evict holders until every RB is strictly under its cap; returns alloc.
 
-    The loads come from the ``np.bincount`` fold of ``interference_vector``;
-    only the holders of RBs at or over their cap are gathered.  Such an RB
-    drops its largest reference-user contributor (ties toward the lowest
-    transmitter), then re-sums its remaining holders with ``load_sum``, a
-    fold from 0.0 in ascending k like the first, so the cap tests agree
-    with ``interference_vector`` bit for bit.  The evictions are written
-    back in one assignment.
+    The rule: an RB at or over its cap drops its largest reference-user
+    contributor (ties toward the lowest transmitter) and re-sums its
+    remaining holders with ``load_sum``, a fold from 0.0 in ascending k,
+    until it is under the cap.
+
+    A holder whose own load ``ref_p[k, n, l]`` reaches its RB's cap (a
+    lone holder) is evicted first, in one array step.  The rule evicts the
+    same ones: every load is >= 0 and a left fold of such loads never
+    falls below any of its terms, so while a lone holder stays on an RB the
+    RB's load is at or over the cap, and its largest contributor is lone
+    too.  The rule thus evicts every lone holder before any other and then
+    goes on from the fold of the rest.  That fold is taken here with
+    ``np.bincount`` in ascending k, as in ``interference_vector``, and the
+    rule runs on only the RBs it leaves at or over their cap.
     """
-    ks = np.flatnonzero(alloc.rb >= 0)
+    ks = (alloc.rb >= 0).nonzero()[0]  # np.flatnonzero's wrapper costs ~2 us a call
     ns = alloc.rb[ks]
     cs = net.ref_p[ks, ns, alloc.level[ks]]
+    lone = cs >= net.i_max[ns]
+    if np.count_nonzero(lone):
+        gone = ks[lone]
+        alloc.rb[gone] = alloc.level[gone] = -1
+        keep = ~lone
+        ks, ns, cs = ks[keep], ns[keep], cs[keep]
     loads = _fold(ns, cs, net.num_rb)
-    hot = (loads >= net.i_max)[ns]
+    over = loads >= net.i_max
+    if not np.count_nonzero(over):
+        return alloc
+    hot = over[ns]
     holders = {}  # n -> (holders, their loads), ascending k
     for k, n, c in zip(ks[hot].tolist(), ns[hot].tolist(), cs[hot].tolist()):
         if n in holders:
@@ -454,8 +482,7 @@ def repair(net, alloc):
             evicted.append(on.pop(worst))
             del contribs[worst]
             load = load_sum(contribs)
-    if evicted:
-        alloc.rb[evicted] = alloc.level[evicted] = -1
+    alloc.rb[evicted] = alloc.level[evicted] = -1  # not empty: each RB still over evicts
     return alloc
 
 

@@ -267,13 +267,19 @@ def test_oracle_dominates_feasible_allocations():
 
 # --- solver start state and layering --------------------------------------
 
-@pytest.mark.parametrize("overrides", [{}, K4, MID_K10, K50_LOOSE, dict(K50_LOOSE, i_max=1e-8)],
-                         ids=["default", "k4", "mid-k10", "k50-loose", "k50-tight"])
+@pytest.mark.parametrize("overrides", [{}, K4, MID_K10, K50_LOOSE, dict(K50_LOOSE, i_max=1e-8),
+                                       dict(num_rb=1), dict(power_levels=(0.5,)),
+                                       dict(K4, num_rb=1, power_levels=(0.5,))],
+                         ids=["default", "k4", "mid-k10", "k50-loose", "k50-tight",
+                              "n1", "l1", "n1-l1"])
 def test_start_alignment_equals_reference_draw(overrides):
     # Pins the stream layout: default_rng(net.seed), integers(N) then
-    # integers(L) per transmitter, ascending k.
+    # integers(L) per transmitter, ascending k, on the 40-drop pools of
+    # bench/run.py's workloads.  start_alignment draws them in one
+    # broadcast call, so this also checks that numpy's broadcast path still
+    # draws what its scalar calls do, bounds of 1 included.
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
-    for seed in range(5):
+    for seed in range(40):
         net = build_topology(dataclasses.replace(cfg, seed=seed))
         want = reference.random_alignment(net, np.random.default_rng(seed))
         assert start_alignment(net) == want and want.num_assigned() == net.num_tx

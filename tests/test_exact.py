@@ -20,6 +20,7 @@ from hetalloc import msgpass, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate, weighted_benefit)
 from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round, run_auction
+from hetalloc.harness import load_scenario
 from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
                                find_blocking_pair, match_alignments, preference_orders,
                                run_stable_matching)
@@ -28,6 +29,7 @@ from hetalloc.netmodel import build_topology
 
 from conftest import toy_network
 from test_acceptance import DESK
+from test_harness import K50_TIGHT, SCENARIOS
 from test_netmodel import make_config
 
 WIDE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.2, 1.0))
@@ -87,6 +89,13 @@ def test_tables_and_objectives_equal_scans(cfg):
         assert weighted_benefit(net, alloc) == reference.weighted_benefit(net, alloc)
 
 
+def lone_holders(net, alloc):
+    """How many holders reach their RB's cap on their own load."""
+    ks = np.flatnonzero(alloc.rb >= 0)
+    ns = alloc.rb[ks]
+    return int(np.count_nonzero(net.ref_p[ks, ns, alloc.level[ks]] >= net.i_max[ns]))
+
+
 @pytest.mark.parametrize("cfg", CASES, ids=IDS)
 def test_repair_and_extraction_equal_scans(cfg):
     net = build_topology(cfg)
@@ -101,6 +110,55 @@ def test_repair_and_extraction_equal_scans(cfg):
         assert extract_allocation(state, net) == reference.extract_allocation(state, net)
     if cfg.num_tx >= 6 and cfg.i_max <= 1e-8:
         assert evicted > 0  # the tight cap must exercise eviction
+    # Lone-heavy allocations: every transmitter at the top power level,
+    # where at the tight cap most holders reach the cap alone.
+    rng = np.random.default_rng(cfg.seed + 200)
+    lone = 0
+    for _ in range(5):
+        alloc = Allocation(net.num_tx, [(rng.integers(net.num_rb), net.num_levels - 1)
+                                        for _ in range(net.num_tx)])
+        lone += lone_holders(net, alloc)
+        assert netmodel.repair(net, alloc.copy()) == reference.repair(net, alloc.copy())
+    if cfg.num_tx >= 6 and cfg.i_max <= 1e-8:
+        assert lone > 0
+
+
+@pytest.mark.parametrize("rest, kept", [((0.4, 0.6), [None, (0, 0), None]),
+                                        ((0.4, 0.5), [None, (0, 0), (0, 0)])],
+                         ids=["rest-at-cap", "rest-under-cap"])
+def test_repair_goes_on_from_the_fold_without_lone_holders(rest, kept):
+    # RB 0, cap 1.0: k0's load 2.0 reaches the cap alone and leaves in the
+    # lone step; k1 and k2 do not.  When their fold 0.4 + 0.6 = 1.0 still
+    # reaches the cap, exactly one more eviction follows, of the larger
+    # (k2); when it is 0.4 + 0.5, both stay, though k0's load was part of
+    # the RB's first sum.
+    net = toy_network(np.full((3, 3, 1), 1e-3), np.array([2.0, *rest]).reshape(3, 1, 1),
+                      i_max=1.0)
+    alloc = Allocation(3, [(0, 0)] * 3)
+    assert lone_holders(net, alloc) == 1
+    want = Allocation(3, kept)
+    assert netmodel.repair(net, alloc.copy()) == want == reference.repair(net, alloc.copy())
+
+
+def test_repair_equals_scan_on_k50_tight_extraction_inputs(monkeypatch):
+    # Every allocation message passing hands to repair on 10 drops of the
+    # wide-k50-tight pool, where most evictions are of lone holders.
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **K50_TIGHT)
+    seen = []
+    repair = netmodel.repair
+
+    def recording(net, alloc):
+        seen.append((net, alloc.copy()))
+        return repair(net, alloc)
+
+    monkeypatch.setattr(netmodel, "repair", recording)
+    for seed in range(10):
+        msgpass.run_message_passing(build_topology(dataclasses.replace(cfg, seed=seed)),
+                                    t_max=100)
+    monkeypatch.undo()
+    assert len(seen) > 100 and sum(lone_holders(net, a) for net, a in seen) > 0
+    for net, alloc in seen:
+        assert netmodel.repair(net, alloc.copy()) == reference.repair(net, alloc.copy())
 
 
 def ascending_k_net():

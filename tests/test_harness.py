@@ -332,6 +332,24 @@ def test_golden_answers_mid_k10():
     assert rows_sha256(rows) == GOLDEN_MID_K10_ROWS_SHA256
 
 
+# sha256 over Network.checksum of each bench/run.py pool drop (seeds
+# 0..39), pinned from the topology build that placed receivers with
+# vector draws of size 1 and np.linalg.norm; the cap does not enter the
+# drop, so both K=50 pools hash alike.
+@pytest.mark.parametrize("overrides, expected", [
+    (K4, "6ed4019b6a7de82a5096005a5093eb9c3cb2d1dc476d2a82a4dd5c494cb16a87"),
+    (MID_K10, "eb137da997bfd822ec111c0872c565af295069eb2a54e163b99d7f326811d21e"),
+    (K50_LOOSE, "7665bb632a28e1917af81b9f9d6de3437155964655ae2681ad8816af9a6994bc"),
+    (K50_TIGHT, "7665bb632a28e1917af81b9f9d6de3437155964655ae2681ad8816af9a6994bc"),
+], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
+def test_golden_topology(overrides, expected):
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    h = hashlib.sha256()
+    for seed in range(40):
+        h.update(build_topology(dataclasses.replace(cfg, seed=seed)).checksum().encode())
+    assert h.hexdigest() == expected
+
+
 def test_each_row_computes_its_sinrs_once(monkeypatch):
     # Count the SINR lists run_experiment computes to evaluate its rows,
     # not those a solver or the oracle computes while it runs.
@@ -458,9 +476,13 @@ def test_cli_run_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
     ({"mbs_power": float("nan")}, None, "mbs_power"),
     ({"i_max": float("nan")}, None, "i_max"),
     ({"power_levels": [0.1, float("nan")]}, None, "power_levels"),
+    ({"d2d_max_dist": 0.5}, None, "d2d_max_dist"),
+    ({"sbs_ue_max_dist": 1.0}, None, "sbs_ue_max_dist"),
+    ({"cell_radius": 1.0}, None, "cell_radius"),
 ], ids=["seed-negative", "num_rb-float", "seed-bool", "seeds-negative", "seeds-repeated",
         "w1-string", "w2-null", "cell_radius-bool", "mbs_power-nan", "i_max-nan",
-        "power_level-nan"])
+        "power_level-nan", "d2d_max_dist-unplaceable", "sbs_ue_max_dist-unplaceable",
+        "cell_radius-unplaceable"])
 def test_cli_rejects_bad_integers_exit_2(tmp_path, capsys, overrides, seeds, name):
     path, _ = write_scenario(tmp_path, overrides=overrides)
     out = tmp_path / "m.csv"

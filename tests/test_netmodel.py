@@ -60,6 +60,10 @@ def test_config_defaults_rb_bandwidth():
     dict(i_max=True),
     dict(power_levels=(0.1, float("nan"))),
     dict(power_levels=(True,)),
+    # no point of a disk of radius <= MIN_LINK_DIST is that far from its centre
+    dict(cell_radius=1.0),
+    dict(d2d_max_dist=0.5),
+    dict(sbs_ue_max_dist=netmodel.MIN_LINK_DIST),
 ])
 def test_config_rejects_invalid(bad):
     with pytest.raises(ConfigError, match=next(iter(bad))):  # the error names the field
