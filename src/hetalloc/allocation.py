@@ -68,7 +68,7 @@ class Allocation:
 
     def on_rb(self, n):
         """All (k, l) pairs currently assigned to RB n, ascending k."""
-        ks = np.flatnonzero(self.rb == n)
+        ks = (self.rb == n).nonzero()[0]
         return list(zip(ks.tolist(), self.level[ks].tolist()))
 
     def by_rb(self, num_rb):

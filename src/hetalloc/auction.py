@@ -100,7 +100,7 @@ def local_auction_round(state, net, alloc_prev, interference_prev, benefits):
     n_hat = best // L
     fits = net.ref_p.reshape(K, -1)[rows, best] + interference_prev[n_hat] < net.i_max[n_hat]
 
-    ks = np.flatnonzero(fits & ~content)
+    ks = (fits & ~content).nonzero()[0]
     chosen = best[ks]
     bids = merged[chosen] + bid_increment(values[ks], chosen, state.epsilon)
     # A resource's new cost is the highest of its old cost and its bids

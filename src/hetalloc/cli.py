@@ -56,9 +56,13 @@ def _cmd_run(args):
     except (OSError, ValueError) as exc:  # ScenarioFormatError, ConfigError too
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
-    metrics = harness.run_experiment(config, algorithms=algorithms, seeds=seeds,
-                                     with_oracle=args.oracle, t_max=args.t_max,
-                                     budget=budget)
+    try:
+        metrics = harness.run_experiment(config, algorithms=algorithms, seeds=seeds,
+                                         with_oracle=args.oracle, t_max=args.t_max,
+                                         budget=budget)
+    except ConfigError as exc:  # a drop whose receivers cannot be placed
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 2
     harness.write_metrics_csv(metrics, args.out)
     print(f"wrote {len(metrics)} rows to {args.out}")
     for m in metrics:

@@ -54,59 +54,75 @@ class MessageState:
         return self.psi_tx + self.psi_res
 
 
-def _max_excluding_self(a, axis):
-    """out[i] = max of ``a`` along ``axis`` with index i left out, 0 when
-    nothing is left (a length-1 axis).  ``axis`` is 0 or the last axis.
-
-    Each line's answer is its max everywhere except at its first argmax,
-    which gets the max of the line with that entry set to -inf (the peak
-    again when the peak is shared).  One argmax, one max and flat-index
-    gathers and scatters: no partition and no full-size mask.  The values
-    equal those of the top-two form (the largest, or the second largest
-    at a unique peak), but a peak of exactly +0.0 or -0.0 may come back
-    with the other sign of zero, since max does not order the two zeros.
-    """
-    n = a.shape[axis]
-    if n == 1:
-        return np.zeros_like(a)
-    if axis == 0:
-        out = a.reshape(n, -1).copy()
-        m = out.shape[1]
-        at = out.argmax(axis=0) * m + np.arange(m)
-    else:
-        out = a.reshape(-1, n).copy()
-        at = out.argmax(axis=1) + np.arange(0, out.size, n)
-    flat = out.reshape(-1)
-    peak = flat[at]
-    flat[at] = -np.inf
-    rest = out.max(axis=axis)
-    out[...] = peak if axis == 0 else peak[:, None]
-    flat[at] = rest
-    return out.reshape(a.shape)
-
-
 def tx_sweep(state, utilities):
-    """All transmitter-side messages, synchronously from the old state."""
+    """All transmitter-side messages, synchronously from the old state.
+
+    A row's max over its other entries is the row's peak everywhere but at
+    its first argmax, where it is the row's max with that entry masked to
+    -inf for a moment (the peak again when the peak is shared), and 0 in a
+    row of one entry.  The table of those maxima is written over the row
+    values once their damping term is taken.  The values equal those of
+    the top-two form (the largest, or the second largest at a unique
+    peak), but a peak of exactly +0.0 or -0.0 may come back with the other
+    sign of zero, since max does not order the two zeros.
+    """
     w = state.omega
     K = utilities.shape[0]
     values = (utilities + state.psi_res).reshape(K, -1)
-    out = (utilities.reshape(K, -1) - w * _max_excluding_self(values, axis=1)
-           - (1.0 - w) * values)
-    return out.reshape(utilities.shape)
+    n = values.shape[1]
+    if n == 1:
+        return (utilities.reshape(K, 1) - (1.0 - w) * values).reshape(utilities.shape)
+    flat = values.reshape(-1)
+    at = values.argmax(axis=1) + np.arange(0, flat.size, n)
+    peak = flat[at]
+    flat[at] = -np.inf
+    rest = values.max(axis=1)
+    flat[at] = peak  # before any scaling: (1 - w) * -inf is NaN at w = 1
+    damp = values * (1.0 - w)
+    values[...] = peak[:, None]
+    flat[at] = rest
+    values *= w
+    np.subtract(utilities.reshape(K, n), values, out=values)
+    values -= damp
+    return values.reshape(utilities.shape)
 
 
 def res_sweep(state):
-    """All resource-side messages, synchronously from the old state."""
+    """All resource-side messages, synchronously from the old state.
+
+    Each column's max over the other transmitters is taken as in
+    ``tx_sweep``.  The column peaks are masked in ``state.psi_tx`` itself
+    and restored before anything else reads it, so its bytes end as they
+    began.
+    """
     w = state.omega
-    return -w * _max_excluding_self(state.psi_tx, axis=0) - (1.0 - w) * state.psi_tx
+    psi = state.psi_tx
+    K = psi.shape[0]
+    if K == 1:
+        return -((1.0 - w) * psi)
+    cols = psi.reshape(K, -1)
+    m = cols.shape[1]
+    flat = cols.reshape(-1)
+    at = cols.argmax(axis=0) * m + np.arange(m)
+    peak = flat[at]
+    flat[at] = -np.inf
+    rest = cols.max(axis=0)
+    flat[at] = peak
+    out = np.empty_like(cols)
+    out[...] = peak
+    out.reshape(-1)[at] = rest
+    out *= -w
+    out -= cols * (1.0 - w)
+    return out.reshape(psi.shape)
 
 
 def proposal(tau):
     """Each transmitter's largest marginal as a flat index n*L + l (ties
     toward the lowest), or -1 where that marginal is not positive."""
-    flat = tau.reshape(tau.shape[0], -1)
+    K = tau.shape[0]
+    flat = tau.reshape(K, -1)
     best = flat.argmax(axis=1)
-    best[~(flat.max(axis=1) > 0.0)] = -1
+    best[~(flat[np.arange(K), best] > 0.0)] = -1
     return best
 
 
@@ -229,6 +245,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
     cycle = None
     tables = {}  # allocation bytes -> its utility table
     extractions = {}  # proposal bytes -> the allocation extracted from it
+    scratch = np.empty((K, N, L))
 
     for iterations in range(1, t_max + 1):
         util = _recall(tables, x_prev.rb.tobytes() + x_prev.level.tobytes(),
@@ -242,16 +259,18 @@ def run_message_passing(net, omega=0.5, t_max=500):
         # transmitter message by -c and every resource message by +c, a
         # direction that cancels in all marginals but otherwise
         # accumulates without bound; pin it so the messages themselves
-        # can reach the fixed point.
-        shift = (float((new_res - state.psi_res).sum())
-                 - float((new_tx - state.psi_tx).sum())) / (2 * K * N * L)
-        new_tx = new_tx + shift
-        new_res = new_res - shift
-        delta = max(float(np.abs(new_tx - state.psi_tx).max()),
-                    float(np.abs(new_res - state.psi_res).max()))
+        # can reach the fixed point.  The differences, their magnitudes
+        # and the marginals all pass through the one scratch table.
+        shift = (float(np.subtract(new_res, state.psi_res, out=scratch).sum())
+                 - float(np.subtract(new_tx, state.psi_tx, out=scratch).sum())) / (2 * K * N * L)
+        new_tx += shift
+        new_res -= shift
+        delta = max(
+            float(np.abs(np.subtract(new_tx, state.psi_tx, out=scratch), out=scratch).max()),
+            float(np.abs(np.subtract(new_res, state.psi_res, out=scratch), out=scratch).max()))
         deltas.append(delta)
         state = MessageState(new_tx, new_res, state.omega)
-        best = proposal(state.tau)
+        best = proposal(np.add(new_tx, new_res, out=scratch))
         x_t = _recall(extractions, best.tobytes(),
                       lambda: extract_allocation(state, net, best))
         if msg_converged_at is None and delta < MESSAGE_TOL:

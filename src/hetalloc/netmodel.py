@@ -223,6 +223,21 @@ class Network:
         return _read_only(self.ref_gain[:, :, None] * self.power_levels)
 
     @cached_property
+    def sig_pt(self):
+        """(L, K*N): ``sig_p`` with the power level first."""
+        return _read_only(np.ascontiguousarray(self.sig_p.reshape(-1, self.num_levels).T))
+
+    @cached_property
+    def ref_pt(self):
+        """(L, K*N): ``ref_p`` with the power level first."""
+        return _read_only(np.ascontiguousarray(self.ref_p.reshape(-1, self.num_levels).T))
+
+    @cached_property
+    def i_max_kn(self):
+        """(K*N,): ``i_max[n]`` at entry ``k*N + n``."""
+        return _read_only(np.tile(self.i_max, self.num_tx))
+
+    @cached_property
     def ref_p_list(self):
         """``ref_p`` as one flat list of floats, entry ``k*N*L + n*L + l``."""
         return self.ref_p.ravel().tolist()
@@ -423,7 +438,7 @@ def interference_vector(net, alloc):
     An ``np.bincount`` fold over the holders in ascending k, so each entry
     equals ``aggregated_interference``.
     """
-    ks = np.flatnonzero(alloc.rb >= 0)
+    ks = (alloc.rb >= 0).nonzero()[0]
     ns = alloc.rb[ks]
     return _fold(ns, net.ref_p[ks, ns, alloc.level[ks]], net.num_rb)
 
@@ -507,11 +522,12 @@ def _interference_maps(net, alloc):
     ``interference_vector``.
     """
     K, N = net.num_tx, net.num_rb
-    own = np.zeros((K, N))
-    ks = np.flatnonzero(alloc.rb >= 0)
+    ks = (alloc.rb >= 0).nonzero()[0]
     ns = alloc.rb[ks]
+    kn = ks * N + ns
     p = net.power_levels[alloc.level[ks]]
-    own[ks, ns] = c = net.ref_gain[ks, ns] * p
+    own = np.zeros(K * N)
+    own[kn] = c = net.ref_gain.reshape(-1)[kn] * p
     v = net.gain_ul[ks, :, ns] * p[:, None]  # (assigned, receiver)
     v[np.arange(len(ks)), ks] = 0.0  # no transmitter interferes with its own receiver
     # Entry (receiver j, RB n) is bin j*N + n.  The bins are listed
@@ -519,7 +535,7 @@ def _interference_maps(net, alloc):
     # one at a time in ascending k.
     bins = ns[:, None] + np.arange(0, K * N, N)
     rx_int = _fold(bins.ravel(), v.ravel(), K * N).reshape(K, N)
-    return rx_int, _fold(ns, c, N), own
+    return rx_int, _fold(ns, c, N), own.reshape(K, N)
 
 
 def _gamma(net, rx_int):
@@ -556,6 +572,25 @@ def cost_table(net, alloc):
 
 
 def utility_table(net, alloc):
-    """Utility for every (k, n, l) given alloc; equals benefit minus cost."""
+    """Utility for every (k, n, l) given alloc; equals benefit minus cost.
+
+    Each entry takes the operations of ``_benefit(...) - _cost(...)`` in
+    their order, but on (L, K*N) planes: with the power level first, each
+    per-(k, n) input broadcasts along whole rows, not along the short level
+    axis, and only the last step writes the (K, N, L) table.
+    """
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
     rx_int, agg, own = _interference_maps(net, alloc)
-    return _benefit(net, rx_int) - _cost(net, agg, own)
+    den = np.add(net.mbs_den, rx_int, out=rx_int)
+    den += net.sigma2
+    benefit = np.divide(net.sig_pt, den.reshape(-1))
+    benefit += 1.0
+    np.log2(benefit, out=benefit)
+    benefit *= net.w1
+    cost = np.add(net.ref_pt, np.subtract(agg, own, out=own).reshape(-1))
+    cost /= net.i_max_kn
+    cost -= 1.0
+    cost *= net.w2
+    table = np.empty((K, N, L))
+    np.subtract(benefit, cost, out=table.reshape(K * N, L).T)
+    return table

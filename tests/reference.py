@@ -320,20 +320,46 @@ def max_excluding_self_top2(a, axis):
     return np.where((a == m1) & unique_peak, m2, m1)
 
 
-def tx_sweep(state, utilities):
-    """``msgpass.tx_sweep`` on the top-two form."""
+def max_excluding_self_gather(a, axis):
+    """The argmax-and-gather form of max-excluding-self that the sweeps
+    used before they masked their peaks in place: a full-size copy, one
+    argmax, one max with each line's first argmax set to -inf, a broadcast
+    of the peaks and a scatter of the rest.  ``axis`` is 0 or the last
+    axis; a length-1 axis gives zeros."""
+    n = a.shape[axis]
+    if n == 1:
+        return np.zeros_like(a)
+    if axis == 0:
+        out = a.reshape(n, -1).copy()
+        m = out.shape[1]
+        at = out.argmax(axis=0) * m + np.arange(m)
+    else:
+        out = a.reshape(-1, n).copy()
+        at = out.argmax(axis=1) + np.arange(0, out.size, n)
+    flat = out.reshape(-1)
+    peak = flat[at]
+    flat[at] = -np.inf
+    rest = out.max(axis=axis)
+    out[...] = peak if axis == 0 else peak[:, None]
+    flat[at] = rest
+    return out.reshape(a.shape)
+
+
+def tx_sweep(state, utilities, max_excluding=max_excluding_self_top2):
+    """``msgpass.tx_sweep`` on a full table of ``max_excluding`` (the
+    top-two form unless given)."""
     w = state.omega
     K = utilities.shape[0]
     values = (utilities + state.psi_res).reshape(K, -1)
-    out = (utilities.reshape(K, -1) - w * max_excluding_self_top2(values, axis=1)
+    out = (utilities.reshape(K, -1) - w * max_excluding(values, axis=1)
            - (1.0 - w) * values)
     return out.reshape(utilities.shape)
 
 
-def res_sweep(state):
-    """``msgpass.res_sweep`` on the top-two form."""
+def res_sweep(state, max_excluding=max_excluding_self_top2):
+    """``msgpass.res_sweep`` on a full table of ``max_excluding``."""
     w = state.omega
-    return -w * max_excluding_self_top2(state.psi_tx, axis=0) - (1.0 - w) * state.psi_tx
+    return -w * max_excluding(state.psi_tx, axis=0) - (1.0 - w) * state.psi_tx
 
 
 def tx_message_update(state, utilities, k, res):

@@ -522,7 +522,11 @@ def test_network_constant_tables_equal_inline_and_read_only():
     k, n, l = K - 1, net.num_rb - 2, 1
     assert net.ref_p_list[(k * net.num_rb + n) * net.num_levels + l] == net.ref_p[k, n, l]
     assert net.ref_p_list is net.ref_p_list
-    for table in (net.sig_p, net.mbs_den, net.ref_p):
+    L = net.num_levels
+    assert same_array(net.sig_pt, np.ascontiguousarray(net.sig_p.reshape(-1, L).T))
+    assert same_array(net.ref_pt, np.ascontiguousarray(net.ref_p.reshape(-1, L).T))
+    assert same_array(net.i_max_kn, np.tile(net.i_max, K))
+    for table in (net.sig_p, net.mbs_den, net.ref_p, net.sig_pt, net.ref_pt, net.i_max_kn):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1.0
@@ -538,9 +542,38 @@ def test_max_excluding_self_equals_sort(shape, axis):
     rng = np.random.default_rng(7)
     tied = rng.integers(0, 3, size=shape).astype(float)  # repeated peaks
     for a in (rng.normal(size=shape), tied, np.zeros(shape)):
-        got = msgpass._max_excluding_self(a, axis)
+        got = reference.max_excluding_self_gather(a, axis)
         want = reference.max_excluding_self(a, axis)
         assert got.shape == want.shape and (got == want).all()
+
+
+def tied_signed_table(rng, shape):
+    """Entries from a few values, so lines share peaks, with a third of
+    them replaced by +0.0 or -0.0."""
+    a = rng.choice([-1.5, -0.5, 0.25, 1.0], size=shape)
+    zero = rng.random(shape) < 1 / 3
+    a[zero] = np.copysign(0.0, rng.normal(size=shape))[zero]
+    return a
+
+
+@pytest.mark.parametrize("shape", [(6, 4, 3), (50, 25, 4), (1, 4, 3), (5, 1, 1), (1, 1, 1)],
+                         ids=["K6", "K50", "K1", "NL1", "all1"])
+def test_sweeps_equal_gather_form_bytes(shape):
+    # The sweeps mask each line's peak in place of the gather form's
+    # full-size copy and write the maxima over their own buffer; the
+    # bytes stay those of the gather form, signs of zero included, and
+    # the state and the utilities end as they began.
+    rng = np.random.default_rng(19)
+    for i in range(90):
+        omega = (0.3, 0.5, 1.0)[i % 3]
+        draw = tied_signed_table if i % 2 else zero_heavy_table
+        u, psi_tx, psi_res = (draw(rng, shape) for _ in range(3))
+        s = MessageState(psi_tx, psi_res, omega)
+        before = [a.tobytes() for a in (u, psi_tx, psi_res)]
+        gather = reference.max_excluding_self_gather
+        assert same_array(msgpass.tx_sweep(s, u), reference.tx_sweep(s, u, gather))
+        assert same_array(msgpass.res_sweep(s), reference.res_sweep(s, gather))
+        assert [a.tobytes() for a in (u, psi_tx, psi_res)] == before
 
 
 # Nonzero entries with many repeats; no sum of one from NONZERO_U and one
