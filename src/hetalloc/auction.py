@@ -148,11 +148,11 @@ def run_auction(net, t_max=500):
     # One interference pass per round gives both the benefit table and the
     # per-RB interference the guard reads.
     rx_int, i_prev, own = netmodel._interference_maps(net, x_prev)
-    b_prev = netmodel._benefit(net, rx_int)
+    b_prev = netmodel._table(net, netmodel._benefit(net, rx_int))
     benefit_span = float(b_prev.max() - b_prev.min())
     epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
 
-    costs = np.maximum(0.0, netmodel._cost(net, i_prev, own)).max(axis=0)
+    costs = np.maximum(0.0, netmodel._table(net, netmodel._cost(net, i_prev, own))).max(axis=0)
     state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), x_prev, epsilon)
 
     converged = False
@@ -164,7 +164,7 @@ def run_auction(net, t_max=500):
             break
         x_prev = x_t
         rx_int, i_prev, _ = netmodel._interference_maps(net, x_prev)
-        b_prev = netmodel._benefit(net, rx_int)
+        b_prev = netmodel._table(net, netmodel._benefit(net, rx_int))
 
     # Concurrent bids in one synchronous round can jointly overshoot a
     # budget the guard checked one at a time.

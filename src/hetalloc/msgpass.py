@@ -259,8 +259,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
         # transmitter message by -c and every resource message by +c, a
         # direction that cancels in all marginals but otherwise
         # accumulates without bound; pin it so the messages themselves
-        # can reach the fixed point.  The differences, their magnitudes
-        # and the marginals all pass through the one scratch table.
+        # can reach the fixed point.
         shift = (float(np.subtract(new_res, state.psi_res, out=scratch).sum())
                  - float(np.subtract(new_tx, state.psi_tx, out=scratch).sum())) / (2 * K * N * L)
         new_tx += shift

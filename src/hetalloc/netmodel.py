@@ -207,12 +207,6 @@ class Network:
     # built on first use.  They are not fields: checksum and == ignore them.
 
     @cached_property
-    def sig_p(self):
-        """(K, N, L): ``gain_ul[k, k, n] * power_levels[l]``, k's own signal."""
-        k = np.arange(self.num_tx)
-        return _read_only(self.gain_ul[k, k, :][:, :, None] * self.power_levels)
-
-    @cached_property
     def mbs_den(self):
         """(K, N): ``gain_mbs_ul * mbs_power``, the MBS power at k's receiver."""
         return _read_only(self.gain_mbs_ul * self.mbs_power)
@@ -224,13 +218,14 @@ class Network:
 
     @cached_property
     def sig_pt(self):
-        """(L, K*N): ``sig_p`` with the power level first."""
-        return _read_only(np.ascontiguousarray(self.sig_p.reshape(-1, self.num_levels).T))
+        """(L, K*N): ``power_levels[l] * gain_ul[k, k, n]`` at (l, k*N + n), k's own signal."""
+        k = np.arange(self.num_tx)
+        return _read_only(self.power_levels[:, None] * self.gain_ul[k, k, :].reshape(-1))
 
     @cached_property
     def ref_pt(self):
         """(L, K*N): ``ref_p`` with the power level first."""
-        return _read_only(np.ascontiguousarray(self.ref_p.reshape(-1, self.num_levels).T))
+        return _read_only(self.power_levels[:, None] * self.ref_gain.reshape(-1))
 
     @cached_property
     def i_max_kn(self):
@@ -538,28 +533,46 @@ def _interference_maps(net, alloc):
     return rx_int, _fold(ns, c, N), own.reshape(K, N)
 
 
+# The benefit and the cost are evaluated on (L, K*N) planes, the power
+# level first: each per-(k, n) input then broadcasts along whole rows, not
+# along the short level axis.  The helpers work in place and overwrite the
+# rx_int or own map they are given.
+
 def _gamma(net, rx_int):
-    den = net.mbs_den + rx_int + net.sigma2
-    return net.sig_p / den[:, :, None]
+    den = np.add(net.mbs_den, rx_int, out=rx_int)
+    den += net.sigma2
+    return np.divide(net.sig_pt, den.reshape(-1))
 
 
 def _benefit(net, rx_int):
-    return net.w1 * np.log2(1.0 + _gamma(net, rx_int))
+    planes = _gamma(net, rx_int)
+    planes += 1.0
+    np.log2(planes, out=planes)
+    planes *= net.w1
+    return planes
 
 
 def _cost(net, agg, own):
-    i_hyp = net.ref_p + (agg[None, :] - own)[:, :, None]
-    return net.w2 * (i_hyp / net.i_max[None, :, None] - 1.0)
+    planes = np.add(net.ref_pt, np.subtract(agg, own, out=own).reshape(-1))
+    planes /= net.i_max_kn
+    planes -= 1.0
+    planes *= net.w2
+    return planes
+
+
+def _table(net, planes):
+    """The (K, N, L) table, C-ordered, of (L, K*N) planes."""
+    return np.ascontiguousarray(planes.T).reshape(net.num_tx, net.num_rb, net.num_levels)
 
 
 def gamma_table(net, alloc):
     """Hypothetical-move SINR for every (k, n, l) given alloc, shape (K, N, L)."""
-    return _gamma(net, _interference_maps(net, alloc)[0])
+    return _table(net, _gamma(net, _interference_maps(net, alloc)[0]))
 
 
 def benefit_table(net, alloc):
     """Weighted spectral efficiency w1 * log2(1 + SINR) per (k, n, l)."""
-    return _benefit(net, _interference_maps(net, alloc)[0])
+    return _table(net, _benefit(net, _interference_maps(net, alloc)[0]))
 
 
 def cost_table(net, alloc):
@@ -568,29 +581,16 @@ def cost_table(net, alloc):
     I is the RB's aggregated reference-user interference if k moved to
     (n, l), with every other transmitter kept at its alloc assignment.
     """
-    return _cost(net, *_interference_maps(net, alloc)[1:])
+    return _table(net, _cost(net, *_interference_maps(net, alloc)[1:]))
 
 
 def utility_table(net, alloc):
     """Utility for every (k, n, l) given alloc; equals benefit minus cost.
 
-    Each entry takes the operations of ``_benefit(...) - _cost(...)`` in
-    their order, but on (L, K*N) planes: with the power level first, each
-    per-(k, n) input broadcasts along whole rows, not along the short level
-    axis, and only the last step writes the (K, N, L) table.
+    The subtraction of the planes writes the (K, N, L) table in one pass.
     """
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     rx_int, agg, own = _interference_maps(net, alloc)
-    den = np.add(net.mbs_den, rx_int, out=rx_int)
-    den += net.sigma2
-    benefit = np.divide(net.sig_pt, den.reshape(-1))
-    benefit += 1.0
-    np.log2(benefit, out=benefit)
-    benefit *= net.w1
-    cost = np.add(net.ref_pt, np.subtract(agg, own, out=own).reshape(-1))
-    cost /= net.i_max_kn
-    cost -= 1.0
-    cost *= net.w2
     table = np.empty((K, N, L))
-    np.subtract(benefit, cost, out=table.reshape(K * N, L).T)
+    np.subtract(_benefit(net, rx_int), _cost(net, agg, own), out=table.reshape(K * N, L).T)
     return table

@@ -321,11 +321,10 @@ def max_excluding_self_top2(a, axis):
 
 
 def max_excluding_self_gather(a, axis):
-    """The argmax-and-gather form of max-excluding-self that the sweeps
-    used before they masked their peaks in place: a full-size copy, one
-    argmax, one max with each line's first argmax set to -inf, a broadcast
-    of the peaks and a scatter of the rest.  ``axis`` is 0 or the last
-    axis; a length-1 axis gives zeros."""
+    """Max-excluding-self by argmax and gather: every entry gets its line's
+    max, except each line's first argmax, which gets the max of the line
+    with that entry set to -inf (on a full-size copy).  ``axis`` is 0 or
+    the last axis; a length-1 axis gives zeros."""
     n = a.shape[axis]
     if n == 1:
         return np.zeros_like(a)

@@ -515,25 +515,25 @@ def test_network_constant_tables_equal_inline_and_read_only():
     net = build_topology(make_config(seed=3, **MID))
     K = net.num_tx
     sig = net.gain_ul[np.arange(K), np.arange(K), :]
-    assert same_array(net.sig_p, sig[:, :, None] * net.power_levels[None, None, :])
+    L = net.num_levels
+    sig_p = sig[:, :, None] * net.power_levels[None, None, :]
+    assert same_array(net.sig_pt, np.ascontiguousarray(sig_p.reshape(-1, L).T))
     assert same_array(net.mbs_den, net.gain_mbs_ul * net.mbs_power)
     assert same_array(net.ref_p, net.ref_gain[:, :, None] * net.power_levels[None, None, :])
     assert net.ref_p_list == net.ref_p.ravel().tolist()
     k, n, l = K - 1, net.num_rb - 2, 1
     assert net.ref_p_list[(k * net.num_rb + n) * net.num_levels + l] == net.ref_p[k, n, l]
     assert net.ref_p_list is net.ref_p_list
-    L = net.num_levels
-    assert same_array(net.sig_pt, np.ascontiguousarray(net.sig_p.reshape(-1, L).T))
     assert same_array(net.ref_pt, np.ascontiguousarray(net.ref_p.reshape(-1, L).T))
     assert same_array(net.i_max_kn, np.tile(net.i_max, K))
-    for table in (net.sig_p, net.mbs_den, net.ref_p, net.sig_pt, net.ref_pt, net.i_max_kn):
+    for table in (net.mbs_den, net.ref_p, net.sig_pt, net.ref_pt, net.i_max_kn):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1.0
-    assert net.sig_p is net.sig_p  # built once per drop
+    assert net.sig_pt is net.sig_pt  # built once per drop
     again = build_topology(make_config(seed=3, **MID))
     assert again.checksum() == net.checksum()
-    assert "sig_p" not in {f.name for f in dataclasses.fields(net)}
+    assert "sig_pt" not in {f.name for f in dataclasses.fields(net)}
 
 
 @pytest.mark.parametrize("shape, axis", [((5, 12), 1), ((6, 4, 3), 0), ((2, 2), 1),

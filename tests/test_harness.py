@@ -496,14 +496,12 @@ def test_cli_rejects_bad_integers_exit_2(tmp_path, capsys, overrides, seeds, nam
 
 
 def test_cli_run_unplaceable_receiver_exits_2(tmp_path, capsys):
-    # A receiver disk just over MIN_LINK_DIST passes validation, but its
-    # receivers can rarely be placed: run reports the drop's ConfigError.
+    # With a receiver disk just over MIN_LINK_DIST the receivers can rarely
+    # be placed: run reports the drop's ConfigError.
     data = json.loads((SCENARIOS / "default.json").read_text())
     data["d2d_max_dist"] = 1.001
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(data))
-    assert cli.main(["validate", str(path)]) == 0
-    capsys.readouterr()
     out = tmp_path / "m.csv"
     assert cli.main(["run", "--scenario", str(path), "--seeds", "0:10", "--out", str(out)]) == 2
     err = capsys.readouterr().err
