@@ -9,6 +9,7 @@ is the ground truth the distributed algorithms are measured against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,14 +110,11 @@ class SolverResult:
 
 def start_alignment(net):
     """The start state of every solver: each transmitter on a uniformly
-    random (RB, level), drawn from ``default_rng(net.seed)`` as
-    ``integers(N)`` then ``integers(L)`` per transmitter, ascending k.  One
-    broadcast call draws them all: bounds ``[N, L, N, L, ...]`` give the
-    values of those scalar calls in the same order."""
-    K = net.num_tx
-    draw = np.random.default_rng(net.seed).integers(0, np.tile([net.num_rb, net.num_levels], K))
+    random (RB, level), ``net.start_draw``.  The draw is made once per drop;
+    each call returns a new, writable copy of it."""
+    rb, level = net.start_draw
     alloc = Allocation.__new__(Allocation)
-    alloc.rb, alloc.level = draw.reshape(K, 2).T.copy()
+    alloc.rb, alloc.level = rb.copy(), level.copy()
     return alloc
 
 
@@ -325,11 +323,13 @@ def _rb_tables(net):
     return f.reshape(N, -1), best_row.reshape(N, -1), feasible
 
 
+@functools.lru_cache(maxsize=1)  # at K=12 the three arrays take about 8.5 MB
 def _subset_pairs(num_tx):
     """Every (S, T) with T a subset of S, as bitmask arrays grouped by S.
 
-    Returns ``(S, T, starts)``; the pairs of set s are
-    ``T[starts[s]:starts[s + 1]]``, in ascending T.
+    Returns ``(S, T, starts)``, read-only and cached for the last K asked
+    for; the pairs of set s are ``T[starts[s]:starts[s + 1]]``, in
+    ascending T.
     """
     digits = np.arange(3 ** num_tx)
     S = np.zeros(3 ** num_tx, dtype=np.int64)
@@ -342,4 +342,6 @@ def _subset_pairs(num_tx):
     by_set = np.lexsort((T, S))
     S, T = S[by_set], T[by_set]
     starts = np.searchsorted(S, np.arange((1 << num_tx) + 1))
+    for a in (S, T, starts):
+        a.flags.writeable = False
     return S, T, starts

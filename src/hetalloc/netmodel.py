@@ -121,12 +121,19 @@ class ScenarioConfig:
         for name in ("mbs_power", "noise_psd", "rb_bandwidth"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        # A receiver disk must reach past MIN_LINK_DIST from its centre,
-        # where the MBS or the receiver's own transmitter stands.
+        # A try to place a receiver fails only within MIN_LINK_DIST of one
+        # of the K + 1 anchors (the MBS and every transmitter), at most a
+        # share (K + 1) * MIN_LINK_DIST^2 / R^2 of a disk of radius R.  With
+        # R^2 >= 2 (K + 1) MIN_LINK_DIST^2 that share is at most 1/2, so all
+        # MAX_PLACE_TRIES tries of one receiver fail with chance <= 2^-1000.
+        floor = 2 * (self.num_tx + 1) * MIN_LINK_DIST ** 2
         for name in ("cell_radius", "d2d_max_dist", "sbs_ue_max_dist"):
-            if getattr(self, name) <= MIN_LINK_DIST:
-                raise ConfigError(f"{name} must be > MIN_LINK_DIST = {MIN_LINK_DIST} m, "
-                                  f"got {getattr(self, name)!r}")
+            radius = getattr(self, name)
+            if radius <= 0 or radius * radius < floor:
+                raise ConfigError(
+                    f"{name} must be >= sqrt(2 (K + 1)) * MIN_LINK_DIST = "
+                    f"{math.sqrt(floor):.4g} m at K = {self.num_tx}, so that every "
+                    f"receiver can be placed, got {radius!r}")
 
     @property
     def num_tx(self):
@@ -217,6 +224,18 @@ class Network:
         return _read_only(self.ref_gain[:, :, None] * self.power_levels)
 
     @cached_property
+    def start_draw(self):
+        """(rb, level), each (K,) int64: the solvers' start state, drawn from
+        ``default_rng(seed)`` as ``integers(N)`` then ``integers(L)`` per
+        transmitter, ascending k.  One broadcast call draws them all: bounds
+        ``[N, L, N, L, ...]`` give the values of those scalar calls in the
+        same order."""
+        K = self.num_tx
+        draw = np.random.default_rng(self.seed).integers(
+            0, np.tile([self.num_rb, self.num_levels], K)).reshape(K, 2)
+        return _read_only(draw[:, 0].copy()), _read_only(draw[:, 1].copy())
+
+    @cached_property
     def sig_pt(self):
         """(L, K*N): ``power_levels[l] * gain_ul[k, k, n]`` at (l, k*N + n), k's own signal."""
         k = np.arange(self.num_tx)
@@ -288,22 +307,46 @@ def _sample_disk(rng, center, radius, count):
     return center + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
-def _sample_receiver(rng, center, radius, anchors, label):
-    """Draw one point in a disk, at least MIN_LINK_DIST from every anchor.
+def _place_receivers(rng, centers, radii, anchors, groups):
+    """(M, 2) positions: receiver i uniform in the disk of radius
+    ``radii[i]`` around ``centers[i]``, at least MIN_LINK_DIST from every
+    anchor.  ``groups`` names the receivers: (label, count) runs in order.
 
-    A try draws the values ``_sample_disk(rng, center, radius, 1)`` does,
-    one at a time, and the distance test is that of ``np.linalg.norm``.
+    Receivers are placed in order, by tries of ``u_r`` then ``u_theta``
+    from ``rng.random`` (the doubles ``uniform()`` and ``uniform(0, 2*pi)``
+    draw).  A block holds one try per receiver left: the tries before its
+    first failure place their receivers, and those after it go on to the
+    next ones.  So no double is drawn that one-at-a-time tries would not
+    draw, and the draws after placement line up with theirs.
     """
     ax, ay = anchors.T
-    for _ in range(MAX_PLACE_TRIES):
-        r = radius * np.sqrt(rng.uniform())
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        x, y = center[0] + r * np.cos(theta), center[1] + r * np.sin(theta)
-        dx, dy = ax - x, ay - y
-        if np.sqrt((dx * dx + dy * dy).min()) >= MIN_LINK_DIST:
-            return x, y
-    raise ConfigError(f"could not place {label} at {MIN_LINK_DIST} m from all "
-                      f"transmitters after {MAX_PLACE_TRIES} tries")
+    M = len(radii)
+    pos = np.empty((M, 2))
+    u = np.empty((0, 2))
+    i = tries = 0
+    while i < M:
+        u = np.concatenate((u, rng.random(2 * (M - i - len(u))).reshape(-1, 2)))
+        r = radii[i:] * np.sqrt(u[:, 0])
+        theta = 2.0 * np.pi * u[:, 1]
+        x = centers[i:, 0] + r * np.cos(theta)
+        y = centers[i:, 1] + r * np.sin(theta)
+        dx, dy = ax - x[:, None], ay - y[:, None]
+        ok = np.sqrt((dx * dx + dy * dy).min(axis=1)) >= MIN_LINK_DIST
+        placed = len(ok) if ok.all() else int(ok.argmin())
+        pos[i:i + placed, 0], pos[i:i + placed, 1] = x[:placed], y[:placed]
+        if placed:
+            i, tries = i + placed, 0
+        if i < M:
+            tries += 1
+            if tries == MAX_PLACE_TRIES:
+                for label, count in groups:
+                    if i < count:
+                        break
+                    i -= count
+                raise ConfigError(f"could not place {label} {i} at {MIN_LINK_DIST} m from "
+                                  f"all transmitters after {MAX_PLACE_TRIES} tries")
+            u = u[placed + 1:]
+    return pos
 
 
 def build_topology(config):
@@ -313,9 +356,9 @@ def build_topology(config):
     are uniform in the macro disk; each SUE is uniform in a small disk
     around its SBS and each D2D receiver around its transmitter.  Fading
     power is exponential with unit mean (Rayleigh envelope), drawn
-    independently per link and RB.
+    independently per link and RB.  ``config`` is not checked again: a
+    ScenarioConfig validates itself when made, ``dataclasses.replace`` too.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     C, S, D, N = config.num_mue, config.num_sbs, config.num_d2d, config.num_rb
     K = S + D
@@ -328,28 +371,18 @@ def build_topology(config):
     # counterparts: the MBS and every underlay transmitter.
     anchors = np.vstack([np.zeros((1, 2)), tx_pos])
 
-    mue_pos = np.array([
-        _sample_receiver(rng, np.zeros(2), config.cell_radius, anchors, f"MUE {m}")
-        for m in range(C)
-    ])
-    sue_pos = np.array([
-        _sample_receiver(rng, sbs_pos[s], config.sbs_ue_max_dist, anchors, f"SUE {s}")
-        for s in range(S)
-    ]).reshape(S, 2)
-    d2d_rx_pos = np.array([
-        _sample_receiver(rng, d2d_tx_pos[d], config.d2d_max_dist, anchors, f"D2D receiver {d}")
-        for d in range(D)
-    ]).reshape(D, 2)
+    rx = _place_receivers(
+        rng, np.vstack([np.zeros((C, 2)), tx_pos]),
+        np.repeat([config.cell_radius, config.sbs_ue_max_dist, config.d2d_max_dist], [C, S, D]),
+        anchors, (("MUE", C), ("SUE", S), ("D2D receiver", D)))
+    mue_pos, rx_pos = rx[:C], rx[C:]  # rx_pos: SUEs, then D2D receivers
 
-    rx_pos = np.vstack([sue_pos, d2d_rx_pos])
-
-    def dist(a, b):
-        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-
-    d_tx_mue = dist(tx_pos, mue_pos)                      # (K, C)
-    d_mbs_mue = np.linalg.norm(mue_pos, axis=1)           # (C,)
-    d_tx_rx = dist(tx_pos, rx_pos)                        # (K, K)
-    d_mbs_rx = np.linalg.norm(rx_pos, axis=1)             # (K,)
+    # (1 + K, C + K) distances from each anchor to each receiver, the
+    # square root of the sum of the two squares, as np.linalg.norm sums them.
+    dx, dy = anchors[:, None, 0] - rx[:, 0], anchors[:, None, 1] - rx[:, 1]
+    d = np.sqrt(dx * dx + dy * dy)
+    d_mbs_mue, d_tx_mue = d[0, :C], d[1:, :C]             # (C,), (K, C)
+    d_mbs_rx, d_tx_rx = d[0, C:], d[1:, C:]               # (K,), (K, K)
 
     # Fading draws happen after all placement so the stream layout is fixed.
     beta_tx_mue = rng.exponential(1.0, size=(K, C, N))
@@ -363,7 +396,7 @@ def build_topology(config):
     gain_mbs_ul = beta_mbs_rx * d_mbs_rx[:, None] ** (-alpha)
 
     return make_network(
-        config, mue_pos, sbs_pos, sue_pos, d2d_tx_pos, d2d_rx_pos,
+        config, mue_pos, sbs_pos, rx_pos[:S], d2d_tx_pos, rx_pos[S:],
         gain_ul, gain_mbs_ul, gain_mue, gain_mbs_mue,
         config.power_levels, config.i_max_array(), config.mbs_power,
         config.noise_psd * config.rb_bandwidth, config.w1, config.w2,

@@ -1,8 +1,10 @@
 """Scan-based reference implementations, kept for exact-equality tests.
 
 First come the solvers' start-state draw, as it was written before it
-moved into ``allocation.start_alignment``, and two views of an
-allocation that only tests read.  Then the
+moved into ``allocation.start_alignment``, the topology build as it was
+before receivers were placed in array blocks (one scalar try at a time,
+distances by ``np.linalg.norm``), and two views of an allocation that
+only tests read.  Then the
 straightforward versions of routines that the library now computes on
 the allocation's int arrays, once per table or once per round.  Each one
 re-scans the whole allocation wherever it needs a co-channel sum, so its
@@ -45,6 +47,78 @@ def random_alignment(net, rng):
     for k in range(net.num_tx):
         alloc.assign(k, int(rng.integers(net.num_rb)), int(rng.integers(net.num_levels)))
     return alloc
+
+
+def sample_receiver(rng, center, radius, anchors, label, tries):
+    """Draw one point in a disk, at least MIN_LINK_DIST from every anchor,
+    one try at a time; each failed try is appended to ``tries``."""
+    ax, ay = anchors.T
+    for _ in range(netmodel.MAX_PLACE_TRIES):
+        r = radius * np.sqrt(rng.uniform())
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        x, y = center[0] + r * np.cos(theta), center[1] + r * np.sin(theta)
+        dx, dy = ax - x, ay - y
+        if np.sqrt((dx * dx + dy * dy).min()) >= netmodel.MIN_LINK_DIST:
+            return x, y
+        tries.append(label)
+    raise netmodel.ConfigError(f"could not place {label} at {netmodel.MIN_LINK_DIST} m from "
+                               f"all transmitters after {netmodel.MAX_PLACE_TRIES} tries")
+
+
+def place_receivers(rng, config, anchors, sbs_pos, d2d_tx_pos, tries):
+    """MUE, SUE and D2D receiver positions, one ``sample_receiver`` each."""
+    C, S, D = config.num_mue, config.num_sbs, config.num_d2d
+    mue_pos = np.array([
+        sample_receiver(rng, np.zeros(2), config.cell_radius, anchors, f"MUE {m}", tries)
+        for m in range(C)
+    ])
+    sue_pos = np.array([
+        sample_receiver(rng, sbs_pos[s], config.sbs_ue_max_dist, anchors, f"SUE {s}", tries)
+        for s in range(S)
+    ]).reshape(S, 2)
+    d2d_rx_pos = np.array([
+        sample_receiver(rng, d2d_tx_pos[d], config.d2d_max_dist, anchors,
+                        f"D2D receiver {d}", tries)
+        for d in range(D)
+    ]).reshape(D, 2)
+    return mue_pos, sue_pos, d2d_rx_pos
+
+
+def build_topology(config, tries=None):
+    """The drop ``netmodel.build_topology`` makes, receivers placed one try
+    at a time; every failed try's receiver label is appended to ``tries``."""
+    rng = np.random.default_rng(config.seed)
+    C, S, D, N = config.num_mue, config.num_sbs, config.num_d2d, config.num_rb
+    K = S + D
+    alpha = config.pathloss_exp
+    sbs_pos = netmodel._sample_disk(rng, np.zeros(2), config.cell_radius, S)
+    d2d_tx_pos = netmodel._sample_disk(rng, np.zeros(2), config.cell_radius, D)
+    tx_pos = np.vstack([sbs_pos, d2d_tx_pos])
+    anchors = np.vstack([np.zeros((1, 2)), tx_pos])
+    mue_pos, sue_pos, d2d_rx_pos = place_receivers(
+        rng, config, anchors, sbs_pos, d2d_tx_pos, [] if tries is None else tries)
+    rx_pos = np.vstack([sue_pos, d2d_rx_pos])
+
+    def dist(a, b):
+        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+    d_tx_mue = dist(tx_pos, mue_pos)
+    d_mbs_mue = np.linalg.norm(mue_pos, axis=1)
+    d_tx_rx = dist(tx_pos, rx_pos)
+    d_mbs_rx = np.linalg.norm(rx_pos, axis=1)
+    beta_tx_mue = rng.exponential(1.0, size=(K, C, N))
+    beta_mbs_mue = rng.exponential(1.0, size=(C, N))
+    beta_tx_rx = rng.exponential(1.0, size=(K, K, N))
+    beta_mbs_rx = rng.exponential(1.0, size=(K, N))
+    return netmodel.make_network(
+        config, mue_pos, sbs_pos, sue_pos, d2d_tx_pos, d2d_rx_pos,
+        beta_tx_rx * d_tx_rx[:, :, None] ** (-alpha),
+        beta_mbs_rx * d_mbs_rx[:, None] ** (-alpha),
+        beta_tx_mue * d_tx_mue[:, :, None] ** (-alpha),
+        beta_mbs_mue * d_mbs_mue[:, None] ** (-alpha),
+        config.power_levels, config.i_max_array(), config.mbs_power,
+        config.noise_psd * config.rb_bandwidth, config.w1, config.w2,
+        config.rb_bandwidth)
 
 
 def indicator(alloc, num_rb, num_levels):

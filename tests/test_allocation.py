@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
+from hetalloc import allocation
 from hetalloc.allocation import (Allocation, OracleBudgetError,
                                  exhaustive_search, is_feasible, oracle_cost,
                                  search_space_size, start_alignment, sum_rate)
-from hetalloc.harness import SOLVERS, load_scenario
+from hetalloc.harness import SOLVERS, load_scenario, run_experiment
 from hetalloc.netmodel import build_topology
 
 from conftest import toy_network
-from test_harness import K4, K50_LOOSE, MID_K10, ROOT, SCENARIOS
+from test_harness import K4, K50_LOOSE, MID_K10, ROOT, SCENARIOS, rows_sha256
 from test_netmodel import make_config, two_tx_net
 
 
@@ -283,6 +284,53 @@ def test_start_alignment_equals_reference_draw(overrides):
         net = build_topology(dataclasses.replace(cfg, seed=seed))
         want = reference.random_alignment(net, np.random.default_rng(seed))
         assert start_alignment(net) == want and want.num_assigned() == net.num_tx
+
+
+def test_start_draw_is_read_only():
+    net = build_topology(make_config())
+    for a in net.start_draw:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert net.start_draw is net.start_draw  # drawn once per drop
+
+
+def test_start_alignment_returns_a_new_writable_copy():
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **K4)
+    for seed in range(5):
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        want = reference.random_alignment(net, np.random.default_rng(seed))
+        first, second = start_alignment(net), start_alignment(net)
+        assert first == second == want
+        for a in (first.rb, first.level):
+            assert a.flags.writeable and not any(
+                np.shares_memory(a, b) for b in (second.rb, second.level, *net.start_draw))
+        first.unassign(0)
+        first.assign(1, 0, 0)
+        assert start_alignment(net) == second == want
+
+
+def test_run_experiment_rows_independent_of_algorithm_order():
+    # Every solver starts from its own copy of the drop's start state, so
+    # no run can see what another did to it.
+    cfg = load_scenario(SCENARIOS / "default.json")
+    want = rows_sha256(run_experiment(cfg, seeds=range(3), t_max=200))
+    for order in itertools.permutations(SOLVERS):
+        assert rows_sha256(run_experiment(cfg, algorithms=order, seeds=range(3),
+                                          t_max=200)) == want
+    alone = [r for name in SOLVERS
+             for r in run_experiment(cfg, algorithms=[name], seeds=range(3), t_max=200)]
+    assert rows_sha256(sorted(alone, key=lambda r: (r.seed, r.algorithm))) == want
+
+
+def test_subset_pairs_cached_read_only_and_equal_to_a_fresh_build():
+    for K in (1, 3, 4, 3, 6):
+        got = allocation._subset_pairs(K)
+        assert allocation._subset_pairs(K) is got  # a cache hit
+        assert allocation._subset_pairs.cache_info().currsize == 1  # one K kept
+        for a, b in zip(got, allocation._subset_pairs.__wrapped__(K)):
+            assert not a.flags.writeable and a.dtype == b.dtype and np.array_equal(a, b)
+        with pytest.raises(ValueError, match="read-only"):
+            got[1][0] = 1
 
 
 def imported_modules(path):

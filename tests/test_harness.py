@@ -333,9 +333,10 @@ def test_golden_answers_mid_k10():
 
 
 # sha256 over Network.checksum of each bench/run.py pool drop (seeds
-# 0..39), pinned from the topology build that placed receivers with
-# vector draws of size 1 and np.linalg.norm; the cap does not enter the
-# drop, so both K=50 pools hash alike.
+# 0..39), pinned from the topology build that placed receivers one scalar
+# try at a time and took distances with np.linalg.norm (now
+# reference.build_topology); the placement in array blocks keeps them.
+# The cap does not enter the drop, so both K=50 pools hash alike.
 @pytest.mark.parametrize("overrides, expected", [
     (K4, "6ed4019b6a7de82a5096005a5093eb9c3cb2d1dc476d2a82a4dd5c494cb16a87"),
     (MID_K10, "eb137da997bfd822ec111c0872c565af295069eb2a54e163b99d7f326811d21e"),
@@ -497,15 +498,18 @@ def test_cli_rejects_bad_integers_exit_2(tmp_path, capsys, overrides, seeds, nam
 
 def test_cli_run_unplaceable_receiver_exits_2(tmp_path, capsys):
     # With a receiver disk just over MIN_LINK_DIST the receivers can rarely
-    # be placed: run reports the drop's ConfigError.
+    # be placed (tests/test_netmodel.py checks the drop's own error): both
+    # commands refuse the scenario before any drop, naming the radius.
     data = json.loads((SCENARIOS / "default.json").read_text())
     data["d2d_max_dist"] = 1.001
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "m.csv"
-    assert cli.main(["run", "--scenario", str(path), "--seeds", "0:10", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid: could not place D2D receiver")
+    for argv in (["run", "--scenario", str(path), "--seeds", "0:10", "--out", str(out)],
+                 ["validate", str(path)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: d2d_max_dist must be >= sqrt(2 (K + 1))")
     assert not out.exists()
 
 

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference
 from hetalloc import netmodel
@@ -153,6 +154,112 @@ def test_build_topology_link_distances_at_least_one_meter():
     for pts in (net.mue_pos, rx):
         for p in pts:
             assert np.linalg.norm(anchors - p, axis=1).min() >= 1.0
+
+
+def min_radius(K):
+    """The smallest radius R with R^2 >= 2 (K + 1) MIN_LINK_DIST^2, the
+    least receiver disk that validate admits at K transmitters."""
+    floor = 2 * (K + 1) * netmodel.MIN_LINK_DIST ** 2
+    r = math.sqrt(floor)
+    while r * r < floor:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+def test_validate_admits_the_least_radius_only():
+    for K in (1, 5, 50):
+        split = dict(num_sbs=K // 2, num_d2d=K - K // 2)
+        for name in ("cell_radius", "d2d_max_dist", "sbs_ue_max_dist"):
+            make_config(**split, **{name: min_radius(K)})
+            with pytest.raises(ConfigError, match=f"{name} must be >= sqrt"):
+                make_config(**split, **{name: math.nextafter(min_radius(K), 0.0)})
+
+
+def assert_same_drop(net, want):
+    for f in ("mue_pos", "sbs_pos", "sue_pos", "d2d_tx_pos", "d2d_rx_pos"):
+        a, b = getattr(net, f), getattr(want, f)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f
+    assert net.checksum() == want.checksum()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_build_topology_equals_one_at_a_time_placement(K):
+    # Receiver disks of 6 m, and of the least radius validate admits (the
+    # macro disk too, which crowds every transmitter near the MBS): up to
+    # half of a disk fails a try, so many receivers take several tries,
+    # and the block placement must line up with the scalar one throughout.
+    r = min_radius(K)
+    tries = []
+    for seed in range(50):
+        for radii in (dict(d2d_max_dist=6.0, sbs_ue_max_dist=6.0),
+                      dict(cell_radius=r, d2d_max_dist=r, sbs_ue_max_dist=r)):
+            cfg = make_config(seed=seed, num_sbs=K // 2, num_d2d=K - K // 2, **radii)
+            assert_same_drop(build_topology(cfg), reference.build_topology(cfg, tries))
+    kinds = {label.rsplit(" ", 1)[0] for label in tries}
+    assert kinds == ({"MUE", "SUE", "D2D receiver"} if K > 1 else {"MUE", "D2D receiver"})
+    assert len(tries) >= 100  # failed tries over the 100 drops
+
+
+def test_place_receivers_names_the_receiver_it_cannot_place():
+    # D2D receiver 1's disk lies within MIN_LINK_DIST of its transmitter, so
+    # every try fails; the error names it after MAX_PLACE_TRIES tries, with
+    # as many doubles drawn as the one-at-a-time tries draw.
+    anchors = np.array([[0.0, 0.0], [100.0, 0.0], [200.0, 0.0], [300.0, 0.0]])
+    radii = np.array([50.0, 50.0, 50.0, 0.5])
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(ConfigError) as err:
+        netmodel._place_receivers(rng, anchors, radii, anchors,
+                                  (("MUE", 1), ("SUE", 1), ("D2D receiver", 2)))
+    assert str(err.value) == (f"could not place D2D receiver 1 at 1.0 m from all "
+                              f"transmitters after {netmodel.MAX_PLACE_TRIES} tries")
+    tries = []
+    for center, radius in zip(anchors[:3], radii[:3]):
+        reference.sample_receiver(ref_rng, center, radius, anchors, "", tries)
+    with pytest.raises(ConfigError, match=re.escape(str(err.value))):
+        reference.sample_receiver(ref_rng, anchors[3], radii[3], anchors,
+                                  "D2D receiver 1", tries)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_place_receivers_counts_tries_per_receiver(monkeypatch):
+    # With two tries per receiver, on disks where up to half of a try
+    # fails, placement stops at exactly the receiver and the try where
+    # the one-at-a-time placement gives up.
+    monkeypatch.setattr(netmodel, "MAX_PLACE_TRIES", 2)
+    r = min_radius(5)
+    outcomes = set()
+    for seed in range(60):
+        cfg = make_config(seed=seed, num_sbs=2, num_d2d=3, cell_radius=r,
+                          d2d_max_dist=r, sbs_ue_max_dist=r)
+        try:
+            want = reference.build_topology(cfg)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                build_topology(cfg)
+            outcomes.add(str(exc).split(" at ")[0])
+        else:
+            assert_same_drop(build_topology(cfg), want)
+            outcomes.add("placed")
+    assert "placed" in outcomes and len(outcomes) >= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_mue=st.integers(1, 4),
+       num_sbs=st.integers(0, 5), num_d2d=st.integers(0, 5),
+       scales=st.lists(st.one_of(st.just(1.0), st.floats(0.9, 3.0)), min_size=3, max_size=3))
+def test_every_valid_config_builds_a_topology(seed, num_mue, num_sbs, num_d2d, scales):
+    # validate's radius bound caps the chance that a receiver fails all
+    # MAX_PLACE_TRIES tries at 2^-1000, so every config it admits builds.
+    K = num_sbs + num_d2d
+    assume(K >= 1)
+    radii = dict(zip(("cell_radius", "d2d_max_dist", "sbs_ue_max_dist"),
+                     (min_radius(K) * s for s in scales)))
+    try:
+        cfg = make_config(seed=seed, num_mue=num_mue, num_sbs=num_sbs, num_d2d=num_d2d, **radii)
+    except ConfigError:
+        assume(False)
+    net = build_topology(cfg)
+    assert net.num_tx == K and net.num_mue == num_mue
 
 
 def test_sigma2_is_noise_density_times_bandwidth():
