@@ -55,32 +55,48 @@ def bid_increment(values, chosen, epsilon):
 
     ``values`` is a (B, N*L) block of net-value rows, one per bidder, and
     ``chosen`` the (B,) argmax of each row.  Returns the (B,) increments.
-    With a single resource there is no second-best, and every increment
+    The second-best value is read at the argmax of the row with its best
+    entry masked to -inf for a moment; ``values`` ends as it began.  With
+    a single resource there is no second-best, and every increment
     degenerates to epsilon alone.
     """
-    if values.shape[1] == 1:
-        return np.full(len(chosen), float(epsilon))
-    rows = np.arange(len(chosen))
-    rest = values.copy()
-    rest[rows, chosen] = -np.inf
-    return (values[rows, chosen] - rest.max(axis=1)) + epsilon
+    B, n = values.shape
+    if n == 1:
+        return np.full(B, float(epsilon))
+    flat = values.reshape(-1)
+    rows = netmodel._offsets(B * n, n)
+    at = chosen + rows
+    best = flat[at]
+    flat[at] = -np.inf
+    second = flat[flat.reshape(B, n).argmax(axis=1) + rows]
+    flat[at] = best
+    return (best - second) + epsilon
 
 
 def local_auction_round(state, net, alloc_prev, interference_prev, benefits):
     """Every transmitter's bidding round against the broadcast snapshot ``state``.
 
     ``interference_prev`` is the broadcast per-RB interference of
-    ``alloc_prev`` and ``benefits`` the (K, N, L) benefit table under it.
+    ``alloc_prev`` and ``benefits`` the benefit under it as (L, K*N)
+    planes, entry (l, k*N + n) for resource (n, l) of transmitter k.  A
+    bidder picks the first argmax of its net values in flat order
+    n*L + l, so ties go to the lowest (n, l).
     Returns ``(allocation, costs, bidders, bids)``: the iteration's
     allocation, the next snapshot's (N, L) cost and bidder tables, and
     the number of bids placed.
     """
-    K, L = benefits.shape[0], net.num_levels
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    NL = N * L
     merged, merged_bidder = state.costs.reshape(-1), state.bidders.reshape(-1)
-    values = benefits.reshape(K, -1) - merged
-    best = values.argmax(axis=1)  # ties: lowest (n, l)
-    rows = np.arange(K)
-    vmax = values[rows, best]
+    # Net values, (K, N*L) rows written in one pass over the planes.
+    values = np.empty((K, N, L))
+    np.subtract(benefits.reshape(L, K, N).transpose(1, 2, 0), state.costs, out=values)
+    values = values.reshape(K, NL)
+    flat = values.reshape(-1)
+    rows = netmodel._offsets(K * NL, NL)
+    best = values.argmax(axis=1)
+    at = best + rows
+    vmax = flat[at]
     prev = np.where(alloc_prev.rb >= 0, alloc_prev.rb * L + alloc_prev.level, -1)
 
     # The merged cost can only rise, so the re-bid test of "cost grew and
@@ -91,18 +107,21 @@ def local_auction_round(state, net, alloc_prev, interference_prev, benefits):
     # must also still sit within epsilon of its best net value (with
     # static benefits that condition can never fire).  A fresh bid lands
     # exactly epsilon below the maximum, so the comparison needs rounding
-    # slack or binary noise alone would evict the winner.  (Rows without
-    # a previous resource read entry -1 here and are masked out.)
-    slack = 1e-12 * np.maximum(1.0, np.abs(values).max(axis=1))
-    content = ((prev >= 0) & (merged_bidder[prev] == rows)
-               & (values[rows, prev] >= (vmax - state.epsilon) - slack))
+    # slack or binary noise alone would evict the winner.  A row's largest
+    # magnitude is the larger of its max and its negated min (abs is
+    # exact).  (Rows without a previous resource read the entry before
+    # theirs here and are masked out.)
+    vmin = flat[values.argmin(axis=1) + rows]
+    slack = 1e-12 * np.maximum(1.0, np.maximum(vmax, -vmin))
+    content = ((prev >= 0) & (merged_bidder[prev] == netmodel._offsets(K, 1))
+               & (flat[prev + rows] >= (vmax - state.epsilon) - slack))
     # A bid must keep its RB strictly under the cap given the snapshot.
     n_hat = best // L
-    fits = net.ref_p.reshape(K, -1)[rows, best] + interference_prev[n_hat] < net.i_max[n_hat]
+    fits = net.ref_p.reshape(-1)[at] + interference_prev[n_hat] < net.i_max[n_hat]
 
     ks = (fits & ~content).nonzero()[0]
     chosen = best[ks]
-    bids = merged[chosen] + bid_increment(values[ks], chosen, state.epsilon)
+    bids = merged[chosen] + bid_increment(values, best, state.epsilon)[ks]
     # A resource's new cost is the highest of its old cost and its bids
     # (an increment is positive, but a huge cost can absorb it).  A raised
     # cost goes to the lowest k bidding that much; an unmoved one goes to
@@ -145,14 +164,14 @@ def run_auction(net, t_max=500):
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
 
-    # One interference pass per round gives both the benefit table and the
+    # One interference pass per round gives both the benefit planes and the
     # per-RB interference the guard reads.
-    rx_int, i_prev, own = netmodel._interference_maps(net, x_prev)
-    b_prev = netmodel._table(net, netmodel._benefit(net, rx_int))
+    rx_int, i_prev, others = netmodel._interference_maps(net, x_prev)
+    b_prev = netmodel._benefit(net, rx_int)
     benefit_span = float(b_prev.max() - b_prev.min())
     epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
 
-    costs = np.maximum(0.0, netmodel._table(net, netmodel._cost(net, i_prev, own))).max(axis=0)
+    costs = np.maximum(0.0, netmodel._table(net, netmodel._cost(net, others))).max(axis=0)
     state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), x_prev, epsilon)
 
     converged = False
@@ -164,7 +183,7 @@ def run_auction(net, t_max=500):
             break
         x_prev = x_t
         rx_int, i_prev, _ = netmodel._interference_maps(net, x_prev)
-        b_prev = netmodel._table(net, netmodel._benefit(net, rx_int))
+        b_prev = netmodel._benefit(net, rx_int)
 
     # Concurrent bids in one synchronous round can jointly overshoot a
     # budget the guard checked one at a time.

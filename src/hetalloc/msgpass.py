@@ -54,7 +54,7 @@ class MessageState:
         return self.psi_tx + self.psi_res
 
 
-def tx_sweep(state, utilities):
+def tx_sweep(state, utilities, out=None):
     """All transmitter-side messages, synchronously from the old state.
 
     A row's max over its other entries is the row's peak everywhere but at
@@ -64,16 +64,19 @@ def tx_sweep(state, utilities):
     values once their damping term is taken.  The values equal those of
     the top-two form (the largest, or the second largest at a unique
     peak), but a peak of exactly +0.0 or -0.0 may come back with the other
-    sign of zero, since max does not order the two zeros.
+    sign of zero, since max does not order the two zeros.  The messages
+    are written into ``out``, a C-ordered (K, N, L) array, when it is
+    given, and into a new array otherwise.
     """
     w = state.omega
     K = utilities.shape[0]
-    values = (utilities + state.psi_res).reshape(K, -1)
+    values = np.add(utilities, state.psi_res, out=out).reshape(K, -1)
     n = values.shape[1]
     if n == 1:
-        return (utilities.reshape(K, 1) - (1.0 - w) * values).reshape(utilities.shape)
+        np.subtract(utilities.reshape(K, 1), (1.0 - w) * values, out=values)
+        return values.reshape(utilities.shape)
     flat = values.reshape(-1)
-    at = values.argmax(axis=1) + np.arange(0, flat.size, n)
+    at = values.argmax(axis=1) + netmodel._offsets(flat.size, n)
     peak = flat[at]
     flat[at] = -np.inf
     rest = values.max(axis=1)
@@ -87,42 +90,44 @@ def tx_sweep(state, utilities):
     return values.reshape(utilities.shape)
 
 
-def res_sweep(state):
+def res_sweep(state, out=None):
     """All resource-side messages, synchronously from the old state.
 
     Each column's max over the other transmitters is taken as in
     ``tx_sweep``.  The column peaks are masked in ``state.psi_tx`` itself
     and restored before anything else reads it, so its bytes end as they
-    began.
+    began.  ``out`` is as in ``tx_sweep``.
     """
     w = state.omega
     psi = state.psi_tx
     K = psi.shape[0]
     if K == 1:
-        return -((1.0 - w) * psi)
+        return np.negative((1.0 - w) * psi, out=out)
+    if out is None:
+        out = np.empty_like(psi)
     cols = psi.reshape(K, -1)
     m = cols.shape[1]
     flat = cols.reshape(-1)
-    at = cols.argmax(axis=0) * m + np.arange(m)
+    at = cols.argmax(axis=0) * m + netmodel._offsets(m, 1)
     peak = flat[at]
     flat[at] = -np.inf
     rest = cols.max(axis=0)
     flat[at] = peak
-    out = np.empty_like(cols)
-    out[...] = peak
-    out.reshape(-1)[at] = rest
-    out *= -w
-    out -= cols * (1.0 - w)
-    return out.reshape(psi.shape)
+    res = out.reshape(K, m)
+    res[...] = peak
+    res.reshape(-1)[at] = rest
+    res *= -w
+    res -= cols * (1.0 - w)
+    return out
 
 
 def proposal(tau):
     """Each transmitter's largest marginal as a flat index n*L + l (ties
     toward the lowest), or -1 where that marginal is not positive."""
     K = tau.shape[0]
-    flat = tau.reshape(K, -1)
-    best = flat.argmax(axis=1)
-    best[~(flat[np.arange(K), best] > 0.0)] = -1
+    flat = tau.reshape(-1)
+    best = tau.reshape(K, -1).argmax(axis=1)
+    best[~(flat[best + netmodel._offsets(flat.size, flat.size // K)] > 0.0)] = -1
     return best
 
 
@@ -236,7 +241,11 @@ def run_message_passing(net, omega=0.5, t_max=500):
         raise ValueError("t_max must be >= 1")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
-    state = MessageState.zeros(K, N, L, omega)
+    # Both message tables of an iteration live in one (2, K, N, L) buffer,
+    # psi_tx first, so each step below is one pass over both.  Every
+    # iteration gets a new buffer: CycleWatch keeps the tables it is given.
+    messages = np.zeros((2, K, N, L))
+    state = MessageState(messages[0], messages[1], float(omega))
 
     deltas = []
     msg_converged_at = None
@@ -245,31 +254,35 @@ def run_message_passing(net, omega=0.5, t_max=500):
     cycle = None
     tables = {}  # allocation bytes -> its utility table
     extractions = {}  # proposal bytes -> the allocation extracted from it
-    scratch = np.empty((K, N, L))
+    scratch = np.empty((2, K, N, L))
+    steps = scratch.reshape(2, -1)
 
     for iterations in range(1, t_max + 1):
         util = _recall(tables, x_prev.rb.tobytes() + x_prev.level.tobytes(),
                        lambda: netmodel.utility_table(net, x_prev))
-        new_tx = tx_sweep(state, util)
+        fresh = np.empty((2, K, N, L))
+        new_tx = tx_sweep(state, util, out=fresh[0])
         # Resource replies fold in the transmitter messages just received;
         # replying to the stale sweep instead locks the exchange into a
         # period-2 cycle on this bipartite graph.
-        new_res = res_sweep(MessageState(new_tx, state.psi_res, state.omega))
+        new_res = res_sweep(MessageState(new_tx, state.psi_res, state.omega), out=fresh[1])
         # Both update rules are exactly equivariant under shifting every
         # transmitter message by -c and every resource message by +c, a
         # direction that cancels in all marginals but otherwise
         # accumulates without bound; pin it so the messages themselves
-        # can reach the fixed point.
-        shift = (float(np.subtract(new_res, state.psi_res, out=scratch).sum())
-                 - float(np.subtract(new_tx, state.psi_tx, out=scratch).sum())) / (2 * K * N * L)
+        # can reach the fixed point.  The row sums of the C-ordered (2, n)
+        # step equal the sums of its two halves taken one at a time.
+        np.subtract(fresh, messages, out=scratch)
+        step_tx, step_res = steps.sum(axis=1).tolist()
+        shift = (step_res - step_tx) / (2 * K * N * L)
         new_tx += shift
         new_res -= shift
-        delta = max(
-            float(np.abs(np.subtract(new_tx, state.psi_tx, out=scratch), out=scratch).max()),
-            float(np.abs(np.subtract(new_res, state.psi_res, out=scratch), out=scratch).max()))
+        # max is exact, so the max over both halves is the larger of theirs.
+        delta = float(np.abs(np.subtract(fresh, messages, out=scratch), out=scratch).max())
         deltas.append(delta)
+        messages = fresh
         state = MessageState(new_tx, new_res, state.omega)
-        best = proposal(np.add(new_tx, new_res, out=scratch))
+        best = proposal(np.add(new_tx, new_res, out=scratch[0]))
         x_t = _recall(extractions, best.tobytes(),
                       lambda: extract_allocation(state, net, best))
         if msg_converged_at is None and delta < MESSAGE_TOL:

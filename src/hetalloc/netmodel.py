@@ -20,7 +20,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -252,6 +252,11 @@ class Network:
         return _read_only(np.tile(self.i_max, self.num_tx))
 
     @cached_property
+    def rb_kn(self):
+        """(K*N,): ``n`` at entry ``k*N + n``."""
+        return _read_only(np.tile(np.arange(self.num_rb), self.num_tx))
+
+    @cached_property
     def ref_p_list(self):
         """``ref_p`` as one flat list of floats, entry ``k*N*L + n*L + l``."""
         return self.ref_p.ravel().tolist()
@@ -269,6 +274,13 @@ class Network:
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+@lru_cache(maxsize=64)
+def _offsets(stop, step):
+    """``np.arange(0, stop, step)``, read-only and built once per (stop, step):
+    the row offsets the solvers add to per-row indices on every iteration."""
+    return _read_only(np.arange(0, stop, step))
 
 
 def make_network(config, mue_pos, sbs_pos, sue_pos, d2d_tx_pos, d2d_rx_pos,
@@ -385,10 +397,12 @@ def build_topology(config):
     d_mbs_rx, d_tx_rx = d[0, C:], d[1:, C:]               # (K,), (K, K)
 
     # Fading draws happen after all placement so the stream layout is fixed.
-    beta_tx_mue = rng.exponential(1.0, size=(K, C, N))
-    beta_mbs_mue = rng.exponential(1.0, size=(C, N))
-    beta_tx_rx = rng.exponential(1.0, size=(K, K, N))
-    beta_mbs_rx = rng.exponential(1.0, size=(K, N))
+    # Unit-mean draws: exponential(1.0, size) returns 1.0 times these same
+    # standard_exponential values, so skipping the scale keeps every bit.
+    beta_tx_mue = rng.standard_exponential((K, C, N))
+    beta_mbs_mue = rng.standard_exponential((C, N))
+    beta_tx_rx = rng.standard_exponential((K, K, N))
+    beta_mbs_rx = rng.standard_exponential((K, N))
 
     gain_mue = beta_tx_mue * d_tx_mue[:, :, None] ** (-alpha)
     gain_mbs_mue = beta_mbs_mue * d_mbs_mue[:, None] ** (-alpha)
@@ -542,34 +556,39 @@ def _sinr(net, k, n, p, cochannel):
 def _interference_maps(net, alloc):
     """Receiver-side and reference-user interference aggregates of alloc.
 
-    Returns (rx_int, agg, own) where rx_int[k, n] is the co-channel power
-    seen by k's receiver on RB n from every other assigned transmitter,
-    agg[n] is the aggregated reference-user interference on RB n, and
-    own[k, n] is k's own share of agg[n] (zero off k's RB).  rx_int and
-    agg are ``np.bincount`` folds over the holders in ascending k, as in
-    ``interference_vector``.
+    Returns (rx_int, agg, others) where rx_int[k, n] is the co-channel
+    power seen by k's receiver on RB n from every other assigned
+    transmitter, agg[n] is the aggregated reference-user interference on
+    RB n, and others, (K*N,), holds ``agg[n] - own`` at entry k*N + n, own
+    being k's share of agg[n] (zero off k's RB, where the entry is agg[n]
+    itself, since x - 0.0 is x).  rx_int and agg are ``np.bincount`` folds
+    over the holders in ascending k, as in ``interference_vector``.
     """
     K, N = net.num_tx, net.num_rb
     ks = (alloc.rb >= 0).nonzero()[0]
     ns = alloc.rb[ks]
     kn = ks * N + ns
     p = net.power_levels[alloc.level[ks]]
-    own = np.zeros(K * N)
-    own[kn] = c = net.ref_gain.reshape(-1)[kn] * p
-    v = net.gain_ul[ks, :, ns] * p[:, None]  # (assigned, receiver)
-    v[np.arange(len(ks)), ks] = 0.0  # no transmitter interferes with its own receiver
+    c = net.ref_gain.reshape(-1)[kn] * p
+    v = net.gain_ul[ks, :, ns]  # (assigned, receiver), a fresh C-ordered array
+    v *= p[:, None]
+    # No transmitter interferes with its own receiver: entry (i, ks[i]).
+    v.reshape(-1)[_offsets(len(ks) * K, K) + ks] = 0.0
     # Entry (receiver j, RB n) is bin j*N + n.  The bins are listed
     # transmitter by transmitter, so each entry folds its co-channel terms
     # one at a time in ascending k.
-    bins = ns[:, None] + np.arange(0, K * N, N)
+    bins = ns[:, None] + _offsets(K * N, N)
     rx_int = _fold(bins.ravel(), v.ravel(), K * N).reshape(K, N)
-    return rx_int, _fold(ns, c, N), own.reshape(K, N)
+    agg = _fold(ns, c, N)
+    others = agg[net.rb_kn]
+    others[kn] = agg[ns] - c
+    return rx_int, agg, others
 
 
 # The benefit and the cost are evaluated on (L, K*N) planes, the power
 # level first: each per-(k, n) input then broadcasts along whole rows, not
-# along the short level axis.  The helpers work in place and overwrite the
-# rx_int or own map they are given.
+# along the short level axis.  ``_gamma`` and ``_benefit`` work in place
+# and overwrite the rx_int map they are given.
 
 def _gamma(net, rx_int):
     den = np.add(net.mbs_den, rx_int, out=rx_int)
@@ -585,8 +604,8 @@ def _benefit(net, rx_int):
     return planes
 
 
-def _cost(net, agg, own):
-    planes = np.add(net.ref_pt, np.subtract(agg, own, out=own).reshape(-1))
+def _cost(net, others):
+    planes = np.add(net.ref_pt, others)
     planes /= net.i_max_kn
     planes -= 1.0
     planes *= net.w2
@@ -614,7 +633,7 @@ def cost_table(net, alloc):
     I is the RB's aggregated reference-user interference if k moved to
     (n, l), with every other transmitter kept at its alloc assignment.
     """
-    return _table(net, _cost(net, *_interference_maps(net, alloc)[1:]))
+    return _table(net, _cost(net, _interference_maps(net, alloc)[2]))
 
 
 def utility_table(net, alloc):
@@ -623,7 +642,7 @@ def utility_table(net, alloc):
     The subtraction of the planes writes the (K, N, L) table in one pass.
     """
     K, N, L = net.num_tx, net.num_rb, net.num_levels
-    rx_int, agg, own = _interference_maps(net, alloc)
+    rx_int, _, others = _interference_maps(net, alloc)
     table = np.empty((K, N, L))
-    np.subtract(_benefit(net, rx_int), _cost(net, agg, own), out=table.reshape(K * N, L).T)
+    np.subtract(_benefit(net, rx_int), _cost(net, others), out=table.reshape(K * N, L).T)
     return table

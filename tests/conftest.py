@@ -26,6 +26,13 @@ def toy_network(gain_ul, gain_mue, gain_mbs_ul=None, gain_mbs_mue=None,
         power_levels, i_max_arr, mbs_power, sigma2, w1, w2, rb_bandwidth)
 
 
+def benefit_planes(table):
+    """A (K, N, L) benefit table as the (L, K*N) planes, entry (l, k*N + n),
+    that ``local_auction_round`` reads."""
+    K, N, L = table.shape
+    return np.ascontiguousarray(table.reshape(K * N, L).T)
+
+
 def round_orders(net, res):
     """Yield (orders, allocation) for each round of a ``run_stable_matching``
     result, rebuilding the round's orders from the allocation before it."""

@@ -27,7 +27,7 @@ from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
 from hetalloc.msgpass import MessageState, extract_allocation
 from hetalloc.netmodel import build_topology
 
-from conftest import toy_network
+from conftest import benefit_planes, toy_network
 from test_acceptance import DESK
 from test_harness import K50_TIGHT, SCENARIOS
 from test_netmodel import make_config
@@ -87,6 +87,14 @@ def test_tables_and_objectives_equal_scans(cfg):
         assert same_array(netmodel.cost_table(net, alloc), reference.cost_table(net, alloc))
         assert sum_rate(net, alloc) == reference.sum_rate(net, alloc)
         assert weighted_benefit(net, alloc) == reference.weighted_benefit(net, alloc)
+        # The maps hand the cost agg[n] - own[k, n] as one vector, bit-equal
+        # to subtracting k's own-load map; p = 0 draws the empty allocation,
+        # whose np.bincount folds come back as ints before the cast.
+        _rx_int, agg, others = netmodel._interference_maps(net, alloc)
+        own = np.zeros((net.num_tx, net.num_rb))
+        for k, (n, l) in alloc.assigned_items():
+            own[k, n] = net.ref_gain[k, n] * net.power_levels[l]
+        assert same_array(others, np.subtract(agg, own).reshape(-1))
 
 
 def lone_holders(net, alloc):
@@ -344,10 +352,11 @@ def test_cap_reached_exactly_counts_as_over():
 
 
 def assert_round_equals_reference(state, net, alloc_prev, iv, benefits):
-    """The kernel against K per-transmitter rounds, their local views
-    merged by ``reference.merged_view``; returns the kernel's result and
-    each transmitter's bid flag."""
-    got = local_auction_round(state, net, alloc_prev, iv, benefits)
+    """The kernel, on the planes of the (K, N, L) table ``benefits``,
+    against K per-transmitter rounds on its rows, their local views merged
+    by ``reference.merged_view``; returns the kernel's result and each
+    transmitter's bid flag."""
+    got = local_auction_round(state, net, alloc_prev, iv, benefit_planes(benefits))
     alloc, costs, bidders, placed = reference.auction_rows(state, net, alloc_prev, iv, benefits)
     merged_costs, merged_bidders = reference.merged_view(costs, bidders)
     assert got[0] == alloc
@@ -373,6 +382,9 @@ def test_auction_kernel_equals_per_transmitter_rounds(cfg):
     for _ in range(6):
         iv = netmodel.interference_vector(net, x_prev)
         b = netmodel.benefit_table(net, x_prev)
+        # run_auction hands the round these planes, as they leave _benefit.
+        planes = netmodel._benefit(net, netmodel._interference_maps(net, x_prev)[0])
+        assert same_array(benefit_planes(b), planes)
         (x_prev, costs, bidders, _bids), placed = assert_round_equals_reference(
             state, net, x_prev, iv, b)
         outcomes.update(placed)
@@ -562,7 +574,10 @@ def test_sweeps_equal_gather_form_bytes(shape):
     # The sweeps mask each line's peak in place of the gather form's
     # full-size copy and write the maxima over their own buffer; the
     # bytes stay those of the gather form, signs of zero included, and
-    # the state and the utilities end as they began.
+    # the state and the utilities end as they began.  Written into the
+    # halves of one (2, K, N, L) buffer, as the loop hands them, they are
+    # the same bytes, the size-1 shapes (K = 1, N*L = 1) included; the
+    # buffer starts as NaN, so a half left unfilled shows.
     rng = np.random.default_rng(19)
     for i in range(90):
         omega = (0.3, 0.5, 1.0)[i % 3]
@@ -571,8 +586,12 @@ def test_sweeps_equal_gather_form_bytes(shape):
         s = MessageState(psi_tx, psi_res, omega)
         before = [a.tobytes() for a in (u, psi_tx, psi_res)]
         gather = reference.max_excluding_self_gather
-        assert same_array(msgpass.tx_sweep(s, u), reference.tx_sweep(s, u, gather))
-        assert same_array(msgpass.res_sweep(s), reference.res_sweep(s, gather))
+        want = reference.tx_sweep(s, u, gather), reference.res_sweep(s, gather)
+        buf = np.full((2,) + shape, np.nan)
+        for got in ((msgpass.tx_sweep(s, u), msgpass.res_sweep(s)),
+                    (msgpass.tx_sweep(s, u, out=buf[0]), msgpass.res_sweep(s, out=buf[1])),
+                    buf):
+            assert same_array(got[0], want[0]) and same_array(got[1], want[1])
         assert [a.tobytes() for a in (u, psi_tx, psi_res)] == before
 
 

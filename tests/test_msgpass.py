@@ -384,9 +384,9 @@ def test_replay_equals_full_loop(monkeypatch, overrides, seed):
     tables, proposals = record_inputs(monkeypatch)
     sweeps, tx_sweep = [], msgpass.tx_sweep
 
-    def counting_sweep(state, util):
+    def counting_sweep(state, util, **kwargs):
         sweeps.append(1)
-        return tx_sweep(state, util)
+        return tx_sweep(state, util, **kwargs)
 
     monkeypatch.setattr(msgpass, "tx_sweep", counting_sweep)
     first, period = run_message_passing(net, t_max=500).info["cycle"]

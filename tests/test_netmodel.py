@@ -268,6 +268,15 @@ def test_sigma2_is_noise_density_times_bandwidth():
     assert net.sigma2 == cfg.noise_psd * cfg.rb_bandwidth
 
 
+def test_offsets_cached_read_only():
+    a = netmodel._offsets(12, 4)
+    assert a.tolist() == [0, 4, 8] and a.dtype == np.arange(3).dtype
+    assert netmodel._offsets(12, 4) is a  # built once, shared by every caller
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 1
+
+
 @pytest.mark.parametrize("field", ["gain_ul", "ref_gain"])
 def test_network_arrays_read_only(field):
     net = build_topology(make_config())
