@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +55,6 @@ class Allocation:
             raise ValueError(f"transmitter {k}: RB {n} and level {l} must be >= 0")
         self.rb[k], self.level[k] = n, l
 
-    def unassign(self, k):
-        self.rb[k] = self.level[k] = -1
-
     def get(self, k):
         n = int(self.rb[k])
         return None if n < 0 else (n, int(self.level[k]))
@@ -66,11 +64,6 @@ class Allocation:
         for k, (n, l) in enumerate(zip(self.rb.tolist(), self.level.tolist())):
             if n >= 0:
                 yield k, (n, l)
-
-    def on_rb(self, n):
-        """All (k, l) pairs currently assigned to RB n, ascending k."""
-        ks = (self.rb == n).nonzero()[0]
-        return list(zip(ks.tolist(), self.level[ks].tolist()))
 
     def by_rb(self, num_rb):
         """holders[n]: the (k, l) pairs on RB n, ascending k, in one pass."""
@@ -106,6 +99,16 @@ class SolverResult:
     converged: bool
     messages: int
     info: dict
+
+
+def check_t_max(t_max, label):
+    """Raise ValueError, starting with ``label`` (the field) and ending with
+    the value, unless ``t_max`` is an integer, not a bool, and >= 1.  Every
+    runner checks its iteration cap here."""
+    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral):
+        raise ValueError(f"{label} must be an integer, got {t_max!r}")
+    if t_max < 1:
+        raise ValueError(f"{label} must be >= 1, got {t_max}")
 
 
 def start_alignment(net):

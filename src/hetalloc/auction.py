@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import netmodel
-from .allocation import SolverResult, start_alignment
+from .allocation import SolverResult, check_t_max, start_alignment
 
 NO_BIDDER = -1
 
@@ -73,14 +73,14 @@ def bid_increment(values, chosen, epsilon):
     return (best - second) + epsilon
 
 
-def local_auction_round(state, net, alloc_prev, interference_prev, benefits):
+def local_auction_round(state, net, interference_prev, benefits):
     """Every transmitter's bidding round against the broadcast snapshot ``state``.
 
-    ``interference_prev`` is the broadcast per-RB interference of
-    ``alloc_prev`` and ``benefits`` the benefit under it as (L, K*N)
-    planes, entry (l, k*N + n) for resource (n, l) of transmitter k.  A
-    bidder picks the first argmax of its net values in flat order
-    n*L + l, so ties go to the lowest (n, l).
+    ``interference_prev`` is the broadcast per-RB interference of the
+    previous allocation, ``state.assignment``, and ``benefits`` the
+    benefit under it as (L, K*N) planes, entry (l, k*N + n) for resource
+    (n, l) of transmitter k.  A bidder picks the first argmax of its net
+    values in flat order n*L + l, so ties go to the lowest (n, l).
     Returns ``(allocation, costs, bidders, bids)``: the iteration's
     allocation, the next snapshot's (N, L) cost and bidder tables, and
     the number of bids placed.
@@ -97,6 +97,7 @@ def local_auction_round(state, net, alloc_prev, interference_prev, benefits):
     best = values.argmax(axis=1)
     at = best + rows
     vmax = flat[at]
+    alloc_prev = state.assignment
     prev = np.where(alloc_prev.rb >= 0, alloc_prev.rb * L + alloc_prev.level, -1)
 
     # The merged cost can only rise, so the re-bid test of "cost grew and
@@ -159,36 +160,35 @@ def run_auction(net, t_max=500):
     ``merged_costs`` (the final (N, L) maximum cost per resource) and
     ``benefit_span`` (max minus min of the start state's benefit table).
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    check_t_max(t_max, "t_max")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
-    x_prev = start_alignment(net)
+    start = start_alignment(net)
 
     # One interference pass per round gives both the benefit planes and the
     # per-RB interference the guard reads.
-    rx_int, i_prev, others = netmodel._interference_maps(net, x_prev)
+    rx_int, i_prev, others = netmodel._interference_maps(net, start)
     b_prev = netmodel._benefit(net, rx_int)
     benefit_span = float(b_prev.max() - b_prev.min())
     epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
 
     costs = np.maximum(0.0, netmodel._table(net, netmodel._cost(net, others))).max(axis=0)
-    state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), x_prev, epsilon)
+    state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), start, epsilon)
 
     converged = False
     for iterations in range(1, t_max + 1):
-        x_t, costs, bidders, bids = local_auction_round(state, net, x_prev, i_prev, b_prev)
+        x_t, costs, bidders, bids = local_auction_round(state, net, i_prev, b_prev)
         state = AuctionState(costs, bidders, x_t, epsilon)
         if not bids:
             converged = True  # nothing can change from here on
             break
-        x_prev = x_t
-        rx_int, i_prev, _ = netmodel._interference_maps(net, x_prev)
+        rx_int, i_prev, _ = netmodel._interference_maps(net, x_t)
         b_prev = netmodel._benefit(net, rx_int)
 
     # Concurrent bids in one synchronous round can jointly overshoot a
-    # budget the guard checked one at a time.
+    # budget the guard checked one at a time.  The round's allocation is a
+    # fresh copy that nothing else holds, so it is repaired in place.
     return SolverResult(
-        allocation=netmodel.repair(net, state.assignment.copy()),
+        allocation=netmodel.repair(net, state.assignment),
         iterations=iterations,
         converged=converged,
         messages=iterations * (K * N * L + N * L + N),

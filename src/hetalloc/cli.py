@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .allocation import oracle_cost, search_space_size
+from .allocation import check_t_max, oracle_cost, search_space_size
 from .netmodel import ConfigError
 
 
@@ -46,8 +46,7 @@ def _cmd_run(args):
         config = harness.load_scenario(args.scenario)
         harness.check_algorithms(algorithms, f"--algorithms {args.algorithms!r}")
         seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
-        budget = harness.oracle_budget()
-        harness.check_t_max(args.t_max, "--t-max")
+        check_t_max(args.t_max, "--t-max")
         out = Path(args.out)
         if out.is_dir():
             raise ValueError(f"--out {args.out!r} is a directory")
@@ -58,9 +57,8 @@ def _cmd_run(args):
         return 2
     try:
         metrics = harness.run_experiment(config, algorithms=algorithms, seeds=seeds,
-                                         with_oracle=args.oracle, t_max=args.t_max,
-                                         budget=budget)
-    except ConfigError as exc:  # a drop whose receivers cannot be placed
+                                         with_oracle=args.oracle, t_max=args.t_max)
+    except ConfigError as exc:  # a bad ALLOC_ORACLE_BUDGET, or unplaceable receivers
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     harness.write_metrics_csv(metrics, args.out)

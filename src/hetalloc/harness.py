@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 import math
-import numbers
 import os
 import time
 from collections import Counter
@@ -21,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import netmodel
-from .allocation import (DEFAULT_ORACLE_BUDGET, OracleBudgetError, exhaustive_search,
-                         is_feasible)
+from .allocation import (DEFAULT_ORACLE_BUDGET, OracleBudgetError, check_t_max,
+                         exhaustive_search, is_feasible)
 # Unused here, but bench/tracing.py wraps harness.sum_rate and
 # harness.weighted_benefit.
 from .allocation import sum_rate, weighted_benefit  # noqa: F401
@@ -130,7 +129,8 @@ def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=Fa
     skipped for that seed with a logged warning and empty oracle gaps; it
     is never truncated silently.  A selection that ``check_algorithms``,
     ``check_seeds`` or ``check_t_max`` rejects raises ValueError before any
-    drop is built.
+    drop is built, as does the ConfigError of ``oracle_budget``, which
+    resolves ``budget`` when it is not given.
     """
     algorithms = check_algorithms(algorithms, f"algorithms {algorithms!r}")
     seeds = [config.seed] if seeds is None else list(seeds)
@@ -237,15 +237,6 @@ def check_seeds(seeds, label):
     repeated = _repeated(seeds)
     if repeated:
         raise ValueError(f"{label} repeats seed {repeated}")
-
-
-def check_t_max(t_max, label):
-    """Raise ValueError, starting with ``label`` (the field) and ending with
-    the value, unless ``t_max`` is an integer, not a bool, and >= 1."""
-    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral):
-        raise ValueError(f"{label} must be an integer, got {t_max!r}")
-    if t_max < 1:
-        raise ValueError(f"{label} must be >= 1, got {t_max}")
 
 
 def parse_seed_spec(spec):

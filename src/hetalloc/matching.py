@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, SolverResult, start_alignment, sum_rate
+from .allocation import Allocation, SolverResult, check_t_max, start_alignment, sum_rate
 
 
 # Nothing here calls the two builders below; bench/tracing.py times them by
@@ -165,8 +165,7 @@ def run_stable_matching(net, t_max=100):
     ``prev`` is round r-1's allocation and ``start_alignment(net)`` for
     round 1.
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    check_t_max(t_max, "t_max")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
     seen = {(x_prev.rb.tobytes(), x_prev.level.tobytes()): 0}  # allocation -> round

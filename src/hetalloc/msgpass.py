@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, SolverResult, start_alignment
+from .allocation import Allocation, SolverResult, check_t_max, start_alignment
 
 MESSAGE_TOL = 1e-6  # max-norm message step below which the messages count as settled
 REUSE_DEPTH = 4  # utility tables, and extractions, the loop keeps for reuse
@@ -42,11 +42,6 @@ class MessageState:
     def __post_init__(self):
         if not 0.0 < self.omega <= 1.0:
             raise ValueError(f"omega must be in (0, 1], got {self.omega}")
-
-    @classmethod
-    def zeros(cls, num_tx, num_rb, num_levels, omega):
-        return cls(np.zeros((num_tx, num_rb, num_levels)),
-                   np.zeros((num_tx, num_rb, num_levels)), float(omega))
 
     @property
     def tau(self):
@@ -131,17 +126,16 @@ def proposal(tau):
     return best
 
 
-def extract_allocation(state, net, best=None):
+def extract_allocation(state, net, best):
     """Marginal-driven assignment with per-RB interference repair.
 
     Positive marginals propose; each transmitter keeps only its largest
     positive marginal (the one-alignment constraint, ties toward the
     lowest (n, l)), then ``netmodel.repair`` enforces every RB's cap.
-    ``best`` is ``proposal(state.tau)`` when the caller has formed it
-    already; it is formed here otherwise.
+    ``best`` is ``proposal(state.tau)``, formed by the caller.  ``state``
+    is not read here; it comes first so that a wrapper of this function
+    can read the marginals the proposal was formed from.
     """
-    if best is None:
-        best = proposal(state.tau)
     alloc = Allocation.__new__(Allocation)
     alloc.rb, alloc.level = np.divmod(best, net.num_levels)
     alloc.level[best < 0] = -1  # divmod(-1, L) leaves rb at -1 but level at L - 1
@@ -237,8 +231,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
     (``(first, period)`` when iterations ``first``..``t_max`` were
     replayed from ``period`` iterations earlier, else None).
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    check_t_max(t_max, "t_max")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
     # Both message tables of an iteration live in one (2, K, N, L) buffer,

@@ -435,7 +435,7 @@ def sinr_underlay(net, alloc, k, n):
     res = alloc.get(k)
     if res is None or res[0] != n:
         raise ContractError(f"transmitter {k} is not assigned to RB {n}")
-    return _sinr(net, k, n, net.power_levels[res[1]], alloc.on_rb(n))
+    return _sinr(net, k, n, net.power_levels[res[1]], alloc.by_rb(net.num_rb)[n])
 
 
 def sinr_macro(net, alloc, m, n):

@@ -138,9 +138,10 @@ def repair(net, alloc):
     """Evict the largest reference-user contributor until every RB is under cap."""
     for n in range(net.num_rb):
         while netmodel.aggregated_interference(net, alloc, n) >= net.i_max[n]:
-            holders = alloc.on_rb(n)
+            holders = alloc.by_rb(net.num_rb)[n]
             contribs = [net.ref_gain[k, n] * net.power_levels[l] for k, l in holders]
-            alloc.unassign(holders[int(np.argmax(contribs))][0])
+            k = holders[int(np.argmax(contribs))][0]
+            alloc.rb[k] = alloc.level[k] = -1
     return alloc
 
 
@@ -301,17 +302,28 @@ def find_blocking_pair(allocation, profiles_tx, profiles_rb):
     """
     rank_tx = [p.rank() for p in profiles_tx]
     rank_rb = [p.rank() for p in profiles_rb]
+    on_rb = allocation.by_rb(len(profiles_rb))
     for k, prof in enumerate(profiles_tx):
         mine = allocation.get(k)
         my_rank = rank_tx[k][mine] if mine is not None else len(prof.entries)
         for (n, l), _u in prof.entries:
             if rank_tx[k][(n, l)] >= my_rank:
                 break  # entries are best-first; nothing below can block
-            holders = allocation.on_rb(n)
             pos = rank_rb[n][(k, l)]
-            if any(pos < rank_rb[n][pair] for pair in holders):
+            if any(pos < rank_rb[n][pair] for pair in on_rb[n]):
                 return (k, n, l)
     return None
+
+
+def fitting_silent(net, alloc):
+    """The silent transmitters k that some (n, l) would fit: RB n's load
+    under ``alloc`` plus k's own load at level l stays strictly under the
+    cap.  ``find_blocking_pair`` never counts an RB as willing unless it
+    has a holder to displace, so it passes these as stable."""
+    load = interference_vector(net, alloc)
+    return [k for k in range(net.num_tx) if alloc.get(k) is None
+            and any(load[n] + net.ref_p[k, n, l] < net.i_max[n]
+                    for n in range(net.num_rb) for l in range(net.num_levels))]
 
 
 def channel_gain(beta, dist, alpha):
@@ -340,7 +352,7 @@ def utility(net, alloc, k, res):
     """
     n, l = res
     p = net.power_levels[l]
-    gamma = netmodel._sinr(net, k, n, p, alloc.on_rb(n))
+    gamma = netmodel._sinr(net, k, n, p, alloc.by_rb(net.num_rb)[n])
     i_others = (netmodel.aggregated_interference(net, alloc, n)
                 - _own_reference_contribution(net, alloc, k, n))
     i_hyp = net.ref_gain[k, n] * p + i_others
@@ -480,11 +492,12 @@ def bid_increment(values, chosen, epsilon):
     return float(flat.max() - second + epsilon)
 
 
-def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits):
+def local_auction_round(k, state, net, interference_prev, benefits):
     """Transmitter k's bidding round against the broadcast snapshot ``state``.
 
-    ``interference_prev`` is the broadcast per-RB interference of
-    ``alloc_prev`` and ``benefits`` k's (N, L) benefit row under it.
+    ``interference_prev`` is the broadcast per-RB interference of the
+    previous allocation, ``state.assignment``, and ``benefits`` k's (N, L)
+    benefit row under it.
     Returns ``(choice, cost_row, bidder_row, bid_placed)``: choice is k's
     (rb, level) for this iteration or None, and the rows are k's local
     view, the snapshot with k's own bid written in.
@@ -492,7 +505,7 @@ def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits):
     merged, merged_bidder = state.costs, state.bidders
     cost_row = merged.copy()
     bidder_row = merged_bidder.copy()
-    prev = alloc_prev.get(k)
+    prev = state.assignment.get(k)
     values = benefits - merged
 
     # The merged cost can only rise, so the re-bid test of "cost grew and
@@ -519,13 +532,13 @@ def local_auction_round(k, state, net, alloc_prev, interference_prev, benefits):
     return prev, cost_row, bidder_row, False
 
 
-def auction_rows(state, net, alloc_prev, interference_prev, benefits):
+def auction_rows(state, net, interference_prev, benefits):
     """Every transmitter's ``local_auction_round`` on one snapshot, stacked.
 
     Returns ``(allocation, costs, bidders, placed)``: the (K, N, L) local
     views, one row per transmitter, and each transmitter's bid flag.
     """
-    rows = [local_auction_round(k, state, net, alloc_prev, interference_prev, benefits[k])
+    rows = [local_auction_round(k, state, net, interference_prev, benefits[k])
             for k in range(net.num_tx)]
     return (Allocation(net.num_tx, [r[0] for r in rows]), np.stack([r[1] for r in rows]),
             np.stack([r[2] for r in rows]), [r[3] for r in rows])
@@ -647,7 +660,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
         raise ValueError("t_max must be >= 1")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
-    state = msgpass.MessageState.zeros(K, N, L, omega)
+    state = msgpass.MessageState(np.zeros((K, N, L)), np.zeros((K, N, L)), omega)
 
     deltas = []
     msg_converged_at = None
@@ -665,7 +678,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
                     float(np.max(np.abs(new_res - state.psi_res))))
         deltas.append(delta)
         state = dataclasses.replace(state, psi_tx=new_tx, psi_res=new_res)
-        x_t = msgpass.extract_allocation(state, net)
+        x_t = msgpass.extract_allocation(state, net, msgpass.proposal(state.tau))
         if msg_converged_at is None and delta < msgpass.MESSAGE_TOL:
             msg_converged_at = iterations
         if x_t == x_prev and delta < msgpass.MESSAGE_TOL:

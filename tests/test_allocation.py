@@ -25,9 +25,9 @@ def test_allocation_container_basics():
     assert reference.is_empty(a) and a.num_assigned() == 0
     a.assign(1, 2, 0)
     assert a.get(1) == (2, 0)
-    assert a.on_rb(2) == [(1, 0)]
+    assert a.by_rb(3)[2] == [(1, 0)]
     b = a.copy()
-    b.unassign(1)
+    b.rb[1] = b.level[1] = -1
     assert a.get(1) == (2, 0) and reference.is_empty(b)
     assert a != b and a == Allocation(3, {1: (2, 0)})
 
@@ -44,14 +44,14 @@ def test_allocation_arrays_match_pairs_list(pairs, data):
     assert list(a.assigned_items()) == assigned
     holders = a.by_rb(5)
     for n in range(5):
-        assert a.on_rb(n) == holders[n] == [(k, l) for k, (nn, l) in assigned if nn == n]
+        assert holders[n] == [(k, l) for k, (nn, l) in assigned if nn == n]
     assert a.num_assigned() == len(assigned)
     assert a == Allocation(K, dict(assigned)) and a != Allocation(K + 1, pairs)
     b = a.copy()
     assert b == a
     if K:
         k = data.draw(st.integers(0, K - 1))
-        b.unassign(k)
+        b.rb[k] = b.level[k] = -1
         b.assign((k + 1) % K, 3, 2)
         changed = list(pairs)
         changed[k], changed[(k + 1) % K] = None, (3, 2)
@@ -304,7 +304,7 @@ def test_start_alignment_returns_a_new_writable_copy():
         for a in (first.rb, first.level):
             assert a.flags.writeable and not any(
                 np.shares_memory(a, b) for b in (second.rb, second.level, *net.start_draw))
-        first.unassign(0)
+        first.rb[0] = first.level[0] = -1
         first.assign(1, 0, 0)
         assert start_alignment(net) == second == want
 

@@ -106,14 +106,15 @@ def test_bid_increment_block_rows_are_independent():
 
 # --- local round -------------------------------------------------------------
 
-def fresh_state(K, N, L, eps=0.1):
+def fresh_state(alloc_prev, N, L, eps=0.1):
     return AuctionState(np.zeros((N, L)), np.full((N, L), NO_BIDDER, np.int64),
-                        Allocation(K), eps)
+                        alloc_prev, eps)
 
 
-def round_on_snapshot(state, net, alloc_prev):
-    """local_auction_round with every input derived from alloc_prev and state."""
-    return local_auction_round(state, net, alloc_prev, interference_vector(net, alloc_prev),
+def round_on_snapshot(state, net):
+    """local_auction_round with every input derived from the state."""
+    alloc_prev = state.assignment
+    return local_auction_round(state, net, interference_vector(net, alloc_prev),
                                benefit_planes(benefit_table(net, alloc_prev)))
 
 
@@ -121,7 +122,7 @@ def test_local_round_fresh_state_bids_best_value():
     net = two_tx_net(i_max=100.0)
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
     b = benefit_table(net, alloc_prev)
-    alloc, costs, bidders, bids = round_on_snapshot(fresh_state(2, 1, 1), net, alloc_prev)
+    alloc, costs, bidders, bids = round_on_snapshot(fresh_state(alloc_prev, 1, 1), net)
     assert bids == 2 and alloc.get(0) == (0, 0)
     # equal bids on the one resource: the lowest transmitter holds it
     assert bidders[0, 0] == 0
@@ -131,9 +132,9 @@ def test_local_round_fresh_state_bids_best_value():
 def test_local_round_content_bidder_keeps():
     net = two_tx_net(i_max=100.0)
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
-    state = fresh_state(2, 1, 1)
+    state = fresh_state(alloc_prev, 1, 1)
     state.bidders[0, 0] = 0
-    alloc, _costs, bidders, bids = round_on_snapshot(state, net, alloc_prev)
+    alloc, _costs, bidders, bids = round_on_snapshot(state, net)
     # k0 holds the high bid and stays; only k1 bids, and takes it over
     assert bids == 1 and alloc.get(0) == (0, 0) and bidders[0, 0] == 1
 
@@ -141,7 +142,7 @@ def test_local_round_content_bidder_keeps():
 def test_local_round_guard_failure_keeps_previous():
     net = two_tx_net(i_max=1e-9)  # any hypothetical contribution violates
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
-    alloc, costs, bidders, bids = round_on_snapshot(fresh_state(2, 1, 1), net, alloc_prev)
+    alloc, costs, bidders, bids = round_on_snapshot(fresh_state(alloc_prev, 1, 1), net)
     assert bids == 0 and alloc == alloc_prev
     assert costs[0, 0] == 0.0 and bidders[0, 0] == NO_BIDDER
 
@@ -152,32 +153,30 @@ def test_two_transmitter_contention_hand_trace():
                       power_levels=(1.0,), i_max=1e6)
     net_b = np.array([[[5.0], [3.0]], [[4.0], [1.0]]])
     eps = 0.1
-    state = fresh_state(2, 2, 1, eps)
-    x = Allocation(2, [(1, 0), (0, 0)])
+    state = fresh_state(Allocation(2, [(1, 0), (0, 0)]), 2, 1, eps)
     iv = np.zeros(2)
 
-    def round_all(state, x):
-        x_new, costs, bidders, bids = local_auction_round(state, net, x, iv,
-                                                          benefit_planes(net_b))
-        rows = reference.auction_rows(state, net, x, iv, net_b)
+    def round_all(state):
+        x_new, costs, bidders, bids = local_auction_round(state, net, iv, benefit_planes(net_b))
+        rows = reference.auction_rows(state, net, iv, net_b)
         assert bids == sum(rows[3])
         return AuctionState(costs, bidders, x_new, eps), x_new, rows
 
-    state, x, (_x, cost_rows, _bidder_rows, placed) = round_all(state, x)
+    state, x, (_x, cost_rows, _bidder_rows, placed) = round_all(state)
     assert placed == [True, True]
     assert x.get(0) == (0, 0) and x.get(1) == (0, 0)  # both bid the best slot
     assert cost_rows[0, 0, 0] == pytest.approx(2.1)  # 5 - 3 + eps
     assert cost_rows[1, 0, 0] == pytest.approx(3.1)  # 4 - 1 + eps
     assert state.costs[0, 0] == cost_rows[1, 0, 0] and state.bidders[0, 0] == 1
 
-    state, x, (_x, cost_rows, _bidder_rows, placed) = round_all(state, x)
+    state, x, (_x, cost_rows, _bidder_rows, placed) = round_all(state)
     # k1's higher bid stands; k0 is outbid and re-bids its second-best slot
     assert x.get(1) == (0, 0) and x.get(0) == (1, 0)
     assert placed == [True, False]
     assert cost_rows[0, 1, 0] == pytest.approx(3.0 - 1.9 + eps)
     assert state.costs[1, 0] == cost_rows[0, 1, 0] and state.bidders[1, 0] == 0
 
-    state, x, (_x, _cost_rows, _bidder_rows, placed) = round_all(state, x)
+    state, x, (_x, _cost_rows, _bidder_rows, placed) = round_all(state)
     assert placed == [False, False]  # quiescent: everyone content
 
 
@@ -219,7 +218,7 @@ def test_merged_cost_monotone_across_iterations():
     for _ in range(10):
         iv = netmodel.interference_vector(net, x_prev)
         b = benefit_planes(benefit_table(net, x_prev))
-        x_prev, costs, bidders, _bids = local_auction_round(state, net, x_prev, iv, b)
+        x_prev, costs, bidders, _bids = local_auction_round(state, net, iv, b)
         assert (costs >= state.costs - 1e-15).all()
         state = AuctionState(costs, bidders, x_prev, 0.05)
 

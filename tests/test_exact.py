@@ -24,7 +24,7 @@ from hetalloc.harness import load_scenario
 from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
                                find_blocking_pair, match_alignments, preference_orders,
                                run_stable_matching)
-from hetalloc.msgpass import MessageState, extract_allocation
+from hetalloc.msgpass import MessageState, extract_allocation, proposal
 from hetalloc.netmodel import build_topology
 
 from conftest import benefit_planes, toy_network
@@ -115,7 +115,8 @@ def test_repair_and_extraction_equal_scans(cfg):
         assert fixed == reference.repair(net, alloc.copy())
         evicted += alloc.num_assigned() - fixed.num_assigned()
         state = random_state(net, rng)
-        assert extract_allocation(state, net) == reference.extract_allocation(state, net)
+        got = extract_allocation(state, net, proposal(state.tau))
+        assert got == reference.extract_allocation(state, net)
     if cfg.num_tx >= 6 and cfg.i_max <= 1e-8:
         assert evicted > 0  # the tight cap must exercise eviction
     # Lone-heavy allocations: every transmitter at the top power level,
@@ -208,8 +209,9 @@ def test_ties_break_toward_lowest_index():
     assert netmodel.repair(net, alloc.copy()) == Allocation(3, [None, (1, 0), (0, 0)])
     # equal positive marginals everywhere: every transmitter takes (0, 0)
     state = MessageState(np.ones((3, 2, 1)), np.zeros((3, 2, 1)), 0.5)
-    assert extract_allocation(state, net) == reference.extract_allocation(state, net)
-    assert extract_allocation(state, net) == Allocation(3, [None, None, (0, 0)])
+    got = extract_allocation(state, net, proposal(state.tau))
+    assert got == reference.extract_allocation(state, net)
+    assert got == Allocation(3, [None, None, (0, 0)])
     # equal utilities, signed zeros included: the lowest key ranks first
     u = np.array([[0.0, -0.0, 1.0], [1.0, -0.0, 0.0], [2.0, 2.0, 2.0]])
     assert build_rb_profile(0, u) == reference.keys(reference.profile(("rb", 0), u))
@@ -309,7 +311,7 @@ def test_blocking_scan_equals_profile_scan():
                 for k in np.flatnonzero(rng.random(K) < 0.5).tolist():
                     j = int(rng.integers(N * L + 1)) - 1
                     if j < 0:
-                        cand.unassign(k)
+                        cand.rb[k] = cand.level[k] = -1
                     else:
                         cand.assign(k, *divmod(j, L))
                 got = find_blocking_pair(cand, orders)
@@ -351,13 +353,13 @@ def test_cap_reached_exactly_counts_as_over():
     assert m.proposals == 2
 
 
-def assert_round_equals_reference(state, net, alloc_prev, iv, benefits):
+def assert_round_equals_reference(state, net, iv, benefits):
     """The kernel, on the planes of the (K, N, L) table ``benefits``,
     against K per-transmitter rounds on its rows, their local views merged
     by ``reference.merged_view``; returns the kernel's result and each
     transmitter's bid flag."""
-    got = local_auction_round(state, net, alloc_prev, iv, benefit_planes(benefits))
-    alloc, costs, bidders, placed = reference.auction_rows(state, net, alloc_prev, iv, benefits)
+    got = local_auction_round(state, net, iv, benefit_planes(benefits))
+    alloc, costs, bidders, placed = reference.auction_rows(state, net, iv, benefits)
     merged_costs, merged_bidders = reference.merged_view(costs, bidders)
     assert got[0] == alloc
     assert same_array(got[1], merged_costs) and same_array(got[2], merged_bidders)
@@ -386,7 +388,7 @@ def test_auction_kernel_equals_per_transmitter_rounds(cfg):
         planes = netmodel._benefit(net, netmodel._interference_maps(net, x_prev)[0])
         assert same_array(benefit_planes(b), planes)
         (x_prev, costs, bidders, _bids), placed = assert_round_equals_reference(
-            state, net, x_prev, iv, b)
+            state, net, iv, b)
         outcomes.update(placed)
         state = AuctionState(costs, bidders, x_prev, 0.05)
     # At the tight cap the random start state loads every RB, so the guard
@@ -408,7 +410,7 @@ def k_row_auction(net, t_max):
     for t in range(1, t_max + 1):
         state = AuctionState(*reference.merged_view(costs, bidders), x, eps)
         x_t, costs, bidders, placed = reference.auction_rows(
-            state, net, x, netmodel.interference_vector(net, x), netmodel.benefit_table(net, x))
+            state, net, netmodel.interference_vector(net, x), netmodel.benefit_table(net, x))
         if not any(placed):
             break
         x = x_t
@@ -456,7 +458,7 @@ def toy_rounds(draw):
     alloc = Allocation(K, slots)
     iv = rng.uniform(0.0, 2.0, N)
     eps = draw(st.sampled_from([0.25, 0.5, 1.0, 1e-3]))
-    return AuctionState(merged, bidder, alloc, eps), net, alloc, iv, benefits
+    return AuctionState(merged, bidder, alloc, eps), net, iv, benefits
 
 
 @settings(max_examples=300, deadline=None)
@@ -471,7 +473,7 @@ def test_auction_kernel_absorbed_increment_and_degenerate_shapes():
     net = toy_network(np.ones((1, 1, 1)), np.full((1, 1, 1), 1e-9), i_max=1.0)
     state = AuctionState(np.full((1, 1), 1e20), np.full((1, 1), NO_BIDDER), Allocation(1), 0.5)
     (alloc, costs, bidders, bids), placed = assert_round_equals_reference(
-        state, net, Allocation(1), np.zeros(1), np.ones((1, 1, 1)))
+        state, net, np.zeros(1), np.ones((1, 1, 1)))
     assert placed == [True] and bids == 1 and alloc == Allocation(1, [(0, 0)])
     assert costs[0, 0] == 1e20 and bidders[0, 0] == 0
 
@@ -486,7 +488,7 @@ def test_auction_kernel_absorbed_increment_bidder(k0_load, bidder):
                       i_max=1.0)
     state = AuctionState(np.full((1, 1), 1e20), np.full((1, 1), 2), Allocation(3), 0.5)
     (_alloc, costs, bidders, bids), placed = assert_round_equals_reference(
-        state, net, Allocation(3), np.zeros(1), np.ones((3, 1, 1)))
+        state, net, np.zeros(1), np.ones((3, 1, 1)))
     assert placed == [k0_load < 1.0, True, True] and bids == sum(placed)
     assert costs[0, 0] == 1e20 and bidders[0, 0] == bidder
 
@@ -506,7 +508,7 @@ def test_auction_kernel_content_threshold_is_inclusive(held_value, content):
     state = AuctionState(np.zeros((2, 1)), np.array([[NO_BIDDER], [0]]), prev, 0.3)
     benefits = np.array([[[0.8], [held_value]]])
     (alloc, _costs, _bidders, bids), _ = assert_round_equals_reference(
-        state, net, prev, np.zeros(2), benefits)
+        state, net, np.zeros(2), benefits)
     assert bids == (0 if content else 1)
     assert alloc == Allocation(1, [(1, 0) if content else (0, 0)])
 
@@ -518,8 +520,7 @@ def test_auction_kernel_guard_is_strict(load, bids):
     net = toy_network(np.ones((1, 1, 1)), np.full((1, 1, 1), 0.5), i_max=1.0)
     state = AuctionState(np.zeros((1, 1)), np.full((1, 1), NO_BIDDER, np.int64),
                          Allocation(1), 0.1)
-    result, _ = assert_round_equals_reference(state, net, Allocation(1), np.array([load]),
-                                              np.ones((1, 1, 1)))
+    result, _ = assert_round_equals_reference(state, net, np.array([load]), np.ones((1, 1, 1)))
     assert result[3] == bids
 
 
@@ -650,7 +651,8 @@ def test_signs_of_zero_reach_no_allocation(cfg):
         assert not same_array(flipped.tau, s.tau)
         best = msgpass.proposal(s.tau)
         assert same_array(msgpass.proposal(flipped.tau), best)
-        assert extract_allocation(flipped, net) == extract_allocation(s, net)
+        assert (extract_allocation(flipped, net, msgpass.proposal(flipped.tau))
+                == extract_allocation(s, net, best))
         proposing += int((best >= 0).sum())
     assert proposing > 0
 

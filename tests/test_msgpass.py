@@ -8,8 +8,8 @@ import reference
 from hetalloc import msgpass, netmodel
 from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
 from hetalloc.harness import load_scenario
-from hetalloc.msgpass import (CycleWatch, MessageState, extract_allocation, res_sweep,
-                              run_message_passing, tx_sweep)
+from hetalloc.msgpass import (CycleWatch, MessageState, extract_allocation, proposal,
+                              res_sweep, run_message_passing, tx_sweep)
 from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import toy_network
@@ -18,7 +18,7 @@ from test_netmodel import make_config
 
 
 def state_with(psi_tx=None, psi_res=None, omega=0.5, shape=(2, 2, 2)):
-    s = MessageState.zeros(*shape, omega=omega)
+    s = MessageState(np.zeros(shape), np.zeros(shape), omega)
     if psi_tx is not None:
         s.psi_tx[:] = psi_tx
     if psi_res is not None:
@@ -28,9 +28,9 @@ def state_with(psi_tx=None, psi_res=None, omega=0.5, shape=(2, 2, 2)):
 
 def test_omega_validated():
     with pytest.raises(ValueError):
-        MessageState.zeros(1, 1, 1, omega=0.0)
+        MessageState(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), 0.0)
     with pytest.raises(ValueError):
-        MessageState.zeros(1, 1, 1, omega=1.2)
+        MessageState(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), 1.2)
 
 
 # --- transmitter-side update ---------------------------------------------
@@ -162,13 +162,13 @@ def repair_net():
 
 def test_extract_all_nonpositive_marginals_is_empty():
     s = state_with(psi_tx=np.full((2, 1, 1), -1.0), shape=(2, 1, 1))
-    assert reference.is_empty(extract_allocation(s, repair_net()))
+    assert reference.is_empty(extract_allocation(s, repair_net(), proposal(s.tau)))
 
 
 def test_extract_single_positive_marginal():
     s = state_with(shape=(2, 1, 1))
     s.psi_tx[1, 0, 0] = 0.4
-    alloc = extract_allocation(s, repair_net())
+    alloc = extract_allocation(s, repair_net(), proposal(s.tau))
     assert alloc.get(0) is None and alloc.get(1) == (0, 0)
 
 
@@ -177,14 +177,14 @@ def test_extract_keeps_only_best_entry_per_transmitter():
     s.psi_tx[0] = [[0.5, 0.9], [0.9, 0.1]]  # tie at 0.9: lowest (n, l) wins
     net = toy_network(np.ones((1, 1, 2)), np.full((1, 1, 2), 1e-6),
                       power_levels=(1.0, 2.0), i_max=1.0)
-    alloc = extract_allocation(s, net)
+    alloc = extract_allocation(s, net, proposal(s.tau))
     assert alloc.get(0) == (0, 1)
     assert alloc.num_assigned() == 1
 
 
 def test_extract_interference_repair_evicts_largest_contributor():
     s = state_with(psi_tx=np.full((2, 1, 1), 1.0), shape=(2, 1, 1))
-    alloc = extract_allocation(s, repair_net())
+    alloc = extract_allocation(s, repair_net(), proposal(s.tau))
     # combined load 1.3 >= 1.0: transmitter 0 (0.8) goes first, then feasible
     assert alloc.get(0) is None and alloc.get(1) == (0, 0)
 
@@ -352,7 +352,7 @@ def record_inputs(monkeypatch):
         tables.append(alloc.rb.tobytes() + alloc.level.tobytes())
         return utility_table(net, alloc)
 
-    def recording_extract(state, net, best=None):
+    def recording_extract(state, net, best):
         proposals.append(msgpass.proposal(state.tau).tobytes())
         return extract(state, net, best)
 
