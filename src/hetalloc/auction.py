@@ -88,17 +88,19 @@ def local_auction_round(state, net, interference_prev, benefits):
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     NL = N * L
     merged, merged_bidder = state.costs.reshape(-1), state.bidders.reshape(-1)
-    # Net values, (K, N*L) rows written in one pass over the planes.
-    values = np.empty((K, N, L))
-    np.subtract(benefits.reshape(L, K, N).transpose(1, 2, 0), state.costs, out=values)
-    values = values.reshape(K, NL)
+    # Net values, (K, N*L) rows written in planes order: the planes are
+    # read in one contiguous pass and the rows written with a stride.
+    values = np.empty((K, NL))
+    np.subtract(benefits.reshape(L, K, N), state.costs.T[:, None, :],
+                out=values.reshape(K, N, L).transpose(2, 0, 1))
     flat = values.reshape(-1)
     rows = netmodel._offsets(K * NL, NL)
     best = values.argmax(axis=1)
     at = best + rows
     vmax = flat[at]
     alloc_prev = state.assignment
-    prev = np.where(alloc_prev.rb >= 0, alloc_prev.rb * L + alloc_prev.level, -1)
+    held = alloc_prev.rb >= 0
+    prev = np.where(held, alloc_prev.rb * L + alloc_prev.level, -1)
 
     # The merged cost can only rise, so the re-bid test of "cost grew and
     # someone else holds the high bid" reduces to the bidder check; a
@@ -114,7 +116,7 @@ def local_auction_round(state, net, interference_prev, benefits):
     # theirs here and are masked out.)
     vmin = flat[values.argmin(axis=1) + rows]
     slack = 1e-12 * np.maximum(1.0, np.maximum(vmax, -vmin))
-    content = ((prev >= 0) & (merged_bidder[prev] == netmodel._offsets(K, 1))
+    content = (held & (merged_bidder[prev] == netmodel._offsets(K, 1))
                & (flat[prev + rows] >= (vmax - state.epsilon) - slack))
     # A bid must keep its RB strictly under the cap given the snapshot.
     n_hat = best // L
@@ -177,11 +179,13 @@ def run_auction(net, t_max=500):
     converged = False
     for iterations in range(1, t_max + 1):
         x_t, costs, bidders, bids = local_auction_round(state, net, i_prev, b_prev)
-        state = AuctionState(costs, bidders, x_t, epsilon)
+        # The next snapshot, in the one state of the run (epsilon was
+        # checked when it was made).
+        state.costs, state.bidders, state.assignment = costs, bidders, x_t
         if not bids:
             converged = True  # nothing can change from here on
             break
-        rx_int, i_prev, _ = netmodel._interference_maps(net, x_t)
+        rx_int, i_prev, _ = netmodel._interference_maps(net, x_t, with_others=False)
         b_prev = netmodel._benefit(net, rx_int)
 
     # Concurrent bids in one synchronous round can jointly overshoot a

@@ -74,7 +74,7 @@ def tx_sweep(state, utilities, out=None):
     at = values.argmax(axis=1) + netmodel._offsets(flat.size, n)
     peak = flat[at]
     flat[at] = -np.inf
-    rest = values.max(axis=1)
+    rest = np.maximum.reduce(values, axis=1)
     flat[at] = peak  # before any scaling: (1 - w) * -inf is NaN at w = 1
     damp = values * (1.0 - w)
     values[...] = peak[:, None]
@@ -106,7 +106,7 @@ def res_sweep(state, out=None):
     at = cols.argmax(axis=0) * m + netmodel._offsets(m, 1)
     peak = flat[at]
     flat[at] = -np.inf
-    rest = cols.max(axis=0)
+    rest = np.maximum.reduce(cols, axis=0)
     flat[at] = peak
     res = out.reshape(K, m)
     res[...] = peak
@@ -238,6 +238,8 @@ def run_message_passing(net, omega=0.5, t_max=500):
     # psi_tx first, so each step below is one pass over both.  Every
     # iteration gets a new buffer: CycleWatch keeps the tables it is given.
     messages = np.zeros((2, K, N, L))
+    # One state serves the whole loop: its tables are rebound as the
+    # sweeps produce them, so extraction reads the iteration's marginals.
     state = MessageState(messages[0], messages[1], float(omega))
 
     deltas = []
@@ -247,18 +249,26 @@ def run_message_passing(net, omega=0.5, t_max=500):
     cycle = None
     tables = {}  # allocation bytes -> its utility table
     extractions = {}  # proposal bytes -> the allocation extracted from it
+    util_for = None  # the allocation object ``util`` was looked up for
     scratch = np.empty((2, K, N, L))
     steps = scratch.reshape(2, -1)
+    flat_step = scratch.reshape(-1)
 
     for iterations in range(1, t_max + 1):
-        util = _recall(tables, x_prev.rb.tobytes() + x_prev.level.tobytes(),
-                       lambda: netmodel.utility_table(net, x_prev))
+        # A repeated extraction hands back the same allocation object, whose
+        # key is already the window's most recent: no lookup is needed.
+        if x_prev is not util_for:
+            util = _recall(tables, x_prev.rb.tobytes() + x_prev.level.tobytes(),
+                           lambda: netmodel.utility_table(net, x_prev))
+            util_for = x_prev
         fresh = np.empty((2, K, N, L))
         new_tx = tx_sweep(state, util, out=fresh[0])
         # Resource replies fold in the transmitter messages just received;
         # replying to the stale sweep instead locks the exchange into a
         # period-2 cycle on this bipartite graph.
-        new_res = res_sweep(MessageState(new_tx, state.psi_res, state.omega), out=fresh[1])
+        state.psi_tx = new_tx
+        new_res = res_sweep(state, out=fresh[1])
+        state.psi_res = new_res
         # Both update rules are exactly equivariant under shifting every
         # transmitter message by -c and every resource message by +c, a
         # direction that cancels in all marginals but otherwise
@@ -266,21 +276,23 @@ def run_message_passing(net, omega=0.5, t_max=500):
         # can reach the fixed point.  The row sums of the C-ordered (2, n)
         # step equal the sums of its two halves taken one at a time.
         np.subtract(fresh, messages, out=scratch)
-        step_tx, step_res = steps.sum(axis=1).tolist()
+        step_tx, step_res = np.add.reduce(steps, axis=1).tolist()
         shift = (step_res - step_tx) / (2 * K * N * L)
         new_tx += shift
         new_res -= shift
-        # max is exact, so the max over both halves is the larger of theirs.
-        delta = float(np.abs(np.subtract(fresh, messages, out=scratch), out=scratch).max())
+        # The largest magnitude of the step is that of its max or its min
+        # (max is exact); abs on both also makes an all-zero step +0.0.
+        np.subtract(fresh, messages, out=scratch)
+        delta = max(abs(flat_step.item(flat_step.argmax())),
+                    abs(flat_step.item(flat_step.argmin())))
         deltas.append(delta)
         messages = fresh
-        state = MessageState(new_tx, new_res, state.omega)
         best = proposal(np.add(new_tx, new_res, out=scratch[0]))
         x_t = _recall(extractions, best.tobytes(),
                       lambda: extract_allocation(state, net, best))
         if msg_converged_at is None and delta < MESSAGE_TOL:
             msg_converged_at = iterations
-        if x_t == x_prev and delta < MESSAGE_TOL:
+        if delta < MESSAGE_TOL and (x_t is x_prev or x_t == x_prev):
             converged = True
             break
         # (delta, shift) is a cheap key of the step; the watch confirms a

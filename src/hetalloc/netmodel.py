@@ -247,6 +247,13 @@ class Network:
         return _read_only(self.power_levels[:, None] * self.ref_gain.reshape(-1))
 
     @cached_property
+    def gain_rows(self):
+        """(K*N, K): ``gain_ul[k, :, n]`` at row ``k*N + n``, the gains from k
+        on RB n to every receiver, so a holder's row is one contiguous read."""
+        K = self.num_tx
+        return _read_only(np.ascontiguousarray(self.gain_ul.transpose(0, 2, 1)).reshape(-1, K))
+
+    @cached_property
     def i_max_kn(self):
         """(K*N,): ``i_max[n]`` at entry ``k*N + n``."""
         return _read_only(np.tile(self.i_max, self.num_tx))
@@ -482,7 +489,8 @@ def interference_vector(net, alloc):
     """
     ks = (alloc.rb >= 0).nonzero()[0]
     ns = alloc.rb[ks]
-    return _fold(ns, net.ref_p[ks, ns, alloc.level[ks]], net.num_rb)
+    own = net.ref_p.reshape(-1)[(ks * net.num_rb + ns) * net.num_levels + alloc.level[ks]]
+    return _fold(ns, own, net.num_rb)
 
 
 def underlay_sinrs(net, alloc):
@@ -512,7 +520,7 @@ def repair(net, alloc):
     """
     ks = (alloc.rb >= 0).nonzero()[0]  # np.flatnonzero's wrapper costs ~2 us a call
     ns = alloc.rb[ks]
-    cs = net.ref_p[ks, ns, alloc.level[ks]]
+    cs = net.ref_p.reshape(-1)[(ks * net.num_rb + ns) * net.num_levels + alloc.level[ks]]
     lone = cs >= net.i_max[ns]
     if np.count_nonzero(lone):
         gone = ks[lone]
@@ -553,7 +561,7 @@ def _sinr(net, k, n, p, cochannel):
     return net.gain_ul[k, k, n] * p / den
 
 
-def _interference_maps(net, alloc):
+def _interference_maps(net, alloc, with_others=True):
     """Receiver-side and reference-user interference aggregates of alloc.
 
     Returns (rx_int, agg, others) where rx_int[k, n] is the co-channel
@@ -561,8 +569,10 @@ def _interference_maps(net, alloc):
     transmitter, agg[n] is the aggregated reference-user interference on
     RB n, and others, (K*N,), holds ``agg[n] - own`` at entry k*N + n, own
     being k's share of agg[n] (zero off k's RB, where the entry is agg[n]
-    itself, since x - 0.0 is x).  rx_int and agg are ``np.bincount`` folds
-    over the holders in ascending k, as in ``interference_vector``.
+    itself, since x - 0.0 is x).  Only the cost reads ``others``; with
+    ``with_others=False`` it is not formed and None takes its place.  rx_int
+    and agg are ``np.bincount`` folds over the holders in ascending k, as
+    in ``interference_vector``.
     """
     K, N = net.num_tx, net.num_rb
     ks = (alloc.rb >= 0).nonzero()[0]
@@ -570,7 +580,7 @@ def _interference_maps(net, alloc):
     kn = ks * N + ns
     p = net.power_levels[alloc.level[ks]]
     c = net.ref_gain.reshape(-1)[kn] * p
-    v = net.gain_ul[ks, :, ns]  # (assigned, receiver), a fresh C-ordered array
+    v = net.gain_rows.take(kn, axis=0)  # (assigned, receiver), a fresh C-ordered array
     v *= p[:, None]
     # No transmitter interferes with its own receiver: entry (i, ks[i]).
     v.reshape(-1)[_offsets(len(ks) * K, K) + ks] = 0.0
@@ -580,6 +590,8 @@ def _interference_maps(net, alloc):
     bins = ns[:, None] + _offsets(K * N, N)
     rx_int = _fold(bins.ravel(), v.ravel(), K * N).reshape(K, N)
     agg = _fold(ns, c, N)
+    if not with_others:
+        return rx_int, agg, None
     others = agg[net.rb_kn]
     others[kn] = agg[ns] - c
     return rx_int, agg, others
@@ -619,12 +631,12 @@ def _table(net, planes):
 
 def gamma_table(net, alloc):
     """Hypothetical-move SINR for every (k, n, l) given alloc, shape (K, N, L)."""
-    return _table(net, _gamma(net, _interference_maps(net, alloc)[0]))
+    return _table(net, _gamma(net, _interference_maps(net, alloc, with_others=False)[0]))
 
 
 def benefit_table(net, alloc):
     """Weighted spectral efficiency w1 * log2(1 + SINR) per (k, n, l)."""
-    return _table(net, _benefit(net, _interference_maps(net, alloc)[0]))
+    return _table(net, _benefit(net, _interference_maps(net, alloc, with_others=False)[0]))
 
 
 def cost_table(net, alloc):

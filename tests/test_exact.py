@@ -29,7 +29,7 @@ from hetalloc.netmodel import build_topology
 
 from conftest import benefit_planes, toy_network
 from test_acceptance import DESK
-from test_harness import K50_TIGHT, SCENARIOS
+from test_harness import K4, K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
 from test_netmodel import make_config
 
 WIDE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.2, 1.0))
@@ -95,6 +95,24 @@ def test_tables_and_objectives_equal_scans(cfg):
         for k, (n, l) in alloc.assigned_items():
             own[k, n] = net.ref_gain[k, n] * net.power_levels[l]
         assert same_array(others, np.subtract(agg, own).reshape(-1))
+
+
+@pytest.mark.parametrize("overrides", [K4, MID_K10, K50_LOOSE, K50_TIGHT],
+                         ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
+def test_interference_pass_without_others_equals_maps(overrides):
+    # The auction's per-round pass skips ``others``; its rx_int and agg are
+    # the bytes of the full maps, the empty allocation (whose folds come
+    # back as ints before the cast) included.
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    for seed in range(3):
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        rng = np.random.default_rng(seed)
+        for alloc in (Allocation(net.num_tx), start_alignment(net),
+                      random_allocation(net, rng, 0.5), run_auction(net, t_max=5).allocation):
+            rx_int, agg, others = netmodel._interference_maps(net, alloc, with_others=False)
+            want = netmodel._interference_maps(net, alloc)
+            assert others is None
+            assert same_array(rx_int, want[0]) and same_array(agg, want[1])
 
 
 def lone_holders(net, alloc):
@@ -367,7 +385,6 @@ def assert_round_equals_reference(state, net, iv, benefits):
     return got, placed
 
 
-K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
 ROUND_CASES = ([make_config(seed=s, i_max=cap, **WIDE) for cap in (1e-6, 1e-8) for s in range(2)]
                + [make_config(seed=s, **MID) for s in range(3)]
                + [make_config(seed=s, **K4) for s in range(3)])
@@ -539,11 +556,18 @@ def test_network_constant_tables_equal_inline_and_read_only():
     assert net.ref_p_list is net.ref_p_list
     assert same_array(net.ref_pt, np.ascontiguousarray(net.ref_p.reshape(-1, L).T))
     assert same_array(net.i_max_kn, np.tile(net.i_max, K))
-    for table in (net.mbs_den, net.ref_p, net.sig_pt, net.ref_pt, net.i_max_kn):
+    N = net.num_rb
+    assert net.gain_rows.shape == (K * N, K)
+    for k in range(K):
+        for n in range(N):
+            assert same_array(net.gain_rows[k * N + n], net.gain_ul[k, :, n])
+    for table in (net.mbs_den, net.ref_p, net.sig_pt, net.ref_pt, net.i_max_kn,
+                  net.gain_rows):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1.0
     assert net.sig_pt is net.sig_pt  # built once per drop
+    assert net.gain_rows is net.gain_rows
     again = build_topology(make_config(seed=3, **MID))
     assert again.checksum() == net.checksum()
     assert "sig_pt" not in {f.name for f in dataclasses.fields(net)}

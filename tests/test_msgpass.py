@@ -279,6 +279,35 @@ def test_run_equals_full_loop_on_workload_drops(overrides, t_max):
         assert got.info == want.info
 
 
+@pytest.mark.parametrize("overrides, t_max", WORKLOADS,
+                         ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
+def test_extraction_reads_its_own_iterations_marginals(monkeypatch, overrides, t_max):
+    # The loop keeps one MessageState and rebinds its tables; a wrapper of
+    # extract_allocation must still find in it the marginals the proposal
+    # it was handed came from.
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    net = build_topology(dataclasses.replace(cfg, seed=0))
+    calls, extract = [], msgpass.extract_allocation
+
+    def checking_extract(state, net, best):
+        calls.append(np.array_equal(proposal(state.tau), best))
+        return extract(state, net, best)
+
+    monkeypatch.setattr(msgpass, "extract_allocation", checking_extract)
+    run_message_passing(net, t_max=t_max)
+    assert calls and all(calls)
+
+
+def test_zero_message_step_is_positive_zero():
+    # One transmitter, two RBs of equal utility: every message is 0 from
+    # the first sweep on, so each step is exactly zero, recorded as +0.0
+    # (the golden digests hash the delta bytes, where -0.0 differs).
+    net = toy_network(np.ones((1, 1, 2)), np.full((1, 1, 2), 0.1))
+    for omega in (0.5, 1.0):
+        deltas = run_message_passing(net, omega=omega).info["message_deltas"]
+        assert deltas and np.asarray(deltas).tobytes() == bytes(8 * len(deltas))
+
+
 # --- cycle replay ------------------------------------------------------------
 
 def test_cycle_watch_confirms_only_a_repeated_state():
