@@ -32,7 +32,7 @@ class Allocation:
     ``rb[k]`` and ``level[k]`` are int64 arrays holding transmitter k's RB
     and power level, both -1 while k is silent.  Solvers read and write
     them directly; ``pairs`` (a list or a dict k -> (n, l), None for
-    silent) and ``assign`` take 0-based, non-negative indices.
+    silent) and ``assign`` take non-negative indices, k < ``num_tx``.
     """
 
     __slots__ = ("rb", "level")
@@ -50,6 +50,8 @@ class Allocation:
         return len(self.rb)
 
     def assign(self, k, n, l):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < len(self.rb):
+            raise ValueError(f"transmitter {k!r} must be an integer in [0, {len(self.rb)})")
         n, l = int(n), int(l)
         if n < 0 or l < 0:  # -1 marks a silent transmitter, never an index
             raise ValueError(f"transmitter {k}: RB {n} and level {l} must be >= 0")
@@ -64,14 +66,6 @@ class Allocation:
         for k, (n, l) in enumerate(zip(self.rb.tolist(), self.level.tolist())):
             if n >= 0:
                 yield k, (n, l)
-
-    def by_rb(self, num_rb):
-        """holders[n]: the (k, l) pairs on RB n, ascending k, in one pass."""
-        holders = [[] for _ in range(num_rb)]
-        for k, (n, l) in enumerate(zip(self.rb.tolist(), self.level.tolist())):
-            if n >= 0:
-                holders[n].append((k, l))
-        return holders
 
     def num_assigned(self):
         return int(np.count_nonzero(self.rb >= 0))

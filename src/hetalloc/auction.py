@@ -168,12 +168,13 @@ def run_auction(net, t_max=500):
 
     # One interference pass per round gives both the benefit planes and the
     # per-RB interference the guard reads.
-    rx_int, i_prev, others = netmodel._interference_maps(net, start)
+    rx_int, i_prev, holders = netmodel._interference_maps(net, start)
     b_prev = netmodel._benefit(net, rx_int)
     benefit_span = float(b_prev.max() - b_prev.min())
     epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
 
-    costs = np.maximum(0.0, netmodel._table(net, netmodel._cost(net, others))).max(axis=0)
+    costs = netmodel._table(net, netmodel._cost(net, i_prev, holders))
+    costs = np.maximum(0.0, costs).max(axis=0)
     state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), start, epsilon)
 
     converged = False
@@ -185,7 +186,7 @@ def run_auction(net, t_max=500):
         if not bids:
             converged = True  # nothing can change from here on
             break
-        rx_int, i_prev, _ = netmodel._interference_maps(net, x_t, with_others=False)
+        rx_int, i_prev, _ = netmodel._interference_maps(net, x_t)
         b_prev = netmodel._benefit(net, rx_int)
 
     # Concurrent bids in one synchronous round can jointly overshoot a

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import os
 import time
 from collections import Counter
@@ -229,9 +230,12 @@ def check_algorithms(algorithms, label):
 
 def check_seeds(seeds, label):
     """Raise ValueError, starting with ``label`` (the field and its value),
-    unless ``seeds`` holds one or more distinct seeds, each >= 0."""
+    unless ``seeds`` holds one or more distinct integer seeds, each >= 0."""
     if not seeds:
         raise ValueError(f"{label} selects no seeds")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"{label} selects non-integer seed {seed!r}")
     if min(seeds) < 0:
         raise ValueError(f"{label} selects negative seed {min(seeds)}")
     repeated = _repeated(seeds)

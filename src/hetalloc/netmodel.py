@@ -249,9 +249,12 @@ class Network:
     @cached_property
     def gain_rows(self):
         """(K*N, K): ``gain_ul[k, :, n]`` at row ``k*N + n``, the gains from k
-        on RB n to every receiver, so a holder's row is one contiguous read."""
+        on RB n to every receiver, so a holder's row is one contiguous read;
+        entry k is 0.0, as no transmitter interferes with its own receiver."""
         K = self.num_tx
-        return _read_only(np.ascontiguousarray(self.gain_ul.transpose(0, 2, 1)).reshape(-1, K))
+        rows = np.array(self.gain_ul.transpose(0, 2, 1))  # a copy even when N = 1
+        rows[np.arange(K), :, np.arange(K)] = 0.0
+        return _read_only(rows.reshape(-1, K))
 
     @cached_property
     def i_max_kn(self):
@@ -437,12 +440,12 @@ def sinr_underlay(net, alloc, k, n):
 
     Requires ``alloc`` to actually place k on RB n; the denominator sums
     the macro-tier signal, every co-channel underlay transmitter, and the
-    per-RB noise power.
+    per-RB noise power.  It is k's entry of ``underlay_sinrs``.
     """
     res = alloc.get(k)
     if res is None or res[0] != n:
         raise ContractError(f"transmitter {k} is not assigned to RB {n}")
-    return _sinr(net, k, n, net.power_levels[res[1]], alloc.by_rb(net.num_rb)[n])
+    return underlay_sinrs(net, alloc)[np.count_nonzero(alloc.rb[:k] >= 0)]
 
 
 def sinr_macro(net, alloc, m, n):
@@ -481,23 +484,54 @@ def _fold(bins, weights, size):
     return np.bincount(bins, weights, size).astype(float, copy=False)
 
 
+def _holders(net, alloc):
+    """The one gather of alloc's holders, ascending k: ``(ks, ns, kn, p,
+    own)``, their transmitters, RBs, entries ``k*N + n``, powers and own
+    reference-user loads ``ref_gain[k, n] * p`` (the bytes of
+    ``ref_p[k, n, l]``).  Every interference pass starts from it."""
+    ks = (alloc.rb >= 0).nonzero()[0]  # np.flatnonzero's wrapper costs ~2 us a call
+    ns = alloc.rb[ks]
+    kn = ks * net.num_rb + ns
+    p = net.power_levels[alloc.level[ks]]
+    return ks, ns, kn, p, net.ref_gain.reshape(-1)[kn] * p
+
+
+def _rx_terms(net, holders):
+    """(bins, terms), flat: the power of each holder at every receiver,
+    ``gain_rows[k*N + n] * p`` (0.0 at its own), holder by holder.  The
+    term at receiver j on RB n goes to bin j*N + n, so a fold of them
+    sums each entry's co-channel terms one at a time in ascending k."""
+    _, ns, kn, p, _ = holders
+    terms = net.gain_rows.take(kn, axis=0)  # (holder, receiver), a fresh C-ordered array
+    terms *= p[:, None]
+    bins = ns[:, None] + _offsets(net.num_tx * net.num_rb, net.num_rb)
+    return bins.ravel(), terms.ravel()
+
+
 def interference_vector(net, alloc):
     """Per-RB aggregated reference-user interference as an (N,) array.
 
     An ``np.bincount`` fold over the holders in ascending k, so each entry
     equals ``aggregated_interference``.
     """
-    ks = (alloc.rb >= 0).nonzero()[0]
-    ns = alloc.rb[ks]
-    own = net.ref_p.reshape(-1)[(ks * net.num_rb + ns) * net.num_levels + alloc.level[ks]]
+    _, ns, _, _, own = _holders(net, alloc)
     return _fold(ns, own, net.num_rb)
 
 
 def underlay_sinrs(net, alloc):
-    """``sinr_underlay`` of every assigned transmitter, ascending k."""
-    holders = alloc.by_rb(net.num_rb)
-    return [_sinr(net, k, n, net.power_levels[l], holders[n])
-            for k, (n, l) in alloc.assigned_items()]
+    """``sinr_underlay`` of every assigned transmitter, ascending k.
+
+    Each holder's denominator is one fold: ``mbs_den[k, n] + sigma2``
+    first, then its co-channel terms in ascending k, the scalar formula's
+    terms in its order (the holder's own term is 0.0, which leaves a
+    positive sum unchanged).
+    """
+    ks, ns, kn, p, _ = holders = _holders(net, alloc)
+    bins, terms = _rx_terms(net, holders)
+    den = _fold(np.concatenate((kn, bins)),
+                np.concatenate((net.mbs_den.reshape(-1)[kn] + net.sigma2, terms)),
+                net.num_tx * net.num_rb)[kn]
+    return (net.gain_ul[ks, ks, ns] * p / den).tolist()
 
 
 def repair(net, alloc):
@@ -518,9 +552,7 @@ def repair(net, alloc):
     ``np.bincount`` in ascending k, as in ``interference_vector``, and the
     rule runs on only the RBs it leaves at or over their cap.
     """
-    ks = (alloc.rb >= 0).nonzero()[0]  # np.flatnonzero's wrapper costs ~2 us a call
-    ns = alloc.rb[ks]
-    cs = net.ref_p.reshape(-1)[(ks * net.num_rb + ns) * net.num_levels + alloc.level[ks]]
+    ks, ns, _, _, cs = _holders(net, alloc)
     lone = cs >= net.i_max[ns]
     if np.count_nonzero(lone):
         gone = ks[lone]
@@ -551,50 +583,19 @@ def repair(net, alloc):
     return alloc
 
 
-def _sinr(net, k, n, p, cochannel):
-    # SINR of k's receiver on RB n at power p under the (k', l') pairs of
-    # ``cochannel`` (ascending k'), k's own entry ignored.
-    den = net.mbs_den[k, n] + net.sigma2
-    for kp, lp in cochannel:
-        if kp != k:
-            den += net.gain_ul[kp, k, n] * net.power_levels[lp]
-    return net.gain_ul[k, k, n] * p / den
-
-
-def _interference_maps(net, alloc, with_others=True):
+def _interference_maps(net, alloc):
     """Receiver-side and reference-user interference aggregates of alloc.
 
-    Returns (rx_int, agg, others) where rx_int[k, n] is the co-channel
+    Returns (rx_int, agg, holders) where rx_int[k, n] is the co-channel
     power seen by k's receiver on RB n from every other assigned
     transmitter, agg[n] is the aggregated reference-user interference on
-    RB n, and others, (K*N,), holds ``agg[n] - own`` at entry k*N + n, own
-    being k's share of agg[n] (zero off k's RB, where the entry is agg[n]
-    itself, since x - 0.0 is x).  Only the cost reads ``others``; with
-    ``with_others=False`` it is not formed and None takes its place.  rx_int
-    and agg are ``np.bincount`` folds over the holders in ascending k, as
-    in ``interference_vector``.
+    RB n, and holders is alloc's ``_holders``, which the cost reads.
+    rx_int and agg are ``np.bincount`` folds over the holders in
+    ascending k, as in ``interference_vector``.
     """
-    K, N = net.num_tx, net.num_rb
-    ks = (alloc.rb >= 0).nonzero()[0]
-    ns = alloc.rb[ks]
-    kn = ks * N + ns
-    p = net.power_levels[alloc.level[ks]]
-    c = net.ref_gain.reshape(-1)[kn] * p
-    v = net.gain_rows.take(kn, axis=0)  # (assigned, receiver), a fresh C-ordered array
-    v *= p[:, None]
-    # No transmitter interferes with its own receiver: entry (i, ks[i]).
-    v.reshape(-1)[_offsets(len(ks) * K, K) + ks] = 0.0
-    # Entry (receiver j, RB n) is bin j*N + n.  The bins are listed
-    # transmitter by transmitter, so each entry folds its co-channel terms
-    # one at a time in ascending k.
-    bins = ns[:, None] + _offsets(K * N, N)
-    rx_int = _fold(bins.ravel(), v.ravel(), K * N).reshape(K, N)
-    agg = _fold(ns, c, N)
-    if not with_others:
-        return rx_int, agg, None
-    others = agg[net.rb_kn]
-    others[kn] = agg[ns] - c
-    return rx_int, agg, others
+    holders = _holders(net, alloc)
+    rx_int = _fold(*_rx_terms(net, holders), net.num_tx * net.num_rb)
+    return rx_int.reshape(net.num_tx, -1), _fold(holders[1], holders[4], net.num_rb), holders
 
 
 # The benefit and the cost are evaluated on (L, K*N) planes, the power
@@ -616,7 +617,12 @@ def _benefit(net, rx_int):
     return planes
 
 
-def _cost(net, others):
+def _cost(net, agg, holders):
+    # The others' load at entry k*N + n: agg[n] less k's own share on k's
+    # RB, agg[n] itself on every other RB.
+    _, ns, kn, _, own = holders
+    others = agg[net.rb_kn]
+    others[kn] = agg[ns] - own
     planes = np.add(net.ref_pt, others)
     planes /= net.i_max_kn
     planes -= 1.0
@@ -631,12 +637,12 @@ def _table(net, planes):
 
 def gamma_table(net, alloc):
     """Hypothetical-move SINR for every (k, n, l) given alloc, shape (K, N, L)."""
-    return _table(net, _gamma(net, _interference_maps(net, alloc, with_others=False)[0]))
+    return _table(net, _gamma(net, _interference_maps(net, alloc)[0]))
 
 
 def benefit_table(net, alloc):
     """Weighted spectral efficiency w1 * log2(1 + SINR) per (k, n, l)."""
-    return _table(net, _benefit(net, _interference_maps(net, alloc, with_others=False)[0]))
+    return _table(net, _benefit(net, _interference_maps(net, alloc)[0]))
 
 
 def cost_table(net, alloc):
@@ -645,7 +651,7 @@ def cost_table(net, alloc):
     I is the RB's aggregated reference-user interference if k moved to
     (n, l), with every other transmitter kept at its alloc assignment.
     """
-    return _table(net, _cost(net, _interference_maps(net, alloc)[2]))
+    return _table(net, _cost(net, *_interference_maps(net, alloc)[1:]))
 
 
 def utility_table(net, alloc):
@@ -654,7 +660,7 @@ def utility_table(net, alloc):
     The subtraction of the planes writes the (K, N, L) table in one pass.
     """
     K, N, L = net.num_tx, net.num_rb, net.num_levels
-    rx_int, _, others = _interference_maps(net, alloc)
+    rx_int, agg, holders = _interference_maps(net, alloc)
     table = np.empty((K, N, L))
-    np.subtract(_benefit(net, rx_int), _cost(net, others), out=table.reshape(K * N, L).T)
+    np.subtract(_benefit(net, rx_int), _cost(net, agg, holders), out=table.reshape(K * N, L).T)
     return table

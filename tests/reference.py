@@ -3,7 +3,7 @@
 First come the solvers' start-state draw, as it was written before it
 moved into ``allocation.start_alignment``, the topology build as it was
 before receivers were placed in array blocks (one scalar try at a time,
-distances by ``np.linalg.norm``), and two views of an allocation that
+distances by ``np.linalg.norm``), and three views of an allocation that
 only tests read.  Then the
 straightforward versions of routines that the library now computes on
 the allocation's int arrays, once per table or once per round.  Each one
@@ -134,11 +134,19 @@ def is_empty(alloc):
     return all(alloc.get(k) is None for k in range(alloc.num_tx))
 
 
+def by_rb(alloc, num_rb):
+    """holders[n]: the (k, l) pairs on RB n, ascending k, in one pass."""
+    holders = [[] for _ in range(num_rb)]
+    for k, (n, l) in alloc.assigned_items():
+        holders[n].append((k, l))
+    return holders
+
+
 def repair(net, alloc):
     """Evict the largest reference-user contributor until every RB is under cap."""
     for n in range(net.num_rb):
         while netmodel.aggregated_interference(net, alloc, n) >= net.i_max[n]:
-            holders = alloc.by_rb(net.num_rb)[n]
+            holders = by_rb(alloc, net.num_rb)[n]
             contribs = [net.ref_gain[k, n] * net.power_levels[l] for k, l in holders]
             k = holders[int(np.argmax(contribs))][0]
             alloc.rb[k] = alloc.level[k] = -1
@@ -200,19 +208,34 @@ def utility_table(net, alloc):
     return benefit_table(net, alloc) - cost_table(net, alloc)
 
 
+def _sinr(net, k, n, p, cochannel):
+    # SINR of k's receiver on RB n at power p under the (k', l') pairs of
+    # ``cochannel`` (ascending k'), k's own entry ignored.
+    den = net.mbs_den[k, n] + net.sigma2
+    for kp, lp in cochannel:
+        if kp != k:
+            den += net.gain_ul[kp, k, n] * net.power_levels[lp]
+    return net.gain_ul[k, k, n] * p / den
+
+
+def sinr(net, alloc, k, n):
+    """SINR at k's receiver on RB n, k being a holder there: one scan of
+    RB n's holders, co-channel terms added in ascending k."""
+    return _sinr(net, k, n, net.power_levels[alloc.get(k)[1]], by_rb(alloc, net.num_rb)[n])
+
+
 def sum_rate(net, alloc):
     """Every SINR denominator re-summed over the whole allocation."""
     total = 0.0
     for k, (n, _l) in alloc.assigned_items():
-        total += netmodel.shannon_rate(netmodel.sinr_underlay(net, alloc, k, n),
-                                       net.rb_bandwidth)
+        total += netmodel.shannon_rate(sinr(net, alloc, k, n), net.rb_bandwidth)
     return total
 
 
 def weighted_benefit(net, alloc):
     total = 0.0
     for k, (n, _l) in alloc.assigned_items():
-        total += net.w1 * math.log2(1.0 + netmodel.sinr_underlay(net, alloc, k, n))
+        total += net.w1 * math.log2(1.0 + sinr(net, alloc, k, n))
     return total
 
 
@@ -302,7 +325,7 @@ def find_blocking_pair(allocation, profiles_tx, profiles_rb):
     """
     rank_tx = [p.rank() for p in profiles_tx]
     rank_rb = [p.rank() for p in profiles_rb]
-    on_rb = allocation.by_rb(len(profiles_rb))
+    on_rb = by_rb(allocation, len(profiles_rb))
     for k, prof in enumerate(profiles_tx):
         mine = allocation.get(k)
         my_rank = rank_tx[k][mine] if mine is not None else len(prof.entries)
@@ -352,7 +375,7 @@ def utility(net, alloc, k, res):
     """
     n, l = res
     p = net.power_levels[l]
-    gamma = netmodel._sinr(net, k, n, p, alloc.by_rb(net.num_rb)[n])
+    gamma = _sinr(net, k, n, p, by_rb(alloc, net.num_rb)[n])
     i_others = (netmodel.aggregated_interference(net, alloc, n)
                 - _own_reference_contribution(net, alloc, k, n))
     i_hyp = net.ref_gain[k, n] * p + i_others

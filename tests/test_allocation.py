@@ -25,7 +25,7 @@ def test_allocation_container_basics():
     assert reference.is_empty(a) and a.num_assigned() == 0
     a.assign(1, 2, 0)
     assert a.get(1) == (2, 0)
-    assert a.by_rb(3)[2] == [(1, 0)]
+    assert reference.by_rb(a, 3)[2] == [(1, 0)]
     b = a.copy()
     b.rb[1] = b.level[1] = -1
     assert a.get(1) == (2, 0) and reference.is_empty(b)
@@ -42,7 +42,7 @@ def test_allocation_arrays_match_pairs_list(pairs, data):
     assigned = [(k, p) for k, p in enumerate(pairs) if p is not None]
     assert [a.get(k) for k in range(K)] == pairs
     assert list(a.assigned_items()) == assigned
-    holders = a.by_rb(5)
+    holders = reference.by_rb(a, 5)
     for n in range(5):
         assert holders[n] == [(k, l) for k, (nn, l) in assigned if nn == n]
     assert a.num_assigned() == len(assigned)
@@ -60,15 +60,20 @@ def test_allocation_arrays_match_pairs_list(pairs, data):
         assert (b == a) == (changed == pairs)
 
 
-@pytest.mark.parametrize("pair", [(-1, 0), (0, -1)])
-def test_negative_index_raises_naming_it(pair):
-    # -1 marks a silent transmitter; as an index it would alias the last RB
-    # or level.
-    message = f"transmitter 1: RB {pair[0]} and level {pair[1]}"
+@pytest.mark.parametrize("k, pair, message", [
+    (1, (-1, 0), "transmitter 1: RB -1 and level 0"),
+    (1, (0, -1), "transmitter 1: RB 0 and level -1"),
+    (-1, (0, 0), r"transmitter -1 must be an integer in \[0, 2\)"),
+    (True, (0, 0), r"transmitter True must be an integer in \[0, 2\)"),
+    (2, (0, 0), r"transmitter 2 must be an integer in \[0, 2\)"),
+], ids=["pair0", "pair1", "k-negative", "k-bool", "k-num_tx"])
+def test_negative_index_raises_naming_it(k, pair, message):
+    # -1 marks a silent transmitter; as an index it would alias the last RB,
+    # level or transmitter, and True would index every transmitter.
     with pytest.raises(ValueError, match=message):
-        Allocation(2, [None, pair])
+        Allocation(2, {k: pair})
     with pytest.raises(ValueError, match=message):
-        Allocation(2).assign(1, *pair)
+        Allocation(2).assign(k, *pair)
 
 
 def test_indicator_tensor_one_entry_per_transmitter():

@@ -87,32 +87,31 @@ def test_tables_and_objectives_equal_scans(cfg):
         assert same_array(netmodel.cost_table(net, alloc), reference.cost_table(net, alloc))
         assert sum_rate(net, alloc) == reference.sum_rate(net, alloc)
         assert weighted_benefit(net, alloc) == reference.weighted_benefit(net, alloc)
-        # The maps hand the cost agg[n] - own[k, n] as one vector, bit-equal
-        # to subtracting k's own-load map; p = 0 draws the empty allocation,
-        # whose np.bincount folds come back as ints before the cast.
-        _rx_int, agg, others = netmodel._interference_maps(net, alloc)
-        own = np.zeros((net.num_tx, net.num_rb))
-        for k, (n, l) in alloc.assigned_items():
-            own[k, n] = net.ref_gain[k, n] * net.power_levels[l]
-        assert same_array(others, np.subtract(agg, own).reshape(-1))
+        # One holder gather feeds every pass: its own loads are the bytes
+        # of ref_p, and the maps' agg is interference_vector's.  p = 0
+        # draws the empty allocation, whose np.bincount folds come back as
+        # ints before the cast.
+        ks, ns, _kn, _p, own = netmodel._holders(net, alloc)
+        assert same_array(own, net.ref_p[ks, ns, alloc.level[ks]])
+        assert same_array(netmodel._interference_maps(net, alloc)[1],
+                          netmodel.interference_vector(net, alloc))
+        for k, (n, _l) in alloc.assigned_items():
+            assert netmodel.sinr_underlay(net, alloc, k, n) == reference.sinr(net, alloc, k, n)
 
 
 @pytest.mark.parametrize("overrides", [K4, MID_K10, K50_LOOSE, K50_TIGHT],
                          ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
-def test_interference_pass_without_others_equals_maps(overrides):
-    # The auction's per-round pass skips ``others``; its rx_int and agg are
-    # the bytes of the full maps, the empty allocation (whose folds come
-    # back as ints before the cast) included.
+def test_interference_maps_agg_equals_vector(overrides):
+    # The auction's per-round pass reads agg from the maps; it is the bytes
+    # of interference_vector, the empty allocation included.
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
     for seed in range(3):
         net = build_topology(dataclasses.replace(cfg, seed=seed))
         rng = np.random.default_rng(seed)
         for alloc in (Allocation(net.num_tx), start_alignment(net),
                       random_allocation(net, rng, 0.5), run_auction(net, t_max=5).allocation):
-            rx_int, agg, others = netmodel._interference_maps(net, alloc, with_others=False)
-            want = netmodel._interference_maps(net, alloc)
-            assert others is None
-            assert same_array(rx_int, want[0]) and same_array(agg, want[1])
+            assert same_array(netmodel._interference_maps(net, alloc)[1],
+                              netmodel.interference_vector(net, alloc))
 
 
 def lone_holders(net, alloc):
@@ -204,7 +203,7 @@ def test_cochannel_sums_run_in_ascending_k():
     net = ascending_k_net()
     alloc = Allocation(4, [(0, 0)] * 4)
     assert netmodel.interference_vector(net, alloc)[0] == 1.0
-    rx_int, agg, _own = netmodel._interference_maps(net, alloc)
+    rx_int, agg, _holders = netmodel._interference_maps(net, alloc)
     assert agg[0] == 1.0 and rx_int[3, 0] == 1.0
     assert netmodel.underlay_sinrs(net, alloc)[3] == 1.0
     assert sum_rate(net, alloc) == reference.sum_rate(net, alloc)
@@ -542,35 +541,42 @@ def test_auction_kernel_guard_is_strict(load, bids):
 
 
 def test_network_constant_tables_equal_inline_and_read_only():
-    net = build_topology(make_config(seed=3, **MID))
-    K = net.num_tx
-    sig = net.gain_ul[np.arange(K), np.arange(K), :]
-    L = net.num_levels
-    sig_p = sig[:, :, None] * net.power_levels[None, None, :]
-    assert same_array(net.sig_pt, np.ascontiguousarray(sig_p.reshape(-1, L).T))
-    assert same_array(net.mbs_den, net.gain_mbs_ul * net.mbs_power)
-    assert same_array(net.ref_p, net.ref_gain[:, :, None] * net.power_levels[None, None, :])
-    assert net.ref_p_list == net.ref_p.ravel().tolist()
-    k, n, l = K - 1, net.num_rb - 2, 1
-    assert net.ref_p_list[(k * net.num_rb + n) * net.num_levels + l] == net.ref_p[k, n, l]
-    assert net.ref_p_list is net.ref_p_list
-    assert same_array(net.ref_pt, np.ascontiguousarray(net.ref_p.reshape(-1, L).T))
-    assert same_array(net.i_max_kn, np.tile(net.i_max, K))
-    N = net.num_rb
-    assert net.gain_rows.shape == (K * N, K)
-    for k in range(K):
-        for n in range(N):
-            assert same_array(net.gain_rows[k * N + n], net.gain_ul[k, :, n])
-    for table in (net.mbs_den, net.ref_p, net.sig_pt, net.ref_pt, net.i_max_kn,
-                  net.gain_rows):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[(0,) * table.ndim] = 1.0
-    assert net.sig_pt is net.sig_pt  # built once per drop
-    assert net.gain_rows is net.gain_rows
-    again = build_topology(make_config(seed=3, **MID))
-    assert again.checksum() == net.checksum()
-    assert "sig_pt" not in {f.name for f in dataclasses.fields(net)}
+    # At N = 1 a transposed gain_ul and its reshape are views of gain_ul,
+    # so gain_rows, written with its 0.0 entries, must be built on a copy:
+    # the checksum shows gain_ul kept.
+    for overrides in (MID, EDGES[1]):
+        net = build_topology(make_config(seed=3, **overrides))
+        K = net.num_tx
+        sig = net.gain_ul[np.arange(K), np.arange(K), :]
+        L = net.num_levels
+        sig_p = sig[:, :, None] * net.power_levels[None, None, :]
+        assert same_array(net.sig_pt, np.ascontiguousarray(sig_p.reshape(-1, L).T))
+        assert same_array(net.mbs_den, net.gain_mbs_ul * net.mbs_power)
+        assert same_array(net.ref_p, net.ref_gain[:, :, None] * net.power_levels[None, None, :])
+        assert net.ref_p_list == net.ref_p.ravel().tolist()
+        k, n, l = K - 1, net.num_rb - 1, 1
+        assert net.ref_p_list[(k * net.num_rb + n) * net.num_levels + l] == net.ref_p[k, n, l]
+        assert net.ref_p_list is net.ref_p_list
+        assert same_array(net.ref_pt, np.ascontiguousarray(net.ref_p.reshape(-1, L).T))
+        assert same_array(net.i_max_kn, np.tile(net.i_max, K))
+        N = net.num_rb
+        assert net.gain_rows.shape == (K * N, K)
+        for k in range(K):
+            for n in range(N):
+                # Entry k is +0.0: no transmitter interferes with its own receiver.
+                want = net.gain_ul[k, :, n].copy()
+                want[k] = 0.0
+                assert same_array(net.gain_rows[k * N + n], want)
+        for table in (net.mbs_den, net.ref_p, net.sig_pt, net.ref_pt, net.i_max_kn,
+                      net.gain_rows):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 1.0
+        assert net.sig_pt is net.sig_pt  # built once per drop
+        assert net.gain_rows is net.gain_rows
+        again = build_topology(make_config(seed=3, **overrides))
+        assert again.checksum() == net.checksum()
+        assert "sig_pt" not in {f.name for f in dataclasses.fields(net)}
 
 
 @pytest.mark.parametrize("shape, axis", [((5, 12), 1), ((6, 4, 3), 0), ((2, 2), 1),

@@ -148,6 +148,25 @@ def test_run_experiment_rejects_bad_selection(tmp_path, monkeypatch, selection, 
         run_experiment(load_scenario(path), **selection)
 
 
+@pytest.mark.parametrize("seeds", [[0, 1.5], [0, True]], ids=["float", "bool"])
+def test_run_experiment_rejects_non_integer_seed_before_any_drop(tmp_path, monkeypatch, seeds):
+    # Seed 0 is good; the bad one after it must stop the run before drop 0
+    # is built.
+    path, _ = write_scenario(tmp_path)
+    built = []
+    build = netmodel.build_topology
+
+    def counting(cfg):
+        built.append(cfg.seed)
+        return build(cfg)
+
+    monkeypatch.setattr(netmodel, "build_topology", counting)
+    with pytest.raises(ValueError, match=re.escape(
+            f"seeds {seeds!r} selects non-integer seed {seeds[1]!r}")):
+        run_experiment(load_scenario(path), seeds=seeds)
+    assert built == []
+
+
 @pytest.mark.parametrize("t_max, message", [
     (True, "t_max must be an integer, got True"),
     (2.5, "t_max must be an integer, got 2.5"),
@@ -349,6 +368,22 @@ def test_golden_answers_mid_k10():
     rows = run_experiment(cfg, seeds=range(40), t_max=500)
     assert len(rows) == 120
     assert rows_sha256(rows) == GOLDEN_MID_K10_ROWS_SHA256
+
+
+# Every solver and the oracle on default.json drops with one RB and one
+# power level (1 W), seeds 0..19, at K=1 (one SBS) and at K=5: every
+# message sweep line, bid row and gain_rows block there has one entry.
+@pytest.mark.parametrize("overrides, nonzero, expected", [
+    (dict(num_sbs=1, num_d2d=0), 56,
+     "a06847ad058e20f76169375848ee9bd545cba7ad74f9e6a8be83bfcd4cee00eb"),
+    ({}, 64, "2ab31d85219a2935f9da4b11d49994aa04a968a8e8bd679c04b1bde57d67017b"),
+], ids=["k1", "k5"])
+def test_golden_answers_one_entry_lines(overrides, nonzero, expected):
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), num_rb=1,
+                              power_levels=(1.0,), **overrides)
+    rows = run_experiment(cfg, seeds=range(20), with_oracle=True)
+    assert len(rows) == 80 and sum(r.sum_rate > 0 for r in rows) == nonzero
+    assert rows_sha256(rows) == expected
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: refill")
