@@ -32,7 +32,7 @@ class Allocation:
     ``rb[k]`` and ``level[k]`` are int64 arrays holding transmitter k's RB
     and power level, both -1 while k is silent.  Solvers read and write
     them directly; ``pairs`` (a list or a dict k -> (n, l), None for
-    silent) and ``assign`` take non-negative indices, k < ``num_tx``.
+    silent) and ``assign`` take non-negative integer indices, k < ``num_tx``.
     """
 
     __slots__ = ("rb", "level")
@@ -52,6 +52,9 @@ class Allocation:
     def assign(self, k, n, l):
         if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < len(self.rb):
             raise ValueError(f"transmitter {k!r} must be an integer in [0, {len(self.rb)})")
+        for name, i in (("RB", n), ("level", l)):
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ValueError(f"transmitter {k}: {name} {i!r} must be an integer")
         n, l = int(n), int(l)
         if n < 0 or l < 0:  # -1 marks a silent transmitter, never an index
             raise ValueError(f"transmitter {k}: RB {n} and level {l} must be >= 0")
@@ -124,12 +127,26 @@ class EvalReport:
     violated_rbs: list
 
 
+def _check_fits(net, alloc):
+    """Raise ValueError, naming the transmitter, unless alloc has one entry
+    per transmitter of net and every RB and level lies inside the drop."""
+    if alloc.num_tx != net.num_tx:
+        raise ValueError(f"transmitter {min(alloc.num_tx, net.num_tx)}: the allocation has "
+                         f"{alloc.num_tx} transmitters and the drop {net.num_tx}")
+    outside = ((alloc.rb >= net.num_rb) | (alloc.level >= net.num_levels)).nonzero()[0]
+    if outside.size:
+        k = int(outside[0])
+        raise ValueError(f"transmitter {k}: RB {alloc.rb[k]} and level {alloc.level[k]} must be "
+                         f"< {net.num_rb} and < {net.num_levels}")
+
+
 def is_feasible(net, alloc):
     """Check the strict per-RB interference constraint; returns an EvalReport.
 
     ``sum_rate`` and ``weighted_benefit`` are summed from one list of SINRs
     and equal what the two functions of those names return.
     """
+    _check_fits(net, alloc)
     per_rb = netmodel.interference_vector(net, alloc).tolist()
     violated = [n for n in range(net.num_rb) if per_rb[n] >= net.i_max[n]]
     sinrs = netmodel.underlay_sinrs(net, alloc)
@@ -144,11 +161,13 @@ def is_feasible(net, alloc):
 
 def sum_rate(net, alloc):
     """Total underlay rate in bit/s, with mutual interference from alloc itself."""
+    _check_fits(net, alloc)
     return _rate_total(net, netmodel.underlay_sinrs(net, alloc))
 
 
 def weighted_benefit(net, alloc):
     """Total weighted spectral efficiency sum_k w1 * log2(1 + SINR_k)."""
+    _check_fits(net, alloc)
     return _benefit_total(net, netmodel.underlay_sinrs(net, alloc))
 
 

@@ -1,18 +1,19 @@
 """Stable-matching resource allocation.
 
-Transmitters rank (RB, level) pairs and each RB ranks (transmitter, level)
-pairs by the biased utility, as int lists from one stable argsort per
-side.  Deferred acceptance with revocation runs on those ints: a
-transmitter grabs its best remaining alignment, and whenever an RB's
-budget is exceeded the RB revokes its least preferred holders, striking
-the revoked pair and every pair ranked below it from both sides' lists.
-The outer loop re-ranks until the allocation stops changing; once an
-allocation repeats an earlier one, the rounds left are replayed.
+Transmitters rank (RB, level) pairs and RBs rank (transmitter, level)
+pairs by the same biased utility: the transmitters' orders come from one
+stable argsort, an RB's are read off the utility table.  In deferred
+acceptance a transmitter grabs its best remaining alignment, and an RB
+over budget revokes its least preferred holders, striking each revoked
+pair and all it ranks below.  The outer loop re-ranks until the
+allocation stops changing; once one repeats, the rounds left are replayed.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,23 +35,22 @@ def build_rb_profile(n, utilities):
 
 
 def preference_orders(util):
-    """Both sides' orders as flat int lists ``(tx, rank, rb)``.
+    """The transmitters' orders and the (K, N, L) utility table, ``(tx, util)``.
 
-    Alignment (k, n, l) is ``s = k*N*L + n*L + l``.  ``tx[k*N*L + h]`` is
-    the s of k's h-th best (n, l), ``rb[n][h]`` that of RB n's h-th best
-    (k, l), and ``rank[s]`` is s's position in ``rb[n]``.  Equal utilities,
-    signed zeros included, rank by ascending key: the argsorts are stable.
+    Alignment (k, n, l) is ``s = k*N*L + n*L + l``; ``tx[k*N*L + h]`` is the
+    s of k's h-th best (n, l), equal utilities (signed zeros too) by
+    ascending s.  RB n ranks its alignments by ``(-u[s], s)``: ``_struck``.
     """
     K, N, L = util.shape
     NL = N * L
-    neg = -util
-    by_tx = np.argsort(neg.reshape(K, NL), axis=1, kind="stable")
-    by_rb = np.argsort(neg.transpose(1, 0, 2).reshape(N, K * L), axis=1, kind="stable")
-    # RB n's entry k*L + l is alignment k*N*L + n*L + l.
-    rb = by_rb + (by_rb // L) * (NL - L) + np.arange(0, NL, L)[:, None]
-    rank = by_rb.argsort(axis=1).reshape(N, K, L).transpose(1, 0, 2).ravel()
-    tx = by_tx + np.arange(0, K * NL, NL)[:, None]
-    return tx.ravel().tolist(), rank.tolist(), rb.tolist()
+    by_tx = np.argsort(-util.reshape(K, NL), axis=1, kind="stable")
+    return (by_tx + np.arange(0, K * NL, NL)[:, None]).ravel().tolist(), util
+
+
+def _struck(u, s, c):
+    """Whether alignment s ranks at or below c on their RB: ``u[s] < u[c]``,
+    or equal utilities (+0.0 == -0.0) and ``s >= c``."""
+    return u[s] < u[c] or (u[s] == u[c] and s >= c)
 
 
 @dataclass
@@ -72,14 +72,15 @@ def match_alignments(orders, net):
     """
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     NL = N * L
-    tx, rank, rb = orders
+    tx, util = orders
+    u = util.ravel().tolist() + [-math.inf]
     load = net.ref_p_list
     i_max = net.i_max.tolist()
-    # A strike cuts an RB's list at a rank, so it stays the prefix
-    # rb[n][:cut[n]].  A transmitter's list is its order minus the struck
-    # alignments; head[k], its first unstruck entry, only moves forward.
-    struck = bytearray(K * NL)
-    cut = [K * L] * N
+    # A revocation ranks above every earlier one on its RB, so RB n has
+    # struck what its last revoked alignment cut[n] strikes: nothing while
+    # that is entry K*N*L, of utility -inf.  head[k], the first unstruck
+    # entry of k's order, only moves forward.
+    cut = [K * NL] * N
     head = list(range(0, K * NL, NL))
     on_rb = [[] for _ in range(N)]  # holders' flat indices, ascending k
     free = list(range(K))  # ascending: unmatched, not yet found exhausted
@@ -88,7 +89,7 @@ def match_alignments(orders, net):
     while free:
         k = free.pop(0)
         h, end = head[k], (k + 1) * NL
-        while h < end and struck[tx[h]]:
+        while h < end and _struck(u, tx[h], cut[tx[h] // L % N]):
             h += 1
         head[k] = h
         if h == end:
@@ -98,13 +99,9 @@ def match_alignments(orders, net):
         proposals += 1
         bisect.insort(on_rb[n], s)
         while netmodel.load_sum([load[j] for j in on_rb[n]]) >= i_max[n]:
-            worst = max(on_rb[n], key=rank.__getitem__)
-            on_rb[n].remove(worst)
-            bisect.insort(free, worst // NL)
-            # Strike the revoked pair and all its successors from both sides.
-            c = rank[worst]
-            for j in rb[n][c:cut[n]]:
-                struck[j] = 1
+            c = functools.reduce(lambda w, j: j if _struck(u, j, w) else w, on_rb[n])
+            on_rb[n].remove(c)
+            bisect.insort(free, c // NL)
             cut[n] = c
 
     held = np.array([s for on in on_rb for s in on], dtype=np.int64)
@@ -121,20 +118,21 @@ def find_blocking_pair(allocation, orders):
     least one of its holders, k itself included, both judged by the
     ``preference_orders`` ``orders``.
     """
-    tx, rank, rb = orders
-    K, N = allocation.num_tx, len(rb)
-    NL = len(tx) // K
-    L = NL // N
+    tx, util = orders
+    K, N, L = util.shape
+    NL = N * L
+    u = util.ravel().tolist() + [math.inf]  # u[-1]: no alignment ranks above it
     mine = [-1] * K
-    worst = [-1] * N  # the largest rank among RB n's holders
+    worst = [-1] * N  # the holder RB n ranks last; -1 while it has none to displace
     for k, (n, l) in allocation.assigned_items():
         mine[k] = s = k * NL + n * L + l
-        worst[n] = max(worst[n], rank[s])
+        if _struck(u, s, worst[n]):
+            worst[n] = s
     for k in range(K):
         for s in tx[k * NL:(k + 1) * NL]:
             if s == mine[k]:
                 break  # best-first: nothing below k's own alignment blocks
-            if rank[s] < worst[s // L % N]:
+            if not _struck(u, s, worst[s // L % N]):
                 return (k, s // L % N, s % L)
     return None
 

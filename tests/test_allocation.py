@@ -66,10 +66,16 @@ def test_allocation_arrays_match_pairs_list(pairs, data):
     (-1, (0, 0), r"transmitter -1 must be an integer in \[0, 2\)"),
     (True, (0, 0), r"transmitter True must be an integer in \[0, 2\)"),
     (2, (0, 0), r"transmitter 2 must be an integer in \[0, 2\)"),
-], ids=["pair0", "pair1", "k-negative", "k-bool", "k-num_tx"])
+    (0, (1.7, True), r"transmitter 0: RB 1\.7 must be an integer"),
+    (0, (True, 0), "transmitter 0: RB True must be an integer"),
+    (1, (0, 1.0), r"transmitter 1: level 1\.0 must be an integer"),
+    (1, (0, np.True_), r"transmitter 1: level (np\.True_|True) must be an integer"),
+], ids=["pair0", "pair1", "k-negative", "k-bool", "k-num_tx", "n-float", "n-bool", "l-float",
+        "l-numpy-bool"])
 def test_negative_index_raises_naming_it(k, pair, message):
     # -1 marks a silent transmitter; as an index it would alias the last RB,
-    # level or transmitter, and True would index every transmitter.
+    # level or transmitter, and True would index every transmitter.  A
+    # float RB or level would be truncated, and a bool taken as 0 or 1.
     with pytest.raises(ValueError, match=message):
         Allocation(2, {k: pair})
     with pytest.raises(ValueError, match=message):
@@ -116,6 +122,37 @@ def test_feasibility_matches_independent_summation():
         assert rep.per_rb_interference[n] == pytest.approx(total, rel=1e-12)
         assert (n in rep.violated_rbs) == (total >= net.i_max[n])
     assert rep.feasible == (not rep.violated_rbs)
+
+
+EVALUATORS = [is_feasible, sum_rate, allocation.weighted_benefit]
+
+
+def default_net():
+    """The K=5, N=6, L=3 drop of ``scenarios/default.json``."""
+    return build_topology(load_scenario(SCENARIOS / "default.json"))
+
+
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+def test_evaluation_rejects_rb_outside_the_drop(evaluate):
+    # RB 6 of N=6: the flat holder index k*N + n would run into transmitter
+    # 1's RB 0, and the SINRs would fail later with a bare IndexError
+    with pytest.raises(ValueError, match="transmitter 0: RB 6 and level 0 must be < 6 and < 3"):
+        evaluate(default_net(), Allocation(5, {0: (6, 0), 1: (0, 0)}))
+
+
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+def test_evaluation_rejects_level_outside_the_drop(evaluate):
+    with pytest.raises(ValueError, match="transmitter 2: RB 0 and level 3 must be < 6 and < 3"):
+        evaluate(default_net(), Allocation(5, {2: (0, 3)}))
+
+
+@pytest.mark.parametrize("evaluate", EVALUATORS)
+@pytest.mark.parametrize("num_tx, k", [(3, 3), (6, 5)])
+def test_evaluation_rejects_allocation_of_another_length(evaluate, num_tx, k):
+    # a 3-transmitter allocation would be scored as if the drop had 3
+    with pytest.raises(ValueError, match=f"transmitter {k}: the allocation has {num_tx} "
+                                         "transmitters and the drop 5"):
+        evaluate(default_net(), Allocation(num_tx, {0: (1, 0)}))
 
 
 # --- sum rate -----------------------------------------------------------

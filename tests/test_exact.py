@@ -7,7 +7,6 @@ oracle is compared with the full enumeration it replaced; the two break
 exact ties differently, so the tie cases check the DP's documented rule.
 """
 
-import copy
 import dataclasses
 import math
 
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from hetalloc import msgpass, netmodel
+from hetalloc import matching, msgpass, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate, weighted_benefit)
 from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round, run_auction
@@ -241,16 +240,28 @@ def test_ties_break_toward_lowest_index():
 
 
 def order_keys(orders, K, N, L):
-    """``preference_orders`` as profile keys: (n, l) per transmitter, (k, l) per RB."""
+    """``preference_orders`` as profile keys: (n, l) per transmitter, (k, l) per
+    RB.  An RB's order is its alignments sorted by (-u[s], s), and
+    ``matching._struck`` must rank each entry strictly below the one before."""
     NL = N * L
-    tx_order, rank, rb_order = orders
+    tx_order, util = orders
+    assert util.shape == (K, N, L)
+    u = util.ravel().tolist()
     assert all(sorted(tx_order[k * NL:(k + 1) * NL]) == list(range(k * NL, (k + 1) * NL))
                for k in range(K))
-    assert all(s // L % N == n and rb_order[n][rank[s]] == s
-               for n in range(N) for s in rb_order[n])
+    rb_order = [sorted((k * NL + n * L + l for k in range(K) for l in range(L)),
+                       key=lambda s: (-u[s], s)) for n in range(N)]
+    assert all(matching._struck(u, b, a) and not matching._struck(u, a, b)
+               for order in rb_order for a, b in zip(order, order[1:]))
     tx = [[divmod(s % NL, L) for s in tx_order[k * NL:(k + 1) * NL]] for k in range(K)]
     rb = [[(s // NL, s % L) for s in rb_order[n]] for n in range(N)]
     return tx, rb
+
+
+def order_bytes(orders):
+    """A snapshot of ``preference_orders`` that compares by value."""
+    tx_order, util = orders
+    return list(tx_order), util.tobytes()
 
 
 def profiles(net, alloc):
@@ -277,13 +288,13 @@ def assert_matching_equals_list_rebuild(cfg, seeds, rounds):
         x = start_alignment(net)
         for _round in range(rounds):
             orders, tx, rb = profiles(net, x)
-            orders_before = copy.deepcopy(orders)
+            orders_before = order_bytes(orders)
             keys_before = [reference.keys(p) for p in tx + rb]
             m = match_alignments(orders, net)
             ref = reference.match_alignments(tx, rb, net)
             assert m.allocation == ref.allocation
             assert m.proposals == ref.proposals
-            assert orders == orders_before
+            assert order_bytes(orders) == orders_before
             assert [reference.keys(p) for p in tx + rb] == keys_before
             revoked_rounds += m.proposals > m.allocation.num_assigned()
             x = m.allocation

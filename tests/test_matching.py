@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import itertools
 
@@ -15,7 +14,7 @@ from hetalloc.harness import load_scenario
 from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import round_orders, toy_network
-from test_exact import order_keys
+from test_exact import order_bytes, order_keys
 from test_harness import MID_K10, SCENARIOS
 from test_netmodel import make_config
 
@@ -105,14 +104,14 @@ def test_single_transmitter_gets_top_feasible_choice():
 def test_contention_hand_trace():
     net = contention_net()
     orders = orders_for(net)
-    before = copy.deepcopy(orders)
+    before = order_bytes(orders)
     m = match_alignments(orders, net)
     # RB 0 keeps its preferred transmitter 1; 0 is revoked and re-proposes RB 1
     assert m.allocation.get(1) == (0, 0)
     assert m.allocation.get(0) == (1, 0)
     assert m.proposals == 3
     # the caller's orders are left intact
-    assert orders == before
+    assert order_bytes(orders) == before
     assert find_blocking_pair(m.allocation, orders) is None
 
 
