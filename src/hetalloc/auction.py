@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import netmodel
-from .allocation import SolverResult, check_t_max, start_alignment
+from .allocation import SolverResult, iterate, start_alignment
 
 NO_BIDDER = -1
 
@@ -162,7 +162,6 @@ def run_auction(net, t_max=500):
     ``merged_costs`` (the final (N, L) maximum cost per resource) and
     ``benefit_span`` (max minus min of the start state's benefit table).
     """
-    check_t_max(t_max, "t_max")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     start = start_alignment(net)
 
@@ -177,17 +176,19 @@ def run_auction(net, t_max=500):
     costs = np.maximum(0.0, costs).max(axis=0)
     state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), start, epsilon)
 
-    converged = False
-    for iterations in range(1, t_max + 1):
+    def step(t):
+        nonlocal i_prev, b_prev
         x_t, costs, bidders, bids = local_auction_round(state, net, i_prev, b_prev)
         # The next snapshot, in the one state of the run (epsilon was
         # checked when it was made).
         state.costs, state.bidders, state.assignment = costs, bidders, x_t
-        if not bids:
-            converged = True  # nothing can change from here on
-            break
-        rx_int, i_prev, _ = netmodel._interference_maps(net, x_t)
-        b_prev = netmodel._benefit(net, rx_int)
+        # Nothing reads the maps after the last round.
+        if bids and t < t_max:
+            rx_int, i_prev, _ = netmodel._interference_maps(net, x_t)
+            b_prev = netmodel._benefit(net, rx_int)
+        return x_t, bids, not bids, None
+
+    _, _, iterations, converged, _ = iterate(step, t_max)
 
     # Concurrent bids in one synchronous round can jointly overshoot a
     # budget the guard checked one at a time.  The round's allocation is a

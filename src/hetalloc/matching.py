@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, SolverResult, check_t_max, start_alignment, sum_rate
+from .allocation import Allocation, SolverResult, iterate, start_alignment, sum_rate
 
 
 # Nothing here calls the two builders below; bench/tracing.py times them by
@@ -140,71 +140,52 @@ def find_blocking_pair(allocation, orders):
 def run_stable_matching(net, t_max=100):
     """Iterated stable matching (``preference_orders`` + inner matching per round).
 
-    Starts from ``start_alignment``, stops when two consecutive
-    allocations coincide or ``t_max`` rounds elapse.  On non-convergence
-    the best-sum-rate round result is returned (every round's output is
+    Starts from ``start_alignment`` and runs under ``allocation.iterate``
+    until two consecutive allocations coincide.  On non-convergence the
+    best-sum-rate round result is returned (every round's output is
     feasible by construction).  Signaling accounting: per round each of
     the K transmitters uploads its N*L preference entries and the MBS
     broadcasts the K allocation entries, so
     ``messages = iterations * (K*N*L + K)``.
 
-    A round is a pure function of the previous allocation, so once an
-    allocation repeats an earlier one (the start state included) the
-    rounds that follow repeat that cycle up to ``t_max``.  They are
-    replayed, not recomputed: the result equals, field by field, what
-    computing all ``t_max`` rounds returns.
+    A round is a pure function of the previous allocation, so the cycle
+    key is the whole allocation: the round whose allocation repeats an
+    earlier one (the start state included) confirms the period, and no
+    further round is computed.
 
     ``info`` keys: ``proposals_per_round`` (proposal events of each inner
-    matching), ``allocations`` (each round's inner-matching allocation; a
-    replayed round is the same object as the one a period earlier) and
-    ``cycle`` (``(first, period)`` when rounds ``first``..``t_max`` were
-    replayed from ``period`` rounds earlier, else None).  Round r's orders
-    are ``preference_orders(netmodel.utility_table(net, prev))``, where
+    matching), ``allocations`` (each round's inner-matching allocation)
+    and ``cycle``, as ``iterate`` returns them.  Round r's orders are
+    ``preference_orders(netmodel.utility_table(net, prev))``, where
     ``prev`` is round r-1's allocation and ``start_alignment(net)`` for
     round 1.
     """
-    check_t_max(t_max, "t_max")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
     seen = {(x_prev.rb.tobytes(), x_prev.level.tobytes()): 0}  # allocation -> round
-
-    proposals_per_round = []
-    allocations = []
     best_alloc, best_rate = None, -1.0
-    converged = False
-    cycle = None
 
-    for iterations in range(1, t_max + 1):
+    def step(t):
+        nonlocal x_prev, best_alloc, best_rate
         m = match_alignments(preference_orders(netmodel.utility_table(net, x_prev)), net)
         x_t = m.allocation
-        proposals_per_round.append(m.proposals)
-        allocations.append(x_t)
         rate = sum_rate(net, x_t)
         if rate > best_rate:
             best_alloc, best_rate = x_t, rate
         if x_t == x_prev:
-            converged = True
-            break
+            return x_t, m.proposals, True, None
         # A repeated allocation repeats its rates too, which the strict >
         # above never lets replace best_alloc.
-        seen_at = seen.setdefault((x_t.rb.tobytes(), x_t.level.tobytes()), iterations)
-        if seen_at < iterations < t_max:
-            cycle = (iterations + 1, iterations - seen_at)
-            break
+        seen_at = seen.setdefault((x_t.rb.tobytes(), x_t.level.tobytes()), t)
         x_prev = x_t
+        return x_t, m.proposals, False, t - seen_at
 
-    if cycle is not None:
-        period = cycle[1]
-        for log in (proposals_per_round, allocations):
-            tail = log[-period:]
-            log += [tail[i % period] for i in range(t_max - iterations)]
-        iterations = t_max
-
+    allocations, proposals, iterations, converged, cycle = iterate(step, t_max)
     return SolverResult(
-        allocation=x_t if converged else best_alloc,
+        allocation=allocations[-1] if converged else best_alloc,
         iterations=iterations,
         converged=converged,
         messages=iterations * (K * N * L + K),
-        info={"proposals_per_round": proposals_per_round, "allocations": allocations,
+        info={"proposals_per_round": proposals, "allocations": allocations,
               "cycle": cycle},
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, SolverResult, check_t_max, start_alignment
+from .allocation import Allocation, SolverResult, iterate, start_alignment
 
 MESSAGE_TOL = 1e-6  # max-norm message step below which the messages count as settled
 REUSE_DEPTH = 4  # utility tables, and extractions, the loop keeps for reuse
@@ -157,31 +157,27 @@ def _recall(window, key, compute):
 class CycleWatch:
     """Finds the period of a deterministic iteration from cheap keys.
 
-    ``step(key, state, output)`` is called once per iteration with a
-    hashable ``key`` of the iteration, the tuple of arrays the next
-    iteration is a pure function of, and the iteration's ``output``.  A
-    key last seen p steps back proposes the period p, replacing an open
-    proposal of a longer period.  The proposal is confirmed when the
-    state p steps later is bit-equal to the state at the proposal, and
-    dropped otherwise, so equal keys of unequal states can delay or
-    prevent a confirmation but never make a wrong one.  ``step`` returns the
-    confirmed period, else None, and ``outputs`` then holds the outputs
-    of the last p steps, oldest first.  The arrays passed must not be
-    written to afterwards.
+    ``step(key, state)`` is called once per iteration with a hashable
+    ``key`` of the iteration and the tuple of arrays the next iteration is
+    a pure function of.  A key last seen p steps back proposes the period
+    p, replacing an open proposal of a longer period.  The proposal is
+    confirmed when the state p steps later is bit-equal to the state at
+    the proposal, and dropped otherwise, so equal keys of unequal states
+    can delay or prevent a confirmation but never make a wrong one.
+    ``step`` returns the confirmed period, else None.  The arrays passed
+    must not be written to afterwards.
     """
 
     def __init__(self):
         self._steps = 0
         self._seen = {}  # key -> the step it was last seen at
-        self._open = None  # (state, period) of the proposal being checked
-        self.outputs = []
+        self._open = None  # (state, period, step due) of the proposal being checked
 
-    def step(self, key, state, output):
+    def step(self, key, state):
         self._steps += 1
         if self._open is not None:
-            self.outputs.append(output)
-            proposed, period = self._open
-            if len(self.outputs) == period:
+            proposed, period, due = self._open
+            if self._steps == due:
                 self._open = None
                 if all(a.tobytes() == b.tobytes() for a, b in zip(proposed, state)):
                     return period
@@ -189,8 +185,8 @@ class CycleWatch:
         self._seen[key] = self._steps
         if seen_at is not None and (self._open is None
                                     or self._steps - seen_at < self._open[1]):
-            self._open = (state, self._steps - seen_at)
-            self.outputs = []
+            period = self._steps - seen_at
+            self._open = (state, period, self._steps + period)
         return None
 
 
@@ -220,18 +216,15 @@ def run_message_passing(net, omega=0.5, t_max=500):
     the messages still move toward ``MESSAGE_TOL``, costs just the two
     sweeps per iteration.
 
-    Once both message tables and the allocation repeat an earlier
-    iteration's bit for bit (found by ``CycleWatch``), the iterations left
-    up to ``t_max`` are replayed, not recomputed: the result equals, field
-    by field, what computing all ``t_max`` iterations returns.
+    The loop is ``allocation.iterate``.  The cycle key of an iteration is
+    its ``(delta, shift)`` pair, and ``CycleWatch`` confirms a period on
+    both message tables and the allocation, bit for bit, a period later.
 
     ``info`` keys: ``message_deltas`` (the max-norm message step of each
     iteration), ``message_converged_at`` (the first iteration whose
-    step fell below ``MESSAGE_TOL``, or None) and ``cycle``
-    (``(first, period)`` when iterations ``first``..``t_max`` were
-    replayed from ``period`` iterations earlier, else None).
+    step fell below ``MESSAGE_TOL``, or None) and ``cycle``, as
+    ``iterate`` returns it.
     """
-    check_t_max(t_max, "t_max")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
     # Both message tables of an iteration live in one (2, K, N, L) buffer,
@@ -242,19 +235,17 @@ def run_message_passing(net, omega=0.5, t_max=500):
     # sweeps produce them, so extraction reads the iteration's marginals.
     state = MessageState(messages[0], messages[1], float(omega))
 
-    deltas = []
     msg_converged_at = None
-    converged = False
     watch = CycleWatch()
-    cycle = None
     tables = {}  # allocation bytes -> its utility table
     extractions = {}  # proposal bytes -> the allocation extracted from it
-    util_for = None  # the allocation object ``util`` was looked up for
+    util = util_for = None  # util_for: the allocation object ``util`` was looked up for
     scratch = np.empty((2, K, N, L))
     steps = scratch.reshape(2, -1)
     flat_step = scratch.reshape(-1)
 
-    for iterations in range(1, t_max + 1):
+    def step(t):
+        nonlocal x_prev, messages, msg_converged_at, util, util_for
         # A repeated extraction hands back the same allocation object, whose
         # key is already the window's most recent: no lookup is needed.
         if x_prev is not util_for:
@@ -285,34 +276,24 @@ def run_message_passing(net, omega=0.5, t_max=500):
         np.subtract(fresh, messages, out=scratch)
         delta = max(abs(flat_step.item(flat_step.argmax())),
                     abs(flat_step.item(flat_step.argmin())))
-        deltas.append(delta)
         messages = fresh
         best = proposal(np.add(new_tx, new_res, out=scratch[0]))
         x_t = _recall(extractions, best.tobytes(),
                       lambda: extract_allocation(state, net, best))
         if msg_converged_at is None and delta < MESSAGE_TOL:
-            msg_converged_at = iterations
+            msg_converged_at = t
         if delta < MESSAGE_TOL and (x_t is x_prev or x_t == x_prev):
-            converged = True
-            break
+            return x_t, delta, True, None
         # (delta, shift) is a cheap key of the step; the watch confirms a
         # repeat on the full state.  A repeated step repeats both tests
         # above, so a replay never converges nor sets msg_converged_at.
-        period = watch.step((delta, shift),
-                            (new_tx, new_res, x_t.rb, x_t.level), x_t)
-        if period and iterations < t_max:
-            cycle = (iterations + 1, period)
-            break
         x_prev = x_t
+        return x_t, delta, False, watch.step((delta, shift),
+                                             (new_tx, new_res, x_t.rb, x_t.level))
 
-    if cycle is not None:
-        tail = deltas[-period:]
-        deltas += [tail[i % period] for i in range(t_max - iterations)]
-        x_t = watch.outputs[(t_max - iterations - 1) % period]
-        iterations = t_max
-
+    allocations, deltas, iterations, converged, cycle = iterate(step, t_max)
     return SolverResult(
-        allocation=x_t,
+        allocation=allocations[-1],
         iterations=iterations,
         converged=converged,
         messages=iterations * 2 * K * N * L,

@@ -13,6 +13,7 @@ from hetalloc.allocation import (Allocation, OracleBudgetError,
                                  exhaustive_search, is_feasible, oracle_cost,
                                  search_space_size, start_alignment, sum_rate)
 from hetalloc.harness import SOLVERS, load_scenario, run_experiment
+from hetalloc.msgpass import CycleWatch
 from hetalloc.netmodel import build_topology
 
 from conftest import toy_network
@@ -306,6 +307,85 @@ def test_oracle_dominates_feasible_allocations():
                 alloc.assign(k, rng.integers(net.num_rb), rng.integers(net.num_levels))
         if is_feasible(net, alloc).feasible:
             assert sum_rate(net, alloc) <= best * (1 + 1e-9)
+
+
+# --- the solver loop ----------------------------------------------------------
+
+def scripted(periods, done_at=None):
+    """A step that outputs ``f"o{t}"`` and records ``10 * t`` at iteration t,
+    is done at ``done_at`` and proposes the period ``periods.get(t)``;
+    returns it and the list of the t it was called with."""
+    calls = []
+
+    def step(t):
+        calls.append(t)
+        return f"o{t}", 10 * t, t == done_at, periods.get(t)
+
+    return step, calls
+
+
+def test_iterate_stops_at_done_without_replay():
+    step, calls = scripted({}, done_at=3)
+    assert allocation.iterate(step, 10) == (["o1", "o2", "o3"], [10, 20, 30], 3, True, None)
+    assert calls == [1, 2, 3]
+
+
+def test_iterate_replays_a_period_in_phase():
+    # Period 2 confirmed at t = 5: iterations 6..10 repeat 4, 5, 4, 5, 4.
+    step, calls = scripted({5: 2})
+    outputs, records, iterations, converged, cycle = allocation.iterate(step, 10)
+    assert calls == [1, 2, 3, 4, 5]
+    assert outputs == [f"o{t}" for t in (1, 2, 3, 4, 5, 4, 5, 4, 5, 4)]
+    assert records == [10 * t for t in (1, 2, 3, 4, 5, 4, 5, 4, 5, 4)]
+    assert all(outputs[r] is outputs[r - 2] for r in range(5, 10))
+    assert (iterations, converged, cycle) == (10, False, (6, 2))
+
+
+def test_iterate_ignores_a_period_found_at_t_max():
+    step, calls = scripted({5: 2})
+    assert allocation.iterate(step, 5) == ([f"o{t}" for t in range(1, 6)],
+                                           [10 * t for t in range(1, 6)], 5, False, None)
+    assert calls == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("done_at, periods, converged",
+                         [(1, {}, True), (None, {1: 1}, False), (None, {}, False)],
+                         ids=["done", "period", "neither"])
+def test_iterate_one_iteration(done_at, periods, converged):
+    step, calls = scripted(periods, done_at)
+    assert allocation.iterate(step, 1) == (["o1"], [10], 1, converged, None)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("t_max", [0, True, 2.0])
+def test_iterate_checks_t_max_before_any_step(t_max):
+    step, calls = scripted({})
+    with pytest.raises(ValueError, match="^t_max must be"):
+        allocation.iterate(step, t_max)
+    assert calls == []
+    net = build_topology(make_config())
+    for solve in SOLVERS.values():
+        with pytest.raises(ValueError, match="^t_max must be"):
+            solve(net, t_max)
+
+
+@pytest.mark.parametrize("keys, states, tail", [
+    ("abacdecdec", [5, 7, 6, 1, 2, 3, 1, 2, 3, 1], ["o8", "o9", "o10"]),
+    ("abaaa", [1, 2, 3, 4, 4], ["o5"]),
+])
+def test_iterate_replays_the_steps_cycle_watch_confirms(keys, states, tail):
+    # The sequences of test_msgpass's CycleWatch tests, whose period is
+    # confirmed at the last step: the replay repeats the outputs of the
+    # period that ends there, oldest first.
+    watch = CycleWatch()
+
+    def step(t):
+        return f"o{t}", t, False, watch.step(keys[t - 1], (np.array([states[t - 1]]),))
+
+    outputs, _, iterations, _, cycle = allocation.iterate(step, len(keys) + 7)
+    p = len(tail)
+    assert (iterations, cycle) == (len(keys) + 7, (len(keys) + 1, p))
+    assert outputs[len(keys) - p:] == [tail[i % p] for i in range(p + 7)]
 
 
 # --- solver start state and layering --------------------------------------

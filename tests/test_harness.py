@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import reference
-from hetalloc import cli, harness, netmodel
-from hetalloc.allocation import (exhaustive_search, is_feasible, oracle_cost, sum_rate,
-                                 weighted_benefit)
+from hetalloc import auction, cli, harness, matching, msgpass, netmodel
+from hetalloc.allocation import (exhaustive_search, is_feasible, oracle_cost, start_alignment,
+                                 sum_rate, weighted_benefit)
 from hetalloc.auction import run_auction
 from hetalloc.harness import (SOLVERS, RunMetrics, ScenarioFormatError, load_scenario,
                               parse_seed_spec, run_experiment, write_metrics_csv)
@@ -216,6 +216,44 @@ def test_bench_trace_sites_exist(monkeypatch):
     spec.loader.exec_module(tracing)
     missing = [site.name for site in tracing.sites() if site.attr not in site.owner.__dict__]
     assert not missing
+
+
+# The per-iteration sites of bench/tracing.py, on the module it swaps them on.
+TRACED_STEPS = [(netmodel, "utility_table"), (matching, "match_alignments"),
+                (matching, "sum_rate"), (msgpass, "tx_sweep"), (msgpass, "res_sweep"),
+                (msgpass, "extract_allocation"), (auction, "local_auction_round"),
+                (auction, "bid_increment")]
+
+
+def test_solver_steps_call_the_traced_sites(monkeypatch):
+    # The tracer times a site by swapping the module attribute; a solver
+    # that bound one of these names at import would bypass the swap and
+    # zero its per-layer metric.  Matching confirms its cycle on the first
+    # round whose allocation repeats an earlier one (the start state
+    # included), computes no round after it and replays from the next.
+    from test_matching import MID_K10_OSCILLATING
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in TRACED_STEPS:
+        name = f"{owner.__name__}.{attr}"
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
+    for seed in MID_K10_OSCILLATING:
+        calls.clear()
+        run_experiment(cfg, seeds=[seed], t_max=500)
+        assert all(calls[f"{o.__name__}.{a}"] for o, a in TRACED_STEPS), calls
+        rounds = calls["hetalloc.matching.match_alignments"]
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        assert rounds == run_stable_matching(net, t_max=500).info["cycle"][0] - 1
+        x = [start_alignment(net)] + reference.run_stable_matching(net, rounds).info["allocations"]
+        assert rounds == next(r for r in range(1, len(x)) if x[r] in x[:r])
 
 
 # --- CSV ----------------------------------------------------------------------
