@@ -177,10 +177,10 @@ def is_feasible(net, alloc):
     _check_fits(net, alloc)
     per_rb = netmodel.interference_vector(net, alloc).tolist()
     violated = [n for n in range(net.num_rb) if per_rb[n] >= net.i_max[n]]
-    sinrs = netmodel.underlay_sinrs(net, alloc)
+    rate, benefit = _totals(net, netmodel.underlay_sinrs(net, alloc))
     return EvalReport(
-        sum_rate=_rate_total(net, sinrs),
-        weighted_benefit=_benefit_total(net, sinrs),
+        sum_rate=rate,
+        weighted_benefit=benefit,
         per_rb_interference=per_rb,
         feasible=not violated,
         violated_rbs=violated,
@@ -190,27 +190,22 @@ def is_feasible(net, alloc):
 def sum_rate(net, alloc):
     """Total underlay rate in bit/s, with mutual interference from alloc itself."""
     _check_fits(net, alloc)
-    return _rate_total(net, netmodel.underlay_sinrs(net, alloc))
+    return _totals(net, netmodel.underlay_sinrs(net, alloc))[0]
 
 
 def weighted_benefit(net, alloc):
     """Total weighted spectral efficiency sum_k w1 * log2(1 + SINR_k)."""
     _check_fits(net, alloc)
-    return _benefit_total(net, netmodel.underlay_sinrs(net, alloc))
+    return _totals(net, netmodel.underlay_sinrs(net, alloc))[1]
 
 
-def _rate_total(net, sinrs):
-    total = 0.0
+def _totals(net, sinrs):
+    """``(rate, benefit)``, each a left fold from 0.0 in the SINRs' order."""
+    rate = benefit = 0.0
     for sinr in sinrs:
-        total += netmodel.shannon_rate(sinr, net.rb_bandwidth)
-    return total
-
-
-def _benefit_total(net, sinrs):
-    total = 0.0
-    for sinr in sinrs:
-        total += net.w1 * math.log2(1.0 + sinr)
-    return total
+        rate += netmodel.shannon_rate(sinr, net.rb_bandwidth)
+        benefit += net.w1 * math.log2(1.0 + sinr)
+    return rate, benefit
 
 
 def search_space_size(num_tx, num_rb, num_levels, include_unassigned=False):
@@ -255,10 +250,10 @@ def exhaustive_search(net, budget=None, stats=None):
     transmitter, then for the next.  So two identical transmitters on two
     identical RBs take RB 0 and RB 1 in index order.
 
-    Returns ``(allocation, sum_rate)``.  The rate is summed from the
-    allocation in ascending k, log2(1 + SINR) per transmitter, times
-    ``rb_bandwidth``.  The empty allocation (rate 0) is the fallback when
-    nothing better is feasible.
+    Returns ``(allocation, sum_rate(net, allocation))``: the rate is the
+    evaluator's, the bits ``is_feasible`` reports for that allocation and
+    for any solver that returns it.  The empty allocation (rate 0) is the
+    fallback when nothing better is feasible.
 
     ``stats``, if given a dict, receives ``candidates`` (the N*(L+1)^K
     per-RB level vectors evaluated) and ``feasible`` (how many of them kept
@@ -294,10 +289,7 @@ def exhaustive_search(net, budget=None, stats=None):
     if stats is not None:
         stats["candidates"] = N * (L + 1) ** K
         stats["feasible"] = feasible
-    rate = 0.0
-    for sinr in netmodel.underlay_sinrs(net, alloc):
-        rate += math.log2(1.0 + sinr)
-    return alloc, rate * net.rb_bandwidth
+    return alloc, sum_rate(net, alloc)
 
 
 def _rb_tables(net):

@@ -2,8 +2,9 @@
 
 One experiment fixes a scenario and a seed list; per seed a single drop is
 built and every selected algorithm runs on that identical drop, optionally
-next to the exhaustive oracle.  The ``messages_exchanged`` column is each
-runner's ``messages``; the runners' docstrings give its formula.
+next to the exhaustive oracle, whose row is evaluated like theirs.  The
+``messages_exchanged`` column is each runner's ``messages``; the runners'
+docstrings give its formula.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import netmodel
-from .allocation import (DEFAULT_ORACLE_BUDGET, OracleBudgetError, check_t_max,
-                         exhaustive_search, is_feasible)
+from .allocation import (DEFAULT_ORACLE_BUDGET, OracleBudgetError, SolverResult,
+                         check_t_max, exhaustive_search, is_feasible)
 # Unused here, but bench/tracing.py wraps harness.sum_rate and
 # harness.weighted_benefit.
 from .allocation import sum_rate, weighted_benefit  # noqa: F401
@@ -125,13 +126,18 @@ def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=Fa
                    t_max=500, budget=None):
     """Run every selected algorithm on one identical drop per seed.
 
-    Returns RunMetrics rows sorted by (seed, algorithm).  When the oracle
-    is requested but refuses the budget (``OracleBudgetError``) it is
-    skipped for that seed with a logged warning and empty oracle gaps; it
-    is never truncated silently.  A selection that ``check_algorithms``,
-    ``check_seeds`` or ``check_t_max`` rejects raises ValueError before any
-    drop is built, as does the ConfigError of ``oracle_budget``, which
-    resolves ``budget`` when it is not given.
+    Returns RunMetrics rows sorted by (seed, algorithm).  The oracle and
+    the solvers are timed, evaluated and recorded on one path: every
+    row's numbers come from one ``is_feasible`` report, and the oracle's
+    (1 iteration, converged, 0 messages) runs first, so that each
+    ``oracle_gap``, its own included, is max(0, 1 - rate / its rate), or
+    0.0 when its rate is 0.  When the oracle refuses the budget
+    (``OracleBudgetError``) it is skipped for that seed with a logged
+    warning and empty oracle gaps; it is never truncated silently.  A
+    selection that ``check_algorithms``, ``check_seeds`` or
+    ``check_t_max`` rejects raises ValueError before any drop is built,
+    as does the ConfigError of ``oracle_budget``, which resolves
+    ``budget`` when it is not given.
     """
     algorithms = check_algorithms(algorithms, f"algorithms {algorithms!r}")
     seeds = [config.seed] if seeds is None else list(seeds)
@@ -142,40 +148,25 @@ def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=Fa
 
     rows = []
     for seed in seeds:
-        cfg = dataclasses.replace(config, seed=seed)
-        net = netmodel.build_topology(cfg)
-
-        oracle_rate = None
-        if with_oracle:
+        net = netmodel.build_topology(dataclasses.replace(config, seed=seed))
+        best = None  # the oracle row's sum_rate
+        for name in (["oracle"] if with_oracle else []) + algorithms:
             t0 = time.perf_counter()
             try:
-                o_alloc, oracle_rate = exhaustive_search(net, budget=budget)
-            except OracleBudgetError as exc:
+                res = (SolverResult(exhaustive_search(net, budget=budget)[0], 1, True, 0, {})
+                       if name == "oracle" else SOLVERS[name](net, t_max))
+            except OracleBudgetError as exc:  # raised by the oracle only
                 log.warning("seed %d: oracle skipped: %s", seed, exc)
-            else:
-                wall = (time.perf_counter() - t0) * 1e3
-                report = is_feasible(net, o_alloc)
-                rows.append(RunMetrics(
-                    algorithm="oracle", seed=seed, sum_rate=oracle_rate,
-                    weighted_benefit=report.weighted_benefit,
-                    iterations=1, converged=True, feasible=report.feasible,
-                    oracle_gap=0.0, wall_time_ms=wall, messages_exchanged=0))
-
-        for name in algorithms:
-            t0 = time.perf_counter()
-            res = SOLVERS[name](net, t_max)
+                continue
             wall = (time.perf_counter() - t0) * 1e3
-            alloc = res.allocation
-            report = is_feasible(net, alloc)
-            rate = report.sum_rate
+            report = is_feasible(net, res.allocation)
+            if name == "oracle":
+                best = report.sum_rate
             gap = None
-            if oracle_rate is not None:
-                if oracle_rate > 0:
-                    gap = max(0.0, 1.0 - rate / oracle_rate)
-                else:
-                    gap = 0.0
+            if best is not None:
+                gap = max(0.0, 1.0 - report.sum_rate / best) if best > 0 else 0.0
             rows.append(RunMetrics(
-                algorithm=name, seed=seed, sum_rate=rate,
+                algorithm=name, seed=seed, sum_rate=report.sum_rate,
                 weighted_benefit=report.weighted_benefit,
                 iterations=res.iterations, converged=res.converged,
                 feasible=report.feasible,

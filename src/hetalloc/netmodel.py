@@ -449,12 +449,8 @@ def sinr_underlay(net, alloc, k, n):
 
 
 def sinr_macro(net, alloc, m, n):
-    """SINR of MUE m on RB n under the interference generated by alloc."""
-    den = net.sigma2
-    for kp, (nn, ll) in alloc.assigned_items():
-        if nn == n:
-            den += net.gain_mue[kp, m, n] * net.power_levels[ll]
-    return net.gain_mbs_mue[m, n] * net.mbs_power / den
+    """SINR of MUE m on RB n under alloc: the (m, n) entry of ``macro_sinrs``."""
+    return macro_sinrs(net, alloc)[m, n]
 
 
 def aggregated_interference(net, alloc, n):
@@ -532,6 +528,21 @@ def underlay_sinrs(net, alloc):
                 np.concatenate((net.mbs_den.reshape(-1)[kn] + net.sigma2, terms)),
                 net.num_tx * net.num_rb)[kn]
     return (net.gain_ul[ks, ks, ns] * p / den).tolist()
+
+
+def macro_sinrs(net, alloc):
+    """(C, N) SINR of every MUE on every RB under alloc's interference.
+
+    Each denominator is one fold: ``sigma2`` first, then the power
+    ``gain_mue[k, m, n] * p`` of each holder k on RB n, ascending k.
+    """
+    C, N = net.gain_mbs_mue.shape
+    ks, ns, _, p, _ = _holders(net, alloc)
+    terms = net.gain_mue[ks, :, ns] * p[:, None]  # (holder, MUE)
+    bins = ns[:, None] + _offsets(C * N, N)       # entry m*N + n
+    den = _fold(np.concatenate((_offsets(C * N, 1), bins.ravel())),
+                np.concatenate((np.full(C * N, net.sigma2), terms.ravel())), C * N)
+    return net.gain_mbs_mue * net.mbs_power / den.reshape(C, N)
 
 
 def repair(net, alloc):

@@ -239,6 +239,16 @@ def weighted_benefit(net, alloc):
     return total
 
 
+def sinr_macro(net, alloc, m, n):
+    """SINR of MUE m on RB n: ``sigma2``, then each holder of RB n, one
+    term at a time in ascending k."""
+    den = net.sigma2
+    for kp, (nn, ll) in alloc.assigned_items():
+        if nn == n:
+            den += net.gain_mue[kp, m, n] * net.power_levels[ll]
+    return net.gain_mbs_mue[m, n] * net.mbs_power / den
+
+
 class PreferenceProfile:
     """A strictly ordered preference list.
 

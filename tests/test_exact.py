@@ -96,6 +96,29 @@ def test_tables_and_objectives_equal_scans(cfg):
                           netmodel.interference_vector(net, alloc))
         for k, (n, _l) in alloc.assigned_items():
             assert netmodel.sinr_underlay(net, alloc, k, n) == reference.sinr(net, alloc, k, n)
+        assert same_array(netmodel.macro_sinrs(net, alloc), macro_scan(net, alloc))
+
+
+def macro_scan(net, alloc):
+    """The (C, N) table of ``reference.sinr_macro``."""
+    return np.array([[reference.sinr_macro(net, alloc, m, n) for n in range(net.num_rb)]
+                     for m in range(net.num_mue)])
+
+
+@pytest.mark.parametrize("overrides", [K4, MID_K10, K50_LOOSE, K50_TIGHT],
+                         ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
+def test_macro_sinrs_equal_scan_on_solver_allocations(overrides):
+    # What message passing and the auction return on 10 drops of each
+    # bench/run.py pool, and the empty allocation.
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    for seed in range(10):
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        for alloc in (Allocation(net.num_tx),
+                      msgpass.run_message_passing(net, t_max=100).allocation,
+                      run_auction(net, t_max=100).allocation):
+            want = macro_scan(net, alloc)
+            assert same_array(netmodel.macro_sinrs(net, alloc), want)
+            assert netmodel.sinr_macro(net, alloc, net.num_mue - 1, 0) == want[-1, 0]
 
 
 @pytest.mark.parametrize("overrides", [K4, MID_K10, K50_LOOSE, K50_TIGHT],
@@ -700,8 +723,8 @@ def test_signs_of_zero_reach_no_allocation(cfg):
 
 def assert_oracle_equals_enumeration(net):
     alloc, rate = exhaustive_search(net)
-    ref_alloc, ref_rate = reference.exhaustive_search(net)
-    assert alloc == ref_alloc and rate == ref_rate
+    ref_alloc, _ = reference.exhaustive_search(net)
+    assert alloc == ref_alloc and rate == sum_rate(net, ref_alloc)
 
 
 def test_oracle_equals_enumeration_on_k4_drops():
@@ -746,4 +769,4 @@ def test_oracle_exact_ties_follow_documented_rule(K, N, L, i_max, expected):
     alloc, rate = exhaustive_search(net)
     assert alloc == Allocation(K, expected)
     assert is_feasible(net, alloc).feasible
-    assert rate == reference.exhaustive_search(net)[1] > 0
+    assert rate == sum_rate(net, reference.exhaustive_search(net)[0]) > 0

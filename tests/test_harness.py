@@ -339,10 +339,11 @@ def test_oracle_budget_rejects_non_integers(monkeypatch, raw):
 GOLDEN_DEFAULT_ROWS_SHA256 = "759f14719a72543e5ea5f2329de4388abac35e49171c2b6a1848337ee8edc06c"
 # The same with the oracle, on default.json (seeds 0..19) and on the K=4,
 # N=4, L=3 drops of bench/run.py's oracle-k4 workload (seeds 0..39); both
-# hashes come from the full-enumeration oracle.
+# hashes come from the full-enumeration oracle, re-pinned when the oracle
+# row's rate and the gaps came to be read from is_feasible's report.
 GOLDEN_DEFAULT_ORACLE_ROWS_SHA256 = (
-    "36153f1fc3466a240a1818449ea872151974e0fc0834664325f91f85add55a53")
-GOLDEN_K4_ORACLE_ROWS_SHA256 = "7cb7e992d37ba642c5ba04a4d1973f2c690fa0e5973be2b17fe42bdd7c857f65"
+    "83ea984fb80ed86c8f2c37f815ca5f78690108aa70b2188402498ea001b49558")
+GOLDEN_K4_ORACLE_ROWS_SHA256 = "f8d93aad314fe8d1274a8b16a68fd2b576d82dec6f53b732f7d471dd4a1a5b51"
 K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
 # Message passing and the auction at K=50, N=25, L=4 under the loose cap of
 # bench/run.py's wide-k50-loose workload, seeds 0..4, t_max=100; pinned
@@ -414,7 +415,7 @@ def test_golden_answers_mid_k10():
 @pytest.mark.parametrize("overrides, nonzero, expected", [
     (dict(num_sbs=1, num_d2d=0), 56,
      "a06847ad058e20f76169375848ee9bd545cba7ad74f9e6a8be83bfcd4cee00eb"),
-    ({}, 64, "2ab31d85219a2935f9da4b11d49994aa04a968a8e8bd679c04b1bde57d67017b"),
+    ({}, 64, "4f67c25368e2660f6fc93c1f6c71993e24a8f78232852859e2a860915f9d938a"),
 ], ids=["k1", "k5"])
 def test_golden_answers_one_entry_lines(overrides, nonzero, expected):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), num_rb=1,
@@ -498,9 +499,26 @@ def test_rows_take_rate_and_benefit_from_one_report():
                      else harness.SOLVERS[r.algorithm](net, 500).allocation)
             report = is_feasible(net, alloc)
             assert report.weighted_benefit == weighted_benefit(net, alloc) == r.weighted_benefit
-            assert report.sum_rate == sum_rate(net, alloc)
-            if r.algorithm != "oracle":
-                assert r.sum_rate == report.sum_rate
+            assert r.sum_rate == report.sum_rate == sum_rate(net, alloc)
+
+
+# Rows of a solver that returns the oracle's own allocation: on oracle-k4
+# seed 7, and on default.json cut to one RB and one power level (K=5).
+@pytest.mark.parametrize("overrides, hits", [
+    (K4, [(7, "matching"), (7, "auction")]),
+    (dict(num_rb=1, power_levels=(1.0,)),
+     [(0, "auction"), (3, "auction"), (4, "matching"), (4, "auction")]),
+], ids=["oracle-k4", "k5-one-entry"])
+def test_solver_on_the_oracle_allocation_has_zero_gap(overrides, hits):
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    seeds = sorted({seed for seed, _ in hits})
+    rows = {(r.seed, r.algorithm): r
+            for r in run_experiment(cfg, seeds=seeds, with_oracle=True)}
+    for seed, name in hits:
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        assert harness.SOLVERS[name](net, 500).allocation == exhaustive_search(net)[0]
+        assert rows[seed, name].oracle_gap == 0.0 == rows[seed, "oracle"].oracle_gap
+        assert rows[seed, name].sum_rate == rows[seed, "oracle"].sum_rate
 
 
 # --- CLI ------------------------------------------------------------------------

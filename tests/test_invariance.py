@@ -9,16 +9,24 @@ They hold at any size, so they reach past the exact oracle (K <= 12).
   ``run_experiment`` row must too, wall time aside.
 - Weights: multiplying ``w1`` and ``w2`` by a power of two scales every
   utility and benefit exactly, so matching and the auction make the same
-  choices.  Message passing is left out: its stop tolerance
-  ``MESSAGE_TOL`` is absolute in utility units, so scaled weights move
-  the iteration it stops at.
+  choices.  Message passing does not yet (a strict xfail): its stop
+  tolerance ``MESSAGE_TOL`` is absolute in utility units, so scaled
+  weights move the iteration it stops at.
+- Relabeling: renumbering the transmitters and the RBs permutes every
+  gain and cap but no term of any rate, SINR or load; only the order in
+  which the oracle adds them moves, so its optimal rate must agree within
+  1e-12 relative.  The solvers are left out: their start state is drawn
+  per index, and their ties go to the lowest index.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from hetalloc.allocation import exhaustive_search
 from hetalloc.harness import load_scenario, run_experiment
+from hetalloc.netmodel import build_topology, make_network
 
 from test_harness import K50_TIGHT, MID_K10, SCENARIOS
 
@@ -58,15 +66,51 @@ def test_scaling_powers_and_caps_keeps_every_row(overrides, run):
         assert rows(scaled(cfg, e), **run) == want, e
 
 
-@pytest.mark.parametrize("overrides", [{}, MID_K10], ids=["default", "mid-k10"])
-def test_scaling_weights_keeps_matching_and_auction(overrides):
+def assert_weight_scaling_keeps(overrides, algorithms):
+    """Each row's (rate, iterations, converged) on seeds 0..19 is the same
+    with ``w1`` and ``w2`` multiplied by 2**e, e = 1, 10, -10."""
     cfg = config(overrides)
 
     def outcomes(cfg):
         return [(r.algorithm, r.seed, r.sum_rate, r.iterations, r.converged)
-                for r in run_experiment(cfg, algorithms=["matching", "auction"], seeds=range(20))]
+                for r in run_experiment(cfg, algorithms=algorithms, seeds=range(20))]
 
     want = outcomes(cfg)
     for e in (1, 10, -10):
         f = 2.0 ** e
         assert outcomes(dataclasses.replace(cfg, w1=cfg.w1 * f, w2=cfg.w2 * f)) == want, e
+
+
+@pytest.mark.parametrize("overrides", [{}, MID_K10], ids=["default", "mid-k10"])
+def test_scaling_weights_keeps_matching_and_auction(overrides):
+    assert_weight_scaling_keeps(overrides, ["matching", "auction"])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: MESSAGE_TOL is absolute, so scaled "
+                                       "weights move the iteration message passing stops at")
+@pytest.mark.parametrize("overrides", [{}, MID_K10], ids=["default", "mid-k10"])
+def test_scaling_weights_keeps_message_passing(overrides):
+    assert_weight_scaling_keeps(overrides, ["msgpass"])
+
+
+def relabeled(net, rng):
+    """``net`` rebuilt by ``make_network`` with its transmitters and its
+    RBs in random orders: every gain permuted along each axis, and the
+    per-RB caps.  The positions, which nothing computes from, are kept."""
+    tx, rb = rng.permutation(net.num_tx), rng.permutation(net.num_rb)
+    return make_network(
+        net.config, net.mue_pos, net.sbs_pos, net.sue_pos, net.d2d_tx_pos, net.d2d_rx_pos,
+        net.gain_ul[np.ix_(tx, tx, rb)], net.gain_mbs_ul[np.ix_(tx, rb)],
+        net.gain_mue[tx][:, :, rb], net.gain_mbs_mue[:, rb], net.power_levels,
+        net.i_max[rb], net.mbs_power, net.sigma2, net.w1, net.w2, net.rb_bandwidth)
+
+
+@pytest.mark.parametrize("overrides, seeds", [({}, range(20)), (MID_K10, range(5))],
+                         ids=["default", "mid-k10"])
+def test_relabeling_keeps_the_oracle_rate(overrides, seeds):
+    cfg = config(overrides)
+    for seed in seeds:
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        rate = exhaustive_search(net)[1]
+        again = exhaustive_search(relabeled(net, np.random.default_rng(seed)))[1]
+        assert rate > 0 and again == pytest.approx(rate, rel=1e-12, abs=0), seed
