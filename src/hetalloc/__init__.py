@@ -16,6 +16,6 @@ from .msgpass import MessageState, extract_allocation, run_message_passing
 from .netmodel import (ConfigError, ContractError, Network, ScenarioConfig,
                        aggregated_interference, benefit_table, build_topology,
                        cost_table, interference_vector, shannon_rate,
-                       sinr_macro, sinr_underlay, utility_table)
+                       sinr_underlay, utility_table)
 
 __version__ = "0.1.0"

@@ -157,15 +157,18 @@ class EvalReport:
 
 def _check_fits(net, alloc):
     """Raise ValueError, naming the transmitter, unless alloc has one entry
-    per transmitter of net and every RB and level lies inside the drop."""
+    per transmitter of net, every RB and level lies inside the drop, and
+    each entry is silent (both -1) or assigned (both >= 0)."""
     if alloc.num_tx != net.num_tx:
         raise ValueError(f"transmitter {min(alloc.num_tx, net.num_tx)}: the allocation has "
                          f"{alloc.num_tx} transmitters and the drop {net.num_tx}")
-    outside = ((alloc.rb >= net.num_rb) | (alloc.level >= net.num_levels)).nonzero()[0]
+    rb, level = alloc.rb, alloc.level
+    outside = ((rb >= net.num_rb) | (level >= net.num_levels) | (rb < -1) | (level < -1)
+               | ((rb < 0) != (level < 0))).nonzero()[0]
     if outside.size:
         k = int(outside[0])
-        raise ValueError(f"transmitter {k}: RB {alloc.rb[k]} and level {alloc.level[k]} must be "
-                         f"< {net.num_rb} and < {net.num_levels}")
+        raise ValueError(f"transmitter {k}: RB {rb[k]} and level {level[k]} must be "
+                         f"< {net.num_rb} and < {net.num_levels}, and both -1 or both >= 0")
 
 
 def is_feasible(net, alloc):

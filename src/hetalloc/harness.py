@@ -56,6 +56,8 @@ class ScenarioFormatError(ValueError):
 
 @dataclass
 class RunMetrics:
+    """One CSV row: the fields are in ``CSV_HEADER``'s order."""
+
     algorithm: str
     seed: int
     sum_rate: float
@@ -192,11 +194,7 @@ def write_metrics_csv(metrics, path):
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for m in metrics:
-            writer.writerow([
-                m.algorithm, m.seed, _fmt(m.sum_rate), _fmt(m.weighted_benefit),
-                m.iterations, _fmt(m.converged), _fmt(m.feasible),
-                _fmt(m.oracle_gap), _fmt(m.wall_time_ms), m.messages_exchanged,
-            ])
+            writer.writerow([_fmt(v) for v in dataclasses.astuple(m)])
 
 
 def _repeated(values):

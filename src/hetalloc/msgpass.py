@@ -27,7 +27,7 @@ import numpy as np
 from . import netmodel
 from .allocation import Allocation, SolverResult, iterate, start_alignment
 
-MESSAGE_TOL = 1e-6  # max-norm message step below which the messages count as settled
+MESSAGE_TOL = 1e-6  # settling step per unit of weight: see run_message_passing
 REUSE_DEPTH = 4  # utility tables, and extractions, the loop keeps for reuse
 
 
@@ -197,8 +197,12 @@ def run_message_passing(net, omega=0.5, t_max=500):
     re-evaluated against the previous allocation, both message tables are
     swept synchronously from the previous tables, marginals are formed and
     an allocation extracted.  The run converges when the allocation
-    repeats *and* the max-norm message step falls below ``MESSAGE_TOL``;
-    it always stops at ``t_max``.  Every sweep ships 2*K*N*L message
+    repeats *and* the max-norm message step falls below the tolerance
+    ``MESSAGE_TOL * max(|w1|, |w2|)`` (``MESSAGE_TOL`` when both weights
+    are 0); it always stops at ``t_max``.  The utilities, and so every
+    message, are linear in the two weights, so scaling both by a power of
+    two scales each step and the tolerance alike and stops the run at the
+    same iteration.  Every sweep ships 2*K*N*L message
     values, so ``messages = iterations * 2*K*N*L``.
 
     Non-convergence is reported through the flag and the delta trace, and
@@ -213,7 +217,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
     it is extracted only for a proposal whose bytes are outside the last
     ``REUSE_DEPTH`` ones.  Each window drops its least recently used entry,
     so an allocation that oscillates among a few states, or settles while
-    the messages still move toward ``MESSAGE_TOL``, costs just the two
+    the messages still move toward the tolerance, costs just the two
     sweeps per iteration.
 
     The loop is ``allocation.iterate``.  The cycle key of an iteration is
@@ -222,7 +226,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
 
     ``info`` keys: ``message_deltas`` (the max-norm message step of each
     iteration), ``message_converged_at`` (the first iteration whose
-    step fell below ``MESSAGE_TOL``, or None) and ``cycle``, as
+    step fell below the tolerance, or None) and ``cycle``, as
     ``iterate`` returns it.
     """
     K, N, L = net.num_tx, net.num_rb, net.num_levels
@@ -235,6 +239,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
     # sweeps produce them, so extraction reads the iteration's marginals.
     state = MessageState(messages[0], messages[1], float(omega))
 
+    tol = MESSAGE_TOL * (max(abs(net.w1), abs(net.w2)) or 1.0)
     msg_converged_at = None
     watch = CycleWatch()
     tables = {}  # allocation bytes -> its utility table
@@ -280,9 +285,9 @@ def run_message_passing(net, omega=0.5, t_max=500):
         best = proposal(np.add(new_tx, new_res, out=scratch[0]))
         x_t = _recall(extractions, best.tobytes(),
                       lambda: extract_allocation(state, net, best))
-        if msg_converged_at is None and delta < MESSAGE_TOL:
+        if msg_converged_at is None and delta < tol:
             msg_converged_at = t
-        if delta < MESSAGE_TOL and (x_t is x_prev or x_t == x_prev):
+        if delta < tol and (x_t is x_prev or x_t == x_prev):
             return x_t, delta, True, None
         # (delta, shift) is a cheap key of the step; the watch confirms a
         # repeat on the full state.  A repeated step repeats both tests

@@ -448,18 +448,9 @@ def sinr_underlay(net, alloc, k, n):
     return underlay_sinrs(net, alloc)[np.count_nonzero(alloc.rb[:k] >= 0)]
 
 
-def sinr_macro(net, alloc, m, n):
-    """SINR of MUE m on RB n under alloc: the (m, n) entry of ``macro_sinrs``."""
-    return macro_sinrs(net, alloc)[m, n]
-
-
 def aggregated_interference(net, alloc, n):
-    """Total reference-user interference on RB n caused by alloc."""
-    total = 0.0
-    for kp, (nn, ll) in alloc.assigned_items():
-        if nn == n:
-            total += net.ref_gain[kp, n] * net.power_levels[ll]
-    return total
+    """Total reference-user interference on RB n: ``interference_vector``'s entry."""
+    return interference_vector(net, alloc)[n]
 
 
 def load_sum(loads):
@@ -505,11 +496,8 @@ def _rx_terms(net, holders):
 
 
 def interference_vector(net, alloc):
-    """Per-RB aggregated reference-user interference as an (N,) array.
-
-    An ``np.bincount`` fold over the holders in ascending k, so each entry
-    equals ``aggregated_interference``.
-    """
+    """Per-RB aggregated reference-user interference as an (N,) array,
+    an ``np.bincount`` fold over the holders in ascending k."""
     _, ns, _, _, own = _holders(net, alloc)
     return _fold(ns, own, net.num_rb)
 

@@ -9,7 +9,12 @@ straightforward versions of routines that the library now computes on
 the allocation's int arrays, once per table or once per round.  Each one
 re-scans the whole allocation wherever it needs a co-channel sum, so its
 floating-point additions happen in the plain ascending-k order that the
-optimized code must reproduce bit for bit.  Among them, preference
+optimized code must reproduce bit for bit.  The per-RB load scan
+``aggregated_interference`` lives here, under ``repair``,
+``interference_vector`` and ``utility``; ``sum_rate`` writes each rate
+as ``bandwidth * log2(1 + SINR)`` and ``match_alignments`` folds its
+loads with its own loop, so no reference calls the library formula it is
+compared with.  Among them, preference
 profiles of (key, utility) entries, and the blocking-pair scan over their
 rank dicts, are what the matching's int orders and its stability scan
 are compared with.
@@ -142,10 +147,20 @@ def by_rb(alloc, num_rb):
     return holders
 
 
+def aggregated_interference(net, alloc, n):
+    """Total reference-user interference on RB n: one scan of alloc, its
+    holders' loads added in ascending k from 0.0."""
+    total = 0.0
+    for kp, (nn, ll) in alloc.assigned_items():
+        if nn == n:
+            total += net.ref_gain[kp, n] * net.power_levels[ll]
+    return total
+
+
 def repair(net, alloc):
     """Evict the largest reference-user contributor until every RB is under cap."""
     for n in range(net.num_rb):
-        while netmodel.aggregated_interference(net, alloc, n) >= net.i_max[n]:
+        while aggregated_interference(net, alloc, n) >= net.i_max[n]:
             holders = by_rb(alloc, net.num_rb)[n]
             contribs = [net.ref_gain[k, n] * net.power_levels[l] for k, l in holders]
             k = holders[int(np.argmax(contribs))][0]
@@ -168,8 +183,7 @@ def extract_allocation(state, net):
 
 def interference_vector(net, alloc):
     """One O(K) scan per RB."""
-    return np.array([netmodel.aggregated_interference(net, alloc, n)
-                     for n in range(net.num_rb)])
+    return np.array([aggregated_interference(net, alloc, n) for n in range(net.num_rb)])
 
 
 def _interference_maps(net, alloc):
@@ -228,7 +242,7 @@ def sum_rate(net, alloc):
     """Every SINR denominator re-summed over the whole allocation."""
     total = 0.0
     for k, (n, _l) in alloc.assigned_items():
-        total += netmodel.shannon_rate(sinr(net, alloc, k, n), net.rb_bandwidth)
+        total += net.rb_bandwidth * math.log2(1.0 + sinr(net, alloc, k, n))
     return total
 
 
@@ -297,8 +311,11 @@ def match_alignments(profiles_tx, profiles_rb, net):
     proposals = 0
 
     def rb_interference(n):
-        return netmodel.load_sum([net.ref_gain[kk, n] * P[ll]
-                                  for kk, (nn, ll) in sorted(assigned.items()) if nn == n])
+        total = 0.0
+        for kk, (nn, ll) in sorted(assigned.items()):
+            if nn == n:
+                total += net.ref_gain[kk, n] * P[ll]
+        return total
 
     while True:
         k = next((i for i in range(K) if i not in assigned and work_tx[i].entries), None)
@@ -386,7 +403,7 @@ def utility(net, alloc, k, res):
     n, l = res
     p = net.power_levels[l]
     gamma = _sinr(net, k, n, p, by_rb(alloc, net.num_rb)[n])
-    i_others = (netmodel.aggregated_interference(net, alloc, n)
+    i_others = (aggregated_interference(net, alloc, n)
                 - _own_reference_contribution(net, alloc, k, n))
     i_hyp = net.ref_gain[k, n] * p + i_others
     return net.w1 * math.log2(1.0 + gamma) - net.w2 * (i_hyp / net.i_max[n] - 1.0)
@@ -695,6 +712,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
     x_prev = start_alignment(net)
     state = msgpass.MessageState(np.zeros((K, N, L)), np.zeros((K, N, L)), omega)
 
+    tol = msgpass.MESSAGE_TOL * (max(abs(net.w1), abs(net.w2)) or 1.0)
     deltas = []
     msg_converged_at = None
     converged = False
@@ -712,9 +730,9 @@ def run_message_passing(net, omega=0.5, t_max=500):
         deltas.append(delta)
         state = dataclasses.replace(state, psi_tx=new_tx, psi_res=new_res)
         x_t = msgpass.extract_allocation(state, net, msgpass.proposal(state.tau))
-        if msg_converged_at is None and delta < msgpass.MESSAGE_TOL:
+        if msg_converged_at is None and delta < tol:
             msg_converged_at = iterations
-        if x_t == x_prev and delta < msgpass.MESSAGE_TOL:
+        if x_t == x_prev and delta < tol:
             converged = True
             break
         x_prev = x_t

@@ -148,6 +148,19 @@ def test_evaluation_rejects_level_outside_the_drop(evaluate):
 
 
 @pytest.mark.parametrize("evaluate", EVALUATORS)
+@pytest.mark.parametrize("rb, level", [(0, -1), (-1, 0), (-2, -1), (-2, 0), (0, -2), (-1, -2)])
+def test_evaluation_rejects_negative_or_half_silent_entry(evaluate, rb, level):
+    # Level -1 on RB 0 would be scored at power_levels[-1], the top power,
+    # and RB -2 as silent.  Allocation refuses such pairs, so they are
+    # written into its arrays directly, as the solvers write them.
+    alloc = Allocation(5, {0: (1, 0)})
+    alloc.rb[3], alloc.level[3] = rb, level
+    with pytest.raises(ValueError, match=rf"transmitter 3: RB {rb} and level {level} must be "
+                                         r"< 6 and < 3, and both -1 or both >= 0"):
+        evaluate(default_net(), alloc)
+
+
+@pytest.mark.parametrize("evaluate", EVALUATORS)
 @pytest.mark.parametrize("num_tx, k", [(3, 3), (6, 5)])
 def test_evaluation_rejects_allocation_of_another_length(evaluate, num_tx, k):
     # a 3-transmitter allocation would be scored as if the drop had 3

@@ -8,6 +8,7 @@ exact ties differently, so the tie cases check the DP's documented rule.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -105,20 +106,35 @@ def macro_scan(net, alloc):
                      for m in range(net.num_mue)])
 
 
-@pytest.mark.parametrize("overrides", [K4, MID_K10, K50_LOOSE, K50_TIGHT],
-                         ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
-def test_macro_sinrs_equal_scan_on_solver_allocations(overrides):
-    # What message passing and the auction return on 10 drops of each
-    # bench/run.py pool, and the empty allocation.
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+POOLS = {"oracle-k4": K4, "mid-k10": MID_K10, "wide-k50-loose": K50_LOOSE,
+         "wide-k50-tight": K50_TIGHT}
+
+
+@functools.lru_cache(maxsize=None)
+def solver_allocations(pool):
+    """(net, alloc) pairs on 10 drops of a bench/run.py pool: the empty
+    allocation and what message passing and the auction return."""
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **POOLS[pool])
+    pairs = []
     for seed in range(10):
         net = build_topology(dataclasses.replace(cfg, seed=seed))
-        for alloc in (Allocation(net.num_tx),
-                      msgpass.run_message_passing(net, t_max=100).allocation,
-                      run_auction(net, t_max=100).allocation):
-            want = macro_scan(net, alloc)
-            assert same_array(netmodel.macro_sinrs(net, alloc), want)
-            assert netmodel.sinr_macro(net, alloc, net.num_mue - 1, 0) == want[-1, 0]
+        pairs += [(net, alloc) for alloc in (
+            Allocation(net.num_tx), msgpass.run_message_passing(net, t_max=100).allocation,
+            run_auction(net, t_max=100).allocation)]
+    return pairs
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_macro_sinrs_equal_scan_on_solver_allocations(pool):
+    for net, alloc in solver_allocations(pool):
+        assert same_array(netmodel.macro_sinrs(net, alloc), macro_scan(net, alloc))
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_interference_vector_equals_scan_on_solver_allocations(pool):
+    for net, alloc in solver_allocations(pool):
+        assert same_array(netmodel.interference_vector(net, alloc),
+                          reference.interference_vector(net, alloc))
 
 
 @pytest.mark.parametrize("overrides", [K4, MID_K10, K50_LOOSE, K50_TIGHT],

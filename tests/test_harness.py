@@ -264,6 +264,13 @@ def test_csv_empty_metrics_header_only(tmp_path):
     assert out.read_bytes() == (",".join(harness.CSV_HEADER) + "\r\n").encode()
 
 
+def test_run_metrics_fields_follow_csv_header():
+    # write_metrics_csv writes a row's fields in their declared order, so
+    # that order is the header's; only the rate's column names its unit.
+    names = [f.name for f in dataclasses.fields(RunMetrics)]
+    assert names == ["sum_rate" if h == "sum_rate_bps" else h for h in harness.CSV_HEADER]
+
+
 def test_csv_single_row_round_trip(tmp_path):
     out = tmp_path / "m.csv"
     row = RunMetrics(algorithm="matching", seed=7, sum_rate=123456.789012345,

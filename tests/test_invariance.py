@@ -8,10 +8,9 @@ They hold at any size, so they reach past the exact oracle (K <= 12).
   SINR, load-to-cap comparison and utility keeps its bits, so every
   ``run_experiment`` row must too, wall time aside.
 - Weights: multiplying ``w1`` and ``w2`` by a power of two scales every
-  utility and benefit exactly, so matching and the auction make the same
-  choices.  Message passing does not yet (a strict xfail): its stop
-  tolerance ``MESSAGE_TOL`` is absolute in utility units, so scaled
-  weights move the iteration it stops at.
+  utility, benefit and message exactly, and message passing's stop
+  tolerance with them, so every solver makes the same choices and stops
+  at the same iteration.
 - Relabeling: renumbering the transmitters and the RBs permutes every
   gain and cap but no term of any rate, SINR or load; only the order in
   which the oracle adds them moves, so its optimal rate must agree within
@@ -66,31 +65,24 @@ def test_scaling_powers_and_caps_keeps_every_row(overrides, run):
         assert rows(scaled(cfg, e), **run) == want, e
 
 
-def assert_weight_scaling_keeps(overrides, algorithms):
-    """Each row's (rate, iterations, converged) on seeds 0..19 is the same
-    with ``w1`` and ``w2`` multiplied by 2**e, e = 1, 10, -10."""
+@pytest.mark.parametrize("overrides, run", [
+    ({}, dict(seeds=range(20))),
+    (MID_K10, dict(seeds=range(20))),
+    (K50_TIGHT, dict(seeds=range(2), t_max=100)),
+], ids=["default", "mid-k10", "k50-tight"])
+def test_scaling_weights_keeps_every_solver(overrides, run):
+    # Each row's (rate, iterations, converged) stays the same with w1 and
+    # w2 multiplied by 2**e, e = 1, 10, -10.
     cfg = config(overrides)
 
     def outcomes(cfg):
         return [(r.algorithm, r.seed, r.sum_rate, r.iterations, r.converged)
-                for r in run_experiment(cfg, algorithms=algorithms, seeds=range(20))]
+                for r in run_experiment(cfg, **run)]
 
     want = outcomes(cfg)
     for e in (1, 10, -10):
         f = 2.0 ** e
         assert outcomes(dataclasses.replace(cfg, w1=cfg.w1 * f, w2=cfg.w2 * f)) == want, e
-
-
-@pytest.mark.parametrize("overrides", [{}, MID_K10], ids=["default", "mid-k10"])
-def test_scaling_weights_keeps_matching_and_auction(overrides):
-    assert_weight_scaling_keeps(overrides, ["matching", "auction"])
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: MESSAGE_TOL is absolute, so scaled "
-                                       "weights move the iteration message passing stops at")
-@pytest.mark.parametrize("overrides", [{}, MID_K10], ids=["default", "mid-k10"])
-def test_scaling_weights_keeps_message_passing(overrides):
-    assert_weight_scaling_keeps(overrides, ["msgpass"])
 
 
 def relabeled(net, rng):

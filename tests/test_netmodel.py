@@ -11,9 +11,8 @@ from hetalloc import netmodel
 from hetalloc.allocation import Allocation
 from hetalloc.netmodel import (ConfigError, ContractError, ScenarioConfig,
                                aggregated_interference, benefit_table,
-                               build_topology, cost_table,
-                               shannon_rate, sinr_macro, sinr_underlay,
-                               utility_table)
+                               build_topology, cost_table, macro_sinrs,
+                               shannon_rate, sinr_underlay, utility_table)
 
 from conftest import toy_network
 
@@ -341,14 +340,14 @@ def test_sinr_underlay_contract_violation():
 
 def test_sinr_macro_idle_underlay():
     net = two_tx_net()
-    assert sinr_macro(net, Allocation(2), 0, 0) == pytest.approx(5.0 * 4.0 / 1.0, rel=1e-12)
+    assert macro_sinrs(net, Allocation(2))[0, 0] == pytest.approx(5.0 * 4.0 / 1.0, rel=1e-12)
 
 
 def test_sinr_macro_hand_value():
     net = two_tx_net()
     alloc = Allocation(2, [(0, 0), (0, 0)])
     # denominator: 0.6*2 + 0.7*2 + 1
-    assert sinr_macro(net, alloc, 0, 0) == pytest.approx(20.0 / 3.6, rel=1e-12)
+    assert macro_sinrs(net, alloc)[0, 0] == pytest.approx(20.0 / 3.6, rel=1e-12)
 
 
 def test_shannon_rate_values():
