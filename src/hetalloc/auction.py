@@ -38,8 +38,8 @@ class AuctionState:
     __slots__ = ("costs", "bidders", "assignment", "epsilon")
 
     def __init__(self, costs, bidders, assignment, epsilon):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        if not 0 < epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
         self.costs = costs        # (N, L) floats, >= 0
         self.bidders = bidders    # (N, L) ints, NO_BIDDER when unset
         self.assignment = assignment
@@ -110,12 +110,12 @@ def local_auction_round(state, net, interference_prev, benefits):
     # must also still sit within epsilon of its best net value (with
     # static benefits that condition can never fire).  A fresh bid lands
     # exactly epsilon below the maximum, so the comparison needs rounding
-    # slack or binary noise alone would evict the winner.  A row's largest
-    # magnitude is the larger of its max and its negated min (abs is
-    # exact).  (Rows without a previous resource read the entry before
-    # theirs here and are masked out.)
+    # slack or binary noise alone would evict the winner: 1e-12 of the row's
+    # largest magnitude, the larger of its max and negated min (abs is exact),
+    # with no floor, so it scales with the weights.  (Rows without a previous
+    # resource read the entry before theirs here and are masked out.)
     vmin = flat[values.argmin(axis=1) + rows]
-    slack = 1e-12 * np.maximum(1.0, np.maximum(vmax, -vmin))
+    slack = 1e-12 * np.maximum(vmax, -vmin)
     content = (held & (merged_bidder[prev] == netmodel._offsets(K, 1))
                & (flat[prev + rows] >= (vmax - state.epsilon) - slack))
     # A bid must keep its RB strictly under the cap given the snapshot.

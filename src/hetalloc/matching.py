@@ -141,11 +141,12 @@ def run_stable_matching(net, t_max=100):
     """Iterated stable matching (``preference_orders`` + inner matching per round).
 
     Starts from ``start_alignment`` and runs under ``allocation.iterate``
-    until two consecutive allocations coincide.  On non-convergence the
-    best-sum-rate round result is returned (every round's output is
-    feasible by construction).  Signaling accounting: per round each of
-    the K transmitters uploads its N*L preference entries and the MBS
-    broadcasts the K allocation entries, so
+    until two consecutive allocations coincide, and returns that fixed
+    point without scoring any round.  Any other run returns the first
+    computed round of the best sum rate, picked after the loop (every
+    round's output is feasible by construction).  Signaling accounting:
+    per round each of the K transmitters uploads its N*L preference
+    entries and the MBS broadcasts the K allocation entries, so
     ``messages = iterations * (K*N*L + K)``.
 
     A round is a pure function of the previous allocation, so the cycle
@@ -163,26 +164,21 @@ def run_stable_matching(net, t_max=100):
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
     seen = {(x_prev.rb.tobytes(), x_prev.level.tobytes()): 0}  # allocation -> round
-    best_alloc, best_rate = None, -1.0
 
     def step(t):
-        nonlocal x_prev, best_alloc, best_rate
+        nonlocal x_prev
         m = match_alignments(preference_orders(netmodel.utility_table(net, x_prev)), net)
-        x_t = m.allocation
-        rate = sum_rate(net, x_t)
-        if rate > best_rate:
-            best_alloc, best_rate = x_t, rate
-        if x_t == x_prev:
-            return x_t, m.proposals, True, None
-        # A repeated allocation repeats its rates too, which the strict >
-        # above never lets replace best_alloc.
-        seen_at = seen.setdefault((x_t.rb.tobytes(), x_t.level.tobytes()), t)
-        x_prev = x_t
-        return x_t, m.proposals, False, t - seen_at
+        x_prev = m.allocation
+        # Rounds before t are pairwise distinct (a repeat stops the loop),
+        # so a period of 1 is the fixed point: round t repeats round t-1.
+        period = t - seen.setdefault((x_prev.rb.tobytes(), x_prev.level.tobytes()), t)
+        return x_prev, m.proposals, period == 1, period
 
     allocations, proposals, iterations, converged, cycle = iterate(step, t_max)
+    # A replayed round repeats a computed one; max keeps the first best.
+    computed = allocations[:cycle[0] - 1] if cycle else allocations
     return SolverResult(
-        allocation=allocations[-1] if converged else best_alloc,
+        allocation=allocations[-1] if converged else max(computed, key=lambda x: sum_rate(net, x)),
         iterations=iterations,
         converged=converged,
         messages=iterations * (K * N * L + K),

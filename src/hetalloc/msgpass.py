@@ -240,7 +240,6 @@ def run_message_passing(net, omega=0.5, t_max=500):
     state = MessageState(messages[0], messages[1], float(omega))
 
     tol = MESSAGE_TOL * (max(abs(net.w1), abs(net.w2)) or 1.0)
-    msg_converged_at = None
     watch = CycleWatch()
     tables = {}  # allocation bytes -> its utility table
     extractions = {}  # proposal bytes -> the allocation extracted from it
@@ -250,7 +249,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
     flat_step = scratch.reshape(-1)
 
     def step(t):
-        nonlocal x_prev, messages, msg_converged_at, util, util_for
+        nonlocal x_prev, messages, util, util_for
         # A repeated extraction hands back the same allocation object, whose
         # key is already the window's most recent: no lookup is needed.
         if x_prev is not util_for:
@@ -285,13 +284,11 @@ def run_message_passing(net, omega=0.5, t_max=500):
         best = proposal(np.add(new_tx, new_res, out=scratch[0]))
         x_t = _recall(extractions, best.tobytes(),
                       lambda: extract_allocation(state, net, best))
-        if msg_converged_at is None and delta < tol:
-            msg_converged_at = t
         if delta < tol and (x_t is x_prev or x_t == x_prev):
             return x_t, delta, True, None
         # (delta, shift) is a cheap key of the step; the watch confirms a
-        # repeat on the full state.  A repeated step repeats both tests
-        # above, so a replay never converges nor sets msg_converged_at.
+        # repeat on the full state.  A repeated step repeats the test above,
+        # so a replay never converges.
         x_prev = x_t
         return x_t, delta, False, watch.step((delta, shift),
                                              (new_tx, new_res, x_t.rb, x_t.level))
@@ -302,6 +299,8 @@ def run_message_passing(net, omega=0.5, t_max=500):
         iterations=iterations,
         converged=converged,
         messages=iterations * 2 * K * N * L,
-        info={"message_deltas": deltas, "message_converged_at": msg_converged_at,
+        # Replayed deltas copy computed ones, so the first hit was computed.
+        info={"message_deltas": deltas,
+              "message_converged_at": next((t for t, d in enumerate(deltas, 1) if d < tol), None),
               "cycle": cycle},
     )

@@ -568,7 +568,7 @@ def local_auction_round(k, state, net, interference_prev, benefits):
     # exactly epsilon below the maximum, so the comparison needs rounding
     # slack or binary noise alone would evict the winner.
     if prev is not None and bidder_row[prev] == k:
-        slack = 1e-12 * max(1.0, float(np.abs(values).max()))
+        slack = 1e-12 * float(np.abs(values).max())
         if values[prev] >= float(values.max()) - state.epsilon - slack:
             return prev, cost_row, bidder_row, False
     flat_idx = int(np.argmax(values.ravel()))  # ties: lowest (n, l)

@@ -227,7 +227,7 @@ def test_run_epsilon_validation():
     # run_auction always derives a positive epsilon; the state still refuses others.
     costs = np.zeros((2, 2))
     bidders = np.full((2, 2), NO_BIDDER, np.int64)
-    for eps in (-1.0, 0.0):
+    for eps in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="epsilon"):
             AuctionState(costs, bidders, Allocation(2), epsilon=eps)
 

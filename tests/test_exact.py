@@ -560,8 +560,8 @@ def test_auction_kernel_absorbed_increment_bidder(k0_load, bidder):
 
 
 # Best value 0.8, epsilon 0.3: the content threshold (vmax - eps) - slack,
-# with slack = 1e-12 * max(1, 0.8), lies one ulp below vmax - (eps + slack).
-THRESHOLD = (0.8 - 0.3) - 1e-12 * max(1.0, 0.8)
+# with slack = 1e-12 * 0.8, lies one ulp below vmax - (eps + slack).
+THRESHOLD = (0.8 - 0.3) - 1e-12 * 0.8
 
 
 @pytest.mark.parametrize("held_value, content", [(THRESHOLD, True),

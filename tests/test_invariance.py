@@ -9,7 +9,8 @@ They hold at any size, so they reach past the exact oracle (K <= 12).
   ``run_experiment`` row must too, wall time aside.
 - Weights: multiplying ``w1`` and ``w2`` by a power of two scales every
   utility, benefit and message exactly, and message passing's stop
-  tolerance with them, so every solver makes the same choices and stops
+  tolerance and the auction's content slack (relative to the row, with
+  no floor) with them, so every solver makes the same choices and stops
   at the same iteration.
 - Relabeling: renumbering the transmitters and the RBs permutes every
   gain and cap but no term of any rate, SINR or load; only the order in
@@ -72,7 +73,7 @@ def test_scaling_powers_and_caps_keeps_every_row(overrides, run):
 ], ids=["default", "mid-k10", "k50-tight"])
 def test_scaling_weights_keeps_every_solver(overrides, run):
     # Each row's (rate, iterations, converged) stays the same with w1 and
-    # w2 multiplied by 2**e, e = 1, 10, -10.
+    # w2 multiplied by 2**e, e = 1, 10, -10, -20, -30.
     cfg = config(overrides)
 
     def outcomes(cfg):
@@ -80,7 +81,7 @@ def test_scaling_weights_keeps_every_solver(overrides, run):
                 for r in run_experiment(cfg, **run)]
 
     want = outcomes(cfg)
-    for e in (1, 10, -10):
+    for e in (1, 10, -10, -20, -30):
         f = 2.0 ** e
         assert outcomes(dataclasses.replace(cfg, w1=cfg.w1 * f, w2=cfg.w2 * f)) == want, e
 

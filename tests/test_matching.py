@@ -15,7 +15,7 @@ from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import round_orders, toy_network
 from test_exact import order_bytes, order_keys
-from test_harness import MID_K10, SCENARIOS
+from test_harness import K4, MID_K10, SCENARIOS
 from test_netmodel import make_config
 
 # Drops of bench/run.py's mid-k10 workload whose matching never converges:
@@ -296,3 +296,22 @@ def test_oscillating_drop_computes_few_rounds(monkeypatch):
     assert (res.iterations, res.converged) == (500, False)
     assert len(res.info["proposals_per_round"]) == 500
     assert len(calls) <= 10
+
+
+def test_only_unconverged_runs_score_their_computed_rounds(monkeypatch):
+    # A converged run returns its fixed point unscored; any other run
+    # scores each round it computed once, and no replayed round.
+    calls = []
+
+    def counting(net, alloc):
+        calls.append(1)
+        return sum_rate(net, alloc)
+
+    monkeypatch.setattr(matching, "sum_rate", counting)
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **K4)
+    for seed in range(40):
+        calls.clear()
+        res = run_stable_matching(build_topology(dataclasses.replace(cfg, seed=seed)), t_max=500)
+        cycle = res.info["cycle"]
+        want = 0 if res.converged else cycle[0] - 1 if cycle else res.iterations
+        assert len(calls) == want, seed
