@@ -10,8 +10,7 @@ from .auction import (AuctionState, bid_increment, local_auction_round,
                       run_auction)
 from .harness import (SOLVERS, RunMetrics, ScenarioFormatError, load_scenario,
                       run_experiment, write_metrics_csv)
-from .matching import (Matching, find_blocking_pair, match_alignments,
-                       preference_orders, run_stable_matching)
+from .matching import Matching, match_alignments, preference_orders, run_stable_matching
 from .msgpass import MessageState, extract_allocation, run_message_passing
 from .netmodel import (ConfigError, ContractError, Network, ScenarioConfig,
                        aggregated_interference, benefit_table, build_topology,

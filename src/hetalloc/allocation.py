@@ -64,12 +64,6 @@ class Allocation:
         n = int(self.rb[k])
         return None if n < 0 else (n, int(self.level[k]))
 
-    def assigned_items(self):
-        """Yield (k, (n, l)) for every assigned transmitter, ascending k."""
-        for k, (n, l) in enumerate(zip(self.rb.tolist(), self.level.tolist())):
-            if n >= 0:
-                yield k, (n, l)
-
     def num_assigned(self):
         return int(np.count_nonzero(self.rb >= 0))
 

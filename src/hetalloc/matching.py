@@ -110,33 +110,6 @@ def match_alignments(orders, net):
     return Matching(allocation=alloc, proposals=proposals)
 
 
-def find_blocking_pair(allocation, orders):
-    """Return a blocking (k, n, l) tuple, or None if the allocation is stable.
-
-    A tuple blocks when transmitter k ranks (n, l) above its own alignment
-    (any alignment, while k is silent) and RB n ranks (k, l) above at
-    least one of its holders, k itself included, both judged by the
-    ``preference_orders`` ``orders``.
-    """
-    tx, util = orders
-    K, N, L = util.shape
-    NL = N * L
-    u = util.ravel().tolist() + [math.inf]  # u[-1]: no alignment ranks above it
-    mine = [-1] * K
-    worst = [-1] * N  # the holder RB n ranks last; -1 while it has none to displace
-    for k, (n, l) in allocation.assigned_items():
-        mine[k] = s = k * NL + n * L + l
-        if _struck(u, s, worst[n]):
-            worst[n] = s
-    for k in range(K):
-        for s in tx[k * NL:(k + 1) * NL]:
-            if s == mine[k]:
-                break  # best-first: nothing below k's own alignment blocks
-            if not _struck(u, s, worst[s // L % N]):
-                return (k, s // L % N, s % L)
-    return None
-
-
 def run_stable_matching(net, t_max=100):
     """Iterated stable matching (``preference_orders`` + inner matching per round).
 

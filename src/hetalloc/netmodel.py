@@ -16,7 +16,6 @@ watts, Hz, meters.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -211,7 +210,7 @@ class Network:
         return self.config.seed if self.config is not None else 0
 
     # Per-drop constants the tables and the auction read on every round,
-    # built on first use.  They are not fields: checksum and == ignore them.
+    # built on first use.  They are not fields: == ignores them.
 
     @cached_property
     def mbs_den(self):
@@ -270,15 +269,6 @@ class Network:
     def ref_p_list(self):
         """``ref_p`` as one flat list of floats, entry ``k*N*L + n*L + l``."""
         return self.ref_p.ravel().tolist()
-
-    def checksum(self):
-        """Hex digest over positions and gains; identical drops hash equal."""
-        h = hashlib.sha256()
-        for a in (self.mue_pos, self.sbs_pos, self.sue_pos, self.d2d_tx_pos,
-                  self.d2d_rx_pos, self.gain_ul, self.gain_mbs_ul,
-                  self.gain_mue, self.gain_mbs_mue):
-            h.update(np.ascontiguousarray(a).tobytes())
-        return h.hexdigest()
 
 
 def _read_only(a):

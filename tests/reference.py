@@ -3,8 +3,8 @@
 First come the solvers' start-state draw, as it was written before it
 moved into ``allocation.start_alignment``, the topology build as it was
 before receivers were placed in array blocks (one scalar try at a time,
-distances by ``np.linalg.norm``), and three views of an allocation that
-only tests read.  Then the
+distances by ``np.linalg.norm``), the drop checksum, and four views of
+an allocation that only tests read.  Then the
 straightforward versions of routines that the library now computes on
 the allocation's int arrays, once per table or once per round.  Each one
 re-scans the whole allocation wherever it needs a co-channel sum, so its
@@ -15,9 +15,10 @@ optimized code must reproduce bit for bit.  The per-RB load scan
 as ``bandwidth * log2(1 + SINR)`` and ``match_alignments`` folds its
 loads with its own loop, so no reference calls the library formula it is
 compared with.  Among them, preference
-profiles of (key, utility) entries, and the blocking-pair scan over their
-rank dicts, are what the matching's int orders and its stability scan
-are compared with.
+profiles of (key, utility) entries are what the matching's int orders
+are compared with, and the blocking-pair scan over their rank dicts is
+what the stability scan on those int orders, ``blocking_pair``, is
+compared with.
 
 The scalar formulas after them (one gain, utility, cost or message entry
 at a time) are the definitions the library's tables and sweeps are
@@ -34,6 +35,7 @@ replayed: they compute every round up to ``t_max``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -126,10 +128,26 @@ def build_topology(config, tries=None):
         config.rb_bandwidth)
 
 
+def checksum(net):
+    """Hex digest over a drop's positions and gains; identical drops hash equal."""
+    h = hashlib.sha256()
+    for a in (net.mue_pos, net.sbs_pos, net.sue_pos, net.d2d_tx_pos, net.d2d_rx_pos,
+              net.gain_ul, net.gain_mbs_ul, net.gain_mue, net.gain_mbs_mue):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def assigned_items(alloc):
+    """Yield (k, (n, l)) for every assigned transmitter, ascending k."""
+    for k, (n, l) in enumerate(zip(alloc.rb.tolist(), alloc.level.tolist())):
+        if n >= 0:
+            yield k, (n, l)
+
+
 def indicator(alloc, num_rb, num_levels):
     """The binary tensor x[k, n, l] of an allocation."""
     x = np.zeros((alloc.num_tx, num_rb, num_levels), dtype=np.int8)
-    for k, (n, l) in alloc.assigned_items():
+    for k, (n, l) in assigned_items(alloc):
         x[k, n, l] = 1
     return x
 
@@ -142,7 +160,7 @@ def is_empty(alloc):
 def by_rb(alloc, num_rb):
     """holders[n]: the (k, l) pairs on RB n, ascending k, in one pass."""
     holders = [[] for _ in range(num_rb)]
-    for k, (n, l) in alloc.assigned_items():
+    for k, (n, l) in assigned_items(alloc):
         holders[n].append((k, l))
     return holders
 
@@ -151,7 +169,7 @@ def aggregated_interference(net, alloc, n):
     """Total reference-user interference on RB n: one scan of alloc, its
     holders' loads added in ascending k from 0.0."""
     total = 0.0
-    for kp, (nn, ll) in alloc.assigned_items():
+    for kp, (nn, ll) in assigned_items(alloc):
         if nn == n:
             total += net.ref_gain[kp, n] * net.power_levels[ll]
     return total
@@ -190,7 +208,7 @@ def _interference_maps(net, alloc):
     K, N = net.num_tx, net.num_rb
     rx_int = np.zeros((K, N))
     agg = np.zeros(N)
-    for kp, (n, l) in alloc.assigned_items():
+    for kp, (n, l) in assigned_items(alloc):
         p = net.power_levels[l]
         agg[n] += net.ref_gain[kp, n] * p
         v = net.gain_ul[kp, :, n] * p
@@ -210,7 +228,7 @@ def benefit_table(net, alloc):
 def cost_table(net, alloc):
     _, agg = _interference_maps(net, alloc)
     own = np.zeros((net.num_tx, net.num_rb))
-    for k, (n, l) in alloc.assigned_items():
+    for k, (n, l) in assigned_items(alloc):
         own[k, n] = net.ref_gain[k, n] * net.power_levels[l]
     i_others = agg[None, :] - own
     i_hyp = net.ref_gain[:, :, None] * net.power_levels[None, None, :] + i_others[:, :, None]
@@ -241,14 +259,14 @@ def sinr(net, alloc, k, n):
 def sum_rate(net, alloc):
     """Every SINR denominator re-summed over the whole allocation."""
     total = 0.0
-    for k, (n, _l) in alloc.assigned_items():
+    for k, (n, _l) in assigned_items(alloc):
         total += net.rb_bandwidth * math.log2(1.0 + sinr(net, alloc, k, n))
     return total
 
 
 def weighted_benefit(net, alloc):
     total = 0.0
-    for k, (n, _l) in alloc.assigned_items():
+    for k, (n, _l) in assigned_items(alloc):
         total += net.w1 * math.log2(1.0 + sinr(net, alloc, k, n))
     return total
 
@@ -257,7 +275,7 @@ def sinr_macro(net, alloc, m, n):
     """SINR of MUE m on RB n: ``sigma2``, then each holder of RB n, one
     term at a time in ascending k."""
     den = net.sigma2
-    for kp, (nn, ll) in alloc.assigned_items():
+    for kp, (nn, ll) in assigned_items(alloc):
         if nn == n:
             den += net.gain_mue[kp, m, n] * net.power_levels[ll]
     return net.gain_mbs_mue[m, n] * net.mbs_power / den
@@ -365,6 +383,33 @@ def find_blocking_pair(allocation, profiles_tx, profiles_rb):
     return None
 
 
+def blocking_pair(allocation, orders):
+    """``find_blocking_pair`` on ``matching.preference_orders`` ``orders``:
+    one pass over the int orders, ranked by ``matching._struck``.
+
+    A tuple blocks when transmitter k ranks (n, l) above its own alignment
+    (any alignment, while k is silent) and RB n ranks (k, l) above at
+    least one of its holders, k itself included.
+    """
+    tx, util = orders
+    K, N, L = util.shape
+    NL = N * L
+    u = util.ravel().tolist() + [math.inf]  # u[-1]: no alignment ranks above it
+    mine = [-1] * K
+    worst = [-1] * N  # the holder RB n ranks last; -1 while it has none to displace
+    for k, (n, l) in assigned_items(allocation):
+        mine[k] = s = k * NL + n * L + l
+        if matching._struck(u, s, worst[n]):
+            worst[n] = s
+    for k in range(K):
+        for s in tx[k * NL:(k + 1) * NL]:
+            if s == mine[k]:
+                break  # best-first: nothing below k's own alignment blocks
+            if not matching._struck(u, s, worst[s // L % N]):
+                return (k, s // L % N, s % L)
+    return None
+
+
 def fitting_silent(net, alloc):
     """The silent transmitters k that some (n, l) would fit: RB n's load
     under ``alloc`` plus k's own load at level l stays strictly under the
@@ -420,7 +465,7 @@ def resource_cost(net, alloc, k, res):
     n, l = res
     own = net.ref_gain[k, n] * net.power_levels[l]
     others = 0.0
-    for kp, (nn, ll) in alloc.assigned_items():
+    for kp, (nn, ll) in assigned_items(alloc):
         if kp != k and nn == n:
             others += net.ref_gain[kp, n] * net.power_levels[ll]
     return net.w2 * ((own + others) / net.i_max[n] - 1.0)

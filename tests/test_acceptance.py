@@ -17,11 +17,12 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from hetalloc import cli
 from hetalloc.allocation import (exhaustive_search, is_feasible,
                                  search_space_size, weighted_benefit)
 from hetalloc.auction import run_auction
-from hetalloc.matching import find_blocking_pair, run_stable_matching
+from hetalloc.matching import run_stable_matching
 from hetalloc.msgpass import run_message_passing
 from hetalloc.netmodel import (ScenarioConfig, benefit_table, build_topology,
                                interference_vector)
@@ -149,7 +150,7 @@ def test_criterion_4_stability(matching_suite):
     for seed, net, res in matching_suite:
         for orders, alloc in round_orders(net, res):
             checked += 1
-            if find_blocking_pair(alloc, orders):
+            if reference.blocking_pair(alloc, orders):
                 blocked.append(seed)
     report(4, not blocked,
            f"{checked} inner matchings over 100 drops, blocking pairs on "
@@ -216,7 +217,7 @@ def test_criterion_8_epsilon_complementary_slackness(auction_suite):
         b = benefit_table(net, res.allocation)
         iv = interference_vector(net, res.allocation)
         slack = 1e-9 * max(1.0, float(np.abs(b).max()))
-        for k, (n0, l0) in res.allocation.assigned_items():
+        for k, (n0, l0) in reference.assigned_items(res.allocation):
             values = b[k] - res.info["merged_costs"]
             passes_guard = (net.ref_gain[k][:, None] * net.power_levels[None, :]
                             + iv[:, None]) < net.i_max[:, None]

@@ -95,8 +95,8 @@ def test_run_experiment_rows_and_drop_identity(tmp_path):
     assert all(m.seed == 3 for m in rows)
     assert all(m.feasible for m in rows)
     # all rows were measured against the identical drop
-    assert (build_topology(dataclasses.replace(cfg, seed=3)).checksum()
-            == build_topology(dataclasses.replace(cfg, seed=3)).checksum())
+    assert (reference.checksum(build_topology(dataclasses.replace(cfg, seed=3)))
+            == reference.checksum(build_topology(dataclasses.replace(cfg, seed=3))))
     oracle = next(m for m in rows if m.algorithm == "oracle")
     for m in rows:
         assert m.sum_rate <= oracle.sum_rate * (1 + 1e-9)
@@ -447,7 +447,7 @@ def test_no_fitting_transmitter_left_silent():
     assert not any(fit for _silent, fit in counts.values()), counts
 
 
-# sha256 over Network.checksum of each bench/run.py pool drop (seeds
+# sha256 over reference.checksum of each bench/run.py pool drop (seeds
 # 0..39), pinned from the topology build that placed receivers one scalar
 # try at a time and took distances with np.linalg.norm (now
 # reference.build_topology); the placement in array blocks keeps them.
@@ -462,7 +462,7 @@ def test_golden_topology(overrides, expected):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
     h = hashlib.sha256()
     for seed in range(40):
-        h.update(build_topology(dataclasses.replace(cfg, seed=seed)).checksum().encode())
+        h.update(reference.checksum(build_topology(dataclasses.replace(cfg, seed=seed))).encode())
     assert h.hexdigest() == expected
 
 

@@ -17,14 +17,22 @@ They hold at any size, so they reach past the exact oracle (K <= 12).
   which the oracle adds them moves, so its optimal rate must agree within
   1e-12 relative.  The solvers are left out: their start state is drawn
   per index, and their ties go to the lowest index.
+
+The scale and weight gates also run on generated scenarios, next to
+three checks that need only the drop: every row is feasible, the oracle
+(where it is cheap) is at or above every solver, and the LP bound of
+``bound.py`` is at or above every rate.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hetalloc.allocation import exhaustive_search
+from bound import rate_bound
+from hetalloc.allocation import exhaustive_search, oracle_cost
 from hetalloc.harness import load_scenario, run_experiment
 from hetalloc.netmodel import build_topology, make_network
 
@@ -46,11 +54,26 @@ def scaled(cfg, e):
                                i_max=cfg.i_max * f)
 
 
-def rows(cfg, **run):
-    """``run_experiment``'s rows as reprs, which keep every float's bits,
-    with the wall time zeroed."""
-    return [repr(dataclasses.replace(r, wall_time_ms=0.0))
-            for r in run_experiment(cfg, t_max=100, **run)]
+def weighted(cfg, e):
+    """``cfg`` with ``w1`` and ``w2`` multiplied by 2**e."""
+    f = 2.0 ** e
+    return dataclasses.replace(cfg, w1=cfg.w1 * f, w2=cfg.w2 * f)
+
+
+def scale_form(r):
+    """A row as the scale gate compares it: its repr, which keeps every
+    float's bits, with the wall time zeroed."""
+    return repr(dataclasses.replace(r, wall_time_ms=0.0))
+
+
+def weight_form(r):
+    """A row as the weight gate compares it: the weighted benefit scales."""
+    return (r.algorithm, r.seed, r.sum_rate, r.iterations, r.converged)
+
+
+def rows(cfg, form, **run):
+    """``run_experiment``'s rows, each in ``form``."""
+    return [form(r) for r in run_experiment(cfg, **run)]
 
 
 @pytest.mark.parametrize("overrides, run", [
@@ -60,10 +83,10 @@ def rows(cfg, **run):
     (K200_LOOSE, dict(seeds=[0], algorithms=["matching"])),
 ], ids=["default-oracle", "mid-k10", "k50-tight", "k200-loose-matching"])
 def test_scaling_powers_and_caps_keeps_every_row(overrides, run):
-    cfg = config(overrides)
-    want = rows(cfg, **run)
+    cfg, run = config(overrides), dict(run, t_max=100)
+    want = rows(cfg, scale_form, **run)
     for e in (1, -3):
-        assert rows(scaled(cfg, e), **run) == want, e
+        assert rows(scaled(cfg, e), scale_form, **run) == want, e
 
 
 @pytest.mark.parametrize("overrides, run", [
@@ -75,15 +98,42 @@ def test_scaling_weights_keeps_every_solver(overrides, run):
     # Each row's (rate, iterations, converged) stays the same with w1 and
     # w2 multiplied by 2**e, e = 1, 10, -10, -20, -30.
     cfg = config(overrides)
-
-    def outcomes(cfg):
-        return [(r.algorithm, r.seed, r.sum_rate, r.iterations, r.converged)
-                for r in run_experiment(cfg, **run)]
-
-    want = outcomes(cfg)
+    want = rows(cfg, weight_form, **run)
     for e in (1, 10, -10, -20, -30):
-        f = 2.0 ** e
-        assert outcomes(dataclasses.replace(cfg, w1=cfg.w1 * f, w2=cfg.w2 * f)) == want, e
+        assert rows(weighted(cfg, e), weight_form, **run) == want, e
+
+
+@st.composite
+def scenarios(draw):
+    """default.json's radii with K = 1..40 transmitters, split any way
+    between SBSs and D2D pairs, N = 1..20 RBs, 1-4 strictly increasing
+    levels, a scalar cap log-uniform in [1e-10, 1e-5], ``w1`` and ``w2``
+    from {0, 0.5, 1, 3}, and 1-4 MUEs."""
+    K = draw(st.integers(1, 40))
+    sbs = draw(st.integers(0, K))
+    levels = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4, unique=True))
+    weights = st.sampled_from((0.0, 0.5, 1.0, 3.0))
+    return dataclasses.replace(
+        config({}), seed=draw(st.integers(0, 2 ** 32 - 1)), num_sbs=sbs, num_d2d=K - sbs,
+        num_rb=draw(st.integers(1, 20)), power_levels=tuple(sorted(levels)),
+        i_max=10.0 ** draw(st.floats(-10.0, -5.0)), w1=draw(weights), w2=draw(weights),
+        num_mue=draw(st.integers(1, 4)))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(scenarios())
+def test_gates_hold_on_generated_scenarios(cfg):
+    cheap = oracle_cost(cfg.num_sbs + cfg.num_d2d, cfg.num_rb, len(cfg.power_levels)) <= 10 ** 6
+    run = dict(seeds=[cfg.seed], t_max=60, with_oracle=cheap)
+    got = run_experiment(cfg, **run)
+    assert all(r.feasible for r in got)
+    for e in (3, -5):
+        assert rows(scaled(cfg, e), scale_form, **run) == [scale_form(r) for r in got], e
+        assert rows(weighted(cfg, e), weight_form, **run) == [weight_form(r) for r in got], e
+    bound = rate_bound(build_topology(cfg), integral=False) * 1e6
+    oracle = {r.algorithm: r.sum_rate for r in got}.get("oracle", math.inf)
+    for r in got:
+        assert r.sum_rate <= min(bound, oracle) * (1 + 1e-9), r
 
 
 def relabeled(net, rng):

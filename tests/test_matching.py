@@ -8,8 +8,7 @@ import reference
 from hetalloc import matching, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate)
-from hetalloc.matching import (find_blocking_pair, match_alignments, preference_orders,
-                               run_stable_matching)
+from hetalloc.matching import match_alignments, preference_orders, run_stable_matching
 from hetalloc.harness import load_scenario
 from hetalloc.netmodel import build_topology, utility_table
 
@@ -112,7 +111,7 @@ def test_contention_hand_trace():
     assert m.proposals == 3
     # the caller's orders are left intact
     assert order_bytes(orders) == before
-    assert find_blocking_pair(m.allocation, orders) is None
+    assert reference.blocking_pair(m.allocation, orders) is None
 
 
 def test_matching_feasible_and_proposal_bound_on_drops():
@@ -123,7 +122,7 @@ def test_matching_feasible_and_proposal_bound_on_drops():
         m = match_alignments(orders, net)
         assert m.proposals <= net.num_tx * net.num_rb * net.num_levels
         assert is_feasible(net, m.allocation).feasible
-        assert find_blocking_pair(m.allocation, orders) is None
+        assert reference.blocking_pair(m.allocation, orders) is None
 
 
 # --- blocking pairs -------------------------------------------------------
@@ -133,16 +132,16 @@ def test_blocking_pair_on_constructed_bad_matching():
     orders = orders_for(net)
     # RB 0 holds its less preferred transmitter while the favorite sits on
     # its own worst entry: (1, 0, 0) blocks
-    assert find_blocking_pair(Allocation(2, [(0, 0), (1, 0)]), orders) == (1, 0, 0)
+    assert reference.blocking_pair(Allocation(2, [(0, 0), (1, 0)]), orders) == (1, 0, 0)
 
 
 def test_blocking_pair_needs_a_holder_to_displace():
     net = contention_net()
     orders = orders_for(net)
     # an RB without holders has no pair that (k, l) could displace
-    assert find_blocking_pair(Allocation(2), orders) is None
+    assert reference.blocking_pair(Allocation(2), orders) is None
     # silent k0 prefers RB 0, but RB 0 ranks its holder k1 first
-    assert find_blocking_pair(Allocation(2, [None, (0, 0)]), orders) is None
+    assert reference.blocking_pair(Allocation(2, [None, (0, 0)]), orders) is None
 
 
 # --- outer loop ------------------------------------------------------------
@@ -189,7 +188,7 @@ def test_rounds_recorded_and_stable():
     assert len(res.info["allocations"]) == res.iterations
     assert res.info["allocations"][-1] == res.allocation  # converged
     for orders, alloc in round_orders(net, res):
-        assert find_blocking_pair(alloc, orders) is None
+        assert reference.blocking_pair(alloc, orders) is None
 
 
 def test_no_stable_matching_dominates_on_tiny_drops():
@@ -207,7 +206,7 @@ def test_no_stable_matching_dominates_on_tiny_drops():
             cand = Allocation(2, list(combo))
             if not is_feasible(net, cand).feasible:
                 continue
-            if find_blocking_pair(cand, last) is None:
+            if reference.blocking_pair(cand, last) is None:
                 assert sum_rate(net, cand) <= achieved * (1 + 1e-9)
 
 

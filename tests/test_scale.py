@@ -1,0 +1,89 @@
+"""Solver quality against a reference that reaches past the exact oracle.
+
+At mid-k10 (K=10, seeds 0-19) each solver's rate is read against the
+oracle; at K=50 (seeds 0-5, the loose and the tight cap of the
+``wide-k50-*`` workloads) against the MILP bound of ``bound.py``.  The
+tests check that the bound is one.  ``pytest -s`` prints the report: per
+size and solver, the mean and the minimum ratio, the converged count, the
+minimum MUE SINR (the macro tier's worst RB) and the mean per-RB
+``I/I_max``, each averaged over the drops.  The report gates no ratio yet.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from bound import rate_bound
+from hetalloc import netmodel
+from hetalloc.allocation import exhaustive_search, is_feasible
+from hetalloc.harness import SOLVERS, load_scenario
+from hetalloc.netmodel import build_topology
+
+from test_harness import K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
+
+# name -> (overrides, seeds, t_max, reference): bench/run.py's t_max.
+SIZES = {
+    "mid-k10": (MID_K10, range(20), 500, "the oracle"),
+    "wide-k50-loose": (K50_LOOSE, range(6), 100, "the MILP bound"),
+    "wide-k50-tight": (K50_TIGHT, range(6), 100, "the MILP bound"),
+}
+REL = 1e-9
+
+
+def row(net, alloc, converged):
+    """(rate in Mbps, converged, minimum MUE SINR in dB, mean per-RB I/I_max)."""
+    rep = is_feasible(net, alloc)
+    assert rep.feasible
+    return (rep.sum_rate / 1e6, converged,
+            10.0 * math.log10(netmodel.macro_sinrs(net, alloc).min()),
+            float(np.mean(np.array(rep.per_rb_interference) / net.i_max)))
+
+
+@pytest.fixture(scope="module", params=list(SIZES))
+def size(request):
+    """(name, drops), each drop ``{"lp": ..., "milp": ..., "ref": ...}``
+    in Mbps, with a ``row`` under each solver's name, and the oracle's
+    where it is the reference ``ref``."""
+    overrides, seeds, t_max, reference = SIZES[request.param]
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    drops = []
+    for seed in seeds:
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        drop = {"lp": rate_bound(net, False), "milp": rate_bound(net, True)}
+        for name, run in SOLVERS.items():
+            res = run(net, t_max)
+            drop[name] = row(net, res.allocation, res.converged)
+        if reference == "the oracle":
+            drop["oracle"] = row(net, exhaustive_search(net)[0], True)
+        drop["ref"] = drop["oracle"][0] if "oracle" in drop else drop["milp"]
+        drops.append(drop)
+    return request.param, drops
+
+
+def test_milp_bound_is_within_its_lp_relaxation(size):
+    _, drops = size
+    for d in drops:
+        assert d["milp"] <= d["lp"] * (1 + REL), d
+
+
+def test_bound_is_above_every_feasible_rate(size):
+    # The oracle's too, where it runs.
+    _, drops = size
+    for d in drops:
+        for name in (*SOLVERS, "oracle"):
+            if name in d:
+                assert d[name][0] <= d["milp"] * (1 + REL), (name, d)
+
+
+def test_report(size):
+    name, drops = size
+    print(f"\n{name}, {len(drops)} drops, ratio to {SIZES[name][3]}:")
+    print("  solver    mean ratio  min ratio  converged  min MUE SINR  mean I/I_max")
+    for solver in SOLVERS:
+        ratios = [d[solver][0] / d["ref"] for d in drops]
+        print(f"  {solver:<8}  {np.mean(ratios):10.3f}  {min(ratios):9.3f}"
+              f"  {sum(d[solver][1] for d in drops):9d}"
+              f"  {np.mean([d[solver][2] for d in drops]):9.1f} dB"
+              f"  {np.mean([d[solver][3] for d in drops]):12.3f}")
