@@ -12,9 +12,8 @@ from .harness import (SOLVERS, RunMetrics, ScenarioFormatError, load_scenario,
                       run_experiment, write_metrics_csv)
 from .matching import Matching, match_alignments, preference_orders, run_stable_matching
 from .msgpass import MessageState, extract_allocation, run_message_passing
-from .netmodel import (ConfigError, ContractError, Network, ScenarioConfig,
-                       aggregated_interference, benefit_table, build_topology,
-                       cost_table, interference_vector, shannon_rate,
-                       sinr_underlay, utility_table)
+from .netmodel import (ConfigError, Network, ScenarioConfig, aggregated_interference,
+                       benefit_table, build_topology, cost_table, interference_vector,
+                       shannon_rate, sinr_underlay, utility_table)
 
 __version__ = "0.1.0"

@@ -174,7 +174,7 @@ def is_feasible(net, alloc):
     _check_fits(net, alloc)
     per_rb = netmodel.interference_vector(net, alloc).tolist()
     violated = [n for n in range(net.num_rb) if per_rb[n] >= net.i_max[n]]
-    rate, benefit = _totals(net, netmodel.underlay_sinrs(net, alloc))
+    rate, benefit = _totals(net, netmodel.sinr_underlay(net, alloc))
     return EvalReport(
         sum_rate=rate,
         weighted_benefit=benefit,
@@ -187,13 +187,13 @@ def is_feasible(net, alloc):
 def sum_rate(net, alloc):
     """Total underlay rate in bit/s, with mutual interference from alloc itself."""
     _check_fits(net, alloc)
-    return _totals(net, netmodel.underlay_sinrs(net, alloc))[0]
+    return _totals(net, netmodel.sinr_underlay(net, alloc))[0]
 
 
 def weighted_benefit(net, alloc):
     """Total weighted spectral efficiency sum_k w1 * log2(1 + SINR_k)."""
     _check_fits(net, alloc)
-    return _totals(net, netmodel.underlay_sinrs(net, alloc))[1]
+    return _totals(net, netmodel.sinr_underlay(net, alloc))[1]
 
 
 def _totals(net, sinrs):

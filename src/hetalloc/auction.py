@@ -168,11 +168,11 @@ def run_auction(net, t_max=500):
     # One interference pass per round gives both the benefit planes and the
     # per-RB interference the guard reads.
     rx_int, i_prev, holders = netmodel._interference_maps(net, start)
-    b_prev = netmodel._benefit(net, rx_int)
+    b_prev = netmodel.benefit_table(net, rx_int)
     benefit_span = float(b_prev.max() - b_prev.min())
     epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
 
-    costs = netmodel._table(net, netmodel._cost(net, i_prev, holders))
+    costs = netmodel._table(net, netmodel.cost_table(net, i_prev, holders))
     costs = np.maximum(0.0, costs).max(axis=0)
     state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), start, epsilon)
 
@@ -185,7 +185,7 @@ def run_auction(net, t_max=500):
         # Nothing reads the maps after the last round.
         if bids and t < t_max:
             rx_int, i_prev, _ = netmodel._interference_maps(net, x_t)
-            b_prev = netmodel._benefit(net, rx_int)
+            b_prev = netmodel.benefit_table(net, rx_int)
         return x_t, bids, not bids, None
 
     _, _, iterations, converged, _ = iterate(step, t_max)

@@ -32,10 +32,6 @@ class ConfigError(ValueError):
     """A scenario parameter violates an invariant."""
 
 
-class ContractError(ValueError):
-    """A physical-layer query was made against an inconsistent allocation."""
-
-
 def _finite_real(name, value):
     """``value`` as a float; a ConfigError naming ``name`` unless it is a
     finite real number and not a bool."""
@@ -425,19 +421,6 @@ def shannon_rate(sinr, bandwidth):
     return bandwidth * math.log2(1.0 + sinr)
 
 
-def sinr_underlay(net, alloc, k, n):
-    """SINR at the receiver served by transmitter k on RB n.
-
-    Requires ``alloc`` to actually place k on RB n; the denominator sums
-    the macro-tier signal, every co-channel underlay transmitter, and the
-    per-RB noise power.  It is k's entry of ``underlay_sinrs``.
-    """
-    res = alloc.get(k)
-    if res is None or res[0] != n:
-        raise ContractError(f"transmitter {k} is not assigned to RB {n}")
-    return underlay_sinrs(net, alloc)[np.count_nonzero(alloc.rb[:k] >= 0)]
-
-
 def aggregated_interference(net, alloc, n):
     """Total reference-user interference on RB n: ``interference_vector``'s entry."""
     return interference_vector(net, alloc)[n]
@@ -492,12 +475,12 @@ def interference_vector(net, alloc):
     return _fold(ns, own, net.num_rb)
 
 
-def underlay_sinrs(net, alloc):
-    """``sinr_underlay`` of every assigned transmitter, ascending k.
+def sinr_underlay(net, alloc):
+    """SINR at every assigned transmitter's receiver, ascending k, as a list.
 
     Each holder's denominator is one fold: ``mbs_den[k, n] + sigma2``
-    first, then its co-channel terms in ascending k, the scalar formula's
-    terms in its order (the holder's own term is 0.0, which leaves a
+    (macro signal and noise) first, then every co-channel holder's power
+    at its receiver in ascending k (its own term is 0.0, which leaves a
     positive sum unchanged).
     """
     ks, ns, kn, p, _ = holders = _holders(net, alloc)
@@ -587,28 +570,32 @@ def _interference_maps(net, alloc):
     return rx_int.reshape(net.num_tx, -1), _fold(holders[1], holders[4], net.num_rb), holders
 
 
-# The benefit and the cost are evaluated on (L, K*N) planes, the power
-# level first: each per-(k, n) input then broadcasts along whole rows, not
-# along the short level axis.  ``_gamma`` and ``_benefit`` work in place
-# and overwrite the rx_int map they are given.
+# The tables are (L, K*N) planes of ``_interference_maps``' maps, the
+# power level first: entry (l, k*N + n) prices k's move to (n, l), the
+# others kept.  Each per-(k, n) input then broadcasts along whole rows.
 
-def _gamma(net, rx_int):
+def gamma_table(net, rx_int):
+    """SINR planes ``sig_pt / (mbs_den + rx_int + sigma2)``; overwrites
+    the (K, N) ``rx_int`` it is given with the denominators."""
     den = np.add(net.mbs_den, rx_int, out=rx_int)
     den += net.sigma2
     return np.divide(net.sig_pt, den.reshape(-1))
 
 
-def _benefit(net, rx_int):
-    planes = _gamma(net, rx_int)
+def benefit_table(net, rx_int):
+    """Benefit planes ``w1 * log2(1 + gamma_table)``; overwrites
+    ``rx_int`` as ``gamma_table`` does."""
+    planes = gamma_table(net, rx_int)
     planes += 1.0
     np.log2(planes, out=planes)
     planes *= net.w1
     return planes
 
 
-def _cost(net, agg, holders):
-    # The others' load at entry k*N + n: agg[n] less k's own share on k's
-    # RB, agg[n] itself on every other RB.
+def cost_table(net, agg, holders):
+    """Unclamped cost planes ``w2 * (I / i_max[n] - 1)``.  I is RB n's
+    reference-user load if k moved to (n, l): ``ref_p[k, n, l]`` plus
+    ``agg[n]``, less k's own load (from ``holders``) on k's RB."""
     _, ns, kn, _, own = holders
     others = agg[net.rb_kn]
     others[kn] = agg[ns] - own
@@ -624,25 +611,6 @@ def _table(net, planes):
     return np.ascontiguousarray(planes.T).reshape(net.num_tx, net.num_rb, net.num_levels)
 
 
-def gamma_table(net, alloc):
-    """Hypothetical-move SINR for every (k, n, l) given alloc, shape (K, N, L)."""
-    return _table(net, _gamma(net, _interference_maps(net, alloc)[0]))
-
-
-def benefit_table(net, alloc):
-    """Weighted spectral efficiency w1 * log2(1 + SINR) per (k, n, l)."""
-    return _table(net, _benefit(net, _interference_maps(net, alloc)[0]))
-
-
-def cost_table(net, alloc):
-    """Unclamped interference cost w2 * (I/I_max - 1) per (k, n, l).
-
-    I is the RB's aggregated reference-user interference if k moved to
-    (n, l), with every other transmitter kept at its alloc assignment.
-    """
-    return _table(net, _cost(net, *_interference_maps(net, alloc)[1:]))
-
-
 def utility_table(net, alloc):
     """Utility for every (k, n, l) given alloc; equals benefit minus cost.
 
@@ -651,5 +619,6 @@ def utility_table(net, alloc):
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     rx_int, agg, holders = _interference_maps(net, alloc)
     table = np.empty((K, N, L))
-    np.subtract(_benefit(net, rx_int), _cost(net, agg, holders), out=table.reshape(K * N, L).T)
+    np.subtract(benefit_table(net, rx_int), cost_table(net, agg, holders),
+                out=table.reshape(K * N, L).T)
     return table

@@ -3,8 +3,9 @@
 First come the solvers' start-state draw, as it was written before it
 moved into ``allocation.start_alignment``, the topology build as it was
 before receivers were placed in array blocks (one scalar try at a time,
-distances by ``np.linalg.norm``), the drop checksum, and four views of
-an allocation that only tests read.  Then the
+distances by ``np.linalg.norm``), the drop checksum, four views of an
+allocation that only tests read, and the library's tables as the
+(K, N, L) arrays that tests index.  Then the
 straightforward versions of routines that the library now computes on
 the allocation's int arrays, once per table or once per round.  Each one
 re-scans the whole allocation wherever it needs a co-channel sum, so its
@@ -163,6 +164,17 @@ def by_rb(alloc, num_rb):
     for k, (n, l) in assigned_items(alloc):
         holders[n].append((k, l))
     return holders
+
+
+def library_table(net, alloc, quantity):
+    """The library's (K, N, L) ``"benefit"`` or ``"cost"`` table under
+    alloc: ``netmodel._table`` of the planes that ``netmodel.benefit_table``
+    or ``netmodel.cost_table`` builds from ``netmodel._interference_maps``."""
+    rx_int, agg, holders = netmodel._interference_maps(net, alloc)
+    if quantity == "cost":
+        return netmodel._table(net, netmodel.cost_table(net, agg, holders))
+    assert quantity == "benefit", quantity
+    return netmodel._table(net, netmodel.benefit_table(net, rx_int))
 
 
 def aggregated_interference(net, alloc, n):

@@ -24,8 +24,7 @@ from hetalloc.allocation import (exhaustive_search, is_feasible,
 from hetalloc.auction import run_auction
 from hetalloc.matching import run_stable_matching
 from hetalloc.msgpass import run_message_passing
-from hetalloc.netmodel import (ScenarioConfig, benefit_table, build_topology,
-                               interference_vector)
+from hetalloc.netmodel import ScenarioConfig, build_topology, interference_vector
 
 from conftest import round_orders
 
@@ -214,7 +213,7 @@ def test_criterion_7_message_convergence(msgpass_suite):
 def test_criterion_8_epsilon_complementary_slackness(auction_suite):
     violations = []
     for seed, net, res in auction_suite:
-        b = benefit_table(net, res.allocation)
+        b = reference.library_table(net, res.allocation, "benefit")
         iv = interference_vector(net, res.allocation)
         slack = 1e-9 * max(1.0, float(np.abs(b).max()))
         for k, (n0, l0) in reference.assigned_items(res.allocation):

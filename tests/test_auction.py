@@ -10,8 +10,7 @@ from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, sta
 from hetalloc.auction import (NO_BIDDER, AuctionState, bid_increment,
                               local_auction_round, run_auction)
 from hetalloc.harness import load_scenario
-from hetalloc.netmodel import (benefit_table, build_topology, cost_table,
-                               interference_vector)
+from hetalloc.netmodel import build_topology, interference_vector
 
 from conftest import benefit_planes, toy_network
 from test_harness import K4, K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
@@ -47,7 +46,7 @@ def test_cost_table_matches_scalar():
                       rng.uniform(0.1, 2.0, (K, C, N)),
                       power_levels=(0.5, 1.5), i_max=2.0, w2=0.8)
     alloc = Allocation(K, [(0, 1), None, (1, 0)])
-    table = cost_table(net, alloc)
+    table = reference.library_table(net, alloc, "cost")
     for k in range(K):
         for n in range(N):
             for l in range(L):
@@ -115,13 +114,13 @@ def round_on_snapshot(state, net):
     """local_auction_round with every input derived from the state."""
     alloc_prev = state.assignment
     return local_auction_round(state, net, interference_vector(net, alloc_prev),
-                               benefit_planes(benefit_table(net, alloc_prev)))
+                               benefit_planes(reference.library_table(net, alloc_prev, "benefit")))
 
 
 def test_local_round_fresh_state_bids_best_value():
     net = two_tx_net(i_max=100.0)
     alloc_prev = Allocation(2, [(0, 0), (0, 0)])
-    b = benefit_table(net, alloc_prev)
+    b = reference.library_table(net, alloc_prev, "benefit")
     alloc, costs, bidders, bids = round_on_snapshot(fresh_state(alloc_prev, 1, 1), net)
     assert bids == 2 and alloc.get(0) == (0, 0)
     # equal bids on the one resource: the lowest transmitter holds it
@@ -213,11 +212,11 @@ def test_merged_cost_monotone_across_iterations():
     net = build_topology(cfg)
     from hetalloc import netmodel
     x_prev = start_alignment(net)
-    costs = np.maximum(0.0, cost_table(net, x_prev)).max(axis=0)
+    costs = np.maximum(0.0, reference.library_table(net, x_prev, "cost")).max(axis=0)
     state = AuctionState(costs, np.full(costs.shape, NO_BIDDER, np.int64), x_prev, 0.05)
     for _ in range(10):
         iv = netmodel.interference_vector(net, x_prev)
-        b = benefit_planes(benefit_table(net, x_prev))
+        b = benefit_planes(reference.library_table(net, x_prev, "benefit"))
         x_prev, costs, bidders, _bids = local_auction_round(state, net, iv, b)
         assert (costs >= state.costs - 1e-15).all()
         state = AuctionState(costs, bidders, x_prev, 0.05)

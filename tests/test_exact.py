@@ -81,9 +81,10 @@ def test_tables_and_objectives_equal_scans(cfg):
                           reference.interference_vector(net, alloc))
         assert same_array(netmodel.utility_table(net, alloc),
                           reference.utility_table(net, alloc))
-        assert same_array(netmodel.benefit_table(net, alloc),
+        assert same_array(reference.library_table(net, alloc, "benefit"),
                           reference.benefit_table(net, alloc))
-        assert same_array(netmodel.cost_table(net, alloc), reference.cost_table(net, alloc))
+        assert same_array(reference.library_table(net, alloc, "cost"),
+                          reference.cost_table(net, alloc))
         assert sum_rate(net, alloc) == reference.sum_rate(net, alloc)
         assert weighted_benefit(net, alloc) == reference.weighted_benefit(net, alloc)
         # One holder gather feeds every pass: its own loads are the bytes
@@ -94,8 +95,9 @@ def test_tables_and_objectives_equal_scans(cfg):
         assert same_array(own, net.ref_p[ks, ns, alloc.level[ks]])
         assert same_array(netmodel._interference_maps(net, alloc)[1],
                           netmodel.interference_vector(net, alloc))
-        for k, (n, _l) in reference.assigned_items(alloc):
-            assert netmodel.sinr_underlay(net, alloc, k, n) == reference.sinr(net, alloc, k, n)
+        sinrs = netmodel.sinr_underlay(net, alloc)
+        for i, (k, (n, _l)) in enumerate(reference.assigned_items(alloc)):
+            assert sinrs[i] == reference.sinr(net, alloc, k, n)
         assert same_array(netmodel.macro_sinrs(net, alloc), macro_scan(net, alloc))
 
 
@@ -242,7 +244,7 @@ def test_cochannel_sums_run_in_ascending_k():
     assert netmodel.interference_vector(net, alloc)[0] == 1.0
     rx_int, agg, _holders = netmodel._interference_maps(net, alloc)
     assert agg[0] == 1.0 and rx_int[3, 0] == 1.0
-    assert netmodel.underlay_sinrs(net, alloc)[3] == 1.0
+    assert netmodel.sinr_underlay(net, alloc)[3] == 1.0
     assert sum_rate(net, alloc) == reference.sum_rate(net, alloc)
     assert netmodel.repair(net, alloc.copy()) == alloc  # 1.0 is under the cap
     orders, tx, rb = profiles(net, Allocation(4))
@@ -443,14 +445,14 @@ ROUND_CASES = ([make_config(seed=s, i_max=cap, **WIDE) for cap in (1e-6, 1e-8) f
 def test_auction_kernel_equals_per_transmitter_rounds(cfg):
     net = build_topology(cfg)
     x_prev = start_alignment(net)
-    costs = np.maximum(0.0, netmodel.cost_table(net, x_prev)).max(axis=0)
+    costs = np.maximum(0.0, reference.library_table(net, x_prev, "cost")).max(axis=0)
     state = AuctionState(costs, np.full(costs.shape, NO_BIDDER, np.int64), x_prev, 0.05)
     outcomes = set()
     for _ in range(6):
         iv = netmodel.interference_vector(net, x_prev)
-        b = netmodel.benefit_table(net, x_prev)
-        # run_auction hands the round these planes, as they leave _benefit.
-        planes = netmodel._benefit(net, netmodel._interference_maps(net, x_prev)[0])
+        b = reference.library_table(net, x_prev, "benefit")
+        # run_auction hands the round these planes, as they leave benefit_table.
+        planes = netmodel.benefit_table(net, netmodel._interference_maps(net, x_prev)[0])
         assert same_array(benefit_planes(b), planes)
         (x_prev, costs, bidders, _bids), placed = assert_round_equals_reference(
             state, net, iv, b)
@@ -467,15 +469,16 @@ def k_row_auction(net, t_max):
     by ``reference.merged_view`` at the start of the next round.  Returns
     ``(allocation, iterations, converged, merged_costs)``."""
     x = start_alignment(net)
-    b0 = netmodel.benefit_table(net, x)
+    b0 = reference.library_table(net, x, "benefit")
     span = float(b0.max() - b0.min())
     eps = 0.01 * span if span > 0 else 1e-6
-    costs = np.maximum(0.0, netmodel.cost_table(net, x))
+    costs = np.maximum(0.0, reference.library_table(net, x, "cost"))
     bidders = np.full(costs.shape, NO_BIDDER, np.int64)
     for t in range(1, t_max + 1):
         state = AuctionState(*reference.merged_view(costs, bidders), x, eps)
         x_t, costs, bidders, placed = reference.auction_rows(
-            state, net, netmodel.interference_vector(net, x), netmodel.benefit_table(net, x))
+            state, net, netmodel.interference_vector(net, x),
+            reference.library_table(net, x, "benefit"))
         if not any(placed):
             break
         x = x_t

@@ -219,10 +219,29 @@ def test_bench_trace_sites_exist(monkeypatch):
 
 
 # The per-iteration sites of bench/tracing.py, on the module it swaps them on.
-TRACED_STEPS = [(netmodel, "utility_table"), (matching, "match_alignments"),
-                (matching, "sum_rate"), (msgpass, "tx_sweep"), (msgpass, "res_sweep"),
+TRACED_STEPS = [(netmodel, "utility_table"), (netmodel, "benefit_table"),
+                (netmodel, "cost_table"), (netmodel, "sinr_underlay"),
+                (matching, "match_alignments"), (matching, "sum_rate"),
+                (msgpass, "tx_sweep"), (msgpass, "res_sweep"),
                 (msgpass, "extract_allocation"), (auction, "local_auction_round"),
                 (auction, "bid_increment")]
+
+
+def count_calls(monkeypatch, steps):
+    """A Counter of the calls, keyed ``module.attr``, that reach each of
+    ``steps`` through its module attribute, as the tracer's swap does."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in steps:
+        name = f"{owner.__name__}.{attr}"
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    return calls
 
 
 def test_solver_steps_call_the_traced_sites(monkeypatch):
@@ -233,17 +252,7 @@ def test_solver_steps_call_the_traced_sites(monkeypatch):
     # included), computes no round after it and replays from the next.
     from test_matching import MID_K10_OSCILLATING
 
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for owner, attr in TRACED_STEPS:
-        name = f"{owner.__name__}.{attr}"
-        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    calls = count_calls(monkeypatch, TRACED_STEPS)
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
     for seed in MID_K10_OSCILLATING:
         calls.clear()
@@ -254,6 +263,22 @@ def test_solver_steps_call_the_traced_sites(monkeypatch):
         assert rounds == run_stable_matching(net, t_max=500).info["cycle"][0] - 1
         x = [start_alignment(net)] + reference.run_stable_matching(net, rounds).info["allocations"]
         assert rounds == next(r for r in range(1, len(x)) if x[r] in x[:r])
+
+
+@pytest.mark.parametrize("t_max", [500, 2])
+def test_auction_prices_each_round_through_the_traced_tables(monkeypatch, t_max):
+    # run_auction builds the benefit planes once for its start state and
+    # once after every round that bid before t_max, and the cost planes
+    # once; the row's evaluation builds no table.
+    from test_matching import MID_K10_OSCILLATING
+
+    calls = count_calls(monkeypatch, [(netmodel, "benefit_table"), (netmodel, "cost_table")])
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
+    for seed in MID_K10_OSCILLATING:
+        calls.clear()
+        [row] = run_experiment(cfg, seeds=[seed], t_max=t_max, algorithms=["auction"])
+        assert calls["hetalloc.netmodel.benefit_table"] == row.iterations, (seed, calls)
+        assert calls["hetalloc.netmodel.cost_table"] == 1, (seed, calls)
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -470,7 +495,7 @@ def test_each_row_computes_its_sinrs_once(monkeypatch):
     # Count the SINR lists run_experiment computes to evaluate its rows,
     # not those a solver or the oracle computes while it runs.
     calls, busy = [], []
-    original = netmodel.underlay_sinrs
+    original = netmodel.sinr_underlay
 
     def counting(net, alloc):
         if not busy:
@@ -486,7 +511,7 @@ def test_each_row_computes_its_sinrs_once(monkeypatch):
                 busy.pop()
         return run
 
-    monkeypatch.setattr(netmodel, "underlay_sinrs", counting)
+    monkeypatch.setattr(netmodel, "sinr_underlay", counting)
     monkeypatch.setattr(harness, "SOLVERS", {k: quiet(v) for k, v in harness.SOLVERS.items()})
     monkeypatch.setattr(harness, "exhaustive_search", quiet(harness.exhaustive_search))
     cfg = load_scenario(SCENARIOS / "default.json")

@@ -18,6 +18,12 @@ They hold at any size, so they reach past the exact oracle (K <= 12).
   1e-12 relative.  The solvers are left out: their start state is drawn
   per index, and their ties go to the lowest index.
 
+The sum-rate bound of ``bound.py`` passes the scale and relabeling gates
+too: scaling hands HiGHS the same coefficients, so the bound keeps its
+bits, and relabeling hands it the columns and rows in another order, so
+it agrees within 1e-9 relative.  Its LP runs on mid-k10 and at K=50 under
+both caps, its MILP on mid-k10 only, which keeps the gate fast.
+
 The scale and weight gates also run on generated scenarios, next to
 three checks that need only the drop: every row is feasible, the oracle
 (where it is cheap) is at or above every solver, and the LP bound of
@@ -36,10 +42,11 @@ from hetalloc.allocation import exhaustive_search, oracle_cost
 from hetalloc.harness import load_scenario, run_experiment
 from hetalloc.netmodel import build_topology, make_network
 
-from test_harness import K50_TIGHT, MID_K10, SCENARIOS
+from test_harness import K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
 
 K200_LOOSE = dict(num_sbs=120, num_d2d=80, num_rb=50, power_levels=(0.02, 0.05, 0.2, 1.0),
                   i_max=1e-6)
+K200_TIGHT = dict(K200_LOOSE, i_max=1e-8)
 
 
 def config(overrides):
@@ -157,3 +164,22 @@ def test_relabeling_keeps_the_oracle_rate(overrides, seeds):
         rate = exhaustive_search(net)[1]
         again = exhaustive_search(relabeled(net, np.random.default_rng(seed)))[1]
         assert rate > 0 and again == pytest.approx(rate, rel=1e-12, abs=0), seed
+
+
+BOUND_CASES = (
+    [pytest.param(MID_K10, s, integral, id=f"mid-k10-s{s}-{'milp' if integral else 'lp'}")
+     for s in range(6) for integral in (False, True)]
+    + [pytest.param(k50, s, False, id=f"{name}-s{s}-lp")
+       for name, k50 in (("k50-loose", K50_LOOSE), ("k50-tight", K50_TIGHT)) for s in range(3)])
+
+
+@pytest.mark.parametrize("overrides, seed, integral", BOUND_CASES)
+def test_bound_passes_the_scale_and_relabeling_gates(overrides, seed, integral):
+    cfg = dataclasses.replace(config(overrides), seed=seed)
+    net = build_topology(cfg)
+    bound = rate_bound(net, integral)
+    assert bound > 0
+    for e in (3, -5):
+        assert rate_bound(build_topology(scaled(cfg, e)), integral) == bound, e
+    again = rate_bound(relabeled(net, np.random.default_rng(seed)), integral)
+    assert again == pytest.approx(bound, rel=1e-9, abs=0)

@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 import reference
 from hetalloc import netmodel
 from hetalloc.allocation import Allocation
-from hetalloc.netmodel import (ConfigError, ContractError, ScenarioConfig,
-                               aggregated_interference, benefit_table,
-                               build_topology, cost_table, macro_sinrs,
-                               shannon_rate, sinr_underlay, utility_table)
+from hetalloc.netmodel import (ConfigError, ScenarioConfig, aggregated_interference,
+                               build_topology, macro_sinrs, shannon_rate,
+                               sinr_underlay, utility_table)
 
 from conftest import toy_network
 
@@ -307,35 +306,29 @@ def test_sinr_underlay_no_interference():
                       gain_mbs_ul=np.array([[1e-30]]), power_levels=(1.0,),
                       sigma2=1.0)
     alloc = Allocation(1, [(0, 0)])
-    assert sinr_underlay(net, alloc, 0, 0) == pytest.approx(1.0, rel=1e-12)
+    assert sinr_underlay(net, alloc)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sinr_underlay_two_transmitters_hand_value():
     net = two_tx_net()
     alloc = Allocation(2, [(0, 0), (0, 0)])
     # transmitter 0: signal 2*2, macro 0.1*4, co-channel 0.5*2, noise 1
-    assert sinr_underlay(net, alloc, 0, 0) == pytest.approx(4.0 / 2.4, rel=1e-12)
-    assert sinr_underlay(net, alloc, 1, 0) == pytest.approx(6.0 / (0.8 + 0.5 + 1.0), rel=1e-12)
+    assert sinr_underlay(net, alloc)[0] == pytest.approx(4.0 / 2.4, rel=1e-12)
+    assert sinr_underlay(net, alloc)[1] == pytest.approx(6.0 / (0.8 + 0.5 + 1.0), rel=1e-12)
 
 
 def test_sinr_underlay_decreases_with_cochannel_interferer():
     net = two_tx_net()
-    alone = sinr_underlay(net, Allocation(2, {0: (0, 0)}), 0, 0)
-    shared = sinr_underlay(net, Allocation(2, [(0, 0), (0, 0)]), 0, 0)
+    alone = sinr_underlay(net, Allocation(2, {0: (0, 0)}))[0]
+    shared = sinr_underlay(net, Allocation(2, [(0, 0), (0, 0)]))[0]
     assert shared < alone
 
 
 def test_sinr_underlay_decreases_when_interferer_power_rises():
     net = two_tx_net(power_levels=(1.0, 2.0))
-    low = sinr_underlay(net, Allocation(2, [(0, 0), (0, 0)]), 0, 0)
-    high = sinr_underlay(net, Allocation(2, [(0, 0), (0, 1)]), 0, 0)
+    low = sinr_underlay(net, Allocation(2, [(0, 0), (0, 0)]))[0]
+    high = sinr_underlay(net, Allocation(2, [(0, 0), (0, 1)]))[0]
     assert high < low
-
-
-def test_sinr_underlay_contract_violation():
-    net = two_tx_net()
-    with pytest.raises(ContractError):
-        sinr_underlay(net, Allocation(2), 0, 0)
 
 
 def test_sinr_macro_idle_underlay():
@@ -459,4 +452,5 @@ def test_utility_table_matches_scalar():
                     reference.utility(net, alloc, k, (n, l)), rel=1e-12)
     # utility decomposes exactly into benefit minus cost
     np.testing.assert_array_equal(
-        table, benefit_table(net, alloc) - cost_table(net, alloc))
+        table, reference.library_table(net, alloc, "benefit")
+        - reference.library_table(net, alloc, "cost"))
