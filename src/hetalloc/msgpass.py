@@ -21,6 +21,7 @@ so once that state repeats bit for bit, the iterations left are replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,18 +143,6 @@ def extract_allocation(state, net, best):
     return netmodel.repair(net, alloc)
 
 
-def _recall(window, key, compute):
-    """``window[key]``, else ``compute()`` stored under ``key``.  The dict
-    ``window`` holds the ``REUSE_DEPTH`` keys used last, least recent first."""
-    value = window.pop(key, None)
-    if value is None:
-        if len(window) == REUSE_DEPTH:
-            del window[next(iter(window))]
-        value = compute()
-    window[key] = value
-    return value
-
-
 class CycleWatch:
     """Finds the period of a deterministic iteration from cheap keys.
 
@@ -208,17 +197,10 @@ def run_message_passing(net, omega=0.5, t_max=500):
     Non-convergence is reported through the flag and the delta trace, and
     the last extracted (always feasible) allocation is still returned.
 
-    Work whose input bit-equals one of the last ``REUSE_DEPTH`` distinct
-    inputs of its kind is reused, not redone.  The utility table is a pure
-    function of the previous allocation, so it is computed only for an
-    allocation outside the last ``REUSE_DEPTH`` ones evaluated.
-    The extracted allocation is a pure function of the proposal (the
-    per-transmitter argmax, or silence), since repair reads nothing else;
-    it is extracted only for a proposal whose bytes are outside the last
-    ``REUSE_DEPTH`` ones.  Each window drops its least recently used entry,
-    so an allocation that oscillates among a few states, or settles while
-    the messages still move toward the tolerance, costs just the two
-    sweeps per iteration.
+    The utility table is a pure function of the previous allocation, and
+    the extracted allocation one of the proposal (repair reads nothing
+    else), so each run keeps both in an ``lru_cache`` of ``REUSE_DEPTH``
+    entries keyed by their input's bytes; no run reuses another's work.
 
     The loop is ``allocation.iterate``.  The cycle key of an iteration is
     its ``(delta, shift)`` pair, and ``CycleWatch`` confirms a period on
@@ -241,21 +223,23 @@ def run_message_passing(net, omega=0.5, t_max=500):
 
     tol = MESSAGE_TOL * (max(abs(net.w1), abs(net.w2)) or 1.0)
     watch = CycleWatch()
-    tables = {}  # allocation bytes -> its utility table
-    extractions = {}  # proposal bytes -> the allocation extracted from it
-    util = util_for = None  # util_for: the allocation object ``util`` was looked up for
     scratch = np.empty((2, K, N, L))
     steps = scratch.reshape(2, -1)
     flat_step = scratch.reshape(-1)
+    best = None
+
+    # Each reads the x_prev or best whose bytes its caller passes as the key.
+    @lru_cache(maxsize=REUSE_DEPTH)
+    def table(key):
+        return netmodel.utility_table(net, x_prev)
+
+    @lru_cache(maxsize=REUSE_DEPTH)
+    def extraction(key):
+        return extract_allocation(state, net, best)
 
     def step(t):
-        nonlocal x_prev, messages, util, util_for
-        # A repeated extraction hands back the same allocation object, whose
-        # key is already the window's most recent: no lookup is needed.
-        if x_prev is not util_for:
-            util = _recall(tables, x_prev.rb.tobytes() + x_prev.level.tobytes(),
-                           lambda: netmodel.utility_table(net, x_prev))
-            util_for = x_prev
+        nonlocal x_prev, messages, best
+        util = table(x_prev.rb.tobytes() + x_prev.level.tobytes())
         fresh = np.empty((2, K, N, L))
         new_tx = tx_sweep(state, util, out=fresh[0])
         # Resource replies fold in the transmitter messages just received;
@@ -282,9 +266,8 @@ def run_message_passing(net, omega=0.5, t_max=500):
                     abs(flat_step.item(flat_step.argmin())))
         messages = fresh
         best = proposal(np.add(new_tx, new_res, out=scratch[0]))
-        x_t = _recall(extractions, best.tobytes(),
-                      lambda: extract_allocation(state, net, best))
-        if delta < tol and (x_t is x_prev or x_t == x_prev):
+        x_t = extraction(best.tobytes())
+        if delta < tol and x_t == x_prev:
             return x_t, delta, True, None
         # (delta, shift) is a cheap key of the step; the watch confirms a
         # repeat on the full state.  A repeated step repeats the test above,

@@ -6,7 +6,8 @@ import pytest
 
 import reference
 from hetalloc import msgpass, netmodel
-from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
+from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
+                                 sum_rate)
 from hetalloc.harness import load_scenario
 from hetalloc.msgpass import (CycleWatch, MessageState, extract_allocation, proposal,
                               res_sweep, run_message_passing, tx_sweep)
@@ -277,6 +278,28 @@ def test_run_equals_full_loop_on_workload_drops(overrides, t_max):
             (want.iterations, want.converged, want.messages)
         got.info.pop("cycle")
         assert got.info == want.info
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["loose-first", "tight-first"])
+def test_no_run_reuses_another_drops_work(order):
+    # Two mid-k10 drops of one seed that differ only in the cap: their start
+    # allocations, and so the first table keys, are byte-equal, while their
+    # utility tables differ.  A cache shared across runs and keyed by bytes
+    # alone would hand the second run the first one's table; on seed 10 the
+    # runs also propose alike where repair under the two caps differs, so a
+    # shared extraction cache fails here too.
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), seed=10, **MID_K10)
+    nets = [build_topology(dataclasses.replace(cfg, i_max=cap)) for cap in (1e-7, 1e-8)]
+    starts = [start_alignment(net) for net in nets]
+    assert starts[0] == starts[1]
+    assert not np.array_equal(utility_table(nets[0], starts[0]),
+                              utility_table(nets[1], starts[1]))
+    for i in order:
+        got = run_message_passing(nets[i])
+        want = reference.run_message_passing(nets[i])
+        assert got.allocation == want.allocation
+        assert got.iterations == want.iterations
+        assert got.info["message_deltas"] == want.info["message_deltas"]
 
 
 @pytest.mark.parametrize("overrides, t_max", WORKLOADS,
