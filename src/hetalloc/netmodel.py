@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -146,13 +146,14 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Network:
-    """One immutable network drop.
+    """One immutable network drop, deriving the per-(k, n) reference MUE.
 
     Underlay transmitters are indexed 0..K-1 with SBSs first, then D2D
     transmitters; transmitter k serves receiver k (SBS k -> SUE k, D2D
     transmitter d -> its paired receiver).  ``ref_mue[k, n]`` is the MUE
     with the highest gain from k on RB n: capping the interference it sees
-    caps the interference at every MUE.
+    caps the interference at every MUE.  It and ``ref_gain`` are derived
+    from ``gain_mue``, by ``dataclasses.replace`` too; neither is an argument.
     """
 
     config: Optional[ScenarioConfig]
@@ -165,8 +166,6 @@ class Network:
     gain_mbs_ul: np.ndarray  # (K, N): MBS -> receiver of transmitter k
     gain_mue: np.ndarray     # (K, C, N): transmitter k -> MUE m
     gain_mbs_mue: np.ndarray  # (C, N)
-    ref_mue: np.ndarray      # (K, N) int
-    ref_gain: np.ndarray     # (K, N): gain_mue[k, ref_mue[k, n], n]
     power_levels: np.ndarray  # (L,)
     i_max: np.ndarray        # (N,)
     mbs_power: float
@@ -174,16 +173,22 @@ class Network:
     w1: float
     w2: float
     rb_bandwidth: float
+    ref_mue: np.ndarray = field(init=False)   # (K, N) int64
+    ref_gain: np.ndarray = field(init=False)  # (K, N): gain_mue[k, ref_mue[k, n], n]
 
     def __post_init__(self):
-        # Read-only views: writing to a shared drop raises, and the
-        # caller's own arrays keep their flags.
+        # Read-only float64 views, so writing to a shared drop raises; a
+        # caller's float64 array is not copied and keeps its flags.
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                view = value.view()
-                view.flags.writeable = False
-                object.__setattr__(self, f.name, view)
+            if f.init and f.type == "np.ndarray":
+                view = np.asarray(getattr(self, f.name), dtype=float).view()
+                object.__setattr__(self, f.name, _read_only(view))
+            elif f.type == "float":
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        ref_mue = np.argmax(self.gain_mue, axis=1).astype(np.int64)  # (K, N)
+        object.__setattr__(self, "ref_mue", _read_only(ref_mue))
+        object.__setattr__(self, "ref_gain", _read_only(
+            np.take_along_axis(self.gain_mue, ref_mue[:, None, :], axis=1)[:, 0, :]))
 
     @property
     def num_tx(self):
@@ -279,34 +284,8 @@ def _offsets(stop, step):
     return _read_only(np.arange(0, stop, step))
 
 
-def make_network(config, mue_pos, sbs_pos, sue_pos, d2d_tx_pos, d2d_rx_pos,
-                 gain_ul, gain_mbs_ul, gain_mue, gain_mbs_mue,
-                 power_levels, i_max, mbs_power, sigma2, w1, w2, rb_bandwidth):
-    """Assemble a Network, deriving the per-(k, n) reference MUE."""
-    gain_mue = np.asarray(gain_mue, dtype=float)
-    ref_mue = np.argmax(gain_mue, axis=1).astype(np.int64)  # (K, N)
-    ref_gain = np.take_along_axis(gain_mue, ref_mue[:, None, :], axis=1)[:, 0, :]
-    return Network(
-        config=config,
-        mue_pos=np.asarray(mue_pos, dtype=float),
-        sbs_pos=np.asarray(sbs_pos, dtype=float),
-        sue_pos=np.asarray(sue_pos, dtype=float),
-        d2d_tx_pos=np.asarray(d2d_tx_pos, dtype=float),
-        d2d_rx_pos=np.asarray(d2d_rx_pos, dtype=float),
-        gain_ul=np.asarray(gain_ul, dtype=float),
-        gain_mbs_ul=np.asarray(gain_mbs_ul, dtype=float),
-        gain_mue=gain_mue,
-        gain_mbs_mue=np.asarray(gain_mbs_mue, dtype=float),
-        ref_mue=ref_mue,
-        ref_gain=ref_gain,
-        power_levels=np.asarray(power_levels, dtype=float),
-        i_max=np.asarray(i_max, dtype=float),
-        mbs_power=float(mbs_power),
-        sigma2=float(sigma2),
-        w1=float(w1),
-        w2=float(w2),
-        rb_bandwidth=float(rb_bandwidth),
-    )
+# The factory's old name, for callers that still build a drop through it.
+make_network = Network
 
 
 def _sample_disk(rng, center, radius, count):
@@ -405,7 +384,7 @@ def build_topology(config):
     gain_ul = beta_tx_rx * d_tx_rx[:, :, None] ** (-alpha)
     gain_mbs_ul = beta_mbs_rx * d_mbs_rx[:, None] ** (-alpha)
 
-    return make_network(
+    return Network(
         config, mue_pos, sbs_pos, rx_pos[:S], d2d_tx_pos, rx_pos[S:],
         gain_ul, gain_mbs_ul, gain_mue, gain_mbs_mue,
         config.power_levels, config.i_max_array(), config.mbs_power,

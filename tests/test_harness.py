@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference
@@ -489,6 +490,34 @@ def test_golden_topology(overrides, expected):
     for seed in range(40):
         h.update(reference.checksum(build_topology(dataclasses.replace(cfg, seed=seed))).encode())
     assert h.hexdigest() == expected
+
+
+def derived_digest(cfg):
+    """sha256 over what a drop derives from its gains and config, seeds
+    0..39: each array's dtype, shape and bytes, then each scalar's float.hex."""
+    h = hashlib.sha256()
+    for seed in range(40):
+        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        for a in (net.ref_mue, net.ref_gain, net.power_levels, net.i_max):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        for x in (net.mbs_power, net.sigma2, net.w1, net.w2, net.rb_bandwidth):
+            h.update(float.hex(x).encode())
+    return h.hexdigest()
+
+
+# derived_digest of each bench/run.py pool, pinned from the drops that the
+# make_network factory assembled; i_max enters it, so the two K=50 pools
+# hash differently.
+@pytest.mark.parametrize("overrides, expected", [
+    (K4, "0ae7ffffb977adf69ff0be8a0f8100939d728de33466e7fbde879592d49dc5be"),
+    (MID_K10, "05939bae9ffbd585ae274a392cb1b4411d81c7ad5564ad301eab516aca9ff153"),
+    (K50_LOOSE, "b39e8e4da631eb843749e874bba07f0990a0daf9cb82cf29ce1b7207a432f127"),
+    (K50_TIGHT, "2693edb9340bca7c827ade1a495e96972037d2d8e6a272922ed15138cd7ff54d"),
+], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
+def test_golden_derived_fields(overrides, expected):
+    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    assert derived_digest(cfg) == expected
 
 
 def test_each_row_computes_its_sinrs_once(monkeypatch):

@@ -275,11 +275,51 @@ def test_offsets_cached_read_only():
         a[0] = 1
 
 
-@pytest.mark.parametrize("field", ["gain_ul", "ref_gain"])
+@pytest.mark.parametrize("field", [
+    "mue_pos", "sbs_pos", "sue_pos", "d2d_tx_pos", "d2d_rx_pos", "gain_ul", "gain_mbs_ul",
+    "gain_mue", "gain_mbs_mue", "power_levels", "i_max", "ref_mue", "ref_gain"])
 def test_network_arrays_read_only(field):
-    net = build_topology(make_config())
+    a = getattr(build_topology(make_config()), field)
+    assert a.dtype == (np.int64 if field == "ref_mue" else np.float64)
     with pytest.raises(ValueError, match="read-only"):
-        getattr(net, field)[0, 0] = 1.0
+        a[(0,) * a.ndim] = 1
+
+
+def test_replace_rederives_reference_users():
+    # Scaling MUE m's gains by 10^m moves the strongest MUE of some (k, n)
+    # and its gathered gain; the derived pair must follow.
+    net = build_topology(make_config(num_mue=3))
+    g = net.gain_mue * np.array([1.0, 10.0, 100.0])[:, None]
+    assert (np.argmax(g, axis=1) != net.ref_mue).any()
+    moved = dataclasses.replace(net, gain_mue=g)
+    assert moved.ref_mue.dtype == np.int64
+    assert np.array_equal(moved.ref_mue, np.argmax(g, axis=1))
+    assert moved.ref_gain.tobytes() == g.max(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("field", ["ref_mue", "ref_gain"])
+def test_reference_users_are_not_arguments(field):
+    net = build_topology(make_config())
+    inputs = {f.name: getattr(net, f.name) for f in dataclasses.fields(net) if f.init}
+    netmodel.Network(**inputs)
+    with pytest.raises(TypeError, match=field):
+        netmodel.Network(**inputs, **{field: getattr(net, field)})
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(net, **{field: getattr(net, field)})
+
+
+def test_network_takes_ints_and_lists():
+    net = netmodel.Network(
+        None, [[0, 1]], [[2, 3]], [[4, 5]], [[6, 7]], [[8, 9]],
+        [[[1], [2]], [[3], [4]]], [[1], [1]], [[[5]], [[6]]], [[1]],
+        [1, 2], [3], 4, 1, 1, 0, 180000)
+    for f in dataclasses.fields(net):
+        value = getattr(net, f.name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == (np.int64 if f.name == "ref_mue" else np.float64), f.name
+    scalars = (net.mbs_power, net.sigma2, net.w1, net.w2, net.rb_bandwidth)
+    assert [type(x) for x in scalars] == [float] * 5 and scalars == (4.0, 1.0, 1.0, 0.0, 180e3)
+    assert net.ref_mue.tolist() == [[0], [0]] and net.ref_gain.tolist() == [[5.0], [6.0]]
 
 
 def test_gains_positive():
