@@ -143,16 +143,16 @@ def local_auction_round(state, net, interference_prev, benefits):
 def run_auction(net, t_max=500):
     """MBS-coordinated auction loop.
 
-    Starts from ``start_alignment`` with costs clamped from the
-    interference overage of that start state and no recorded bidders (so
-    every transmitter bids in round one).  The minimum bid increment is
-    epsilon = 0.01 * (max - min of the start state's benefit table), or
-    1e-6 when that span is 0.  All local rounds of an iteration read the
-    same snapshot; the merged tables and the new allocation are then
-    rebroadcast.  A full round without a single bid is a fixed point, so
-    the loop stops there (or at ``t_max``).  Per iteration each
-    transmitter uploads N*L (cost, bidder, assignment) tuples and the MBS
-    broadcasts the merged table plus the per-RB interference:
+    Starts from ``start_alignment`` with no recorded bidders, so every
+    transmitter bids in round one, and each resource's price is the largest
+    clamped start cost (interference overage) that any transmitter would pay
+    for it.  The minimum bid increment is epsilon = 0.01 * (max - min of the
+    start state's benefit table), or 1e-6 when that span is 0.  All local
+    rounds of an iteration read the same snapshot; the merged tables and the
+    new allocation are then rebroadcast.  A full round without a single bid
+    is a fixed point, so the loop stops there (or at ``t_max``).  Per
+    iteration each transmitter uploads N*L (cost, bidder, assignment) tuples
+    and the MBS broadcasts the merged table plus the per-RB interference:
     ``messages = iterations * (K*N*L + N*L + N)``.
 
     The emitted allocation is repaired against the strict interference
@@ -172,8 +172,8 @@ def run_auction(net, t_max=500):
     benefit_span = float(b_prev.max() - b_prev.min())
     epsilon = 0.01 * benefit_span if benefit_span > 0 else 1e-6
 
-    costs = netmodel._table(net, netmodel.cost_table(net, i_prev, holders))
-    costs = np.maximum(0.0, costs).max(axis=0)
+    costs = np.maximum(0.0, netmodel.cost_table(net, i_prev, holders)).reshape(L, K, N)
+    costs = np.ascontiguousarray(costs.max(axis=1).T)
     state = AuctionState(costs, np.full((N, L), NO_BIDDER, dtype=np.int64), start, epsilon)
 
     def step(t):

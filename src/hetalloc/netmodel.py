@@ -203,10 +203,6 @@ class Network:
         return len(self.power_levels)
 
     @property
-    def num_mue(self):
-        return self.gain_mbs_mue.shape[0]
-
-    @property
     def seed(self):
         return self.config.seed if self.config is not None else 0
 
@@ -583,11 +579,6 @@ def cost_table(net, agg, holders):
     planes -= 1.0
     planes *= net.w2
     return planes
-
-
-def _table(net, planes):
-    """The (K, N, L) table, C-ordered, of (L, K*N) planes."""
-    return np.ascontiguousarray(planes.T).reshape(net.num_tx, net.num_rb, net.num_levels)
 
 
 def utility_table(net, alloc):

@@ -168,13 +168,16 @@ def by_rb(alloc, num_rb):
 
 def library_table(net, alloc, quantity):
     """The library's (K, N, L) ``"benefit"`` or ``"cost"`` table under
-    alloc: ``netmodel._table`` of the planes that ``netmodel.benefit_table``
-    or ``netmodel.cost_table`` builds from ``netmodel._interference_maps``."""
+    alloc: a C-ordered copy of the transpose of the (L, K*N) planes that
+    ``netmodel.benefit_table`` or ``netmodel.cost_table`` builds from
+    ``netmodel._interference_maps``."""
     rx_int, agg, holders = netmodel._interference_maps(net, alloc)
     if quantity == "cost":
-        return netmodel._table(net, netmodel.cost_table(net, agg, holders))
-    assert quantity == "benefit", quantity
-    return netmodel._table(net, netmodel.benefit_table(net, rx_int))
+        planes = netmodel.cost_table(net, agg, holders)
+    else:
+        assert quantity == "benefit", quantity
+        planes = netmodel.benefit_table(net, rx_int)
+    return np.ascontiguousarray(planes.T).reshape(net.num_tx, net.num_rb, net.num_levels)
 
 
 def aggregated_interference(net, alloc, n):

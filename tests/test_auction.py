@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reference
+from hetalloc import auction
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate)
 from hetalloc.auction import (NO_BIDDER, AuctionState, bid_increment,
@@ -220,6 +221,34 @@ def test_merged_cost_monotone_across_iterations():
         x_prev, costs, bidders, _bids = local_auction_round(state, net, iv, b)
         assert (costs >= state.costs - 1e-15).all()
         state = AuctionState(costs, bidders, x_prev, 0.05)
+
+
+class FirstRound(Exception):
+    """Stops ``run_auction`` at its first round."""
+
+
+def test_auction_start_prices_are_clamped_resource_maxima(monkeypatch):
+    """The first round sees each resource priced at the largest clamped start
+    cost any transmitter would pay for it, as a C-ordered (N, L) table."""
+    seen = []
+
+    def first_round(state, *args):
+        seen.append(state.costs)
+        raise FirstRound
+
+    monkeypatch.setattr(auction, "local_auction_round", first_round)
+    base = load_scenario(SCENARIOS / "default.json")
+    drops = ([dict(MID_K10, seed=s) for s in range(10)]
+             + [dict(cap, seed=s) for cap in (K50_LOOSE, K50_TIGHT) for s in range(3)])
+    for overrides in drops:
+        net = build_topology(dataclasses.replace(base, **overrides))
+        with pytest.raises(FirstRound):
+            run_auction(net)
+        costs = seen.pop()
+        table = reference.library_table(net, start_alignment(net), "cost")
+        expected = np.maximum(0.0, table).max(axis=0)
+        assert costs.flags.c_contiguous and costs.shape == (net.num_rb, net.num_levels)
+        assert costs.dtype == expected.dtype and costs.tobytes() == expected.tobytes()
 
 
 def test_run_epsilon_validation():

@@ -104,7 +104,7 @@ def test_tables_and_objectives_equal_scans(cfg):
 def macro_scan(net, alloc):
     """The (C, N) table of ``reference.sinr_macro``."""
     return np.array([[reference.sinr_macro(net, alloc, m, n) for n in range(net.num_rb)]
-                     for m in range(net.num_mue)])
+                     for m in range(net.gain_mbs_mue.shape[0])])
 
 
 POOLS = {"oracle-k4": K4, "mid-k10": MID_K10, "wide-k50-loose": K50_LOOSE,

@@ -137,8 +137,8 @@ def test_build_topology_reference_users():
     # recompute the argmax over MUE gains independently of the stored fields
     for k in range(net.num_tx):
         for n in range(net.num_rb):
-            gains = [net.gain_mue[k, m, n] for m in range(net.num_mue)]
-            m_star = max(range(net.num_mue), key=lambda m: gains[m])
+            gains = [net.gain_mue[k, m, n] for m in range(net.gain_mbs_mue.shape[0])]
+            m_star = max(range(net.gain_mbs_mue.shape[0]), key=lambda m: gains[m])
             assert net.ref_mue[k, n] == m_star
             assert net.ref_gain[k, n] == gains[m_star]
             assert 0 <= net.ref_mue[k, n] < 3
@@ -257,7 +257,7 @@ def test_every_valid_config_builds_a_topology(seed, num_mue, num_sbs, num_d2d, s
     except ConfigError:
         assume(False)
     net = build_topology(cfg)
-    assert net.num_tx == K and net.num_mue == num_mue
+    assert net.num_tx == K and net.gain_mbs_mue.shape[0] == num_mue
 
 
 def test_sigma2_is_noise_density_times_bandwidth():
