@@ -95,39 +95,47 @@ class SolverResult:
 def check_t_max(t_max, label):
     """Raise ValueError, starting with ``label`` (the field) and ending with
     the value, unless ``t_max`` is an integer, not a bool, and >= 1.
-    ``iterate`` checks every runner's iteration cap here."""
+    ``solve`` checks every runner's iteration cap here."""
     if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral):
         raise ValueError(f"{label} must be an integer, got {t_max!r}")
     if t_max < 1:
         raise ValueError(f"{label} must be >= 1, got {t_max}")
 
 
-def iterate(step, t_max):
-    """The loop of every solver: ``step(t)`` for t = 1..``t_max``.
+def solve(step, t_max, messages, info, pick=None):
+    """The loop of every solver, ``step(t)`` for t = 1..``t_max``, and its result.
 
     ``step(t)`` returns ``(output, record, done, period)``.  The loop stops
     at the first ``done``, or at a period p confirmed before ``t_max``: the
     iterations left would repeat the last p, so their outputs and records
     (the same objects) are replayed in phase, not computed.  A distributed
     run does not know that it cycles, so a replayed iteration counts.
-    Returns ``(outputs, records, iterations, converged, cycle)``, where
-    ``cycle`` is ``(first, period)`` when iterations ``first``..``t_max``
-    were replayed, else None.
+    Returns the run's ``SolverResult``: the allocation is ``pick(outputs,
+    computed, converged)``, ``computed`` being the outputs not replayed,
+    or else the last output; ``messages`` (one iteration's count) times the
+    iterations; ``info(outputs, records, cycle)``, where ``cycle`` is
+    ``(first, period)`` when iterations ``first``..``t_max`` were replayed,
+    else None.
     """
     check_t_max(t_max, "t_max")
-    outputs, records = [], []
+    outputs, records, cycle = [], [], None
     for t in range(1, t_max + 1):
         output, record, done, period = step(t)
         outputs.append(output)
         records.append(record)
         if done:
-            return outputs, records, t, True, None
+            break
         if period and t < t_max:
             for log in (outputs, records):
                 tail = log[-period:]
                 log += [tail[i % period] for i in range(t_max - t)]
-            return outputs, records, t_max, False, (t + 1, period)
-    return outputs, records, t_max, False, None
+            cycle = (t + 1, period)
+            break
+    converged, iterations = bool(done), len(outputs)
+    computed = outputs[:cycle[0] - 1] if cycle else outputs
+    return SolverResult(pick(outputs, computed, converged) if pick else outputs[-1],
+                        iterations, converged, iterations * messages,
+                        info(outputs, records, cycle))
 
 
 def start_alignment(net):

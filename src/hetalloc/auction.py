@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import netmodel
-from .allocation import SolverResult, iterate, start_alignment
+from .allocation import solve, start_alignment
 
 NO_BIDDER = -1
 
@@ -140,6 +140,14 @@ def local_auction_round(state, net, interference_prev, benefits):
     return allocation, costs.reshape(shape), bidders.reshape(shape), len(ks)
 
 
+def repaired_last(net):
+    """The auction's pick for ``allocation.solve``: the last round's
+    allocation, repaired in place against the strict caps.  Concurrent bids
+    in one synchronous round can jointly overshoot a budget the guard
+    checked one at a time; each round's allocation is a fresh copy."""
+    return lambda outputs, computed, converged: netmodel.repair(net, outputs[-1])
+
+
 def run_auction(net, t_max=500):
     """MBS-coordinated auction loop.
 
@@ -155,8 +163,8 @@ def run_auction(net, t_max=500):
     and the MBS broadcasts the merged table plus the per-RB interference:
     ``messages = iterations * (K*N*L + N*L + N)``.
 
-    The emitted allocation is repaired against the strict interference
-    caps before return (simultaneous same-round bids can overshoot them).
+    The emitted allocation is ``repaired_last``'s pick (simultaneous
+    same-round bids can overshoot the caps).
 
     ``info`` keys: ``epsilon`` (the minimum bid increment),
     ``merged_costs`` (the final (N, L) maximum cost per resource) and
@@ -188,16 +196,5 @@ def run_auction(net, t_max=500):
             b_prev = netmodel.benefit_table(net, rx_int)
         return x_t, bids, not bids, None
 
-    _, _, iterations, converged, _ = iterate(step, t_max)
-
-    # Concurrent bids in one synchronous round can jointly overshoot a
-    # budget the guard checked one at a time.  The round's allocation is a
-    # fresh copy that nothing else holds, so it is repaired in place.
-    return SolverResult(
-        allocation=netmodel.repair(net, state.assignment),
-        iterations=iterations,
-        converged=converged,
-        messages=iterations * (K * N * L + N * L + N),
-        info={"epsilon": epsilon, "merged_costs": state.costs,
-              "benefit_span": benefit_span},
-    )
+    return solve(step, t_max, K * N * L + N * L + N, lambda *_: dict(
+        epsilon=epsilon, merged_costs=state.costs, benefit_span=benefit_span), repaired_last(net))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, SolverResult, iterate, start_alignment, sum_rate
+from .allocation import Allocation, solve, start_alignment, sum_rate
 
 
 # Nothing here calls the two builders below; bench/tracing.py times them by
@@ -110,16 +110,23 @@ def match_alignments(orders, net):
     return Matching(allocation=alloc, proposals=proposals)
 
 
+def best_round(net):
+    """Matching's pick for ``allocation.solve``: the last round if the run
+    converged, without scoring any round; else the first computed round
+    of the best sum rate (a replayed round repeats a computed one)."""
+    return lambda outputs, computed, converged: (
+        outputs[-1] if converged else max(computed, key=lambda x: sum_rate(net, x)))
+
+
 def run_stable_matching(net, t_max=100):
     """Iterated stable matching (``preference_orders`` + inner matching per round).
 
-    Starts from ``start_alignment`` and runs under ``allocation.iterate``
+    Starts from ``start_alignment`` and runs under ``allocation.solve``
     until two consecutive allocations coincide, and returns that fixed
-    point without scoring any round.  Any other run returns the first
-    computed round of the best sum rate, picked after the loop (every
-    round's output is feasible by construction).  Signaling accounting:
-    per round each of the K transmitters uploads its N*L preference
-    entries and the MBS broadcasts the K allocation entries, so
+    point.  Any other run returns ``best_round``'s pick (every round's
+    output is feasible by construction).  Signaling accounting: per round
+    each of the K transmitters uploads its N*L preference entries and the
+    MBS broadcasts the K allocation entries, so
     ``messages = iterations * (K*N*L + K)``.
 
     A round is a pure function of the previous allocation, so the cycle
@@ -129,7 +136,7 @@ def run_stable_matching(net, t_max=100):
 
     ``info`` keys: ``proposals_per_round`` (proposal events of each inner
     matching), ``allocations`` (each round's inner-matching allocation)
-    and ``cycle``, as ``iterate`` returns them.  Round r's orders are
+    and ``cycle``, as ``solve`` defines it.  Round r's orders are
     ``preference_orders(netmodel.utility_table(net, prev))``, where
     ``prev`` is round r-1's allocation and ``start_alignment(net)`` for
     round 1.
@@ -147,14 +154,5 @@ def run_stable_matching(net, t_max=100):
         period = t - seen.setdefault((x_prev.rb.tobytes(), x_prev.level.tobytes()), t)
         return x_prev, m.proposals, period == 1, period
 
-    allocations, proposals, iterations, converged, cycle = iterate(step, t_max)
-    # A replayed round repeats a computed one; max keeps the first best.
-    computed = allocations[:cycle[0] - 1] if cycle else allocations
-    return SolverResult(
-        allocation=allocations[-1] if converged else max(computed, key=lambda x: sum_rate(net, x)),
-        iterations=iterations,
-        converged=converged,
-        messages=iterations * (K * N * L + K),
-        info={"proposals_per_round": proposals, "allocations": allocations,
-              "cycle": cycle},
-    )
+    return solve(step, t_max, K * N * L + K, lambda allocations, proposals, cycle: dict(
+        proposals_per_round=proposals, allocations=allocations, cycle=cycle), best_round(net))

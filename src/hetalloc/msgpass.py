@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, SolverResult, iterate, start_alignment
+from .allocation import Allocation, solve, start_alignment
 
 MESSAGE_TOL = 1e-6  # settling step per unit of weight: see run_message_passing
 REUSE_DEPTH = 4  # utility tables, and extractions, the loop keeps for reuse
@@ -202,14 +202,14 @@ def run_message_passing(net, omega=0.5, t_max=500):
     else), so each run keeps both in an ``lru_cache`` of ``REUSE_DEPTH``
     entries keyed by their input's bytes; no run reuses another's work.
 
-    The loop is ``allocation.iterate``.  The cycle key of an iteration is
+    The loop is ``allocation.solve``.  The cycle key of an iteration is
     its ``(delta, shift)`` pair, and ``CycleWatch`` confirms a period on
     both message tables and the allocation, bit for bit, a period later.
 
     ``info`` keys: ``message_deltas`` (the max-norm message step of each
     iteration), ``message_converged_at`` (the first iteration whose
     step fell below the tolerance, or None) and ``cycle``, as
-    ``iterate`` returns it.
+    ``solve`` defines it.
     """
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
@@ -276,14 +276,8 @@ def run_message_passing(net, omega=0.5, t_max=500):
         return x_t, delta, False, watch.step((delta, shift),
                                              (new_tx, new_res, x_t.rb, x_t.level))
 
-    allocations, deltas, iterations, converged, cycle = iterate(step, t_max)
-    return SolverResult(
-        allocation=allocations[-1],
-        iterations=iterations,
-        converged=converged,
-        messages=iterations * 2 * K * N * L,
-        # Replayed deltas copy computed ones, so the first hit was computed.
-        info={"message_deltas": deltas,
-              "message_converged_at": next((t for t, d in enumerate(deltas, 1) if d < tol), None),
-              "cycle": cycle},
-    )
+    # Replayed deltas copy computed ones, so the first hit was computed.
+    return solve(step, t_max, 2 * K * N * L, lambda _, deltas, cycle: dict(
+        message_deltas=deltas,
+        message_converged_at=next((t for t, d in enumerate(deltas, 1) if d < tol), None),
+        cycle=cycle))

@@ -134,10 +134,6 @@ class ScenarioConfig:
     def num_tx(self):
         return self.num_sbs + self.num_d2d
 
-    @property
-    def num_levels(self):
-        return len(self.power_levels)
-
     def i_max_array(self):
         if isinstance(self.i_max, tuple):
             return np.asarray(self.i_max, dtype=float)

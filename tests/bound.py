@@ -16,15 +16,22 @@ Set", and the MILP's "bound" then lands above its own LP relaxation.
 ``best_response`` is a reference row below the bound: a centralized
 best response from the empty allocation (Monderer & Shapley, *Potential
 Games*, 1996), which each solver's rate is read next to.
+``priced_response`` is a second, distributed one: each transmitter's best
+response to a per-RB interference price that the MBS moves by the
+measured overage, dual decomposition of the cap rows (Palomar & Chiang,
+IEEE JSAC 2006).
 """
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from hetalloc.allocation import Allocation
+from hetalloc import netmodel
+from hetalloc.allocation import Allocation, is_feasible
 
 MARGIN = 1e-12  # relative: the cap each RB stays under, and the gain a switch needs
+THETA = 0.2  # relative: the gain over its current score a priced move needs
+STEP = 0.2  # the price step per unit of relative overage
 
 
 def rate_bound(net, integral):
@@ -101,3 +108,46 @@ def best_response(net):
         if not changed:
             return alloc, True
     return alloc, False
+
+
+def priced_response(net, t_max=100):
+    """The first best repaired iterate, by ``is_feasible(...).sum_rate``, of
+    ``t_max`` priced best-response rounds from the empty allocation.
+
+    Every price ``lam[n]`` starts at 0.  In a round each transmitter k
+    scores each (n, l) whose own load ``ref_p[k, n, l]`` is under
+    ``i_max[n]`` as ``B * log2(1 + gamma_k(n, l)) / 1e6 - lam[n] *
+    ref_p[k, n, l] / i_max[n]``, gamma from ``gamma_table`` under the
+    previous round's allocation.  All at once, k moves to its first argmax
+    (flat n*L + l) when that score is positive and beats k's current score
+    (0 for a silent k) by more than ``THETA`` relative, and a holder whose
+    current score is <= 0 leaves otherwise.  The MBS then measures each
+    RB's load I_n and sets ``lam[n] = max(0, lam[n] + STEP * (I_n /
+    i_max[n] - 1))``.  There is no stop rule.
+    """
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    rows = np.arange(K)
+    fits = net.ref_p < net.i_max[:, None]  # (K, N, L)
+    price = net.ref_p / net.i_max[:, None]
+    alloc, lam = Allocation(K), np.zeros(N)
+    best, best_rate = None, -np.inf
+    for _ in range(t_max):
+        rx_int = netmodel._interference_maps(net, alloc)[0]
+        gamma = netmodel.gamma_table(net, rx_int).reshape(L, K, N).transpose(1, 2, 0)
+        score = net.rb_bandwidth * np.log2(1.0 + gamma) / 1e6 - lam[:, None] * price
+        score = np.where(fits, score, -np.inf).reshape(K, -1)
+        top = score.argmax(axis=1)
+        peak = score[rows, top]
+        held = alloc.rb >= 0
+        current = np.where(held, score[rows, np.where(held, alloc.rb * L + alloc.level, 0)], 0.0)
+        move = (peak > 0.0) & (peak > np.maximum(current, 0.0) * (1 + THETA))
+        leave = held & ~move & (current <= 0.0)
+        alloc.rb[move], alloc.level[move] = np.divmod(top[move], L)
+        alloc.rb[leave] = alloc.level[leave] = -1
+        load = netmodel.interference_vector(net, alloc)
+        lam = np.maximum(0.0, lam + STEP * (load / net.i_max - 1.0))
+        candidate = netmodel.repair(net, alloc.copy())
+        rate = is_feasible(net, candidate).sum_rate
+        if rate > best_rate:
+            best, best_rate = candidate, rate
+    return best

@@ -157,7 +157,7 @@ def test_criterion_4_stability(matching_suite):
 
 
 def test_criterion_5_matching_termination_bound(matching_suite):
-    bound = DESK.num_tx * DESK.num_rb * DESK.num_levels
+    bound = DESK.num_tx * DESK.num_rb * len(DESK.power_levels)
     worst = 0
     over = []
     for seed, _net, res in matching_suite:

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
-from hetalloc import allocation
+from hetalloc import allocation, matching
 from hetalloc.allocation import (Allocation, OracleBudgetError,
                                  exhaustive_search, is_feasible, oracle_cost,
                                  search_space_size, start_alignment, sum_rate)
+from hetalloc.auction import repaired_last
 from hetalloc.harness import SOLVERS, load_scenario, run_experiment
 from hetalloc.msgpass import CycleWatch
 from hetalloc.netmodel import build_topology
@@ -337,16 +338,24 @@ def scripted(periods, done_at=None):
     return step, calls
 
 
+def loop(step, t_max):
+    """``solve``'s loop as ``(outputs, records, iterations, converged, cycle)``."""
+    res = allocation.solve(step, t_max, 1, lambda *logs: logs)
+    outputs, records, cycle = res.info
+    assert res.messages == res.iterations
+    return outputs, records, res.iterations, res.converged, cycle
+
+
 def test_iterate_stops_at_done_without_replay():
     step, calls = scripted({}, done_at=3)
-    assert allocation.iterate(step, 10) == (["o1", "o2", "o3"], [10, 20, 30], 3, True, None)
+    assert loop(step, 10) == (["o1", "o2", "o3"], [10, 20, 30], 3, True, None)
     assert calls == [1, 2, 3]
 
 
 def test_iterate_replays_a_period_in_phase():
     # Period 2 confirmed at t = 5: iterations 6..10 repeat 4, 5, 4, 5, 4.
     step, calls = scripted({5: 2})
-    outputs, records, iterations, converged, cycle = allocation.iterate(step, 10)
+    outputs, records, iterations, converged, cycle = loop(step, 10)
     assert calls == [1, 2, 3, 4, 5]
     assert outputs == [f"o{t}" for t in (1, 2, 3, 4, 5, 4, 5, 4, 5, 4)]
     assert records == [10 * t for t in (1, 2, 3, 4, 5, 4, 5, 4, 5, 4)]
@@ -356,8 +365,8 @@ def test_iterate_replays_a_period_in_phase():
 
 def test_iterate_ignores_a_period_found_at_t_max():
     step, calls = scripted({5: 2})
-    assert allocation.iterate(step, 5) == ([f"o{t}" for t in range(1, 6)],
-                                           [10 * t for t in range(1, 6)], 5, False, None)
+    assert loop(step, 5) == ([f"o{t}" for t in range(1, 6)],
+                             [10 * t for t in range(1, 6)], 5, False, None)
     assert calls == [1, 2, 3, 4, 5]
 
 
@@ -366,7 +375,7 @@ def test_iterate_ignores_a_period_found_at_t_max():
                          ids=["done", "period", "neither"])
 def test_iterate_one_iteration(done_at, periods, converged):
     step, calls = scripted(periods, done_at)
-    assert allocation.iterate(step, 1) == (["o1"], [10], 1, converged, None)
+    assert loop(step, 1) == (["o1"], [10], 1, converged, None)
     assert calls == [1]
 
 
@@ -374,7 +383,7 @@ def test_iterate_one_iteration(done_at, periods, converged):
 def test_iterate_checks_t_max_before_any_step(t_max):
     step, calls = scripted({})
     with pytest.raises(ValueError, match="^t_max must be"):
-        allocation.iterate(step, t_max)
+        loop(step, t_max)
     assert calls == []
     net = build_topology(make_config())
     for solve in SOLVERS.values():
@@ -395,10 +404,52 @@ def test_iterate_replays_the_steps_cycle_watch_confirms(keys, states, tail):
     def step(t):
         return f"o{t}", t, False, watch.step(keys[t - 1], (np.array([states[t - 1]]),))
 
-    outputs, _, iterations, _, cycle = allocation.iterate(step, len(keys) + 7)
+    outputs, _, iterations, _, cycle = loop(step, len(keys) + 7)
     p = len(tail)
     assert (iterations, cycle) == (len(keys) + 7, (len(keys) + 1, p))
     assert outputs[len(keys) - p:] == [tail[i % p] for i in range(p + 7)]
+
+
+# --- the picks ------------------------------------------------------------------
+
+@pytest.mark.parametrize("periods, done_at, last", [({5: 2}, None, "o4"), ({}, 3, "o3"),
+                                                    ({}, None, "o10")],
+                         ids=["replayed", "done", "t_max"])
+def test_default_pick_is_the_last_output(periods, done_at, last):
+    step, _ = scripted(periods, done_at)
+    res = allocation.solve(step, 10, 1, lambda outputs, *_: outputs)
+    assert res.allocation == last and res.allocation is res.info[-1]
+
+
+def test_matching_pick_takes_the_first_best_computed_round(monkeypatch):
+    # Rounds 1..5 are computed and 6..10 replay 4 and 5: no replayed round
+    # is scored, and o2 comes first of the equal best o2, o3 and o5.
+    scored = []
+
+    def rate(net, x):
+        scored.append(x)
+        return {"o1": 1.0, "o2": 3.0, "o3": 3.0, "o4": 2.0, "o5": 3.0}[x]
+
+    monkeypatch.setattr(matching, "sum_rate", rate)
+    step, _ = scripted({5: 2})
+    res = allocation.solve(step, 10, 1, lambda *_: {}, matching.best_round(None))
+    assert (res.allocation, res.converged) == ("o2", False)
+    assert scored == ["o1", "o2", "o3", "o4", "o5"]
+    scored.clear()
+    step, _ = scripted({}, done_at=3)
+    res = allocation.solve(step, 10, 1, lambda *_: {}, matching.best_round(None))
+    assert (res.allocation, res.converged, scored) == ("o3", True, [])
+
+
+def test_auction_pick_repairs_the_last_output():
+    # Both transmitters on the one RB load it 1.2 + 1.4 >= 2: repair evicts 1.
+    net = two_tx_net(i_max=2.0)
+    outputs = [Allocation(2, [(0, 0), (0, 0)]), Allocation(2, [(0, 0), (0, 0)])]
+    res = allocation.solve(lambda t: (outputs[t - 1], None, t == 2, None), 5, 1,
+                           lambda *_: {}, repaired_last(net))
+    assert res.allocation is outputs[-1] and res.allocation == Allocation(2, [(0, 0), None])
+    assert outputs[0] == Allocation(2, [(0, 0), (0, 0)])
+    assert is_feasible(net, res.allocation).feasible
 
 
 # --- solver start state and layering --------------------------------------
@@ -487,11 +538,47 @@ def test_solver_modules_import_no_other_solver():
         assert not (set(imported_modules(path)) & solvers - {name}), name
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def defined_functions(path):
-    """Names of the functions and methods a source file defines, dunders aside."""
-    return {node.name for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
+    """``(class, name)`` of the functions and methods a source file defines,
+    dunders aside; ``class`` is None outside a class body."""
+    tree = ast.parse(path.read_text())
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    return {(owner.get(id(node)), node.name) for node in ast.walk(tree)
+            if isinstance(node, FUNCTIONS) and not dunder(node.name)}
+
+
+def class_members(path):
+    """``(class, name)`` of every field (an annotated name or a slot),
+    property and method that a source file's class bodies define, dunders
+    aside."""
+    members = set()
+    for c in ast.walk(ast.parse(path.read_text())):
+        for f in c.body if isinstance(c, ast.ClassDef) else ():
+            if isinstance(f, FUNCTIONS):
+                members.add((c.name, f.name))
+            elif isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name):
+                members.add((c.name, f.target.id))
+            elif isinstance(f, ast.Assign) and [ast.unparse(t) for t in f.targets] == ["__slots__"]:
+                members.update((c.name, slot) for slot in ast.literal_eval(f.value))
+    return {(c, name) for c, name in members if not dunder(name)}
+
+
+def attribute_reads(path, qualname):
+    """``ast.unparse`` of every attribute read in the function ``qualname``
+    (``"f"`` or ``"Class.f"``) of a source file."""
+    body = ast.parse(path.read_text()).body
+    *owner, name = qualname.split(".")
+    if owner:
+        body = next(c.body for c in body if isinstance(c, ast.ClassDef) and c.name == owner[0])
+    function = next(f for f in body if isinstance(f, FUNCTIONS) and f.name == name)
+    return {ast.unparse(node) for node in ast.walk(function) if isinstance(node, ast.Attribute)}
 
 
 def referenced_names(path, strings=False):
@@ -509,7 +596,20 @@ def referenced_names(path, strings=False):
 
 # Defined in src/ though neither src/ nor bench/ reaches it, each with why it stays.
 KEPT_UNREACHED = {
-    "macro_sinrs": "the macro tier's SINR table, which tests/test_scale.py reports (ROADMAP item 1)",
+    (None, "macro_sinrs"): "the macro tier's SINR table, which tests/test_scale.py reports "
+                           "(ROADMAP item 1)",
+}
+
+# A class member whose name another src/ class also defines as a field,
+# property or method: a read of that name does not say whose member it
+# reaches, so each names a (file, function, read) that reaches it.
+SHARED_MEMBERS = {
+    ("Allocation", "num_tx"): ("src/hetalloc/allocation.py", "_check_fits", "alloc.num_tx"),
+    ("Network", "num_tx"): ("src/hetalloc/allocation.py", "_check_fits", "net.num_tx"),
+    ("Network", "num_rb"): ("src/hetalloc/allocation.py", "_check_fits", "net.num_rb"),
+    ("Network", "seed"): ("src/hetalloc/netmodel.py", "Network.start_draw", "self.seed"),
+    ("ScenarioConfig", "num_tx"): ("src/hetalloc/netmodel.py", "ScenarioConfig.validate",
+                                   "self.num_tx"),
 }
 
 
@@ -520,5 +620,35 @@ def test_src_defines_only_what_src_or_bench_reaches():
     used = {name for p in src for name in referenced_names(p)}
     used |= {name for p in sorted((ROOT / "bench").glob("*.py"))
              for name in referenced_names(p, strings=True)}
-    unreached = set().union(*map(defined_functions, src)) - used
+    defined = set().union(*map(defined_functions, src))
+    members = set().union(*map(class_members, src))
+    shared = {(c, n) for c, n in defined
+              if c is not None and any(m == n and o != c for o, m in members)}
+    assert shared == set(SHARED_MEMBERS)
+    for (_, name), (path, function, read) in SHARED_MEMBERS.items():
+        assert read.endswith(f".{name}") and read in attribute_reads(ROOT / path, function)
+    unreached = {(c, n) for c, n in defined - shared if n not in used}
     assert unreached == set(KEPT_UNREACHED)
+
+
+def calls_by_function(path, name):
+    """``(file, function)`` for each call of ``name`` in a source file,
+    by the innermost function around it (None at module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+                found.append((path.name, function))
+            visit(child, child.name if isinstance(child, FUNCTIONS) else function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_solve_and_the_oracle_row_build_a_solver_result():
+    # Every runner returns allocation.solve's result; run_experiment wraps
+    # the oracle's allocation as a row of its own.
+    src = sorted((ROOT / "src" / "hetalloc").glob("*.py"))
+    assert sorted(c for p in src for c in calls_by_function(p, "SolverResult")) == [
+        ("allocation.py", "solve"), ("harness.py", "run_experiment")]

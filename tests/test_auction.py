@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import pins
 import reference
 from hetalloc import auction
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
@@ -276,15 +277,11 @@ def auction_bytes_sha256(overrides, t_max):
     return h.hexdigest()
 
 
-# Pinned from the round that copied its benefit planes into a (K, N, L)
-# table and took the runner-up in ``bid_increment`` from a masked copy of
-# the bidders' rows; the row hashes of test_harness see only the
-# allocation and counters, not the prices.
 @pytest.mark.parametrize("overrides, t_max, expected", [
-    (K4, 500, "0183beca7396a84f68a9c4085a431a2676ed52c132d8fb60ee0b70312fa7eff4"),
-    (MID_K10, 500, "2e2c08db28ff7c1dc42b2c8a9fa0bcd556a44dc992eaf81de9cba50c919c940a"),
-    (K50_LOOSE, 100, "e3ccd0fb07c646108f3b92a4fc6b07e6a55e71d7f5e3647c5e248db7654d3d69"),
-    (K50_TIGHT, 100, "d3fe4e160972e5518f610e79d1085f84f9f169a65aca68d89a7dbad74bcd260d"),
+    (K4, 500, pins.AUCTION_BYTES["oracle-k4"]),
+    (MID_K10, 500, pins.AUCTION_BYTES["mid-k10"]),
+    (K50_LOOSE, 100, pins.AUCTION_BYTES["wide-k50-loose"]),
+    (K50_TIGHT, 100, pins.AUCTION_BYTES["wide-k50-tight"]),
 ], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
 def test_golden_auction_bytes(overrides, t_max, expected):
     assert auction_bytes_sha256(overrides, t_max) == expected

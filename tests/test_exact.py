@@ -68,7 +68,7 @@ def cases():
 
 
 CASES = list(cases())
-IDS = [f"K{c.num_tx}-N{c.num_rb}-L{c.num_levels}-cap{c.i_max:g}-s{c.seed}" for c in CASES]
+IDS = [f"K{c.num_tx}-N{c.num_rb}-L{len(c.power_levels)}-cap{c.i_max:g}-s{c.seed}" for c in CASES]
 
 
 @pytest.mark.parametrize("cfg", CASES, ids=IDS)

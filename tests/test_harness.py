@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pins
 import reference
 from hetalloc import auction, cli, harness, matching, msgpass, netmodel
 from hetalloc.allocation import (exhaustive_search, is_feasible, oracle_cost, start_alignment,
@@ -117,7 +118,7 @@ def test_run_experiment_oracle_budget_skip(tmp_path, caplog):
 def test_run_experiment_skips_oracle_exactly_above_its_cost(tmp_path):
     path, _ = write_scenario(tmp_path)
     cfg = load_scenario(path)
-    cost = oracle_cost(cfg.num_tx, cfg.num_rb, cfg.num_levels)
+    cost = oracle_cost(cfg.num_tx, cfg.num_rb, len(cfg.power_levels))
     for budget, runs in ((cost, True), (cost - 1, False)):
         rows = run_experiment(cfg, algorithms=["msgpass"], seeds=[0], with_oracle=True,
                               budget=budget)
@@ -366,32 +367,12 @@ def test_oracle_budget_rejects_non_integers(monkeypatch, raw):
         harness.oracle_budget()
 
 
-# Rows of run_experiment on scenarios/default.json, seeds 0..19, every
-# solver, wall time blanked; pinned so that a change meant to be a pure
-# speed-up cannot move any answer.
-GOLDEN_DEFAULT_ROWS_SHA256 = "759f14719a72543e5ea5f2329de4388abac35e49171c2b6a1848337ee8edc06c"
-# The same with the oracle, on default.json (seeds 0..19) and on the K=4,
-# N=4, L=3 drops of bench/run.py's oracle-k4 workload (seeds 0..39); both
-# hashes come from the full-enumeration oracle, re-pinned when the oracle
-# row's rate and the gaps came to be read from is_feasible's report.
-GOLDEN_DEFAULT_ORACLE_ROWS_SHA256 = (
-    "83ea984fb80ed86c8f2c37f815ca5f78690108aa70b2188402498ea001b49558")
-GOLDEN_K4_ORACLE_ROWS_SHA256 = "f8d93aad314fe8d1274a8b16a68fd2b576d82dec6f53b732f7d471dd4a1a5b51"
+# The overrides of bench/run.py's oracle-k4, wide-k50-loose, wide-k50-tight
+# and mid-k10 workloads; tests/pins.py holds the digests their pools pin.
 K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
-# Message passing and the auction at K=50, N=25, L=4 under the loose cap of
-# bench/run.py's wide-k50-loose workload, seeds 0..4, t_max=100; pinned
-# from the auction that bid one transmitter at a time.
-GOLDEN_K50_ROWS_SHA256 = "e092b5c0070de361f9570010a804fc9ce036a88be4816997b6d3d3aec0741076"
 K50_LOOSE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.2, 1.0),
                  i_max=1e-6)
-# The same under the tight cap of wide-k50-tight, where most RBs are over
-# their cap at every repair; pinned from the repair that scanned every RB.
-GOLDEN_K50_TIGHT_ROWS_SHA256 = "474dd8469feeaba59f7b56104010a7cf59d38b312689ea2cee9ceb413ff8ccc9"
 K50_TIGHT = dict(K50_LOOSE, i_max=1e-8)
-# All three solvers on the K=10, N=8, L=3 drops of bench/run.py's mid-k10
-# workload, seeds 0..39, t_max=500; pinned from the matching that ranked
-# with per-entry profile lists.
-GOLDEN_MID_K10_ROWS_SHA256 = "a265c2fdd4372e80415dbe9992f00c0fc9e95610773622f2f715e74c6368708a"
 MID_K10 = dict(num_sbs=6, num_d2d=4, num_rb=8, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
 
 
@@ -406,12 +387,12 @@ def rows_sha256(rows):
 def test_golden_answers_default_scenario():
     rows = run_experiment(load_scenario(SCENARIOS / "default.json"), seeds=range(20))
     assert len(rows) == 60
-    assert rows_sha256(rows) == GOLDEN_DEFAULT_ROWS_SHA256
+    assert rows_sha256(rows) == pins.GOLDEN_DEFAULT_ROWS_SHA256
 
 
 @pytest.mark.parametrize("overrides, seeds, expected", [
-    ({}, range(20), GOLDEN_DEFAULT_ORACLE_ROWS_SHA256),
-    (K4, range(40), GOLDEN_K4_ORACLE_ROWS_SHA256),
+    ({}, range(20), pins.GOLDEN_DEFAULT_ORACLE_ROWS_SHA256),
+    (K4, range(40), pins.GOLDEN_K4_ORACLE_ROWS_SHA256),
 ], ids=["default", "k4"])
 def test_golden_answers_with_oracle(overrides, seeds, expected):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
@@ -428,27 +409,23 @@ def k50_rows(overrides):
 
 
 def test_golden_answers_k50_loose():
-    assert rows_sha256(k50_rows(K50_LOOSE)) == GOLDEN_K50_ROWS_SHA256
+    assert rows_sha256(k50_rows(K50_LOOSE)) == pins.GOLDEN_K50_ROWS_SHA256
 
 
 def test_golden_answers_k50_tight():
-    assert rows_sha256(k50_rows(K50_TIGHT)) == GOLDEN_K50_TIGHT_ROWS_SHA256
+    assert rows_sha256(k50_rows(K50_TIGHT)) == pins.GOLDEN_K50_TIGHT_ROWS_SHA256
 
 
 def test_golden_answers_mid_k10():
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
     rows = run_experiment(cfg, seeds=range(40), t_max=500)
     assert len(rows) == 120
-    assert rows_sha256(rows) == GOLDEN_MID_K10_ROWS_SHA256
+    assert rows_sha256(rows) == pins.GOLDEN_MID_K10_ROWS_SHA256
 
 
-# Every solver and the oracle on default.json drops with one RB and one
-# power level (1 W), seeds 0..19, at K=1 (one SBS) and at K=5: every
-# message sweep line, bid row and gain_rows block there has one entry.
 @pytest.mark.parametrize("overrides, nonzero, expected", [
-    (dict(num_sbs=1, num_d2d=0), 56,
-     "a06847ad058e20f76169375848ee9bd545cba7ad74f9e6a8be83bfcd4cee00eb"),
-    ({}, 64, "4f67c25368e2660f6fc93c1f6c71993e24a8f78232852859e2a860915f9d938a"),
+    (dict(num_sbs=1, num_d2d=0), 56, pins.ONE_ENTRY_ROWS["k1"]),
+    ({}, 64, pins.ONE_ENTRY_ROWS["k5"]),
 ], ids=["k1", "k5"])
 def test_golden_answers_one_entry_lines(overrides, nonzero, expected):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), num_rb=1,
@@ -473,16 +450,11 @@ def test_no_fitting_transmitter_left_silent():
     assert not any(fit for _silent, fit in counts.values()), counts
 
 
-# sha256 over reference.checksum of each bench/run.py pool drop (seeds
-# 0..39), pinned from the topology build that placed receivers one scalar
-# try at a time and took distances with np.linalg.norm (now
-# reference.build_topology); the placement in array blocks keeps them.
-# The cap does not enter the drop, so both K=50 pools hash alike.
 @pytest.mark.parametrize("overrides, expected", [
-    (K4, "6ed4019b6a7de82a5096005a5093eb9c3cb2d1dc476d2a82a4dd5c494cb16a87"),
-    (MID_K10, "eb137da997bfd822ec111c0872c565af295069eb2a54e163b99d7f326811d21e"),
-    (K50_LOOSE, "7665bb632a28e1917af81b9f9d6de3437155964655ae2681ad8816af9a6994bc"),
-    (K50_TIGHT, "7665bb632a28e1917af81b9f9d6de3437155964655ae2681ad8816af9a6994bc"),
+    (K4, pins.TOPOLOGY["oracle-k4"]),
+    (MID_K10, pins.TOPOLOGY["mid-k10"]),
+    (K50_LOOSE, pins.TOPOLOGY["wide-k50-loose"]),
+    (K50_TIGHT, pins.TOPOLOGY["wide-k50-tight"]),
 ], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
 def test_golden_topology(overrides, expected):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
@@ -506,14 +478,11 @@ def derived_digest(cfg):
     return h.hexdigest()
 
 
-# derived_digest of each bench/run.py pool, pinned from the drops that the
-# make_network factory assembled; i_max enters it, so the two K=50 pools
-# hash differently.
 @pytest.mark.parametrize("overrides, expected", [
-    (K4, "0ae7ffffb977adf69ff0be8a0f8100939d728de33466e7fbde879592d49dc5be"),
-    (MID_K10, "05939bae9ffbd585ae274a392cb1b4411d81c7ad5564ad301eab516aca9ff153"),
-    (K50_LOOSE, "b39e8e4da631eb843749e874bba07f0990a0daf9cb82cf29ce1b7207a432f127"),
-    (K50_TIGHT, "2693edb9340bca7c827ade1a495e96972037d2d8e6a272922ed15138cd7ff54d"),
+    (K4, pins.DERIVED_FIELDS["oracle-k4"]),
+    (MID_K10, pins.DERIVED_FIELDS["mid-k10"]),
+    (K50_LOOSE, pins.DERIVED_FIELDS["wide-k50-loose"]),
+    (K50_TIGHT, pins.DERIVED_FIELDS["wide-k50-tight"]),
 ], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
 def test_golden_derived_fields(overrides, expected):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)

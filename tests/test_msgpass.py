@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import pins
 import reference
 from hetalloc import msgpass, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
@@ -485,16 +486,11 @@ def message_bytes_sha256(overrides, t_max):
     return h.hexdigest()
 
 
-# Pinned from the sweeps that took the top two by ``np.partition`` and the
-# folds that added with ``np.add.at`` (the oracle-k4 row from the loop that
-# reused only the previous iteration's table and extraction); the row hashes
-# of test_harness see only the allocation and counters, not the message
-# arithmetic.
 @pytest.mark.parametrize("overrides, t_max, expected", [
-    (K4, 500, "747a32e7a843cc01041d636ebd7d9b9101b6474fc681122b0e4a7ba58717df86"),
-    (MID_K10, 500, "7e4709427c4c27cafd0e774bf0d261d0ef2bcc3ffcc28ce364c23257bd72fe84"),
-    (K50_LOOSE, 100, "e91b70a961a10979f9a7ebef1ee95d9072a9a9b9c291792ab48dfbc05a339a49"),
-    (K50_TIGHT, 100, "182b58d63627aebba0e50e5ee713a05878b6b028eb9b44830a3d106a0ef00162"),
+    (K4, 500, pins.MESSAGE_BYTES["oracle-k4"]),
+    (MID_K10, 500, pins.MESSAGE_BYTES["mid-k10"]),
+    (K50_LOOSE, 100, pins.MESSAGE_BYTES["wide-k50-loose"]),
+    (K50_TIGHT, 100, pins.MESSAGE_BYTES["wide-k50-tight"]),
 ], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
 def test_golden_message_bytes(overrides, t_max, expected):
     assert message_bytes_sha256(overrides, t_max) == expected

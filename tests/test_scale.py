@@ -5,14 +5,16 @@ oracle; at K=50 (seeds 0-5, the loose and the tight cap of the
 ``wide-k50-*`` workloads) against the MILP bound of ``bound.py``; at
 K=200 (120 SBSs, 80 D2D pairs, N=50, L=4, seeds 0-1, caps 1e-6 and 1e-8)
 against its LP bound, as no MILP is solved at that size.  Next to the
-solvers, every drop runs ``bound.best_response`` (BR), a centralized
-reference row.  The tests check that the bound is one: at or above every
-rate, BR's included, and the MILP, where there is one, within its LP
-relaxation; at mid-k10 BR stays at or below the oracle.  ``pytest -s``
-prints the report: per size and row, the mean and the minimum ratio, the
-converged count, the minimum MUE SINR (the macro tier's worst RB) and the
-mean per-RB ``I/I_max``, each averaged over the drops.  The report gates
-no ratio yet.
+solvers, every drop runs two reference rows: ``bound.best_response``
+(BR), centralized, and ``bound.priced_response`` (priced), distributed,
+which has no stop rule and so never counts as converged.  The tests
+check that the bound is one: at or above every rate, both reference
+rows' included, and the MILP, where there is one, within its LP
+relaxation; at mid-k10 both reference rows stay at or below the oracle.
+``pytest -s`` prints the report: per size and row, the mean and the
+minimum ratio, the converged count, the minimum MUE SINR (the macro
+tier's worst RB) and the mean per-RB ``I/I_max``, each averaged over the
+drops.  The report gates no ratio yet.
 """
 
 import dataclasses
@@ -21,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from bound import best_response, rate_bound
+from bound import best_response, priced_response, rate_bound
 from hetalloc import netmodel
 from hetalloc.allocation import exhaustive_search, is_feasible
 from hetalloc.harness import SOLVERS, load_scenario
@@ -38,7 +40,7 @@ SIZES = {
     "k200-loose": (K200_LOOSE, range(2), 100, "the LP bound"),
     "k200-tight": (K200_TIGHT, range(2), 100, "the LP bound"),
 }
-ROWS = (*SOLVERS, "br")  # the report's rows
+ROWS = (*SOLVERS, "br", "priced")  # the report's rows
 REL = 1e-9
 
 
@@ -70,6 +72,7 @@ def size(request):
             res = run(net, t_max)
             drop[name] = row(net, res.allocation, res.converged)
         drop["br"] = row(net, *best_response(net))
+        drop["priced"] = row(net, priced_response(net), False)
         if reference == "the oracle":
             drop["oracle"] = row(net, exhaustive_search(net)[0], True)
         drop["ref"] = drop["oracle"][0] if "oracle" in drop else drop["bound"]
@@ -86,14 +89,16 @@ def test_milp_bound_is_within_its_lp_relaxation(size):
 
 
 def test_bound_is_above_every_feasible_rate(size):
-    # The oracle's too, where it runs, and BR stays at or below the oracle.
+    # The oracle's too, where it runs, and both reference rows stay at or
+    # below the oracle.
     _, drops = size
     for d in drops:
         for name in (*ROWS, "oracle"):
             if name in d:
                 assert d[name][0] <= d["bound"] * (1 + REL), (name, d)
         if "oracle" in d:
-            assert d["br"][0] <= d["oracle"][0] * (1 + REL), d
+            for name in ("br", "priced"):
+                assert d[name][0] <= d["oracle"][0] * (1 + REL), (name, d)
 
 
 def test_report(size):
