@@ -1,9 +1,13 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
 from hetalloc import netmodel
 from hetalloc.allocation import start_alignment
 from hetalloc.matching import preference_orders
+from hetalloc.netmodel import build_topology
 
 
 def toy_network(gain_ul, gain_mue, gain_mbs_ul=None, gain_mbs_mue=None,
@@ -49,3 +53,39 @@ def tiny_config():
         power_levels=(0.1, 0.5), mbs_power=10.0, noise_psd=3.98e-21,
         pathloss_exp=3.0, i_max=1e-7, w1=1.0, w2=0.5,
         d2d_max_dist=25.0, sbs_ue_max_dist=35.0)
+
+
+# --- drops chosen by the path they test -----------------------------------
+
+@functools.lru_cache(maxsize=None)
+def drops_where(cfg, path, seeds=range(40)):
+    """The seeds in ``seeds`` whose drop of ``cfg`` shows ``path``, computed
+    once per session.
+
+    A test that needs a drop on some path (a cycle, an eviction, a blocked
+    bid, a zero-gap hit) takes its drops from here instead of naming seeds,
+    and fails when the range holds none.  ``path(net)`` reads only the
+    observable the test names, never a rate or a ratio, so a change that
+    moves answers re-pins tests/pins.py alone, and one that removes the
+    path fails the test rather than skipping it."""
+    return tuple(s for s in seeds if path(build_topology(dataclasses.replace(cfg, seed=s))))
+
+
+def drop_params(path, cases, seeds=range(40)):
+    """One pytest param per drop that shows ``path``: the drop's config.
+    ``cases`` maps an id prefix to a base config, and each param's id is
+    its prefix and seed.  When no drop shows the path, the one param is
+    marked ``no_drop`` and fails in setup."""
+    params = [pytest.param(dataclasses.replace(cfg, seed=s), id=f"{prefix}{s}")
+              for prefix, cfg in cases.items() for s in drops_where(cfg, path, seeds)]
+    return params or [pytest.param(None, id=f"no-{path.__name__}-drop-in-{min(seeds)}..{max(seeds)}",
+                                   marks=pytest.mark.no_drop)]
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "no_drop: the seed range holds no drop on the test's path")
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("no_drop"):
+        pytest.fail(f"{item.name}: the seed range holds no drop on this path")

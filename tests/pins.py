@@ -76,6 +76,11 @@ BENCH_ANSWERS = {
     "wide-k50-tight": "e1d93a682f2986d46aff4722a9d92591949a11c12d520ac28b597e57479d910b",
 }
 
+# test_exact.test_blocking_scan_equals_profile_scan: the inner matchings
+# that run_stable_matching computes on criterion 4's 100 drops, from the
+# random start draw.
+BLOCKING_SCAN_MATCHINGS = 543
+
 # --- drops ---------------------------------------------------------------------
 
 # sha256 over reference.checksum of each pool drop, pinned from the

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
@@ -22,6 +23,8 @@ from hetalloc.harness import (SOLVERS, RunMetrics, ScenarioFormatError, load_sce
 from hetalloc.matching import run_stable_matching
 from hetalloc.msgpass import run_message_passing
 from hetalloc.netmodel import ConfigError, build_topology
+
+from conftest import drops_where
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -252,33 +255,38 @@ def test_solver_steps_call_the_traced_sites(monkeypatch):
     # zero its per-layer metric.  Matching confirms its cycle on the first
     # round whose allocation repeats an earlier one (the start state
     # included), computes no round after it and replays from the next.
-    from test_matching import MID_K10_OSCILLATING
+    from test_matching import matching_cycles
 
     calls = count_calls(monkeypatch, TRACED_STEPS)
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
-    for seed in MID_K10_OSCILLATING:
+    seeds = drops_where(MID_K10_POOL, matching_cycles)
+    assert seeds
+    for seed in seeds:
         calls.clear()
-        run_experiment(cfg, seeds=[seed], t_max=500)
+        run_experiment(MID_K10_POOL, seeds=[seed], t_max=500)
         assert all(calls[f"{o.__name__}.{a}"] for o, a in TRACED_STEPS), calls
         rounds = calls["hetalloc.matching.match_alignments"]
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = build_topology(dataclasses.replace(MID_K10_POOL, seed=seed))
         assert rounds == run_stable_matching(net, t_max=500).info["cycle"][0] - 1
         x = [start_alignment(net)] + reference.run_stable_matching(net, rounds).info["allocations"]
         assert rounds == next(r for r in range(1, len(x)) if x[r] in x[:r])
+
+
+def auction_runs_three_rounds(net):
+    return run_auction(net, t_max=500).iterations >= 3
 
 
 @pytest.mark.parametrize("t_max", [500, 2])
 def test_auction_prices_each_round_through_the_traced_tables(monkeypatch, t_max):
     # run_auction builds the benefit planes once for its start state and
     # once after every round that bid before t_max, and the cost planes
-    # once; the row's evaluation builds no table.
-    from test_matching import MID_K10_OSCILLATING
-
+    # once; the row's evaluation builds no table.  Its drops bid past round
+    # two, so t_max 2 cuts off a run that is still bidding.
     calls = count_calls(monkeypatch, [(netmodel, "benefit_table"), (netmodel, "cost_table")])
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
-    for seed in MID_K10_OSCILLATING:
+    seeds = drops_where(MID_K10_POOL, auction_runs_three_rounds)
+    assert seeds
+    for seed in seeds:
         calls.clear()
-        [row] = run_experiment(cfg, seeds=[seed], t_max=t_max, algorithms=["auction"])
+        [row] = run_experiment(MID_K10_POOL, seeds=[seed], t_max=t_max, algorithms=["auction"])
         assert calls["hetalloc.netmodel.benefit_table"] == row.iterations, (seed, calls)
         assert calls["hetalloc.netmodel.cost_table"] == 1, (seed, calls)
 
@@ -374,6 +382,10 @@ K50_LOOSE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.
                  i_max=1e-6)
 K50_TIGHT = dict(K50_LOOSE, i_max=1e-8)
 MID_K10 = dict(num_sbs=6, num_d2d=4, num_rb=8, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
+# The base configs of three pools, for drops_where.
+K4_POOL, MID_K10_POOL, K50_TIGHT_POOL = (
+    dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    for overrides in (K4, MID_K10, K50_TIGHT))
 
 
 def rows_sha256(rows):
@@ -489,6 +501,17 @@ def test_golden_derived_fields(overrides, expected):
     assert derived_digest(cfg) == expected
 
 
+def test_pins_hold_every_digest():
+    # Every pinned digest lives in tests/pins.py, so a change that moves
+    # answers on purpose re-pins that one file.
+    digest = re.compile(r"\b[0-9a-f]{64}\b")
+    paths = [p for p in (ROOT / "tests").glob("*.py") if p.name != "pins.py"]
+    paths.append(ROOT / ".github" / "workflows" / "tests.yml")
+    stray = {p.name: digest.findall(p.read_text()) for p in paths}
+    assert not {name: found for name, found in stray.items() if found}
+    assert digest.findall((ROOT / "tests" / "pins.py").read_text())
+
+
 def test_each_row_computes_its_sinrs_once(monkeypatch):
     # Count the SINR lists run_experiment computes to evaluate its rows,
     # not those a solver or the oracle computes while it runs.
@@ -532,15 +555,25 @@ def test_rows_take_rate_and_benefit_from_one_report():
             assert r.sum_rate == report.sum_rate == sum_rate(net, alloc)
 
 
-# Rows of a solver that returns the oracle's own allocation: on oracle-k4
-# seed 7, and on default.json cut to one RB and one power level (K=5).
-@pytest.mark.parametrize("overrides, hits", [
-    (K4, [(7, "matching"), (7, "auction")]),
-    (dict(num_rb=1, power_levels=(1.0,)),
-     [(0, "auction"), (3, "auction"), (4, "matching"), (4, "auction")]),
+def returns_the_oracle(name, net):
+    return SOLVERS[name](net, 500).allocation == exhaustive_search(net)[0]
+
+
+# One drop selector per solver, made once so that drops_where caches by it.
+ON_THE_ORACLE = {name: functools.partial(returns_the_oracle, name) for name in SOLVERS}
+
+
+# Rows of a solver that returns the oracle's own allocation: on the
+# oracle-k4 pool, and on default.json cut to one RB and one power level (K=5).
+@pytest.mark.parametrize("overrides, seed_range", [
+    (K4, range(40)),
+    (dict(num_rb=1, power_levels=(1.0,)), range(20)),
 ], ids=["oracle-k4", "k5-one-entry"])
-def test_solver_on_the_oracle_allocation_has_zero_gap(overrides, hits):
+def test_solver_on_the_oracle_allocation_has_zero_gap(overrides, seed_range):
     cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    hits = [(seed, name) for name, path in ON_THE_ORACLE.items()
+            for seed in drops_where(cfg, path, seed_range)]
+    assert hits
     seeds = sorted({seed for seed, _ in hits})
     rows = {(r.seed, r.algorithm): r
             for r in run_experiment(cfg, seeds=seeds, with_oracle=True)}

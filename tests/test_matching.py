@@ -9,22 +9,18 @@ from hetalloc import matching, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate)
 from hetalloc.matching import match_alignments, preference_orders, run_stable_matching
-from hetalloc.harness import load_scenario
 from hetalloc.netmodel import build_topology, utility_table
 
-from conftest import round_orders, toy_network
+from conftest import drop_params, drops_where, round_orders, toy_network
 from test_exact import order_bytes, order_keys
-from test_harness import K4, MID_K10, SCENARIOS
+from test_harness import K4_POOL, MID_K10_POOL
 from test_netmodel import make_config
 
-# Drops of bench/run.py's mid-k10 workload whose matching never converges:
-# from round 3-6 on, every allocation equals the one two rounds back.
-MID_K10_OSCILLATING = (7, 15, 23, 24, 31, 35, 38)
 
-
-def mid_k10_net(seed):
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
-    return build_topology(dataclasses.replace(cfg, seed=seed))
+def matching_cycles(net):
+    """The drop's matching never converges: from some round on, every
+    allocation equals one computed before it, and the run replays them."""
+    return run_stable_matching(net, t_max=500).info["cycle"] is not None
 
 
 def contention_net():
@@ -266,9 +262,11 @@ def assert_same_run(got, want):
     assert len(got.info["allocations"]) == got.iterations
 
 
-@pytest.mark.parametrize("seed", MID_K10_OSCILLATING)
-def test_replay_equals_full_loop(seed):
-    net = mid_k10_net(seed)
+# The ids of mid-k10 drops are their bare seeds.
+@pytest.mark.parametrize("cfg", drop_params(matching_cycles, {"": MID_K10_POOL,
+                                                              "oracle-k4-": K4_POOL}))
+def test_replay_equals_full_loop(cfg):
+    net = build_topology(cfg)
     first, period = run_stable_matching(net, t_max=500).info["cycle"]
     assert period == 2 and first <= 8
     # first - 1 finds the repeat in its last round and replays nothing;
@@ -290,8 +288,11 @@ def test_oscillating_drop_computes_few_rounds(monkeypatch):
         calls.append(1)
         return original(net, alloc)
 
+    seeds = drops_where(MID_K10_POOL, matching_cycles)
+    assert seeds
     monkeypatch.setattr(netmodel, "utility_table", counting)
-    res = run_stable_matching(mid_k10_net(7), t_max=500)
+    res = run_stable_matching(build_topology(dataclasses.replace(MID_K10_POOL, seed=seeds[0])),
+                              t_max=500)
     assert (res.iterations, res.converged) == (500, False)
     assert len(res.info["proposals_per_round"]) == 500
     assert len(calls) <= 10
@@ -307,10 +308,10 @@ def test_only_unconverged_runs_score_their_computed_rounds(monkeypatch):
         return sum_rate(net, alloc)
 
     monkeypatch.setattr(matching, "sum_rate", counting)
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **K4)
     for seed in range(40):
         calls.clear()
-        res = run_stable_matching(build_topology(dataclasses.replace(cfg, seed=seed)), t_max=500)
+        res = run_stable_matching(build_topology(dataclasses.replace(K4_POOL, seed=seed)),
+                                  t_max=500)
         cycle = res.info["cycle"]
         want = 0 if res.converged else cycle[0] - 1 if cycle else res.iterations
         assert len(calls) == want, seed

@@ -14,8 +14,9 @@ from hetalloc.msgpass import (CycleWatch, MessageState, extract_allocation, prop
                               res_sweep, run_message_passing, tx_sweep)
 from hetalloc.netmodel import build_topology, utility_table
 
-from conftest import toy_network
-from test_harness import K4, K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
+from conftest import drop_params, drops_where, toy_network
+from test_harness import (K4, K4_POOL, K50_LOOSE, K50_TIGHT, K50_TIGHT_POOL, MID_K10,
+                          MID_K10_POOL, SCENARIOS)
 from test_netmodel import make_config
 
 
@@ -281,26 +282,56 @@ def test_run_equals_full_loop_on_workload_drops(overrides, t_max):
         assert got.info == want.info
 
 
+def extractions(net):
+    """{proposal bytes: allocation bytes} of every extraction that
+    ``run_message_passing(net)`` computes."""
+    done, extract = {}, msgpass.extract_allocation
+
+    def logging_extract(state, net, best):
+        alloc = extract(state, net, best)
+        done[proposal(state.tau).tobytes()] = alloc.rb.tobytes() + alloc.level.tobytes()
+        return alloc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(msgpass, "extract_allocation", logging_extract)
+        run_message_passing(net)
+    return done
+
+
+def caps_share_keys(net):
+    """The drop and its twin at cap 1e-8 start alike, so their first table
+    keys are byte-equal, and the two runs extract some proposal alike where
+    repair under the two caps differs."""
+    twin = build_topology(dataclasses.replace(net.config, i_max=1e-8))
+    if start_alignment(net) != start_alignment(twin):
+        return False
+    mine, theirs = extractions(net), extractions(twin)
+    return any(mine[key] != theirs[key] for key in mine.keys() & theirs.keys())
+
+
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["loose-first", "tight-first"])
 def test_no_run_reuses_another_drops_work(order):
     # Two mid-k10 drops of one seed that differ only in the cap: their start
     # allocations, and so the first table keys, are byte-equal, while their
     # utility tables differ.  A cache shared across runs and keyed by bytes
-    # alone would hand the second run the first one's table; on seed 10 the
-    # runs also propose alike where repair under the two caps differs, so a
+    # alone would hand the second run the first one's table; these runs
+    # also propose alike where repair under the two caps differs, so a
     # shared extraction cache fails here too.
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), seed=10, **MID_K10)
-    nets = [build_topology(dataclasses.replace(cfg, i_max=cap)) for cap in (1e-7, 1e-8)]
-    starts = [start_alignment(net) for net in nets]
-    assert starts[0] == starts[1]
-    assert not np.array_equal(utility_table(nets[0], starts[0]),
-                              utility_table(nets[1], starts[1]))
-    for i in order:
-        got = run_message_passing(nets[i])
-        want = reference.run_message_passing(nets[i])
-        assert got.allocation == want.allocation
-        assert got.iterations == want.iterations
-        assert got.info["message_deltas"] == want.info["message_deltas"]
+    seeds = drops_where(MID_K10_POOL, caps_share_keys)
+    assert seeds
+    for seed in seeds:
+        cfg = dataclasses.replace(MID_K10_POOL, seed=seed)
+        nets = [build_topology(dataclasses.replace(cfg, i_max=cap)) for cap in (1e-7, 1e-8)]
+        starts = [start_alignment(net) for net in nets]
+        assert starts[0] == starts[1]
+        assert not np.array_equal(utility_table(nets[0], starts[0]),
+                                  utility_table(nets[1], starts[1]))
+        for i in order:
+            got = run_message_passing(nets[i])
+            want = reference.run_message_passing(nets[i])
+            assert got.allocation == want.allocation, seed
+            assert got.iterations == want.iterations, seed
+            assert got.info["message_deltas"] == want.info["message_deltas"], seed
 
 
 @pytest.mark.parametrize("overrides, t_max", WORKLOADS,
@@ -365,17 +396,20 @@ def test_cycle_watch_compares_bits():
     assert found == [None, None, None, 1]
 
 
-# Drops of bench/run.py's mid-k10 and oracle-k4 workloads on which the
-# messages fall into an exact cycle of period 2-10 after 140-280 iterations.
-CYCLING = [(MID_K10, s) for s in (4, 20, 22, 38)] + [(K4, s) for s in (14, 17, 39)]
+def messages_cycle(net):
+    """The drop's messages fall into an exact cycle, which the run replays."""
+    return run_message_passing(net, t_max=500).info["cycle"] is not None
 
 
-def lru_misses(keys, depth):
+def lru_misses(keys, depth, refresh=True):
     """How many of ``keys`` are absent from the last ``depth`` distinct
-    keys before them."""
+    keys before them.  With ``refresh=False`` a hit leaves its key where it
+    was, so the window drops its oldest entry: first in, first out."""
     window, misses = [], 0
     for key in keys:
         if key in window:
+            if not refresh:
+                continue
             window.remove(key)
         else:
             misses += 1
@@ -390,6 +424,9 @@ def test_lru_misses_hand_sequence():
     assert lru_misses("abcadea", 2) == 7
     assert lru_misses("abab", 2) == 2
     assert lru_misses("aaaa", 1) == 1
+    # First in, first out: a's second use leaves it oldest, so e pushes it
+    # out before step 7.
+    assert lru_misses("abcadea", 4, refresh=False) == 6
 
 
 def record_inputs(monkeypatch):
@@ -425,12 +462,10 @@ def assert_window_counts(net, tables, proposals, t_max):
     return computed, (len(tables), len(proposals))
 
 
-@pytest.mark.parametrize("overrides, seed", CYCLING,
-                         ids=[f"mid-k10-{s}" for s in (4, 20, 22, 38)]
-                         + [f"oracle-k4-{s}" for s in (14, 17, 39)])
-def test_replay_equals_full_loop(monkeypatch, overrides, seed):
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
-    net = build_topology(dataclasses.replace(cfg, seed=seed))
+@pytest.mark.parametrize("cfg", drop_params(messages_cycle, {"mid-k10-": MID_K10_POOL,
+                                                             "oracle-k4-": K4_POOL}))
+def test_replay_equals_full_loop(monkeypatch, cfg):
+    net = build_topology(cfg)
     tables, proposals = record_inputs(monkeypatch)
     sweeps, tx_sweep = [], msgpass.tx_sweep
 
@@ -455,13 +490,20 @@ def test_replay_equals_full_loop(monkeypatch, overrides, seed):
         assert got.info == want.info
 
 
-# Drops of wide-k50-tight whose allocations revisit a state after three or
-# more others, so a window that dropped its oldest entry instead of its least
-# recently used one would compute more tables or extractions.
-@pytest.mark.parametrize("seed", [0, 3])
-def test_window_drops_least_recently_used(monkeypatch, seed):
-    cfg = load_scenario(SCENARIOS / "default.json")
-    net = build_topology(dataclasses.replace(cfg, seed=seed, **K50_TIGHT))
+def lru_beats_fifo(net):
+    """Over the full loop's inputs at t_max 100, a window that drops its
+    least recently used entry misses fewer tables or proposals than one
+    that drops its oldest."""
+    with pytest.MonkeyPatch.context() as mp:
+        logs = record_inputs(mp)
+        reference.run_message_passing(net, t_max=100)
+    return any(lru_misses(keys, msgpass.REUSE_DEPTH)
+               < lru_misses(keys, msgpass.REUSE_DEPTH, refresh=False) for keys in logs)
+
+
+@pytest.mark.parametrize("cfg", drop_params(lru_beats_fifo, {"": K50_TIGHT_POOL}, range(10)))
+def test_window_drops_least_recently_used(monkeypatch, cfg):
+    net = build_topology(cfg)
     tables, proposals = record_inputs(monkeypatch)
     res = run_message_passing(net, t_max=100)
     assert res.info["cycle"] is None
