@@ -52,7 +52,7 @@ def _cmd_run(args):
             raise ValueError(f"--out {args.out!r} is a directory")
         if not out.parent.is_dir():
             raise ValueError(f"--out {args.out!r}: directory {str(out.parent)!r} does not exist")
-    except (OSError, ValueError) as exc:  # ScenarioFormatError, ConfigError too
+    except (OSError, ValueError) as exc:  # ConfigError too
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     try:
@@ -73,7 +73,7 @@ def _cmd_run(args):
 def _cmd_validate(args):
     try:
         harness.load_scenario(args.scenario)
-    except (harness.ScenarioFormatError, ConfigError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     print("ok")

@@ -50,10 +50,6 @@ SOLVERS = {
 }
 
 
-class ScenarioFormatError(ValueError):
-    """The scenario file does not match the expected JSON schema."""
-
-
 @dataclass
 class RunMetrics:
     """One CSV row: the fields are in ``CSV_HEADER``'s order."""
@@ -80,27 +76,28 @@ def load_scenario(path):
 
     The object must carry exactly the ScenarioConfig field names
     (``rb_bandwidth`` may be omitted and defaults to 180 kHz); unknown
-    keys are rejected by name, missing keys likewise.
+    keys are rejected by name, missing keys likewise.  Every rejection is
+    a ConfigError.
     """
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or an int too long to convert
-            raise ScenarioFormatError(f"{path}: not valid JSON: {exc}") from exc
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ScenarioFormatError(f"{path}: top level must be a JSON object")
+        raise ConfigError(f"{path}: top level must be a JSON object")
     unknown = sorted(set(raw) - _ALL_FIELDS)
     if unknown:
-        raise ScenarioFormatError(f"{path}: unknown field(s): {', '.join(unknown)}")
+        raise ConfigError(f"{path}: unknown field(s): {', '.join(unknown)}")
     missing = sorted(_ALL_FIELDS - _OPTIONAL_FIELDS - set(raw))
     if missing:
-        raise ScenarioFormatError(f"{path}: missing field(s): {', '.join(missing)}")
+        raise ConfigError(f"{path}: missing field(s): {', '.join(missing)}")
     try:
         return ScenarioConfig(**raw)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def oracle_budget():

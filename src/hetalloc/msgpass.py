@@ -29,6 +29,7 @@ from . import netmodel
 from .allocation import Allocation, solve, start_alignment
 
 MESSAGE_TOL = 1e-6  # settling step per unit of weight: see run_message_passing
+OMEGA = 0.5  # the damping weight of run_message_passing
 REUSE_DEPTH = 4  # utility tables, and extractions, the loop keeps for reuse
 
 
@@ -50,7 +51,7 @@ class MessageState:
         return self.psi_tx + self.psi_res
 
 
-def tx_sweep(state, utilities, out=None):
+def tx_sweep(state, utilities, out):
     """All transmitter-side messages, synchronously from the old state.
 
     A row's max over its other entries is the row's peak everywhere but at
@@ -61,8 +62,7 @@ def tx_sweep(state, utilities, out=None):
     the top-two form (the largest, or the second largest at a unique
     peak), but a peak of exactly +0.0 or -0.0 may come back with the other
     sign of zero, since max does not order the two zeros.  The messages
-    are written into ``out``, a C-ordered (K, N, L) array, when it is
-    given, and into a new array otherwise.
+    are written into ``out``, a C-ordered (K, N, L) array.
     """
     w = state.omega
     K = utilities.shape[0]
@@ -86,7 +86,7 @@ def tx_sweep(state, utilities, out=None):
     return values.reshape(utilities.shape)
 
 
-def res_sweep(state, out=None):
+def res_sweep(state, out):
     """All resource-side messages, synchronously from the old state.
 
     Each column's max over the other transmitters is taken as in
@@ -99,8 +99,6 @@ def res_sweep(state, out=None):
     K = psi.shape[0]
     if K == 1:
         return np.negative((1.0 - w) * psi, out=out)
-    if out is None:
-        out = np.empty_like(psi)
     cols = psi.reshape(K, -1)
     m = cols.shape[1]
     flat = cols.reshape(-1)
@@ -179,8 +177,8 @@ class CycleWatch:
         return None
 
 
-def run_message_passing(net, omega=0.5, t_max=500):
-    """Full damped max-sum loop.
+def run_message_passing(net, t_max=500):
+    """Full damped max-sum loop, at damping weight ``OMEGA``.
 
     Starts from ``start_alignment``.  Per iteration the utilities are
     re-evaluated against the previous allocation, both message tables are
@@ -219,7 +217,7 @@ def run_message_passing(net, omega=0.5, t_max=500):
     messages = np.zeros((2, K, N, L))
     # One state serves the whole loop: its tables are rebound as the
     # sweeps produce them, so extraction reads the iteration's marginals.
-    state = MessageState(messages[0], messages[1], float(omega))
+    state = MessageState(messages[0], messages[1], OMEGA)
 
     tol = MESSAGE_TOL * (max(abs(net.w1), abs(net.w2)) or 1.0)
     watch = CycleWatch()

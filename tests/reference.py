@@ -764,13 +764,13 @@ def run_stable_matching(net, t_max=100):
     )
 
 
-def run_message_passing(net, omega=0.5, t_max=500):
+def run_message_passing(net, t_max=500):
     """The message-passing runner computing every iteration up to ``t_max``."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     K, N, L = net.num_tx, net.num_rb, net.num_levels
     x_prev = start_alignment(net)
-    state = msgpass.MessageState(np.zeros((K, N, L)), np.zeros((K, N, L)), omega)
+    state = msgpass.MessageState(np.zeros((K, N, L)), np.zeros((K, N, L)), msgpass.OMEGA)
 
     tol = msgpass.MESSAGE_TOL * (max(abs(net.w1), abs(net.w2)) or 1.0)
     deltas = []
@@ -779,8 +779,9 @@ def run_message_passing(net, omega=0.5, t_max=500):
 
     for iterations in range(1, t_max + 1):
         util = netmodel.utility_table(net, x_prev)
-        new_tx = msgpass.tx_sweep(state, util)
-        new_res = msgpass.res_sweep(dataclasses.replace(state, psi_tx=new_tx))
+        new_tx = msgpass.tx_sweep(state, util, np.empty((K, N, L)))
+        new_res = msgpass.res_sweep(dataclasses.replace(state, psi_tx=new_tx),
+                                    np.empty((K, N, L)))
         shift = (float(np.sum(new_res - state.psi_res))
                  - float(np.sum(new_tx - state.psi_tx))) / (2 * K * N * L)
         new_tx = new_tx + shift

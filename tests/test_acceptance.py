@@ -80,7 +80,7 @@ def msgpass_suite():
     runs = []
     for seed in range(100):
         net = build_topology(dataclasses.replace(DESK, seed=seed))
-        res = run_message_passing(net, omega=0.5, t_max=500)
+        res = run_message_passing(net, t_max=500)
         feasibility_log.append(("msgpass", seed, "msgpass",
                                 is_feasible(net, res.allocation).feasible))
         runs.append((seed, net, res))
@@ -183,8 +183,8 @@ def test_criterion_6_reduction_identity():
         u = rng.normal(0, 5, (K, N, L))
         # still drawn, so every table is the one an entry-sampling run saw
         rng.integers(K), rng.integers(N), rng.integers(L)
-        got_tx = tx_sweep(state, u)
-        got_res = res_sweep(state)
+        got_tx = tx_sweep(state, u, np.empty((K, N, L)))
+        got_res = res_sweep(state, np.empty((K, N, L)))
         for k, n, l in np.ndindex(K, N, L):
             # undamped transmitter rule: utility minus the best other entry
             v = (u[k] + state.psi_res[k]).ravel()

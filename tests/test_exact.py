@@ -440,16 +440,19 @@ def round_one_places_no_bid(net):
     return run_auction(net, t_max=1).converged
 
 
-def round_case(cfg):
-    return pytest.param(cfg, id=f"K{cfg.num_tx}-cap{cfg.i_max:g}-s{cfg.seed}")
+def round_one_places_a_bid(net):
+    return not round_one_places_no_bid(net)
 
 
-# The tight-cap K=50 cases are the drops on which round one places no bid.
-ROUND_CASES = ([round_case(make_config(seed=s, i_max=1e-6, **WIDE)) for s in range(2)]
+# The loose-cap cases are the drops on which round one places a bid, and
+# the tight-cap K=50 cases those on which it places none.
+ROUND_CASES = (drop_params(round_one_places_a_bid,
+                           {"K50-cap1e-06-s": make_config(i_max=1e-6, **WIDE)}, range(2))
                + drop_params(round_one_places_no_bid,
                              {"K50-cap1e-08-s": make_config(i_max=1e-8, **WIDE)}, range(10))
-               + [round_case(make_config(seed=s, **MID)) for s in range(3)]
-               + [round_case(make_config(seed=s, **K4)) for s in range(3)])
+               + drop_params(round_one_places_a_bid,
+                             {"K10-cap1e-07-s": make_config(**MID),
+                              "K4-cap1e-07-s": make_config(**K4)}, range(3)))
 
 
 @pytest.mark.parametrize("cfg", ROUND_CASES)
@@ -668,10 +671,10 @@ def test_sweeps_equal_gather_form_bytes(shape):
     # The sweeps mask each line's peak in place of the gather form's
     # full-size copy and write the maxima over their own buffer; the
     # bytes stay those of the gather form, signs of zero included, and
-    # the state and the utilities end as they began.  Written into the
-    # halves of one (2, K, N, L) buffer, as the loop hands them, they are
-    # the same bytes, the size-1 shapes (K = 1, N*L = 1) included; the
-    # buffer starts as NaN, so a half left unfilled shows.
+    # the state and the utilities end as they began.  They are written
+    # into the halves of one (2, K, N, L) buffer, as the loop hands them,
+    # the size-1 shapes (K = 1, N*L = 1) included; the buffer starts as
+    # NaN, so a half left unfilled shows.
     rng = np.random.default_rng(19)
     for i in range(90):
         omega = (0.3, 0.5, 1.0)[i % 3]
@@ -682,9 +685,7 @@ def test_sweeps_equal_gather_form_bytes(shape):
         gather = reference.max_excluding_self_gather
         want = reference.tx_sweep(s, u, gather), reference.res_sweep(s, gather)
         buf = np.full((2,) + shape, np.nan)
-        for got in ((msgpass.tx_sweep(s, u), msgpass.res_sweep(s)),
-                    (msgpass.tx_sweep(s, u, out=buf[0]), msgpass.res_sweep(s, out=buf[1])),
-                    buf):
+        for got in ((msgpass.tx_sweep(s, u, buf[0]), msgpass.res_sweep(s, buf[1])), buf):
             assert same_array(got[0], want[0]) and same_array(got[1], want[1])
         assert [a.tobytes() for a in (u, psi_tx, psi_res)] == before
 
@@ -708,8 +709,8 @@ def test_sweeps_equal_top2_form_bytes(shape):
         else:
             u, psi_tx, psi_res = rng.normal(size=(3,) + shape)
         s = MessageState(psi_tx, psi_res, omega)
-        assert same_array(msgpass.tx_sweep(s, u), reference.tx_sweep(s, u))
-        assert same_array(msgpass.res_sweep(s), reference.res_sweep(s))
+        assert same_array(msgpass.tx_sweep(s, u, np.empty(shape)), reference.tx_sweep(s, u))
+        assert same_array(msgpass.res_sweep(s, np.empty(shape)), reference.res_sweep(s))
 
 
 def zero_heavy_table(rng, shape):
@@ -738,8 +739,8 @@ def test_signs_of_zero_reach_no_allocation(cfg):
         s = MessageState(zero_heavy_table(rng, shape), zero_heavy_table(rng, shape),
                          (0.3, 0.5, 1.0)[i % 3])
         u = zero_heavy_table(rng, shape)
-        assert (msgpass.tx_sweep(s, u) == reference.tx_sweep(s, u)).all()
-        assert (msgpass.res_sweep(s) == reference.res_sweep(s)).all()
+        assert (msgpass.tx_sweep(s, u, np.empty(shape)) == reference.tx_sweep(s, u)).all()
+        assert (msgpass.res_sweep(s, np.empty(shape)) == reference.res_sweep(s)).all()
         flipped = MessageState(flip_zero_signs(s.psi_tx), flip_zero_signs(s.psi_res), s.omega)
         assert not same_array(flipped.tau, s.tau)
         best = msgpass.proposal(s.tau)

@@ -6,20 +6,22 @@ import importlib.util
 import json
 import re
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetalloc
 import pins
 import reference
 from hetalloc import auction, cli, harness, matching, msgpass, netmodel
 from hetalloc.allocation import (exhaustive_search, is_feasible, oracle_cost, start_alignment,
                                  sum_rate, weighted_benefit)
 from hetalloc.auction import run_auction
-from hetalloc.harness import (SOLVERS, RunMetrics, ScenarioFormatError, load_scenario,
-                              parse_seed_spec, run_experiment, write_metrics_csv)
+from hetalloc.harness import (SOLVERS, RunMetrics, load_scenario, parse_seed_spec,
+                              run_experiment, write_metrics_csv)
 from hetalloc.matching import run_stable_matching
 from hetalloc.msgpass import run_message_passing
 from hetalloc.netmodel import ConfigError, build_topology
@@ -57,13 +59,13 @@ def test_load_minimal_scenario(tmp_path):
 
 def test_load_rejects_unknown_field(tmp_path):
     path, _ = write_scenario(tmp_path, overrides={"bandwidth": 1.0})
-    with pytest.raises(ScenarioFormatError, match="bandwidth"):
+    with pytest.raises(ConfigError, match="bandwidth"):
         load_scenario(path)
 
 
 def test_load_rejects_missing_field(tmp_path):
     path, _ = write_scenario(tmp_path, drop="cell_radius")
-    with pytest.raises(ScenarioFormatError, match="cell_radius"):
+    with pytest.raises(ConfigError, match="cell_radius"):
         load_scenario(path)
 
 
@@ -645,14 +647,23 @@ def test_cli_run_empty_seed_range_exits_2(tmp_path, capsys, seeds):
     assert not out.exists()
 
 
-def test_readme_library_example_runs(monkeypatch, capsys):
+def readme_example():
     text = (ROOT / "README.md").read_text()
-    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    return text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
-    exec(compile(block, "README.md", "exec"), {})
+    exec(compile(readme_example(), "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[:-1]] == list(SOLVERS)
     assert float(lines[-1]) > 0  # the auction's epsilon
+
+
+def test_package_root_exports_the_readme_example_names():
+    exported = {name for name, value in vars(hetalloc).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == set(re.findall(r"\bha\.(\w+)", readme_example()))
 
 
 def test_cli_run_bad_budget_exits_2(tmp_path, capsys, monkeypatch):

@@ -109,8 +109,8 @@ def test_sweeps_match_scalar_updates():
                        psi_res=rng.normal(size=(K, N, L)),
                        omega=omega, shape=(K, N, L))
         u = rng.normal(size=(K, N, L))
-        got_tx = tx_sweep(s, u)
-        got_res = res_sweep(s)
+        got_tx = tx_sweep(s, u, np.empty((K, N, L)))
+        got_res = res_sweep(s, np.empty((K, N, L)))
         for k in range(K):
             for n in range(N):
                 for l in range(L):
@@ -141,9 +141,10 @@ def test_size_one_sweeps_equal_explicit_formulas(shape):
         s = state_with(psi_tx=psi_tx, psi_res=psi_res, omega=omega, shape=shape)
         if N * L == 1:
             want = u - (1.0 - omega) * (u + psi_res)
-            assert tx_sweep(s, u).tobytes() == want.tobytes()
+            assert tx_sweep(s, u, np.empty(shape)).tobytes() == want.tobytes()
         if K == 1:
-            assert res_sweep(s).tobytes() == (-((1.0 - omega) * psi_tx)).tobytes()
+            want = -((1.0 - omega) * psi_tx)
+            assert res_sweep(s, np.empty(shape)).tobytes() == want.tobytes()
 
 
 def test_marginals_are_entrywise_sum():
@@ -231,8 +232,8 @@ def test_single_transmitter_matches_oracle():
 
 def test_run_deterministic():
     net = build_topology(make_config())
-    a = run_message_passing(net, omega=0.5)
-    b = run_message_passing(net, omega=0.5)
+    a = run_message_passing(net)
+    b = run_message_passing(net)
     assert a.allocation == b.allocation
     assert a.info["message_deltas"] == b.info["message_deltas"]
 
@@ -298,11 +299,17 @@ def extractions(net):
     return done
 
 
+# The cap of a mid-k10 drop's twin.  It is near the pool's 1e-7, so that a
+# start chosen by the cap would still be the same under both caps on many
+# drops, as the test below needs.
+TWIN_CAP = 7e-8
+
+
 def caps_share_keys(net):
-    """The drop and its twin at cap 1e-8 start alike, so their first table
-    keys are byte-equal, and the two runs extract some proposal alike where
-    repair under the two caps differs."""
-    twin = build_topology(dataclasses.replace(net.config, i_max=1e-8))
+    """The drop and its twin at ``TWIN_CAP`` start alike, so their first
+    table keys are byte-equal, and the two runs extract some proposal alike
+    where repair under the two caps differs."""
+    twin = build_topology(dataclasses.replace(net.config, i_max=TWIN_CAP))
     if start_alignment(net) != start_alignment(twin):
         return False
     mine, theirs = extractions(net), extractions(twin)
@@ -317,11 +324,12 @@ def test_no_run_reuses_another_drops_work(order):
     # alone would hand the second run the first one's table; these runs
     # also propose alike where repair under the two caps differs, so a
     # shared extraction cache fails here too.
-    seeds = drops_where(MID_K10_POOL, caps_share_keys)
+    seeds = drops_where(MID_K10_POOL, caps_share_keys)[:3]
     assert seeds
     for seed in seeds:
         cfg = dataclasses.replace(MID_K10_POOL, seed=seed)
-        nets = [build_topology(dataclasses.replace(cfg, i_max=cap)) for cap in (1e-7, 1e-8)]
+        nets = [build_topology(dataclasses.replace(cfg, i_max=cap))
+                for cap in (cfg.i_max, TWIN_CAP)]
         starts = [start_alignment(net) for net in nets]
         assert starts[0] == starts[1]
         assert not np.array_equal(utility_table(nets[0], starts[0]),
@@ -358,9 +366,8 @@ def test_zero_message_step_is_positive_zero():
     # the first sweep on, so each step is exactly zero, recorded as +0.0
     # (the golden digests hash the delta bytes, where -0.0 differs).
     net = toy_network(np.ones((1, 1, 2)), np.full((1, 1, 2), 0.1))
-    for omega in (0.5, 1.0):
-        deltas = run_message_passing(net, omega=omega).info["message_deltas"]
-        assert deltas and np.asarray(deltas).tobytes() == bytes(8 * len(deltas))
+    deltas = run_message_passing(net).info["message_deltas"]
+    assert deltas and np.asarray(deltas).tobytes() == bytes(8 * len(deltas))
 
 
 # --- cycle replay ------------------------------------------------------------
@@ -469,9 +476,9 @@ def test_replay_equals_full_loop(monkeypatch, cfg):
     tables, proposals = record_inputs(monkeypatch)
     sweeps, tx_sweep = [], msgpass.tx_sweep
 
-    def counting_sweep(state, util, **kwargs):
+    def counting_sweep(state, util, out):
         sweeps.append(1)
-        return tx_sweep(state, util, **kwargs)
+        return tx_sweep(state, util, out)
 
     monkeypatch.setattr(msgpass, "tx_sweep", counting_sweep)
     first, period = run_message_passing(net, t_max=500).info["cycle"]
