@@ -152,9 +152,7 @@ def start_alignment(net):
 class EvalReport:
     sum_rate: float
     weighted_benefit: float
-    per_rb_interference: list
     feasible: bool
-    violated_rbs: list
 
 
 def _check_fits(net, alloc):
@@ -176,20 +174,15 @@ def _check_fits(net, alloc):
 def is_feasible(net, alloc):
     """Check the strict per-RB interference constraint; returns an EvalReport.
 
-    ``sum_rate`` and ``weighted_benefit`` are summed from one list of SINRs
-    and equal what the two functions of those names return.
+    ``feasible`` holds when every RB's ``netmodel.interference_vector``
+    entry lies strictly below its ``i_max``.  ``sum_rate`` and
+    ``weighted_benefit`` are summed from one list of SINRs and equal what
+    the two functions of those names return.
     """
     _check_fits(net, alloc)
-    per_rb = netmodel.interference_vector(net, alloc).tolist()
-    violated = [n for n in range(net.num_rb) if per_rb[n] >= net.i_max[n]]
+    violated = netmodel.interference_vector(net, alloc) >= net.i_max
     rate, benefit = _totals(net, netmodel.sinr_underlay(net, alloc))
-    return EvalReport(
-        sum_rate=rate,
-        weighted_benefit=benefit,
-        per_rb_interference=per_rb,
-        feasible=not violated,
-        violated_rbs=violated,
-    )
+    return EvalReport(sum_rate=rate, weighted_benefit=benefit, feasible=not violated.any())
 
 
 def sum_rate(net, alloc):

@@ -58,7 +58,7 @@ def _cmd_run(args):
     try:
         metrics = harness.run_experiment(config, algorithms=algorithms, seeds=seeds,
                                          with_oracle=args.oracle, t_max=args.t_max)
-    except ConfigError as exc:  # a bad ALLOC_ORACLE_BUDGET, or unplaceable receivers
+    except ConfigError as exc:  # a drop whose receivers cannot be placed
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     harness.write_metrics_csv(metrics, args.out)

@@ -13,17 +13,15 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import numbers
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from . import netmodel
-from .allocation import (DEFAULT_ORACLE_BUDGET, OracleBudgetError, SolverResult,
-                         check_t_max, exhaustive_search, is_feasible)
+from .allocation import (OracleBudgetError, SolverResult, check_t_max, exhaustive_search,
+                         is_feasible)
 # Unused here, but bench/tracing.py wraps harness.sum_rate and
 # harness.weighted_benefit.
 from .allocation import sum_rate, weighted_benefit  # noqa: F401
@@ -33,8 +31,6 @@ from .msgpass import run_message_passing
 from .netmodel import ConfigError, ScenarioConfig
 
 log = logging.getLogger(__name__)
-
-ORACLE_BUDGET_ENV = "ALLOC_ORACLE_BUDGET"
 
 CSV_HEADER = ["algorithm", "seed", "sum_rate_bps", "weighted_benefit",
               "iterations", "converged", "feasible", "oracle_gap",
@@ -100,27 +96,6 @@ def load_scenario(path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def oracle_budget():
-    """Bound on the oracle's ``oracle_cost``; the environment can override it.
-
-    The override is any integer-valued number of at least 1, such as
-    ``100000000`` or ``1e8``; anything else raises ConfigError naming the
-    variable.
-    """
-    raw = os.environ.get(ORACLE_BUDGET_ENV)
-    if not raw:
-        return DEFAULT_ORACLE_BUDGET
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not value.is_integer():  # also rejects inf and nan
-        raise ConfigError(f"{ORACLE_BUDGET_ENV}={raw!r} is not an integer-valued number")
-    if value < 1:
-        raise ConfigError(f"{ORACLE_BUDGET_ENV}={raw!r} must be >= 1")
-    return int(raw) if raw.strip().isdigit() else int(value)  # digits stay exact
-
-
 def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=False,
                    t_max=500, budget=None):
     """Run every selected algorithm on one identical drop per seed.
@@ -130,20 +105,18 @@ def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=Fa
     row's numbers come from one ``is_feasible`` report, and the oracle's
     (1 iteration, converged, 0 messages) runs first, so that each
     ``oracle_gap``, its own included, is max(0, 1 - rate / its rate), or
-    0.0 when its rate is 0.  When the oracle refuses the budget
-    (``OracleBudgetError``) it is skipped for that seed with a logged
-    warning and empty oracle gaps; it is never truncated silently.  A
-    selection that ``check_algorithms``, ``check_seeds`` or
-    ``check_t_max`` rejects raises ValueError before any drop is built,
-    as does the ConfigError of ``oracle_budget``, which resolves
-    ``budget`` when it is not given.
+    0.0 when its rate is 0.  ``budget`` bounds the oracle's
+    ``oracle_cost``; None means ``exhaustive_search``'s default, 1e8.
+    When the oracle refuses the budget (``OracleBudgetError``) it is
+    skipped for that seed with a logged warning and empty oracle gaps; it
+    is never truncated silently.  A selection that ``check_algorithms``,
+    ``check_seeds`` or ``check_t_max`` rejects raises ValueError before
+    any drop is built.
     """
     algorithms = check_algorithms(algorithms, f"algorithms {algorithms!r}")
     seeds = [config.seed] if seeds is None else list(seeds)
     check_seeds(seeds, f"seeds {seeds!r}")
     check_t_max(t_max, "t_max")
-    if budget is None:
-        budget = oracle_budget()
 
     rows = []
     for seed in seeds:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference
-from hetalloc import allocation, matching
+from hetalloc import allocation, matching, netmodel
 from hetalloc.allocation import (Allocation, OracleBudgetError,
                                  exhaustive_search, is_feasible, oracle_cost,
                                  search_space_size, start_alignment, sum_rate)
@@ -93,19 +93,27 @@ def test_indicator_tensor_one_entry_per_transmitter():
 
 # --- feasibility --------------------------------------------------------
 
+def violated_rbs(net, alloc):
+    """The RBs whose aggregated interference reaches their cap."""
+    return (netmodel.interference_vector(net, alloc) >= net.i_max).nonzero()[0].tolist()
+
+
 def test_empty_allocation_feasible():
-    rep = is_feasible(two_tx_net(), Allocation(2))
-    assert rep.feasible and rep.violated_rbs == [] and rep.sum_rate == 0.0
+    net, alloc = two_tx_net(), Allocation(2)
+    rep = is_feasible(net, alloc)
+    assert rep.feasible and violated_rbs(net, alloc) == [] and rep.sum_rate == 0.0
 
 
 def test_boundary_assignment_infeasible():
     # single contribution at exactly twice the cap: strictly violated
     net = two_tx_net(i_max=0.7)  # k1 contributes 0.7 * 2.0 = 1.4 = 2 * cap
-    rep = is_feasible(net, Allocation(2, {1: (0, 0)}))
-    assert not rep.feasible and rep.violated_rbs == [0]
+    alloc = Allocation(2, {1: (0, 0)})
+    rep = is_feasible(net, alloc)
+    assert not rep.feasible and violated_rbs(net, alloc) == [0]
     # a load exactly at the cap violates it too
-    rep = is_feasible(two_tx_net(i_max=1.4), Allocation(2, {1: (0, 0)}))
-    assert rep.per_rb_interference == [1.4] and not rep.feasible
+    net = two_tx_net(i_max=1.4)
+    rep = is_feasible(net, alloc)
+    assert netmodel.interference_vector(net, alloc).tolist() == [1.4] and not rep.feasible
 
 
 def test_feasibility_matches_independent_summation():
@@ -118,12 +126,13 @@ def test_feasibility_matches_independent_summation():
     for k in range(K):
         alloc.assign(k, rng.integers(N), rng.integers(L))
     rep = is_feasible(net, alloc)
+    per_rb, violated = netmodel.interference_vector(net, alloc), violated_rbs(net, alloc)
     for n in range(N):
         total = sum(net.ref_gain[k, n] * net.power_levels[l]
                     for k, (nn, l) in reference.assigned_items(alloc) if nn == n)
-        assert rep.per_rb_interference[n] == pytest.approx(total, rel=1e-12)
-        assert (n in rep.violated_rbs) == (total >= net.i_max[n])
-    assert rep.feasible == (not rep.violated_rbs)
+        assert per_rb[n] == pytest.approx(total, rel=1e-12)
+        assert (n in violated) == (total >= net.i_max[n])
+    assert rep.feasible == (not violated)
 
 
 EVALUATORS = [is_feasible, sum_rate, allocation.weighted_benefit]
@@ -529,6 +538,23 @@ def imported_modules(path):
                 yield from (alias.name for alias in node.names)
             else:
                 yield node.module.rsplit(".", 1)[-1]
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_process_environment():
+    # A library call's answer depends on its arguments alone: no module may
+    # name os.environ, os.environb, os.getenv or os.getenvb, as an
+    # attribute or in an import.
+    for path in sorted((ROOT / "src" / "hetalloc").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & ENVIRONMENT_READS, path.name
 
 
 def test_solver_modules_import_no_other_solver():

@@ -363,20 +363,6 @@ def test_parse_seed_spec_rejects_repeats(spec, repeated):
         parse_seed_spec(spec)
 
 
-@pytest.mark.parametrize("raw, expected", [("1e8", 10 ** 8), ("100000000", 10 ** 8),
-                                           ("2.5e3", 2500), (" 42 ", 42)])
-def test_oracle_budget_accepts_integer_valued(monkeypatch, raw, expected):
-    monkeypatch.setenv(harness.ORACLE_BUDGET_ENV, raw)
-    assert harness.oracle_budget() == expected
-
-
-@pytest.mark.parametrize("raw", ["1.5", "1e8x", "inf", "nan", "1e400", "-5", "0"])
-def test_oracle_budget_rejects_non_integers(monkeypatch, raw):
-    monkeypatch.setenv(harness.ORACLE_BUDGET_ENV, raw)
-    with pytest.raises(ConfigError, match=f"ALLOC_ORACLE_BUDGET={re.escape(repr(raw))}"):
-        harness.oracle_budget()
-
-
 # The overrides of bench/run.py's oracle-k4, wide-k50-loose, wide-k50-tight
 # and mid-k10 workloads; tests/pins.py holds the digests their pools pin.
 K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
@@ -664,14 +650,6 @@ def test_package_root_exports_the_readme_example_names():
     exported = {name for name, value in vars(hetalloc).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == set(re.findall(r"\bha\.(\w+)", readme_example()))
-
-
-def test_cli_run_bad_budget_exits_2(tmp_path, capsys, monkeypatch):
-    path, _ = write_scenario(tmp_path)
-    monkeypatch.setenv(harness.ORACLE_BUDGET_ENV, "lots")
-    rc = cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "m.csv")])
-    assert rc == 2
-    assert "ALLOC_ORACLE_BUDGET='lots'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, seeds, name", [

@@ -50,7 +50,7 @@ def row(net, alloc, converged):
     assert rep.feasible
     return (rep.sum_rate / 1e6, converged,
             10.0 * math.log10(netmodel.macro_sinrs(net, alloc).min()),
-            float(np.mean(np.array(rep.per_rb_interference) / net.i_max)))
+            float(np.mean(netmodel.interference_vector(net, alloc) / net.i_max)))
 
 
 @pytest.fixture(scope="module", params=list(SIZES))
