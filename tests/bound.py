@@ -19,7 +19,9 @@ Games*, 1996), which each solver's rate is read next to.
 ``priced_response`` is a second, distributed one: each transmitter's best
 response to a per-RB interference price that the MBS moves by the
 measured overage, dual decomposition of the cap rows (Palomar & Chiang,
-IEEE JSAC 2006).
+IEEE JSAC 2006).  ``refill`` places an allocation's silent transmitters
+where they still fit, and ``greedy`` is that rule run from the empty
+allocation: one pass, no labels.
 """
 
 import numpy as np
@@ -151,3 +153,47 @@ def priced_response(net, t_max=100):
         if rate > best_rate:
             best, best_rate = candidate, rate
     return best
+
+
+def refill(net, alloc):
+    """A new allocation: ``alloc`` with its silent transmitters placed, one
+    at a time, where they fit.
+
+    (n, l) fits k when RB n's load plus ``ref_p[k, n, l]`` stays below
+    ``i_max[n] * (1 - MARGIN)``.  The silent transmitters are ordered once,
+    by their best fitting own SINR under ``alloc``, highest first, ties to
+    the lower k.  In that order each takes the fitting (n, l) with the
+    highest own SINR given the allocation so far (ties to the first
+    n*L + l), or stays silent when none fits.  Each insert adds its
+    power to RB n's column of the receiver interference and its load to RB
+    n's, so the loads are summed in insertion order; the margin keeps them
+    under the cap that ``is_feasible`` checks on its own fold.
+    """
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    out = alloc.copy()
+    # _fold's floats: np.bincount of no holders is int zeros, which would
+    # truncate every update below.
+    rx_int, load, _ = netmodel._interference_maps(net, out)
+    cap = net.i_max * (1 - MARGIN)
+    sig = net.sig_pt.T.reshape(K, N, L)  # k's own signal on (n, l)
+
+    def fitting_sinr(k):
+        gamma = sig[k] / (net.mbs_den[k] + rx_int[k] + net.sigma2)[..., None]
+        return np.where(load[:, None] + net.ref_p[k] < cap[:, None], gamma, -np.inf)
+
+    silent = (out.rb < 0).nonzero()[0]
+    best = fitting_sinr(silent).reshape(silent.size, N * L).max(axis=1, initial=-np.inf)
+    for k in silent[np.argsort(-best, kind="stable")].tolist():
+        gamma = fitting_sinr(k)
+        n, l = divmod(int(gamma.argmax()), L)
+        if gamma[n, l] == -np.inf:
+            continue
+        out.rb[k], out.level[k] = n, l
+        load[n] += net.ref_p[k, n, l]
+        rx_int[:, n] += net.gain_rows[k * N + n] * net.power_levels[l]
+    return out
+
+
+def greedy(net):
+    """``refill`` of the empty allocation."""
+    return refill(net, Allocation(net.num_tx))

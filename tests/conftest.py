@@ -46,15 +46,6 @@ def round_orders(net, res):
         prev = alloc
 
 
-@pytest.fixture
-def tiny_config():
-    return netmodel.ScenarioConfig(
-        seed=1, cell_radius=250.0, num_mue=2, num_sbs=1, num_d2d=1, num_rb=2,
-        power_levels=(0.1, 0.5), mbs_power=10.0, noise_psd=3.98e-21,
-        pathloss_exp=3.0, i_max=1e-7, w1=1.0, w2=0.5,
-        d2d_max_dist=25.0, sbs_ue_max_dist=35.0)
-
-
 # --- drops chosen by the path they test -----------------------------------
 
 @functools.lru_cache(maxsize=None)

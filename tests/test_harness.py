@@ -370,10 +370,17 @@ K50_LOOSE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.
                  i_max=1e-6)
 K50_TIGHT = dict(K50_LOOSE, i_max=1e-8)
 MID_K10 = dict(num_sbs=6, num_d2d=4, num_rb=8, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
+POOLS = {"oracle-k4": K4, "mid-k10": MID_K10, "wide-k50-loose": K50_LOOSE,
+         "wide-k50-tight": K50_TIGHT}
+
+
+def config(overrides):
+    """``scenarios/default.json`` with ``overrides`` applied."""
+    return dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+
+
 # The base configs of three pools, for drops_where.
-K4_POOL, MID_K10_POOL, K50_TIGHT_POOL = (
-    dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
-    for overrides in (K4, MID_K10, K50_TIGHT))
+K4_POOL, MID_K10_POOL, K50_TIGHT_POOL = map(config, (K4, MID_K10, K50_TIGHT))
 
 
 def rows_sha256(rows):
@@ -384,43 +391,21 @@ def rows_sha256(rows):
     return h.hexdigest()
 
 
-def test_golden_answers_default_scenario():
-    rows = run_experiment(load_scenario(SCENARIOS / "default.json"), seeds=range(20))
-    assert len(rows) == 60
-    assert rows_sha256(rows) == pins.GOLDEN_DEFAULT_ROWS_SHA256
+K50_RUN = dict(seeds=range(5), algorithms=("msgpass", "auction"), t_max=100)
 
 
-@pytest.mark.parametrize("overrides, seeds, expected", [
-    ({}, range(20), pins.GOLDEN_DEFAULT_ORACLE_ROWS_SHA256),
-    (K4, range(40), pins.GOLDEN_K4_ORACLE_ROWS_SHA256),
-], ids=["default", "k4"])
-def test_golden_answers_with_oracle(overrides, seeds, expected):
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
-    rows = run_experiment(cfg, seeds=seeds, with_oracle=True)
-    assert len(rows) == 4 * len(seeds)
+@pytest.mark.parametrize("overrides, run, count, expected", [
+    ({}, dict(seeds=range(20)), 60, pins.GOLDEN_DEFAULT_ROWS_SHA256),
+    ({}, dict(seeds=range(20), with_oracle=True), 80, pins.GOLDEN_DEFAULT_ORACLE_ROWS_SHA256),
+    (K4, dict(seeds=range(40), with_oracle=True), 160, pins.GOLDEN_K4_ORACLE_ROWS_SHA256),
+    (MID_K10, dict(seeds=range(40), t_max=500), 120, pins.GOLDEN_MID_K10_ROWS_SHA256),
+    (K50_LOOSE, K50_RUN, 10, pins.GOLDEN_K50_ROWS_SHA256),
+    (K50_TIGHT, K50_RUN, 10, pins.GOLDEN_K50_TIGHT_ROWS_SHA256),
+], ids=["default", "default-oracle", "oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
+def test_golden_answers(overrides, run, count, expected):
+    rows = run_experiment(config(overrides), **run)
+    assert len(rows) == count
     assert rows_sha256(rows) == expected
-
-
-def k50_rows(overrides):
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
-    rows = run_experiment(cfg, algorithms=("msgpass", "auction"), seeds=range(5), t_max=100)
-    assert len(rows) == 10
-    return rows
-
-
-def test_golden_answers_k50_loose():
-    assert rows_sha256(k50_rows(K50_LOOSE)) == pins.GOLDEN_K50_ROWS_SHA256
-
-
-def test_golden_answers_k50_tight():
-    assert rows_sha256(k50_rows(K50_TIGHT)) == pins.GOLDEN_K50_TIGHT_ROWS_SHA256
-
-
-def test_golden_answers_mid_k10():
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
-    rows = run_experiment(cfg, seeds=range(40), t_max=500)
-    assert len(rows) == 120
-    assert rows_sha256(rows) == pins.GOLDEN_MID_K10_ROWS_SHA256
 
 
 @pytest.mark.parametrize("overrides, nonzero, expected", [
@@ -428,8 +413,7 @@ def test_golden_answers_mid_k10():
     ({}, 64, pins.ONE_ENTRY_ROWS["k5"]),
 ], ids=["k1", "k5"])
 def test_golden_answers_one_entry_lines(overrides, nonzero, expected):
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), num_rb=1,
-                              power_levels=(1.0,), **overrides)
+    cfg = config(dict(overrides, num_rb=1, power_levels=(1.0,)))
     rows = run_experiment(cfg, seeds=range(20), with_oracle=True)
     assert len(rows) == 80 and sum(r.sum_rate > 0 for r in rows) == nonzero
     assert rows_sha256(rows) == expected
@@ -439,8 +423,7 @@ def test_golden_answers_one_entry_lines(overrides, nonzero, expected):
 def test_no_fitting_transmitter_left_silent():
     # A stronger stability check than criterion 4: an RB without holders
     # is willing too, as long as the newcomer keeps it under its cap.
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **MID_K10)
-    nets = [build_topology(dataclasses.replace(cfg, seed=seed)) for seed in range(40)]
+    nets = [build_topology(dataclasses.replace(MID_K10_POOL, seed=seed)) for seed in range(40)]
     counts = {}
     for name, solve in SOLVERS.items():
         allocs = [solve(net, 500).allocation for net in nets]
@@ -450,26 +433,25 @@ def test_no_fitting_transmitter_left_silent():
     assert not any(fit for _silent, fit in counts.values()), counts
 
 
-@pytest.mark.parametrize("overrides, expected", [
-    (K4, pins.TOPOLOGY["oracle-k4"]),
-    (MID_K10, pins.TOPOLOGY["mid-k10"]),
-    (K50_LOOSE, pins.TOPOLOGY["wide-k50-loose"]),
-    (K50_TIGHT, pins.TOPOLOGY["wide-k50-tight"]),
-], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
-def test_golden_topology(overrides, expected):
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
-    h = hashlib.sha256()
-    for seed in range(40):
-        h.update(reference.checksum(build_topology(dataclasses.replace(cfg, seed=seed))).encode())
-    assert h.hexdigest() == expected
+@functools.lru_cache(maxsize=None)
+def pool_drops(pool):
+    """The 40 drops, seeds 0..39, of one of POOLS; built once for both
+    digest tests."""
+    cfg = config(POOLS[pool])
+    return tuple(build_topology(dataclasses.replace(cfg, seed=seed)) for seed in range(40))
 
 
-def derived_digest(cfg):
-    """sha256 over what a drop derives from its gains and config, seeds
-    0..39: each array's dtype, shape and bytes, then each scalar's float.hex."""
+@pytest.mark.parametrize("pool", list(POOLS))
+def test_golden_topology(pool):
+    topology = "".join(map(reference.checksum, pool_drops(pool)))
+    assert hashlib.sha256(topology.encode()).hexdigest() == pins.TOPOLOGY[pool]
+
+
+def derived_digest(nets):
+    """sha256 over what each drop derives from its gains and config: each
+    array's dtype, shape and bytes, then each scalar's float.hex."""
     h = hashlib.sha256()
-    for seed in range(40):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+    for net in nets:
         for a in (net.ref_mue, net.ref_gain, net.power_levels, net.i_max):
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(np.ascontiguousarray(a).tobytes())
@@ -478,15 +460,9 @@ def derived_digest(cfg):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("overrides, expected", [
-    (K4, pins.DERIVED_FIELDS["oracle-k4"]),
-    (MID_K10, pins.DERIVED_FIELDS["mid-k10"]),
-    (K50_LOOSE, pins.DERIVED_FIELDS["wide-k50-loose"]),
-    (K50_TIGHT, pins.DERIVED_FIELDS["wide-k50-tight"]),
-], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
-def test_golden_derived_fields(overrides, expected):
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
-    assert derived_digest(cfg) == expected
+@pytest.mark.parametrize("pool", list(POOLS))
+def test_golden_derived_fields(pool):
+    assert derived_digest(pool_drops(pool)) == pins.DERIVED_FIELDS[pool]
 
 
 def test_pins_hold_every_digest():
@@ -558,7 +534,7 @@ ON_THE_ORACLE = {name: functools.partial(returns_the_oracle, name) for name in S
     (dict(num_rb=1, power_levels=(1.0,)), range(20)),
 ], ids=["oracle-k4", "k5-one-entry"])
 def test_solver_on_the_oracle_allocation_has_zero_gap(overrides, seed_range):
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    cfg = config(overrides)
     hits = [(seed, name) for name, path in ON_THE_ORACLE.items()
             for seed in drops_where(cfg, path, seed_range)]
     assert hits

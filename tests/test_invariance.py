@@ -18,6 +18,13 @@ They hold at any size, so they reach past the exact oracle (K <= 12).
   1e-12 relative.  The solvers are left out: their start state is drawn
   per index, and their ties go to the lowest index.
 
+``bound.greedy`` passes the scale and relabeling gates too.  Scaling
+multiplies each of its SINR and load-to-cap terms by the same power of
+two, so its allocation keeps every entry.  It orders and places the
+transmitters by their SINRs and sums the loads in that order, so labels
+enter only through exact ties: a relabeled drop's greedy allocation is
+the permuted one.
+
 The sum-rate bound of ``bound.py`` passes the scale and relabeling gates
 too: scaling hands HiGHS the same coefficients, so the bound keeps its
 bits, and relabeling hands it the columns and rows in another order, so
@@ -37,20 +44,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bound import rate_bound
+from bound import greedy, rate_bound
 from hetalloc.allocation import exhaustive_search, oracle_cost
-from hetalloc.harness import load_scenario, run_experiment
+from hetalloc.harness import run_experiment
 from hetalloc.netmodel import build_topology, make_network
 
-from test_harness import K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
+from test_harness import K50_LOOSE, K50_TIGHT, MID_K10, config
 
 K200_LOOSE = dict(num_sbs=120, num_d2d=80, num_rb=50, power_levels=(0.02, 0.05, 0.2, 1.0),
                   i_max=1e-6)
 K200_TIGHT = dict(K200_LOOSE, i_max=1e-8)
-
-
-def config(overrides):
-    return dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
 
 
 def scaled(cfg, e):
@@ -143,11 +146,17 @@ def test_gates_hold_on_generated_scenarios(cfg):
         assert r.sum_rate <= min(bound, oracle) * (1 + 1e-9), r
 
 
-def relabeled(net, rng):
-    """``net`` rebuilt by ``make_network`` with its transmitters and its
-    RBs in random orders: every gain permuted along each axis, and the
+def relabeling(net, seed):
+    """(tx, rb): random orders of ``net``'s transmitters and RBs, drawn
+    from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return rng.permutation(net.num_tx), rng.permutation(net.num_rb)
+
+
+def relabeled(net, tx, rb):
+    """``net`` rebuilt by ``make_network`` with transmitter ``tx[i]`` as i
+    and RB ``rb[j]`` as j: every gain permuted along each axis, and the
     per-RB caps.  The positions, which nothing computes from, are kept."""
-    tx, rb = rng.permutation(net.num_tx), rng.permutation(net.num_rb)
     return make_network(
         net.config, net.mue_pos, net.sbs_pos, net.sue_pos, net.d2d_tx_pos, net.d2d_rx_pos,
         net.gain_ul[np.ix_(tx, tx, rb)], net.gain_mbs_ul[np.ix_(tx, rb)],
@@ -162,7 +171,7 @@ def test_relabeling_keeps_the_oracle_rate(overrides, seeds):
     for seed in seeds:
         net = build_topology(dataclasses.replace(cfg, seed=seed))
         rate = exhaustive_search(net)[1]
-        again = exhaustive_search(relabeled(net, np.random.default_rng(seed)))[1]
+        again = exhaustive_search(relabeled(net, *relabeling(net, seed)))[1]
         assert rate > 0 and again == pytest.approx(rate, rel=1e-12, abs=0), seed
 
 
@@ -181,5 +190,26 @@ def test_bound_passes_the_scale_and_relabeling_gates(overrides, seed, integral):
     assert bound > 0
     for e in (3, -5):
         assert rate_bound(build_topology(scaled(cfg, e)), integral) == bound, e
-    again = rate_bound(relabeled(net, np.random.default_rng(seed)), integral)
+    again = rate_bound(relabeled(net, *relabeling(net, seed)), integral)
     assert again == pytest.approx(bound, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("overrides, seeds", [(MID_K10, range(10)), (K50_LOOSE, range(3)),
+                                               (K50_TIGHT, range(3))],
+                         ids=["mid-k10", "k50-loose", "k50-tight"])
+def test_greedy_passes_the_scale_and_relabeling_gates(overrides, seeds):
+    for seed in seeds:
+        cfg = dataclasses.replace(config(overrides), seed=seed)
+        net = build_topology(cfg)
+        want = greedy(net)
+        assert want.num_assigned() > 0, seed
+        for e in (3, -5):
+            got = greedy(build_topology(scaled(cfg, e)))
+            assert np.array_equal(got.rb, want.rb) and np.array_equal(got.level, want.level), \
+                (seed, e)
+        tx, rb = relabeling(net, seed)
+        got = greedy(relabeled(net, tx, rb))
+        # New transmitter i is old tx[i]; old RB n is new RB argsort(rb)[n].
+        old = want.rb[tx]
+        assert np.array_equal(got.rb, np.where(old >= 0, np.argsort(rb)[old], -1)), seed
+        assert np.array_equal(got.level, want.level[tx]), seed

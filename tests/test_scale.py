@@ -1,16 +1,25 @@
 """Solver quality against a reference that reaches past the exact oracle.
 
-At mid-k10 (K=10, seeds 0-19) each solver's rate is read against the
+At mid-k10 (K=10, seeds 0-19) each row's rate is read against the
 oracle; at K=50 (seeds 0-5, the loose and the tight cap of the
 ``wide-k50-*`` workloads) against the MILP bound of ``bound.py``; at
 K=200 (120 SBSs, 80 D2D pairs, N=50, L=4, seeds 0-1, caps 1e-6 and 1e-8)
-against its LP bound, as no MILP is solved at that size.  Next to the
-solvers, every drop runs two reference rows: ``bound.best_response``
-(BR), centralized, and ``bound.priced_response`` (priced), distributed,
-which has no stop rule and so never counts as converged.  The tests
-check that the bound is one: at or above every rate, both reference
-rows' included, and the MILP, where there is one, within its LP
-relaxation; at mid-k10 both reference rows stay at or below the oracle.
+against its LP bound, as no MILP is solved at that size.  Every drop runs
+these rows:
+
+- ``matching``, ``msgpass`` and ``auction``: the three solvers;
+- ``br``: ``bound.best_response``, centralized;
+- ``priced``: ``bound.priced_response``, distributed, which has no stop
+  rule and so never counts as converged;
+- ``greedy``: ``bound.greedy``, one pass, which always finishes and so
+  always counts as converged;
+- ``matching+refill``, ``msgpass+refill`` and ``auction+refill``: each
+  solver's allocation after ``bound.refill``, with the solver's converged
+  flag.
+
+The tests check that the bound is one: at or above every row's rate and
+the oracle's, and the MILP, where there is one, within its LP
+relaxation; at mid-k10 every row stays at or below the oracle.
 ``pytest -s`` prints the report: per size and row, the mean and the
 minimum ratio, the converged count, the minimum MUE SINR (the macro
 tier's worst RB) and the mean per-RB ``I/I_max``, each averaged over the
@@ -23,13 +32,13 @@ import math
 import numpy as np
 import pytest
 
-from bound import best_response, priced_response, rate_bound
+from bound import best_response, greedy, priced_response, rate_bound, refill
 from hetalloc import netmodel
 from hetalloc.allocation import exhaustive_search, is_feasible
-from hetalloc.harness import SOLVERS, load_scenario
+from hetalloc.harness import SOLVERS
 from hetalloc.netmodel import build_topology
 
-from test_harness import K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
+from test_harness import K50_LOOSE, K50_TIGHT, MID_K10, config
 from test_invariance import K200_LOOSE, K200_TIGHT
 
 # name -> (overrides, seeds, t_max, reference): bench/run.py's t_max.
@@ -40,7 +49,8 @@ SIZES = {
     "k200-loose": (K200_LOOSE, range(2), 100, "the LP bound"),
     "k200-tight": (K200_TIGHT, range(2), 100, "the LP bound"),
 }
-ROWS = (*SOLVERS, "br", "priced")  # the report's rows
+REFILLED = {name: f"{name}+refill" for name in SOLVERS}
+ROWS = (*SOLVERS, "br", "priced", "greedy", *REFILLED.values())  # the report's rows
 REL = 1e-9
 
 
@@ -60,7 +70,7 @@ def size(request):
     oracle's where it is the reference ``ref``.  ``bound`` is the
     MILP's, or the LP's at a size that solves no MILP."""
     overrides, seeds, t_max, reference = SIZES[request.param]
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    cfg = config(overrides)
     drops = []
     for seed in seeds:
         net = build_topology(dataclasses.replace(cfg, seed=seed))
@@ -71,8 +81,10 @@ def size(request):
         for name, run in SOLVERS.items():
             res = run(net, t_max)
             drop[name] = row(net, res.allocation, res.converged)
+            drop[REFILLED[name]] = row(net, refill(net, res.allocation), res.converged)
         drop["br"] = row(net, *best_response(net))
         drop["priced"] = row(net, priced_response(net), False)
+        drop["greedy"] = row(net, greedy(net), True)
         if reference == "the oracle":
             drop["oracle"] = row(net, exhaustive_search(net)[0], True)
         drop["ref"] = drop["oracle"][0] if "oracle" in drop else drop["bound"]
@@ -89,25 +101,25 @@ def test_milp_bound_is_within_its_lp_relaxation(size):
 
 
 def test_bound_is_above_every_feasible_rate(size):
-    # The oracle's too, where it runs, and both reference rows stay at or
-    # below the oracle.
+    # The oracle's too, where it runs, and every row stays at or below the
+    # oracle.
     _, drops = size
     for d in drops:
         for name in (*ROWS, "oracle"):
             if name in d:
                 assert d[name][0] <= d["bound"] * (1 + REL), (name, d)
         if "oracle" in d:
-            for name in ("br", "priced"):
+            for name in ROWS:
                 assert d[name][0] <= d["oracle"][0] * (1 + REL), (name, d)
 
 
 def test_report(size):
     name, drops = size
     print(f"\n{name}, {len(drops)} drops, ratio to {SIZES[name][3]}:")
-    print("  solver    mean ratio  min ratio  converged  min MUE SINR  mean I/I_max")
+    print("  row              mean ratio  min ratio  converged  min MUE SINR  mean I/I_max")
     for solver in ROWS:
         ratios = [d[solver][0] / d["ref"] for d in drops]
-        print(f"  {solver:<8}  {np.mean(ratios):10.3f}  {min(ratios):9.3f}"
+        print(f"  {solver:<15}  {np.mean(ratios):10.3f}  {min(ratios):9.3f}"
               f"  {sum(d[solver][1] for d in drops):9d}"
               f"  {np.mean([d[solver][2] for d in drops]):9.1f} dB"
               f"  {np.mean([d[solver][3] for d in drops]):12.3f}")
