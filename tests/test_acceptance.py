@@ -26,13 +26,7 @@ from hetalloc.matching import run_stable_matching
 from hetalloc.msgpass import run_message_passing
 from hetalloc.netmodel import ScenarioConfig, build_topology, interference_vector
 
-from conftest import round_orders
-
-DESK = ScenarioConfig(
-    seed=7, cell_radius=400.0, num_mue=3, num_sbs=3, num_d2d=2, num_rb=6,
-    power_levels=(0.05, 0.2, 1.0), mbs_power=10.0, noise_psd=3.98e-21,
-    pathloss_exp=3.0, i_max=1e-7, w1=1.0, w2=0.5,
-    d2d_max_dist=30.0, sbs_ue_max_dist=40.0)
+from conftest import DESK, drop, round_orders
 
 SMALL = ScenarioConfig(
     seed=0, cell_radius=300.0, num_mue=3, num_sbs=2, num_d2d=2, num_rb=4,
@@ -67,7 +61,7 @@ feasibility_log = []  # (suite, seed, algorithm, feasible) across all suites
 def matching_suite():
     runs = []
     for seed in range(100):
-        net = build_topology(dataclasses.replace(DESK, seed=seed))
+        net = drop(DESK, seed)
         res = run_stable_matching(net)
         feasibility_log.append(("matching", seed, "matching",
                                 is_feasible(net, res.allocation).feasible))
@@ -79,7 +73,7 @@ def matching_suite():
 def msgpass_suite():
     runs = []
     for seed in range(100):
-        net = build_topology(dataclasses.replace(DESK, seed=seed))
+        net = drop(DESK, seed)
         res = run_message_passing(net, t_max=500)
         feasibility_log.append(("msgpass", seed, "msgpass",
                                 is_feasible(net, res.allocation).feasible))
@@ -125,7 +119,7 @@ def test_criterion_3_oracle_dominance():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        net = build_topology(dataclasses.replace(SMALL, seed=seed))
+        net = drop(SMALL, seed)
         _, best = exhaustive_search(net)
         for name, runner in (("matching", run_stable_matching),
                              ("msgpass", run_message_passing),

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import math
 
@@ -13,13 +12,12 @@ from hetalloc.allocation import (Allocation, OracleBudgetError,
                                  exhaustive_search, is_feasible, oracle_cost,
                                  search_space_size, start_alignment, sum_rate)
 from hetalloc.auction import repaired_last
-from hetalloc.harness import SOLVERS, load_scenario, run_experiment
+from hetalloc.harness import SOLVERS, run_experiment
 from hetalloc.msgpass import CycleWatch
 from hetalloc.netmodel import build_topology
 
-from conftest import toy_network
-from test_harness import K4, K50_LOOSE, MID_K10, ROOT, SCENARIOS, rows_sha256
-from test_netmodel import make_config, two_tx_net
+from conftest import (BENCH, POOLS, ROOT, config, drop, make_config, rows_sha256, toy_network,
+                      two_tx_net)
 
 
 def test_allocation_container_basics():
@@ -140,7 +138,7 @@ EVALUATORS = [is_feasible, sum_rate, allocation.weighted_benefit]
 
 def default_net():
     """The K=5, N=6, L=3 drop of ``scenarios/default.json``."""
-    return build_topology(load_scenario(SCENARIOS / "default.json"))
+    return build_topology(config({}))
 
 
 @pytest.mark.parametrize("evaluate", EVALUATORS)
@@ -307,10 +305,9 @@ def test_oracle_budget_bounds_oracle_cost():
 
 def test_oracle_dominates_solvers_beyond_enumeration():
     # K=10, N=8, L=3: 9.5e13 allocations to enumerate, under 1e7 DP steps
-    cfg = make_config(num_sbs=6, num_d2d=4, num_rb=8, power_levels=(0.05, 0.2, 1.0),
-                      i_max=1e-7)
+    cfg = make_config(**POOLS["mid-k10"])
     for seed in range(2):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         alloc, best = exhaustive_search(net)
         assert is_feasible(net, alloc).feasible and best > 0
         for name, run in SOLVERS.items():
@@ -463,9 +460,9 @@ def test_auction_pick_repairs_the_last_output():
 
 # --- solver start state and layering --------------------------------------
 
-@pytest.mark.parametrize("overrides", [{}, K4, MID_K10, K50_LOOSE, dict(K50_LOOSE, i_max=1e-8),
+@pytest.mark.parametrize("overrides", [{}, *(POOLS[name] for name in BENCH),
                                        dict(num_rb=1), dict(power_levels=(0.5,)),
-                                       dict(K4, num_rb=1, power_levels=(0.5,))],
+                                       dict(POOLS["oracle-k4"], num_rb=1, power_levels=(0.5,))],
                          ids=["default", "k4", "mid-k10", "k50-loose", "k50-tight",
                               "n1", "l1", "n1-l1"])
 def test_start_alignment_equals_reference_draw(overrides):
@@ -474,9 +471,9 @@ def test_start_alignment_equals_reference_draw(overrides):
     # bench/run.py's workloads.  start_alignment draws them in one
     # broadcast call, so this also checks that numpy's broadcast path still
     # draws what its scalar calls do, bounds of 1 included.
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    cfg = config(overrides)
     for seed in range(40):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         want = reference.random_alignment(net, np.random.default_rng(seed))
         assert start_alignment(net) == want and want.num_assigned() == net.num_tx
 
@@ -490,9 +487,9 @@ def test_start_draw_is_read_only():
 
 
 def test_start_alignment_returns_a_new_writable_copy():
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **K4)
+    cfg = config(POOLS["oracle-k4"])
     for seed in range(5):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         want = reference.random_alignment(net, np.random.default_rng(seed))
         first, second = start_alignment(net), start_alignment(net)
         assert first == second == want
@@ -507,7 +504,7 @@ def test_start_alignment_returns_a_new_writable_copy():
 def test_run_experiment_rows_independent_of_algorithm_order():
     # Every solver starts from its own copy of the drop's start state, so
     # no run can see what another did to it.
-    cfg = load_scenario(SCENARIOS / "default.json")
+    cfg = config({})
     want = rows_sha256(run_experiment(cfg, seeds=range(3), t_max=200))
     for order in itertools.permutations(SOLVERS):
         assert rows_sha256(run_experiment(cfg, algorithms=order, seeds=range(3),

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -11,12 +10,10 @@ from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, sta
                                  sum_rate)
 from hetalloc.auction import (NO_BIDDER, AuctionState, bid_increment,
                               local_auction_round, run_auction)
-from hetalloc.harness import load_scenario
 from hetalloc.netmodel import build_topology, interference_vector
 
-from conftest import benefit_planes, toy_network
-from test_harness import K4, K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
-from test_netmodel import make_config, two_tx_net
+from conftest import (BENCH, POOLS, T_MAX, benefit_planes, config, drop, make_config, toy_network,
+                      two_tx_net)
 
 
 # --- cost function --------------------------------------------------------
@@ -212,12 +209,11 @@ def test_run_feasible_and_message_accounting():
 def test_merged_cost_monotone_across_iterations():
     cfg = make_config(num_sbs=2, num_d2d=1, num_rb=2, i_max=1.0, w2=0.05)
     net = build_topology(cfg)
-    from hetalloc import netmodel
     x_prev = start_alignment(net)
     costs = np.maximum(0.0, reference.library_table(net, x_prev, "cost")).max(axis=0)
     state = AuctionState(costs, np.full(costs.shape, NO_BIDDER, np.int64), x_prev, 0.05)
     for _ in range(10):
-        iv = netmodel.interference_vector(net, x_prev)
+        iv = interference_vector(net, x_prev)
         b = benefit_planes(reference.library_table(net, x_prev, "benefit"))
         x_prev, costs, bidders, _bids = local_auction_round(state, net, iv, b)
         assert (costs >= state.costs - 1e-15).all()
@@ -238,11 +234,10 @@ def test_auction_start_prices_are_clamped_resource_maxima(monkeypatch):
         raise FirstRound
 
     monkeypatch.setattr(auction, "local_auction_round", first_round)
-    base = load_scenario(SCENARIOS / "default.json")
-    drops = ([dict(MID_K10, seed=s) for s in range(10)]
-             + [dict(cap, seed=s) for cap in (K50_LOOSE, K50_TIGHT) for s in range(3)])
-    for overrides in drops:
-        net = build_topology(dataclasses.replace(base, **overrides))
+    drops = ([("mid-k10", s) for s in range(10)]
+             + [(pool, s) for pool in ("wide-k50-loose", "wide-k50-tight") for s in range(3)])
+    for pool, seed in drops:
+        net = drop(config(POOLS[pool]), seed)
         with pytest.raises(FirstRound):
             run_auction(net)
         costs = seen.pop()
@@ -263,25 +258,20 @@ def test_run_epsilon_validation():
 
 # --- auction bytes ---------------------------------------------------------------
 
-def auction_bytes_sha256(overrides, t_max):
+def auction_bytes_sha256(pool):
     """sha256 over each drop's allocation bytes, iterations, converged flag,
     epsilon and merged costs (float64 bytes), for the 40-drop pool of the
-    bench/run.py workload ``overrides`` names."""
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    bench/run.py workload ``pool``, run at its t_max."""
+    cfg = config(POOLS[pool])
     h = hashlib.sha256()
     for seed in range(40):
-        res = run_auction(build_topology(dataclasses.replace(cfg, seed=seed)), t_max=t_max)
+        res = run_auction(drop(cfg, seed), t_max=T_MAX[pool])
         h.update(res.allocation.rb.tobytes() + res.allocation.level.tobytes())
         h.update(repr((res.iterations, res.converged, res.info["epsilon"])).encode())
         h.update(np.asarray(res.info["merged_costs"], dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("overrides, t_max, expected", [
-    (K4, 500, pins.AUCTION_BYTES["oracle-k4"]),
-    (MID_K10, 500, pins.AUCTION_BYTES["mid-k10"]),
-    (K50_LOOSE, 100, pins.AUCTION_BYTES["wide-k50-loose"]),
-    (K50_TIGHT, 100, pins.AUCTION_BYTES["wide-k50-tight"]),
-], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
-def test_golden_auction_bytes(overrides, t_max, expected):
-    assert auction_bytes_sha256(overrides, t_max) == expected
+@pytest.mark.parametrize("pool", BENCH)
+def test_golden_auction_bytes(pool):
+    assert auction_bytes_sha256(pool) == pins.AUCTION_BYTES[pool]

@@ -17,23 +17,23 @@ from hypothesis import given, settings, strategies as st
 
 import pins
 import reference
-from hetalloc import matching, msgpass, netmodel
+from hetalloc import msgpass, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate, weighted_benefit)
 from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round, run_auction
-from hetalloc.harness import load_scenario
 from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
                                match_alignments, preference_orders, run_stable_matching)
 from hetalloc.msgpass import MessageState, extract_allocation, proposal
 from hetalloc.netmodel import build_topology
 
-from conftest import benefit_planes, drop_params, toy_network
-from test_acceptance import DESK
-from test_harness import K4, K50_LOOSE, K50_TIGHT, MID_K10, SCENARIOS
-from test_netmodel import make_config
+from conftest import (BENCH, DESK, POOLS, benefit_planes, config, drop, drop_params,
+                      make_config, order_bytes, order_keys, toy_network)
 
-WIDE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.2, 1.0))
-MID = dict(num_sbs=6, num_d2d=4, num_rb=8, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
+# Three pools' overrides on make_config's base (a 300 m cell, a 25 m D2D
+# disk), not on default.json: other drops than the bench pools'.
+SMALL_CELL_K4 = make_config(**POOLS["oracle-k4"])
+SMALL_CELL_K10 = make_config(**POOLS["mid-k10"])
+SMALL_CELL_K50 = make_config(**POOLS["wide-k50-loose"])
 EDGES = [
     dict(num_sbs=1, num_d2d=0, num_rb=4, power_levels=(0.05, 0.2, 1.0)),   # K = 1
     dict(num_sbs=4, num_d2d=2, num_rb=1, power_levels=(0.05, 0.2, 1.0)),   # N = 1
@@ -62,7 +62,7 @@ def random_state(net, rng):
 def cases():
     for i_max in (1e-6, 1e-8):
         for seed in range(3):
-            yield make_config(seed=seed, i_max=i_max, **WIDE)
+            yield dataclasses.replace(SMALL_CELL_K50, seed=seed, i_max=i_max)
     for j, edge in enumerate(EDGES):
         for i_max in (1e-7, 1e-9):
             yield make_config(seed=j, i_max=i_max, **edge)
@@ -108,45 +108,40 @@ def macro_scan(net, alloc):
                      for m in range(net.gain_mbs_mue.shape[0])])
 
 
-POOLS = {"oracle-k4": K4, "mid-k10": MID_K10, "wide-k50-loose": K50_LOOSE,
-         "wide-k50-tight": K50_TIGHT}
-
-
 @functools.lru_cache(maxsize=None)
 def solver_allocations(pool):
     """(net, alloc) pairs on 10 drops of a bench/run.py pool: the empty
     allocation and what message passing and the auction return."""
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **POOLS[pool])
+    cfg = config(POOLS[pool])
     pairs = []
     for seed in range(10):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         pairs += [(net, alloc) for alloc in (
             Allocation(net.num_tx), msgpass.run_message_passing(net, t_max=100).allocation,
             run_auction(net, t_max=100).allocation)]
     return pairs
 
 
-@pytest.mark.parametrize("pool", POOLS)
+@pytest.mark.parametrize("pool", BENCH)
 def test_macro_sinrs_equal_scan_on_solver_allocations(pool):
     for net, alloc in solver_allocations(pool):
         assert same_array(netmodel.macro_sinrs(net, alloc), macro_scan(net, alloc))
 
 
-@pytest.mark.parametrize("pool", POOLS)
+@pytest.mark.parametrize("pool", BENCH)
 def test_interference_vector_equals_scan_on_solver_allocations(pool):
     for net, alloc in solver_allocations(pool):
         assert same_array(netmodel.interference_vector(net, alloc),
                           reference.interference_vector(net, alloc))
 
 
-@pytest.mark.parametrize("overrides", [K4, MID_K10, K50_LOOSE, K50_TIGHT],
-                         ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
-def test_interference_maps_agg_equals_vector(overrides):
+@pytest.mark.parametrize("pool", BENCH)
+def test_interference_maps_agg_equals_vector(pool):
     # The auction's per-round pass reads agg from the maps; it is the bytes
     # of interference_vector, the empty allocation included.
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    cfg = config(POOLS[pool])
     for seed in range(3):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         rng = np.random.default_rng(seed)
         for alloc in (Allocation(net.num_tx), start_alignment(net),
                       random_allocation(net, rng, 0.5), run_auction(net, t_max=5).allocation):
@@ -209,7 +204,7 @@ def test_repair_goes_on_from_the_fold_without_lone_holders(rest, kept):
 def test_repair_equals_scan_on_k50_tight_extraction_inputs(monkeypatch):
     # Every allocation message passing hands to repair on 10 drops of the
     # wide-k50-tight pool, where most evictions are of lone holders.
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **K50_TIGHT)
+    cfg = config(POOLS["wide-k50-tight"])
     seen = []
     repair = netmodel.repair
 
@@ -219,8 +214,7 @@ def test_repair_equals_scan_on_k50_tight_extraction_inputs(monkeypatch):
 
     monkeypatch.setattr(netmodel, "repair", recording)
     for seed in range(10):
-        msgpass.run_message_passing(build_topology(dataclasses.replace(cfg, seed=seed)),
-                                    t_max=100)
+        msgpass.run_message_passing(drop(cfg, seed), t_max=100)
     monkeypatch.undo()
     assert len(seen) > 100 and sum(lone_holders(net, a) for net, a in seen) > 0
     for net, alloc in seen:
@@ -280,31 +274,6 @@ def test_ties_break_toward_lowest_index():
     assert tx == [reference.keys(reference.profile(("tx", k), util[k])) for k in range(3)]
 
 
-def order_keys(orders, K, N, L):
-    """``preference_orders`` as profile keys: (n, l) per transmitter, (k, l) per
-    RB.  An RB's order is its alignments sorted by (-u[s], s), and
-    ``matching._struck`` must rank each entry strictly below the one before."""
-    NL = N * L
-    tx_order, util = orders
-    assert util.shape == (K, N, L)
-    u = util.ravel().tolist()
-    assert all(sorted(tx_order[k * NL:(k + 1) * NL]) == list(range(k * NL, (k + 1) * NL))
-               for k in range(K))
-    rb_order = [sorted((k * NL + n * L + l for k in range(K) for l in range(L)),
-                       key=lambda s: (-u[s], s)) for n in range(N)]
-    assert all(matching._struck(u, b, a) and not matching._struck(u, a, b)
-               for order in rb_order for a, b in zip(order, order[1:]))
-    tx = [[divmod(s % NL, L) for s in tx_order[k * NL:(k + 1) * NL]] for k in range(K)]
-    rb = [[(s // NL, s % L) for s in rb_order[n]] for n in range(N)]
-    return tx, rb
-
-
-def order_bytes(orders):
-    """A snapshot of ``preference_orders`` that compares by value."""
-    tx_order, util = orders
-    return list(tx_order), util.tobytes()
-
-
 def profiles(net, alloc):
     """The round's orders and both reference profile families; the orders
     and the profile builders are checked key for key against the
@@ -325,7 +294,7 @@ def assert_matching_equals_list_rebuild(cfg, seeds, rounds):
     many rounds revoked a holder."""
     revoked_rounds = 0
     for seed in seeds:
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         x = start_alignment(net)
         for _round in range(rounds):
             orders, tx, rb = profiles(net, x)
@@ -343,7 +312,7 @@ def assert_matching_equals_list_rebuild(cfg, seeds, rounds):
 
 
 def test_matching_equals_list_rebuild_on_mid_drops():
-    revoked_rounds = assert_matching_equals_list_rebuild(make_config(**MID), range(20), 4)
+    revoked_rounds = assert_matching_equals_list_rebuild(SMALL_CELL_K10, range(20), 4)
     assert revoked_rounds > 0  # revocation and striking were exercised
 
 
@@ -366,7 +335,7 @@ def test_blocking_scan_equals_profile_scan():
     outcomes = {True: 0, False: 0}
     matchings = 0
     for seed in range(100):
-        net = build_topology(dataclasses.replace(DESK, seed=seed))
+        net = drop(DESK, seed)
         K, N, L = net.num_tx, net.num_rb, net.num_levels
         rng = np.random.default_rng(seed)
         x = start_alignment(net)
@@ -447,12 +416,13 @@ def round_one_places_a_bid(net):
 # The loose-cap cases are the drops on which round one places a bid, and
 # the tight-cap K=50 cases those on which it places none.
 ROUND_CASES = (drop_params(round_one_places_a_bid,
-                           {"K50-cap1e-06-s": make_config(i_max=1e-6, **WIDE)}, range(2))
+                           {"K50-cap1e-06-s": SMALL_CELL_K50}, range(2))
                + drop_params(round_one_places_no_bid,
-                             {"K50-cap1e-08-s": make_config(i_max=1e-8, **WIDE)}, range(10))
+                             {"K50-cap1e-08-s": dataclasses.replace(SMALL_CELL_K50, i_max=1e-8)},
+                             range(10))
                + drop_params(round_one_places_a_bid,
-                             {"K10-cap1e-07-s": make_config(**MID),
-                              "K4-cap1e-07-s": make_config(**K4)}, range(3)))
+                             {"K10-cap1e-07-s": SMALL_CELL_K10, "K4-cap1e-07-s": SMALL_CELL_K4},
+                             range(3)))
 
 
 @pytest.mark.parametrize("cfg", ROUND_CASES)
@@ -500,8 +470,8 @@ def k_row_auction(net, t_max):
             reference.merged_view(costs, bidders)[0])
 
 
-@pytest.mark.parametrize("cfg", [make_config(seed=s, i_max=1e-6, **WIDE) for s in range(2)]
-                         + [make_config(seed=s, **MID) for s in range(2)])
+@pytest.mark.parametrize("cfg", [dataclasses.replace(c, seed=s)
+                                 for c in (SMALL_CELL_K50, SMALL_CELL_K10) for s in range(2)])
 def test_run_auction_equals_k_row_reference_loop(cfg):
     net = build_topology(cfg)
     res = run_auction(net, t_max=100)
@@ -610,8 +580,8 @@ def test_network_constant_tables_equal_inline_and_read_only():
     # At N = 1 a transposed gain_ul and its reshape are views of gain_ul,
     # so gain_rows, written with its 0.0 entries, must be built on a copy:
     # the checksum shows gain_ul kept.
-    for overrides in (MID, EDGES[1]):
-        net = build_topology(make_config(seed=3, **overrides))
+    for cfg in (SMALL_CELL_K10, make_config(**EDGES[1])):
+        net = drop(cfg, 3)
         K = net.num_tx
         sig = net.gain_ul[np.arange(K), np.arange(K), :]
         L = net.num_levels
@@ -640,7 +610,7 @@ def test_network_constant_tables_equal_inline_and_read_only():
                 table[(0,) * table.ndim] = 1.0
         assert net.sig_pt is net.sig_pt  # built once per drop
         assert net.gain_rows is net.gain_rows
-        again = build_topology(make_config(seed=3, **overrides))
+        again = drop(cfg, 3)
         assert reference.checksum(again) == reference.checksum(net)
         assert "sig_pt" not in {f.name for f in dataclasses.fields(net)}
 
@@ -725,7 +695,8 @@ def flip_zero_signs(a):
     return np.where(a == 0.0, -a, a)
 
 
-@pytest.mark.parametrize("cfg", [make_config(seed=1, **MID), make_config(seed=1, **WIDE)],
+@pytest.mark.parametrize("cfg", [dataclasses.replace(SMALL_CELL_K10, seed=1),
+                                 dataclasses.replace(SMALL_CELL_K50, seed=1, i_max=1e-7)],
                          ids=["K10", "K50"])
 def test_signs_of_zero_reach_no_allocation(cfg):
     # A peak of exactly +-0 may leave the argmax form with the other sign
@@ -759,7 +730,7 @@ def assert_oracle_equals_enumeration(net):
 
 def test_oracle_equals_enumeration_on_k4_drops():
     for seed in range(20):
-        assert_oracle_equals_enumeration(build_topology(make_config(seed=seed, **K4)))
+        assert_oracle_equals_enumeration(drop(SMALL_CELL_K4, seed))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import functools
@@ -7,8 +8,6 @@ import json
 import re
 import sys
 import types
-from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,13 +25,11 @@ from hetalloc.matching import run_stable_matching
 from hetalloc.msgpass import run_message_passing
 from hetalloc.netmodel import ConfigError, build_topology
 
-from conftest import drops_where
-
-ROOT = Path(__file__).resolve().parent.parent
-SCENARIOS = ROOT / "scenarios"
+from conftest import (BENCH, POOLS, ROOT, SCENARIOS, T_MAX, config, count_calls, drop,
+                      drops_where, matching_cycles, rows_sha256)
 
 
-def write_scenario(tmp_path, overrides=None, drop=None, name="scen.json"):
+def write_scenario(tmp_path, overrides=None, omit=None, name="scen.json"):
     data = {
         "seed": 1, "cell_radius": 250.0, "num_mue": 2, "num_sbs": 1,
         "num_d2d": 1, "num_rb": 2, "power_levels": [0.1, 0.5],
@@ -42,8 +39,8 @@ def write_scenario(tmp_path, overrides=None, drop=None, name="scen.json"):
     }
     if overrides:
         data.update(overrides)
-    if drop:
-        del data[drop]
+    if omit:
+        del data[omit]
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path, data
@@ -64,7 +61,7 @@ def test_load_rejects_unknown_field(tmp_path):
 
 
 def test_load_rejects_missing_field(tmp_path):
-    path, _ = write_scenario(tmp_path, drop="cell_radius")
+    path, _ = write_scenario(tmp_path, omit="cell_radius")
     with pytest.raises(ConfigError, match="cell_radius"):
         load_scenario(path)
 
@@ -76,7 +73,7 @@ def test_load_rejects_nonincreasing_power_levels(tmp_path):
 
 
 def test_load_allows_omitted_bandwidth_default(tmp_path):
-    path, _ = write_scenario(tmp_path, drop="rb_bandwidth")
+    path, _ = write_scenario(tmp_path, omit="rb_bandwidth")
     assert load_scenario(path).rb_bandwidth == 180e3
 
 
@@ -102,8 +99,7 @@ def test_run_experiment_rows_and_drop_identity(tmp_path):
     assert all(m.seed == 3 for m in rows)
     assert all(m.feasible for m in rows)
     # all rows were measured against the identical drop
-    assert (reference.checksum(build_topology(dataclasses.replace(cfg, seed=3)))
-            == reference.checksum(build_topology(dataclasses.replace(cfg, seed=3))))
+    assert reference.checksum(drop(cfg, 3)) == reference.checksum(drop(cfg, 3))
     oracle = next(m for m in rows if m.algorithm == "oracle")
     for m in rows:
         assert m.sum_rate <= oracle.sum_rate * (1 + 1e-9)
@@ -160,18 +156,11 @@ def test_run_experiment_rejects_non_integer_seed_before_any_drop(tmp_path, monke
     # Seed 0 is good; the bad one after it must stop the run before drop 0
     # is built.
     path, _ = write_scenario(tmp_path)
-    built = []
-    build = netmodel.build_topology
-
-    def counting(cfg):
-        built.append(cfg.seed)
-        return build(cfg)
-
-    monkeypatch.setattr(netmodel, "build_topology", counting)
+    built = count_calls(monkeypatch, [(netmodel, "build_topology")])
     with pytest.raises(ValueError, match=re.escape(
             f"seeds {seeds!r} selects non-integer seed {seeds[1]!r}")):
         run_experiment(load_scenario(path), seeds=seeds)
-    assert built == []
+    assert not built
 
 
 @pytest.mark.parametrize("t_max, message", [
@@ -200,29 +189,56 @@ def test_run_experiment_takes_one_pass_selections(tmp_path):
 def test_run_experiment_calls_runners_through_module_globals(tmp_path, monkeypatch):
     # bench/run.py and bench/tracing.py swap these names on harness with
     # setattr; the swapped-in function must be the one that runs.
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     names = ("run_stable_matching", "run_message_passing", "run_auction", "exhaustive_search")
-    for name in names:
-        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    calls = count_calls(monkeypatch, [(harness, name) for name in names])
     path, _ = write_scenario(tmp_path)
     run_experiment(load_scenario(path), seeds=[0, 1], with_oracle=True, t_max=50)
-    assert calls == {name: 2 for name in names}
+    assert calls == {f"hetalloc.harness.{name}": 2 for name in names}
+
+
+def bench_module(monkeypatch, name):
+    """``bench/<name>.py``, loaded as a module that teardown unregisters."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_trace_sites_exist(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    tracing = bench_module(monkeypatch, "tracing")
     missing = [site.name for site in tracing.sites() if site.attr not in site.owner.__dict__]
     assert not missing
+
+
+def test_pools_are_the_bench_workloads(monkeypatch):
+    # bench/run.py pins its BLAS threads in os.environ on import.  setenv
+    # records each variable's old value, set or not, so teardown undoes the
+    # module's writes; delenv records nothing for an unset variable.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    run = bench_module(monkeypatch, "run")
+    assert BENCH == tuple(run.WORKLOADS)
+    for name, workload in run.WORKLOADS.items():
+        assert (POOLS[name], T_MAX[name]) == (workload.overrides, workload.t_max), name
+
+
+def imported_test_modules(path):
+    """The ``test_*`` modules that ``path`` imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return sorted(name for name in names if name.partition(".")[0].startswith("test_"))
+
+
+def test_no_test_module_imports_another():
+    # Scenarios and shared helpers live in conftest, goldens in pins, scan
+    # references in reference and bounds in bound.
+    found = {p.name: imported_test_modules(p) for p in sorted((ROOT / "tests").glob("test_*.py"))}
+    assert not {name: modules for name, modules in found.items() if modules}
 
 
 # The per-iteration sites of bench/tracing.py, on the module it swaps them on.
@@ -234,40 +250,22 @@ TRACED_STEPS = [(netmodel, "utility_table"), (netmodel, "benefit_table"),
                 (auction, "bid_increment")]
 
 
-def count_calls(monkeypatch, steps):
-    """A Counter of the calls, keyed ``module.attr``, that reach each of
-    ``steps`` through its module attribute, as the tracer's swap does."""
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for owner, attr in steps:
-        name = f"{owner.__name__}.{attr}"
-        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
-    return calls
-
-
 def test_solver_steps_call_the_traced_sites(monkeypatch):
     # The tracer times a site by swapping the module attribute; a solver
     # that bound one of these names at import would bypass the swap and
     # zero its per-layer metric.  Matching confirms its cycle on the first
     # round whose allocation repeats an earlier one (the start state
     # included), computes no round after it and replays from the next.
-    from test_matching import matching_cycles
-
     calls = count_calls(monkeypatch, TRACED_STEPS)
-    seeds = drops_where(MID_K10_POOL, matching_cycles)
+    cfg = config(POOLS["mid-k10"])
+    seeds = drops_where(cfg, matching_cycles)
     assert seeds
     for seed in seeds:
         calls.clear()
-        run_experiment(MID_K10_POOL, seeds=[seed], t_max=500)
+        run_experiment(cfg, seeds=[seed], t_max=500)
         assert all(calls[f"{o.__name__}.{a}"] for o, a in TRACED_STEPS), calls
         rounds = calls["hetalloc.matching.match_alignments"]
-        net = build_topology(dataclasses.replace(MID_K10_POOL, seed=seed))
+        net = drop(cfg, seed)
         assert rounds == run_stable_matching(net, t_max=500).info["cycle"][0] - 1
         x = [start_alignment(net)] + reference.run_stable_matching(net, rounds).info["allocations"]
         assert rounds == next(r for r in range(1, len(x)) if x[r] in x[:r])
@@ -284,11 +282,12 @@ def test_auction_prices_each_round_through_the_traced_tables(monkeypatch, t_max)
     # once; the row's evaluation builds no table.  Its drops bid past round
     # two, so t_max 2 cuts off a run that is still bidding.
     calls = count_calls(monkeypatch, [(netmodel, "benefit_table"), (netmodel, "cost_table")])
-    seeds = drops_where(MID_K10_POOL, auction_runs_three_rounds)
+    cfg = config(POOLS["mid-k10"])
+    seeds = drops_where(cfg, auction_runs_three_rounds)
     assert seeds
     for seed in seeds:
         calls.clear()
-        [row] = run_experiment(MID_K10_POOL, seeds=[seed], t_max=t_max, algorithms=["auction"])
+        [row] = run_experiment(cfg, seeds=[seed], t_max=t_max, algorithms=["auction"])
         assert calls["hetalloc.netmodel.benefit_table"] == row.iterations, (seed, calls)
         assert calls["hetalloc.netmodel.cost_table"] == 1, (seed, calls)
 
@@ -363,44 +362,17 @@ def test_parse_seed_spec_rejects_repeats(spec, repeated):
         parse_seed_spec(spec)
 
 
-# The overrides of bench/run.py's oracle-k4, wide-k50-loose, wide-k50-tight
-# and mid-k10 workloads; tests/pins.py holds the digests their pools pin.
-K4 = dict(num_sbs=2, num_d2d=2, num_rb=4, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
-K50_LOOSE = dict(num_sbs=30, num_d2d=20, num_rb=25, power_levels=(0.02, 0.05, 0.2, 1.0),
-                 i_max=1e-6)
-K50_TIGHT = dict(K50_LOOSE, i_max=1e-8)
-MID_K10 = dict(num_sbs=6, num_d2d=4, num_rb=8, power_levels=(0.05, 0.2, 1.0), i_max=1e-7)
-POOLS = {"oracle-k4": K4, "mid-k10": MID_K10, "wide-k50-loose": K50_LOOSE,
-         "wide-k50-tight": K50_TIGHT}
-
-
-def config(overrides):
-    """``scenarios/default.json`` with ``overrides`` applied."""
-    return dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
-
-
-# The base configs of three pools, for drops_where.
-K4_POOL, MID_K10_POOL, K50_TIGHT_POOL = map(config, (K4, MID_K10, K50_TIGHT))
-
-
-def rows_sha256(rows):
-    h = hashlib.sha256()
-    for r in rows:
-        h.update((repr(dataclasses.astuple(dataclasses.replace(r, wall_time_ms=None)))
-                  + "\n").encode())
-    return h.hexdigest()
-
-
 K50_RUN = dict(seeds=range(5), algorithms=("msgpass", "auction"), t_max=100)
 
 
 @pytest.mark.parametrize("overrides, run, count, expected", [
     ({}, dict(seeds=range(20)), 60, pins.GOLDEN_DEFAULT_ROWS_SHA256),
     ({}, dict(seeds=range(20), with_oracle=True), 80, pins.GOLDEN_DEFAULT_ORACLE_ROWS_SHA256),
-    (K4, dict(seeds=range(40), with_oracle=True), 160, pins.GOLDEN_K4_ORACLE_ROWS_SHA256),
-    (MID_K10, dict(seeds=range(40), t_max=500), 120, pins.GOLDEN_MID_K10_ROWS_SHA256),
-    (K50_LOOSE, K50_RUN, 10, pins.GOLDEN_K50_ROWS_SHA256),
-    (K50_TIGHT, K50_RUN, 10, pins.GOLDEN_K50_TIGHT_ROWS_SHA256),
+    (POOLS["oracle-k4"], dict(seeds=range(40), with_oracle=True), 160,
+     pins.GOLDEN_K4_ORACLE_ROWS_SHA256),
+    (POOLS["mid-k10"], dict(seeds=range(40), t_max=500), 120, pins.GOLDEN_MID_K10_ROWS_SHA256),
+    (POOLS["wide-k50-loose"], K50_RUN, 10, pins.GOLDEN_K50_ROWS_SHA256),
+    (POOLS["wide-k50-tight"], K50_RUN, 10, pins.GOLDEN_K50_TIGHT_ROWS_SHA256),
 ], ids=["default", "default-oracle", "oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
 def test_golden_answers(overrides, run, count, expected):
     rows = run_experiment(config(overrides), **run)
@@ -423,7 +395,8 @@ def test_golden_answers_one_entry_lines(overrides, nonzero, expected):
 def test_no_fitting_transmitter_left_silent():
     # A stronger stability check than criterion 4: an RB without holders
     # is willing too, as long as the newcomer keeps it under its cap.
-    nets = [build_topology(dataclasses.replace(MID_K10_POOL, seed=seed)) for seed in range(40)]
+    cfg = config(POOLS["mid-k10"])
+    nets = [drop(cfg, seed) for seed in range(40)]
     counts = {}
     for name, solve in SOLVERS.items():
         allocs = [solve(net, 500).allocation for net in nets]
@@ -435,13 +408,13 @@ def test_no_fitting_transmitter_left_silent():
 
 @functools.lru_cache(maxsize=None)
 def pool_drops(pool):
-    """The 40 drops, seeds 0..39, of one of POOLS; built once for both
-    digest tests."""
+    """The 40 drops, seeds 0..39, of one of the BENCH pools; built once for
+    both digest tests."""
     cfg = config(POOLS[pool])
-    return tuple(build_topology(dataclasses.replace(cfg, seed=seed)) for seed in range(40))
+    return tuple(drop(cfg, seed) for seed in range(40))
 
 
-@pytest.mark.parametrize("pool", list(POOLS))
+@pytest.mark.parametrize("pool", BENCH)
 def test_golden_topology(pool):
     topology = "".join(map(reference.checksum, pool_drops(pool)))
     assert hashlib.sha256(topology.encode()).hexdigest() == pins.TOPOLOGY[pool]
@@ -460,7 +433,7 @@ def derived_digest(nets):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("pool", list(POOLS))
+@pytest.mark.parametrize("pool", BENCH)
 def test_golden_derived_fields(pool):
     assert derived_digest(pool_drops(pool)) == pins.DERIVED_FIELDS[pool]
 
@@ -499,7 +472,7 @@ def test_each_row_computes_its_sinrs_once(monkeypatch):
     monkeypatch.setattr(netmodel, "sinr_underlay", counting)
     monkeypatch.setattr(harness, "SOLVERS", {k: quiet(v) for k, v in harness.SOLVERS.items()})
     monkeypatch.setattr(harness, "exhaustive_search", quiet(harness.exhaustive_search))
-    cfg = load_scenario(SCENARIOS / "default.json")
+    cfg = config({})
     for with_oracle in (False, True):
         calls.clear()
         rows = run_experiment(cfg, seeds=range(2), with_oracle=with_oracle)
@@ -507,10 +480,10 @@ def test_each_row_computes_its_sinrs_once(monkeypatch):
 
 
 def test_rows_take_rate_and_benefit_from_one_report():
-    cfg = load_scenario(SCENARIOS / "default.json")
+    cfg = config({})
     rows = run_experiment(cfg, seeds=[0, 1], with_oracle=True)
     for seed in (0, 1):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         for r in (r for r in rows if r.seed == seed):
             alloc = (exhaustive_search(net)[0] if r.algorithm == "oracle"
                      else harness.SOLVERS[r.algorithm](net, 500).allocation)
@@ -530,7 +503,7 @@ ON_THE_ORACLE = {name: functools.partial(returns_the_oracle, name) for name in S
 # Rows of a solver that returns the oracle's own allocation: on the
 # oracle-k4 pool, and on default.json cut to one RB and one power level (K=5).
 @pytest.mark.parametrize("overrides, seed_range", [
-    (K4, range(40)),
+    (POOLS["oracle-k4"], range(40)),
     (dict(num_rb=1, power_levels=(1.0,)), range(20)),
 ], ids=["oracle-k4", "k5-one-entry"])
 def test_solver_on_the_oracle_allocation_has_zero_gap(overrides, seed_range):
@@ -542,7 +515,7 @@ def test_solver_on_the_oracle_allocation_has_zero_gap(overrides, seed_range):
     rows = {(r.seed, r.algorithm): r
             for r in run_experiment(cfg, seeds=seeds, with_oracle=True)}
     for seed, name in hits:
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         assert harness.SOLVERS[name](net, 500).allocation == exhaustive_search(net)[0]
         assert rows[seed, name].oracle_gap == 0.0 == rows[seed, "oracle"].oracle_gap
         assert rows[seed, name].sum_rate == rows[seed, "oracle"].sum_rate

@@ -49,11 +49,7 @@ from hetalloc.allocation import exhaustive_search, oracle_cost
 from hetalloc.harness import run_experiment
 from hetalloc.netmodel import build_topology, make_network
 
-from test_harness import K50_LOOSE, K50_TIGHT, MID_K10, config
-
-K200_LOOSE = dict(num_sbs=120, num_d2d=80, num_rb=50, power_levels=(0.02, 0.05, 0.2, 1.0),
-                  i_max=1e-6)
-K200_TIGHT = dict(K200_LOOSE, i_max=1e-8)
+from conftest import POOLS, config, drop
 
 
 def scaled(cfg, e):
@@ -88,9 +84,9 @@ def rows(cfg, form, **run):
 
 @pytest.mark.parametrize("overrides, run", [
     ({}, dict(seeds=range(5), with_oracle=True)),
-    (MID_K10, dict(seeds=range(3))),
-    (K50_TIGHT, dict(seeds=[0])),
-    (K200_LOOSE, dict(seeds=[0], algorithms=["matching"])),
+    (POOLS["mid-k10"], dict(seeds=range(3))),
+    (POOLS["wide-k50-tight"], dict(seeds=[0])),
+    (POOLS["k200-loose"], dict(seeds=[0], algorithms=["matching"])),
 ], ids=["default-oracle", "mid-k10", "k50-tight", "k200-loose-matching"])
 def test_scaling_powers_and_caps_keeps_every_row(overrides, run):
     cfg, run = config(overrides), dict(run, t_max=100)
@@ -101,8 +97,8 @@ def test_scaling_powers_and_caps_keeps_every_row(overrides, run):
 
 @pytest.mark.parametrize("overrides, run", [
     ({}, dict(seeds=range(20))),
-    (MID_K10, dict(seeds=range(20))),
-    (K50_TIGHT, dict(seeds=range(2), t_max=100)),
+    (POOLS["mid-k10"], dict(seeds=range(20))),
+    (POOLS["wide-k50-tight"], dict(seeds=range(2), t_max=100)),
 ], ids=["default", "mid-k10", "k50-tight"])
 def test_scaling_weights_keeps_every_solver(overrides, run):
     # Each row's (rate, iterations, converged) stays the same with w1 and
@@ -164,22 +160,22 @@ def relabeled(net, tx, rb):
         net.i_max[rb], net.mbs_power, net.sigma2, net.w1, net.w2, net.rb_bandwidth)
 
 
-@pytest.mark.parametrize("overrides, seeds", [({}, range(20)), (MID_K10, range(5))],
+@pytest.mark.parametrize("overrides, seeds", [({}, range(20)), (POOLS["mid-k10"], range(5))],
                          ids=["default", "mid-k10"])
 def test_relabeling_keeps_the_oracle_rate(overrides, seeds):
     cfg = config(overrides)
     for seed in seeds:
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         rate = exhaustive_search(net)[1]
         again = exhaustive_search(relabeled(net, *relabeling(net, seed)))[1]
         assert rate > 0 and again == pytest.approx(rate, rel=1e-12, abs=0), seed
 
 
 BOUND_CASES = (
-    [pytest.param(MID_K10, s, integral, id=f"mid-k10-s{s}-{'milp' if integral else 'lp'}")
+    [pytest.param(POOLS["mid-k10"], s, integral, id=f"mid-k10-s{s}-{'milp' if integral else 'lp'}")
      for s in range(6) for integral in (False, True)]
-    + [pytest.param(k50, s, False, id=f"{name}-s{s}-lp")
-       for name, k50 in (("k50-loose", K50_LOOSE), ("k50-tight", K50_TIGHT)) for s in range(3)])
+    + [pytest.param(POOLS[f"wide-{name}"], s, False, id=f"{name}-s{s}-lp")
+       for name in ("k50-loose", "k50-tight") for s in range(3)])
 
 
 @pytest.mark.parametrize("overrides, seed, integral", BOUND_CASES)
@@ -194,8 +190,9 @@ def test_bound_passes_the_scale_and_relabeling_gates(overrides, seed, integral):
     assert again == pytest.approx(bound, rel=1e-9, abs=0)
 
 
-@pytest.mark.parametrize("overrides, seeds", [(MID_K10, range(10)), (K50_LOOSE, range(3)),
-                                               (K50_TIGHT, range(3))],
+@pytest.mark.parametrize("overrides, seeds", [(POOLS["mid-k10"], range(10)),
+                                               (POOLS["wide-k50-loose"], range(3)),
+                                               (POOLS["wide-k50-tight"], range(3))],
                          ids=["mid-k10", "k50-loose", "k50-tight"])
 def test_greedy_passes_the_scale_and_relabeling_gates(overrides, seeds):
     for seed in seeds:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -11,16 +10,8 @@ from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, sta
 from hetalloc.matching import match_alignments, preference_orders, run_stable_matching
 from hetalloc.netmodel import build_topology, utility_table
 
-from conftest import drop_params, drops_where, round_orders, toy_network
-from test_exact import order_bytes, order_keys
-from test_harness import K4_POOL, MID_K10_POOL
-from test_netmodel import make_config
-
-
-def matching_cycles(net):
-    """The drop's matching never converges: from some round on, every
-    allocation equals one computed before it, and the run replays them."""
-    return run_stable_matching(net, t_max=500).info["cycle"] is not None
+from conftest import (POOLS, config, count_calls, drop, drop_params, drops_where, make_config,
+                      matching_cycles, order_bytes, order_keys, round_orders, toy_network)
 
 
 def contention_net():
@@ -113,7 +104,7 @@ def test_contention_hand_trace():
 def test_matching_feasible_and_proposal_bound_on_drops():
     cfg = make_config(num_sbs=3, num_d2d=2, num_rb=3)
     for seed in range(10):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         orders = orders_for(net)
         m = match_alignments(orders, net)
         assert m.proposals <= net.num_tx * net.num_rb * net.num_levels
@@ -170,7 +161,7 @@ def test_run_message_accounting():
 def test_run_tiny_drop_dominated_by_oracle():
     cfg = make_config(num_sbs=1, num_d2d=1, num_rb=2, power_levels=(0.1, 0.5))
     for seed in range(20):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         res = run_stable_matching(net)
         rep = is_feasible(net, res.allocation)
         assert rep.feasible
@@ -193,7 +184,7 @@ def test_no_stable_matching_dominates_on_tiny_drops():
     # beats the returned sum rate
     cfg = make_config(num_sbs=1, num_d2d=1, num_rb=2, power_levels=(0.5,))
     for seed in range(10):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         res = run_stable_matching(net)
         last, _ = list(round_orders(net, res))[-1]
         achieved = sum_rate(net, res.allocation)
@@ -209,22 +200,16 @@ def test_no_stable_matching_dominates_on_tiny_drops():
 def test_fast_path_builds_no_profiles(monkeypatch):
     # one pair of orders per computed round, and the profile builders kept
     # for the benchmark's tracer are never called
-    built = []
-    original = matching.preference_orders
-
-    def counting_orders(util):
-        built.append("orders")
-        return original(util)
-
     def no_profiles(*_args):
         raise AssertionError("run_stable_matching built a profile")
 
-    monkeypatch.setattr(matching, "preference_orders", counting_orders)
+    calls = count_calls(monkeypatch, [(matching, "preference_orders")])
     monkeypatch.setattr(matching, "build_transmitter_profile", no_profiles)
     monkeypatch.setattr(matching, "build_rb_profile", no_profiles)
     net = build_topology(make_config())
     res = run_stable_matching(net)
-    assert len(built) == res.iterations == len(res.info["allocations"])
+    rounds = calls["hetalloc.matching.preference_orders"]
+    assert rounds == res.iterations == len(res.info["allocations"])
 
 
 def test_round_orders_equal_reference_sort_with_signed_zero_ties():
@@ -263,8 +248,8 @@ def assert_same_run(got, want):
 
 
 # The ids of mid-k10 drops are their bare seeds.
-@pytest.mark.parametrize("cfg", drop_params(matching_cycles, {"": MID_K10_POOL,
-                                                              "oracle-k4-": K4_POOL}))
+@pytest.mark.parametrize("cfg", drop_params(matching_cycles, {
+    "": config(POOLS["mid-k10"]), "oracle-k4-": config(POOLS["oracle-k4"])}))
 def test_replay_equals_full_loop(cfg):
     net = build_topology(cfg)
     first, period = run_stable_matching(net, t_max=500).info["cycle"]
@@ -281,37 +266,24 @@ def test_replay_equals_full_loop(cfg):
 
 
 def test_oscillating_drop_computes_few_rounds(monkeypatch):
-    calls = []
-    original = netmodel.utility_table
-
-    def counting(net, alloc):
-        calls.append(1)
-        return original(net, alloc)
-
-    seeds = drops_where(MID_K10_POOL, matching_cycles)
+    cfg = config(POOLS["mid-k10"])
+    seeds = drops_where(cfg, matching_cycles)
     assert seeds
-    monkeypatch.setattr(netmodel, "utility_table", counting)
-    res = run_stable_matching(build_topology(dataclasses.replace(MID_K10_POOL, seed=seeds[0])),
-                              t_max=500)
+    calls = count_calls(monkeypatch, [(netmodel, "utility_table")])
+    res = run_stable_matching(drop(cfg, seeds[0]), t_max=500)
     assert (res.iterations, res.converged) == (500, False)
     assert len(res.info["proposals_per_round"]) == 500
-    assert len(calls) <= 10
+    assert calls["hetalloc.netmodel.utility_table"] <= 10
 
 
 def test_only_unconverged_runs_score_their_computed_rounds(monkeypatch):
     # A converged run returns its fixed point unscored; any other run
     # scores each round it computed once, and no replayed round.
-    calls = []
-
-    def counting(net, alloc):
-        calls.append(1)
-        return sum_rate(net, alloc)
-
-    monkeypatch.setattr(matching, "sum_rate", counting)
+    calls = count_calls(monkeypatch, [(matching, "sum_rate")])
+    cfg = config(POOLS["oracle-k4"])
     for seed in range(40):
         calls.clear()
-        res = run_stable_matching(build_topology(dataclasses.replace(K4_POOL, seed=seed)),
-                                  t_max=500)
+        res = run_stable_matching(drop(cfg, seed), t_max=500)
         cycle = res.info["cycle"]
         want = 0 if res.converged else cycle[0] - 1 if cycle else res.iterations
-        assert len(calls) == want, seed
+        assert calls["hetalloc.matching.sum_rate"] == want, seed

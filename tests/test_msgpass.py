@@ -9,15 +9,12 @@ import reference
 from hetalloc import msgpass, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate)
-from hetalloc.harness import load_scenario
 from hetalloc.msgpass import (CycleWatch, MessageState, extract_allocation, proposal,
                               res_sweep, run_message_passing, tx_sweep)
 from hetalloc.netmodel import build_topology, utility_table
 
-from conftest import drop_params, drops_where, toy_network
-from test_harness import (K4, K4_POOL, K50_LOOSE, K50_TIGHT, K50_TIGHT_POOL, MID_K10,
-                          MID_K10_POOL, SCENARIOS)
-from test_netmodel import make_config
+from conftest import (BENCH, POOLS, T_MAX, config, count_calls, drop, drop_params, drops_where,
+                      make_config, toy_network)
 
 
 def state_with(psi_tx=None, psi_res=None, omega=0.5, shape=(2, 2, 2)):
@@ -251,7 +248,7 @@ def test_run_tiny_drops_dominated_by_oracle():
                       i_max=1e-4)
     equal = 0
     for seed in range(20):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
+        net = drop(cfg, seed)
         res = run_message_passing(net)
         rep = is_feasible(net, res.allocation)
         assert rep.feasible
@@ -262,20 +259,15 @@ def test_run_tiny_drops_dominated_by_oracle():
     assert equal >= 10  # typically optimal when the cap is loose
 
 
-# The four bench/run.py workloads, with their t_max.
-WORKLOADS = [(K4, 500), (MID_K10, 500), (K50_LOOSE, 100), (K50_TIGHT, 100)]
-
-
-@pytest.mark.parametrize("overrides, t_max", WORKLOADS,
-                         ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
-def test_run_equals_full_loop_on_workload_drops(overrides, t_max):
+@pytest.mark.parametrize("pool", BENCH)
+def test_run_equals_full_loop_on_workload_drops(pool):
     # Reused tables and extractions, and replayed cycles, leave every field
     # of the result equal to the loop that computes all of them.
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    cfg = config(POOLS[pool])
     for seed in range(10):
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
-        got = run_message_passing(net, t_max=t_max)
-        want = reference.run_message_passing(net, t_max=t_max)
+        net = drop(cfg, seed)
+        got = run_message_passing(net, t_max=T_MAX[pool])
+        want = reference.run_message_passing(net, t_max=T_MAX[pool])
         assert got.allocation == want.allocation
         assert (got.iterations, got.converged, got.messages) == \
             (want.iterations, want.converged, want.messages)
@@ -324,10 +316,11 @@ def test_no_run_reuses_another_drops_work(order):
     # alone would hand the second run the first one's table; these runs
     # also propose alike where repair under the two caps differs, so a
     # shared extraction cache fails here too.
-    seeds = drops_where(MID_K10_POOL, caps_share_keys)[:3]
+    base = config(POOLS["mid-k10"])
+    seeds = drops_where(base, caps_share_keys)[:3]
     assert seeds
     for seed in seeds:
-        cfg = dataclasses.replace(MID_K10_POOL, seed=seed)
+        cfg = dataclasses.replace(base, seed=seed)
         nets = [build_topology(dataclasses.replace(cfg, i_max=cap))
                 for cap in (cfg.i_max, TWIN_CAP)]
         starts = [start_alignment(net) for net in nets]
@@ -342,14 +335,12 @@ def test_no_run_reuses_another_drops_work(order):
             assert got.info["message_deltas"] == want.info["message_deltas"], seed
 
 
-@pytest.mark.parametrize("overrides, t_max", WORKLOADS,
-                         ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
-def test_extraction_reads_its_own_iterations_marginals(monkeypatch, overrides, t_max):
+@pytest.mark.parametrize("pool", BENCH)
+def test_extraction_reads_its_own_iterations_marginals(monkeypatch, pool):
     # The loop keeps one MessageState and rebinds its tables; a wrapper of
     # extract_allocation must still find in it the marginals the proposal
     # it was handed came from.
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
-    net = build_topology(dataclasses.replace(cfg, seed=0))
+    net = drop(config(POOLS[pool]), 0)
     calls, extract = [], msgpass.extract_allocation
 
     def checking_extract(state, net, best):
@@ -357,7 +348,7 @@ def test_extraction_reads_its_own_iterations_marginals(monkeypatch, overrides, t
         return extract(state, net, best)
 
     monkeypatch.setattr(msgpass, "extract_allocation", checking_extract)
-    run_message_passing(net, t_max=t_max)
+    run_message_passing(net, t_max=T_MAX[pool])
     assert calls and all(calls)
 
 
@@ -469,20 +460,14 @@ def assert_window_counts(net, tables, proposals, t_max):
     return computed, (len(tables), len(proposals))
 
 
-@pytest.mark.parametrize("cfg", drop_params(messages_cycle, {"mid-k10-": MID_K10_POOL,
-                                                             "oracle-k4-": K4_POOL}))
+@pytest.mark.parametrize("cfg", drop_params(messages_cycle, {
+    "mid-k10-": config(POOLS["mid-k10"]), "oracle-k4-": config(POOLS["oracle-k4"])}))
 def test_replay_equals_full_loop(monkeypatch, cfg):
     net = build_topology(cfg)
     tables, proposals = record_inputs(monkeypatch)
-    sweeps, tx_sweep = [], msgpass.tx_sweep
-
-    def counting_sweep(state, util, out):
-        sweeps.append(1)
-        return tx_sweep(state, util, out)
-
-    monkeypatch.setattr(msgpass, "tx_sweep", counting_sweep)
+    sweeps = count_calls(monkeypatch, [(msgpass, "tx_sweep")])
     first, period = run_message_passing(net, t_max=500).info["cycle"]
-    assert len(sweeps) == first - 1 < 300 and 2 <= period <= 10
+    assert sweeps["hetalloc.msgpass.tx_sweep"] == first - 1 < 300 and 2 <= period <= 10
     computed, full = assert_window_counts(net, tables, proposals, first - 1)
     assert full == (first - 1, first - 1) and max(computed) < first - 1
     # first - 1 confirms the repeat in its last iteration and replays
@@ -508,7 +493,8 @@ def lru_beats_fifo(net):
                < lru_misses(keys, msgpass.REUSE_DEPTH, refresh=False) for keys in logs)
 
 
-@pytest.mark.parametrize("cfg", drop_params(lru_beats_fifo, {"": K50_TIGHT_POOL}, range(10)))
+@pytest.mark.parametrize("cfg", drop_params(lru_beats_fifo, {"": config(POOLS["wide-k50-tight"])},
+                                            range(10)))
 def test_window_drops_least_recently_used(monkeypatch, cfg):
     net = build_topology(cfg)
     tables, proposals = record_inputs(monkeypatch)
@@ -520,26 +506,20 @@ def test_window_drops_least_recently_used(monkeypatch, cfg):
 
 # --- message bytes -------------------------------------------------------------
 
-def message_bytes_sha256(overrides, t_max):
+def message_bytes_sha256(pool):
     """sha256 over each drop's allocation bytes, iterations, converged flag,
     message deltas (float64 bytes) and cycle, for the 40-drop pool of the
-    bench/run.py workload ``overrides`` names."""
-    cfg = dataclasses.replace(load_scenario(SCENARIOS / "default.json"), **overrides)
+    bench/run.py workload ``pool``, run at its t_max."""
+    cfg = config(POOLS[pool])
     h = hashlib.sha256()
     for seed in range(40):
-        res = run_message_passing(build_topology(dataclasses.replace(cfg, seed=seed)),
-                                  t_max=t_max)
+        res = run_message_passing(drop(cfg, seed), t_max=T_MAX[pool])
         h.update(res.allocation.rb.tobytes() + res.allocation.level.tobytes())
         h.update(repr((res.iterations, res.converged, res.info["cycle"])).encode())
         h.update(np.asarray(res.info["message_deltas"], dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("overrides, t_max, expected", [
-    (K4, 500, pins.MESSAGE_BYTES["oracle-k4"]),
-    (MID_K10, 500, pins.MESSAGE_BYTES["mid-k10"]),
-    (K50_LOOSE, 100, pins.MESSAGE_BYTES["wide-k50-loose"]),
-    (K50_TIGHT, 100, pins.MESSAGE_BYTES["wide-k50-tight"]),
-], ids=["oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
-def test_golden_message_bytes(overrides, t_max, expected):
-    assert message_bytes_sha256(overrides, t_max) == expected
+@pytest.mark.parametrize("pool", BENCH)
+def test_golden_message_bytes(pool):
+    assert message_bytes_sha256(pool) == pins.MESSAGE_BYTES[pool]

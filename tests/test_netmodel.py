@@ -9,20 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 import reference
 from hetalloc import netmodel
 from hetalloc.allocation import Allocation
-from hetalloc.netmodel import (ConfigError, ScenarioConfig, aggregated_interference,
-                               build_topology, macro_sinrs, shannon_rate,
-                               sinr_underlay, utility_table)
+from hetalloc.netmodel import (ConfigError, aggregated_interference, build_topology,
+                               macro_sinrs, shannon_rate, sinr_underlay, utility_table)
 
-from conftest import toy_network
-
-
-def make_config(**overrides):
-    base = dict(seed=42, cell_radius=300.0, num_mue=3, num_sbs=2, num_d2d=1,
-                num_rb=3, power_levels=(0.1, 0.5), mbs_power=10.0,
-                noise_psd=3.98e-21, pathloss_exp=3.0, i_max=1e-7,
-                w1=1.0, w2=0.5, d2d_max_dist=25.0, sbs_ue_max_dist=30.0)
-    base.update(overrides)
-    return ScenarioConfig(**base)
+from conftest import make_config, toy_network, two_tx_net
 
 
 # --- config validation -------------------------------------------------
@@ -329,17 +319,6 @@ def test_gains_positive():
 
 
 # --- SINR and rate ------------------------------------------------------
-
-def two_tx_net(**kw):
-    gain_ul = np.array([[[2.0], [0.25]],
-                        [[0.5], [3.0]]])  # [tx, victim rx, rb]
-    gain_mue = np.array([[[0.6]], [[0.7]]])
-    gain_mbs_ul = np.array([[0.1], [0.2]])
-    gain_mbs_mue = np.array([[5.0]])
-    args = dict(power_levels=(2.0,), i_max=10.0, mbs_power=4.0, sigma2=1.0)
-    args.update(kw)
-    return toy_network(gain_ul, gain_mue, gain_mbs_ul, gain_mbs_mue, **args)
-
 
 def test_sinr_underlay_no_interference():
     net = toy_network(np.array([[[1.0]]]), np.array([[[0.5]]]),

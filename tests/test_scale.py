@@ -11,11 +11,14 @@ these rows:
 - ``br``: ``bound.best_response``, centralized;
 - ``priced``: ``bound.priced_response``, distributed, which has no stop
   rule and so never counts as converged;
-- ``greedy``: ``bound.greedy``, one pass, which always finishes and so
-  always counts as converged;
 - ``matching+refill``, ``msgpass+refill`` and ``auction+refill``: each
   solver's allocation after ``bound.refill``, with the solver's converged
-  flag.
+  flag;
+- ``greedy``: ``bound.greedy``, one pass, which always finishes and so
+  always counts as converged;
+- ``greedy@0.5`` to ``greedy@0.03``: with ``greedy`` (alpha = 1), the
+  rate-macro frontier, the greedy run at every cap times alpha, scored at
+  the real caps.
 
 The tests check that the bound is one: at or above every row's rate and
 the oracle's, and the MILP, where there is one, within its LP
@@ -23,7 +26,9 @@ relaxation; at mid-k10 every row stays at or below the oracle.
 ``pytest -s`` prints the report: per size and row, the mean and the
 minimum ratio, the converged count, the minimum MUE SINR (the macro
 tier's worst RB) and the mean per-RB ``I/I_max``, each averaged over the
-drops.  The report gates no ratio yet.
+drops.  Then, for each raw and refilled solver row, the first frontier
+point whose mean ratio and mean minimum MUE SINR both reach the row's, or
+"none".  The report gates no ratio yet.
 """
 
 import dataclasses
@@ -36,21 +41,20 @@ from bound import best_response, greedy, priced_response, rate_bound, refill
 from hetalloc import netmodel
 from hetalloc.allocation import exhaustive_search, is_feasible
 from hetalloc.harness import SOLVERS
-from hetalloc.netmodel import build_topology
 
-from test_harness import K50_LOOSE, K50_TIGHT, MID_K10, config
-from test_invariance import K200_LOOSE, K200_TIGHT
+from conftest import POOLS, T_MAX, config, drop
 
-# name -> (overrides, seeds, t_max, reference): bench/run.py's t_max.
+# pool name -> (seeds, reference); each runs at its pool's T_MAX.
 SIZES = {
-    "mid-k10": (MID_K10, range(20), 500, "the oracle"),
-    "wide-k50-loose": (K50_LOOSE, range(6), 100, "the MILP bound"),
-    "wide-k50-tight": (K50_TIGHT, range(6), 100, "the MILP bound"),
-    "k200-loose": (K200_LOOSE, range(2), 100, "the LP bound"),
-    "k200-tight": (K200_TIGHT, range(2), 100, "the LP bound"),
+    "mid-k10": (range(20), "the oracle"),
+    "wide-k50-loose": (range(6), "the MILP bound"),
+    "wide-k50-tight": (range(6), "the MILP bound"),
+    "k200-loose": (range(2), "the LP bound"),
+    "k200-tight": (range(2), "the LP bound"),
 }
 REFILLED = {name: f"{name}+refill" for name in SOLVERS}
-ROWS = (*SOLVERS, "br", "priced", "greedy", *REFILLED.values())  # the report's rows
+FRONTIER = {a: f"greedy@{a:g}" if a < 1 else "greedy" for a in (1, 0.5, 0.25, 0.1, 0.03)}
+ROWS = (*SOLVERS, "br", "priced", *REFILLED.values(), *FRONTIER.values())
 REL = 1e-9
 
 
@@ -69,32 +73,34 @@ def size(request):
     "ref": ...}`` in Mbps, with a ``row`` under each of ``ROWS``, and the
     oracle's where it is the reference ``ref``.  ``bound`` is the
     MILP's, or the LP's at a size that solves no MILP."""
-    overrides, seeds, t_max, reference = SIZES[request.param]
-    cfg = config(overrides)
+    seeds, reference = SIZES[request.param]
+    cfg, t_max = config(POOLS[request.param]), T_MAX[request.param]
     drops = []
     for seed in seeds:
-        net = build_topology(dataclasses.replace(cfg, seed=seed))
-        drop = {"lp": rate_bound(net, False)}
+        net = drop(cfg, seed)
+        d = {"lp": rate_bound(net, False)}
         if reference != "the LP bound":
-            drop["milp"] = rate_bound(net, True)
-        drop["bound"] = drop.get("milp", drop["lp"])
+            d["milp"] = rate_bound(net, True)
+        d["bound"] = d.get("milp", d["lp"])
         for name, run in SOLVERS.items():
             res = run(net, t_max)
-            drop[name] = row(net, res.allocation, res.converged)
-            drop[REFILLED[name]] = row(net, refill(net, res.allocation), res.converged)
-        drop["br"] = row(net, *best_response(net))
-        drop["priced"] = row(net, priced_response(net), False)
-        drop["greedy"] = row(net, greedy(net), True)
+            d[name] = row(net, res.allocation, res.converged)
+            d[REFILLED[name]] = row(net, refill(net, res.allocation), res.converged)
+        d["br"] = row(net, *best_response(net))
+        d["priced"] = row(net, priced_response(net), False)
+        for alpha, name in FRONTIER.items():
+            capped = dataclasses.replace(net, i_max=net.i_max * alpha)
+            d[name] = row(net, greedy(capped), True)
         if reference == "the oracle":
-            drop["oracle"] = row(net, exhaustive_search(net)[0], True)
-        drop["ref"] = drop["oracle"][0] if "oracle" in drop else drop["bound"]
-        drops.append(drop)
+            d["oracle"] = row(net, exhaustive_search(net)[0], True)
+        d["ref"] = d["oracle"][0] if "oracle" in d else d["bound"]
+        drops.append(d)
     return request.param, drops
 
 
 def test_milp_bound_is_within_its_lp_relaxation(size):
     name, drops = size
-    if SIZES[name][3] == "the LP bound":
+    if SIZES[name][1] == "the LP bound":
         pytest.skip(f"no MILP is solved at {name}")
     for d in drops:
         assert d["milp"] <= d["lp"] * (1 + REL), d
@@ -115,11 +121,17 @@ def test_bound_is_above_every_feasible_rate(size):
 
 def test_report(size):
     name, drops = size
-    print(f"\n{name}, {len(drops)} drops, ratio to {SIZES[name][3]}:")
+    print(f"\n{name}, {len(drops)} drops, ratio to {SIZES[name][1]}:")
     print("  row              mean ratio  min ratio  converged  min MUE SINR  mean I/I_max")
+    mean = {}  # row -> (mean ratio, mean minimum MUE SINR)
     for solver in ROWS:
         ratios = [d[solver][0] / d["ref"] for d in drops]
-        print(f"  {solver:<15}  {np.mean(ratios):10.3f}  {min(ratios):9.3f}"
-              f"  {sum(d[solver][1] for d in drops):9d}"
-              f"  {np.mean([d[solver][2] for d in drops]):9.1f} dB"
+        mean[solver] = np.mean(ratios), np.mean([d[solver][2] for d in drops])
+        print(f"  {solver:<15}  {mean[solver][0]:10.3f}  {min(ratios):9.3f}"
+              f"  {sum(d[solver][1] for d in drops):9d}  {mean[solver][1]:9.1f} dB"
               f"  {np.mean([d[solver][3] for d in drops]):12.3f}")
+    print("  first frontier point at or above the row in both mean ratio and mean min MUE SINR:")
+    for solver in (*SOLVERS, *REFILLED.values()):
+        first = next((point for point in FRONTIER.values()
+                      if all(p >= s for p, s in zip(mean[point], mean[solver]))), "none")
+        print(f"  {solver:<15}  {first}")
