@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import harness
@@ -41,11 +42,11 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    algorithms = [a.strip() for a in args.algorithms.split(",")]
     try:
         config = harness.load_scenario(args.scenario)
         harness.check_algorithms(algorithms, f"--algorithms {args.algorithms!r}")
-        seeds = harness.parse_seed_spec(args.seeds) if args.seeds else None
+        seeds = None if args.seeds is None else harness.parse_seed_spec(args.seeds)
         check_t_max(args.t_max, "--t-max")
         out = Path(args.out)
         if out.is_dir():
@@ -87,19 +88,10 @@ def _cmd_size(args):
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     with_idle = search_space_size(args.K, args.N, args.L, include_unassigned=True)
-    # The counts are exact at any size: lift the limit on converting a
-    # long int to decimal (Python 3.11+, not in early 3.10) for these
-    # prints only.
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        print(f"alignment_combinations {plain}")
-        print(f"with_unassigned_option {with_idle}")
-        print(f"oracle_cost {oracle_cost(args.K, args.N, args.L)}")
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    # Decimal converts an int of any length exactly, under no digit limit.
+    print(f"alignment_combinations {Decimal(plain)}")
+    print(f"with_unassigned_option {Decimal(with_idle)}")
+    print(f"oracle_cost {Decimal(oracle_cost(args.K, args.N, args.L))}")
     return 0
 
 

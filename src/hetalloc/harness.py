@@ -67,17 +67,27 @@ _OPTIONAL_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)
 _ALL_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a ConfigError names each key it repeats."""
+    repeated = _repeated(key for key, _ in pairs)
+    if repeated:
+        raise ConfigError(f"repeated field(s): {repeated}")
+    return dict(pairs)
+
+
 def load_scenario(path):
     """Parse and validate a scenario JSON file.
 
     The object must carry exactly the ScenarioConfig field names
     (``rb_bandwidth`` may be omitted and defaults to 180 kHz); unknown
-    keys are rejected by name, missing keys likewise.  Every rejection is
-    a ConfigError.
+    keys are rejected by name, missing and repeated keys likewise.  Every
+    rejection is a ConfigError.
     """
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+        except ConfigError as exc:  # a repeated key
+            raise ConfigError(f"{path}: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, or an int too long to convert
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -211,7 +221,7 @@ def parse_seed_spec(spec):
             lo, hi = spec.split(":", 1)
             seeds = list(range(int(lo), int(hi)))
         else:
-            seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
+            seeds = [int(tok) for tok in spec.split(",")]
     except ValueError:
         raise ValueError(f"seed spec {spec!r} is neither \"A:B\" nor a comma list "
                          "of integers") from None

@@ -72,6 +72,8 @@ class ScenarioConfig:
     rb_bandwidth: float = 180e3  # one LTE RB: 12 subcarriers of 15 kHz
 
     def __post_init__(self):
+        if not isinstance(self.power_levels, (list, tuple, np.ndarray)):
+            raise ConfigError(f"power_levels must be a list of powers, got {self.power_levels!r}")
         object.__setattr__(self, "power_levels",
                            tuple(_finite_real("power_levels", p) for p in self.power_levels))
         if isinstance(self.i_max, (list, tuple, np.ndarray)):

@@ -29,16 +29,17 @@ from conftest import (BENCH, POOLS, ROOT, SCENARIOS, T_MAX, config, count_calls,
                       drops_where, matching_cycles, rows_sha256)
 
 
+SCENARIO = {
+    "seed": 1, "cell_radius": 250.0, "num_mue": 2, "num_sbs": 1,
+    "num_d2d": 1, "num_rb": 2, "power_levels": [0.1, 0.5],
+    "mbs_power": 10.0, "noise_psd": 3.98e-21, "pathloss_exp": 3.0,
+    "i_max": 1e-7, "w1": 1.0, "w2": 0.5, "d2d_max_dist": 25.0,
+    "sbs_ue_max_dist": 35.0, "rb_bandwidth": 180000.0,
+}
+
+
 def write_scenario(tmp_path, overrides=None, omit=None, name="scen.json"):
-    data = {
-        "seed": 1, "cell_radius": 250.0, "num_mue": 2, "num_sbs": 1,
-        "num_d2d": 1, "num_rb": 2, "power_levels": [0.1, 0.5],
-        "mbs_power": 10.0, "noise_psd": 3.98e-21, "pathloss_exp": 3.0,
-        "i_max": 1e-7, "w1": 1.0, "w2": 0.5, "d2d_max_dist": 25.0,
-        "sbs_ue_max_dist": 35.0, "rb_bandwidth": 180000.0,
-    }
-    if overrides:
-        data.update(overrides)
+    data = {**SCENARIO, **(overrides or {})}
     if omit:
         del data[omit]
     path = tmp_path / name
@@ -533,7 +534,8 @@ def test_cli_size(capsys):
 
 def test_cli_size_exact_past_the_int_digit_limit(capsys):
     # 18**5000 has 6277 digits, past the 4300 that Python 3.11+ converts
-    # by default; the limit is lifted for the print and then restored.
+    # by default.  The CLI prints the counts through Decimal, exact at any
+    # size, and leaves the interpreter's limit as it was.
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
     limit = get_limit()
     assert cli.main(["size", "-K", "5000", "-N", "6", "-L", "3"]) == 0
@@ -544,6 +546,7 @@ def test_cli_size_exact_past_the_int_digit_limit(capsys):
     try:
         assert lines[0] == f"alignment_combinations {18 ** 5000}"
         assert lines[1] == f"with_unassigned_option {19 ** 5000}"
+        assert lines[2] == f"oracle_cost {oracle_cost(5000, 6, 3)}"
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -555,12 +558,6 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
-def test_cli_validate_bad(tmp_path, capsys):
-    path, _ = write_scenario(tmp_path, overrides={"pathloss_exp": 1.0})
-    assert cli.main(["validate", str(path)]) == 2
-    assert "pathloss_exp" in capsys.readouterr().err
-
-
 def test_cli_run_end_to_end(tmp_path, capsys):
     path, _ = write_scenario(tmp_path)
     out = tmp_path / "metrics.csv"
@@ -570,16 +567,6 @@ def test_cli_run_end_to_end(tmp_path, capsys):
     with open(out, newline="") as fh:
         recs = list(csv.reader(fh))
     assert len(recs) == 1 + 2 * 4  # two seeds, three algorithms plus oracle
-
-
-@pytest.mark.parametrize("seeds", ["5:3", "9:9"])
-def test_cli_run_empty_seed_range_exits_2(tmp_path, capsys, seeds):
-    path, _ = write_scenario(tmp_path)
-    out = tmp_path / "metrics.csv"
-    rc = cli.main(["run", "--scenario", str(path), "--seeds", seeds, "--out", str(out)])
-    assert rc == 2
-    assert seeds in capsys.readouterr().err
-    assert not out.exists()
 
 
 def readme_example():
@@ -601,114 +588,150 @@ def test_package_root_exports_the_readme_example_names():
     assert exported == set(re.findall(r"\bha\.(\w+)", readme_example()))
 
 
-@pytest.mark.parametrize("overrides, seeds, name", [
-    ({"seed": -1}, None, "seed"),
-    ({"num_rb": 2.0}, None, "num_rb"),
-    ({"seed": True}, None, "seed"),
-    ({}, "-2:1", "'-2:1'"),
-    ({}, "3,3", "'3,3' repeats seed 3"),
-    ({"w1": "x"}, None, "w1"),
-    ({"w2": None}, None, "w2"),
-    ({"cell_radius": True}, None, "cell_radius"),
-    ({"mbs_power": float("nan")}, None, "mbs_power"),
-    ({"i_max": float("nan")}, None, "i_max"),
-    ({"power_levels": [0.1, float("nan")]}, None, "power_levels"),
-    ({"d2d_max_dist": 0.5}, None, "d2d_max_dist"),
-    ({"sbs_ue_max_dist": 1.0}, None, "sbs_ue_max_dist"),
-    ({"cell_radius": 1.0}, None, "cell_radius"),
-], ids=["seed-negative", "num_rb-float", "seed-bool", "seeds-negative", "seeds-repeated",
-        "w1-string", "w2-null", "cell_radius-bool", "mbs_power-nan", "i_max-nan",
-        "power_level-nan", "d2d_max_dist-unplaceable", "sbs_ue_max_dist-unplaceable",
-        "cell_radius-unplaceable"])
-def test_cli_rejects_bad_integers_exit_2(tmp_path, capsys, overrides, seeds, name):
-    path, _ = write_scenario(tmp_path, overrides=overrides)
-    out = tmp_path / "m.csv"
-    run = ["run", "--scenario", str(path), "--out", str(out)]
-    commands = [run + [f"--seeds={seeds}"]] if seeds else [run, ["validate", str(path)]]
-    for argv in commands:
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid: ") and name in err
-    assert not out.exists()
+# --- CLI refusals ---------------------------------------------------------------
 
+RUN, VALIDATE, BOTH = ("run",), ("validate",), ("run", "validate")
 
-def test_cli_run_unplaceable_receiver_exits_2(tmp_path, capsys):
+# Every input the CLI refuses, grouped by the test that runs it.  A row
+# gives the commands, the scenario file (an edit of SCENARIO, its raw text,
+# or None for no file), the arguments added to run or size, and the
+# fragments the message must hold.  A fragment that starts with "invalid: "
+# must open the message.
+REFUSALS = {
+    "validate": {"pathloss_exp": (VALIDATE, {"pathloss_exp": 1.0}, [], ["pathloss_exp"])},
+    "seed_range": {seeds: (RUN, {}, ["--seeds", seeds], [seeds]) for seeds in ("5:3", "9:9")},
+    "values": {
+        "seed-negative": (BOTH, {"seed": -1}, [], ["seed"]),
+        "num_rb-float": (BOTH, {"num_rb": 2.0}, [], ["num_rb"]),
+        "seed-bool": (BOTH, {"seed": True}, [], ["seed"]),
+        "seeds-negative": (RUN, {}, ["--seeds=-2:1"], ["'-2:1'"]),
+        "seeds-repeated": (RUN, {}, ["--seeds=3,3"], ["'3,3' repeats seed 3"]),
+        "seeds-empty": (RUN, {}, ["--seeds", ""], ["seed spec '' is neither"]),
+        "seeds-empty-entry": (RUN, {}, ["--seeds", "1,,2"], ["seed spec '1,,2' is neither"]),
+        "w1-string": (BOTH, {"w1": "x"}, [], ["w1"]),
+        "w2-null": (BOTH, {"w2": None}, [], ["w2"]),
+        "cell_radius-bool": (BOTH, {"cell_radius": True}, [], ["cell_radius"]),
+        "mbs_power-nan": (BOTH, {"mbs_power": float("nan")}, [], ["mbs_power"]),
+        "i_max-nan": (BOTH, {"i_max": float("nan")}, [], ["i_max"]),
+        "power_level-nan": (BOTH, {"power_levels": [0.1, float("nan")]}, [], ["power_levels"]),
+        "power_levels-int": (BOTH, {"power_levels": 5}, [], ["power_levels", "got 5"]),
+        "power_levels-null": (BOTH, {"power_levels": None}, [], ["power_levels", "got None"]),
+        "power_levels-bool": (BOTH, {"power_levels": True}, [], ["power_levels", "got True"]),
+        "d2d_max_dist-unplaceable": (BOTH, {"d2d_max_dist": 0.5}, [], ["d2d_max_dist"]),
+        "sbs_ue_max_dist-unplaceable": (BOTH, {"sbs_ue_max_dist": 1.0}, [], ["sbs_ue_max_dist"]),
+        "cell_radius-unplaceable": (BOTH, {"cell_radius": 1.0}, [], ["cell_radius"]),
+    },
     # With a receiver disk just over MIN_LINK_DIST the receivers can rarely
     # be placed (tests/test_netmodel.py checks the drop's own error): both
     # commands refuse the scenario before any drop, naming the radius.
-    data = json.loads((SCENARIOS / "default.json").read_text())
-    data["d2d_max_dist"] = 1.001
-    path = tmp_path / "scen.json"
-    path.write_text(json.dumps(data))
-    out = tmp_path / "m.csv"
-    for argv in (["run", "--scenario", str(path), "--seeds", "0:10", "--out", str(out)],
-                 ["validate", str(path)]):
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid: d2d_max_dist must be >= sqrt(2 (K + 1))")
-    assert not out.exists()
+    "unplaceable": {"default": (
+        BOTH, json.dumps({**json.loads((SCENARIOS / "default.json").read_text()),
+                          "d2d_max_dist": 1.001}),
+        ["--seeds", "0:10"], ["invalid: d2d_max_dist must be >= sqrt(2 (K + 1))"])},
+    "algorithms": {
+        "unknown": (RUN, {}, ["--algorithms", "msgpass,annealing"], ["annealing"]),
+        "empty": (RUN, {}, ["--algorithms", ","], ["must name"]),
+        "repeated": (RUN, {}, ["--algorithms", "auction,msgpass,auction"], ["repeats auction"]),
+        "empty-entry": (RUN, {}, ["--algorithms", "msgpass,,auction"],
+                        ["--algorithms 'msgpass,,auction' must name one or more of"]),
+        "trailing-comma": (RUN, {}, ["--algorithms", "msgpass,"],
+                           ["--algorithms 'msgpass,' must name one or more of"]),
+    },
+    "t_max": {t_max: (RUN, {}, ["--t-max", t_max], ["--t-max", t_max]) for t_max in ("0", "-3")},
+    "out": {
+        "no-parent": (RUN, {}, ["--out", "missing/m.csv"],
+                      ["invalid: --out 'missing/m.csv'", "does not exist"]),
+        "directory": (RUN, {}, ["--out", "."], ["invalid: --out '.'", "is a directory"]),
+    },
+    "size": {
+        "K0": (("size",), None, ["-K", "0", "-N", "3", "-L", "2"],
+               ["counts must be >= 1", "K=0, N=3, L=2"]),
+        "N0": (("size",), None, ["-K", "5", "-N", "0", "-L", "2"],
+               ["counts must be >= 1", "K=5, N=0, L=2"]),
+        "L-1": (("size",), None, ["-K", "5", "-N", "3", "-L", "-1"],
+                ["counts must be >= 1", "K=5, N=3, L=-1"]),
+    },
+    "file": {
+        "missing": (BOTH, None, [], ["scen.json"]),
+        "malformed": (BOTH, "{not json", [], ["scen.json"]),
+        "int-too-long": (BOTH, '{"seed": 1%s}' % ("0" * 5000), [], ["scen.json"]),
+        "repeated-key": (BOTH, json.dumps(SCENARIO)[:-1] + ', "i_max": 5.0}', [],
+                         ["scen.json: repeated field(s): i_max"]),
+    },
+}
 
 
-@pytest.mark.parametrize("algorithms, reason", [("msgpass,annealing", "annealing"),
-                                                (",", "must name"),
-                                                ("auction,msgpass,auction", "repeats auction")],
-                         ids=["unknown", "empty", "repeated"])
-def test_cli_run_bad_algorithms_exit_2(tmp_path, capsys, algorithms, reason):
-    path, _ = write_scenario(tmp_path)
-    out = tmp_path / "m.csv"
-    rc = cli.main(["run", "--scenario", str(path), "--algorithms", algorithms,
-                   "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid: ") and reason in err
-    assert not out.exists()
+def refusals(group):
+    return pytest.mark.parametrize("row", REFUSALS[group].values(), ids=REFUSALS[group].keys())
 
 
-@pytest.mark.parametrize("t_max", ["0", "-3"])
-def test_cli_run_bad_t_max_exits_2(tmp_path, capsys, t_max):
-    path, _ = write_scenario(tmp_path)
-    out = tmp_path / "m.csv"
-    rc = cli.main(["run", "--scenario", str(path), "--t-max", t_max, "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("invalid: ") and "--t-max" in err and t_max in err
-    assert not out.exists()
+def no_drop(*args, **kwargs):
+    raise AssertionError("a drop ran")
 
 
-@pytest.mark.parametrize("out, reason", [("missing/m.csv", "does not exist"),
-                                         (".", "is a directory")], ids=["no-parent", "directory"])
-def test_cli_run_bad_out_exits_2(tmp_path, capsys, monkeypatch, out, reason):
-    # The path is checked before any drop runs.
-    path, _ = write_scenario(tmp_path)
-    monkeypatch.setattr(harness, "run_experiment", None)
-    out = str(tmp_path / out)
-    rc = cli.main(["run", "--scenario", str(path), "--out", out])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"invalid: --out {out!r}") and reason in err
-    assert not (tmp_path / "missing").exists()
+@pytest.fixture
+def refused(tmp_path, capsys, monkeypatch):
+    """Checks a REFUSALS row: each command exits 2 with one "invalid: "
+    message on stderr, holding every fragment, before any drop runs and
+    with nothing on stdout; no --out file is written."""
+    monkeypatch.setattr(harness, "run_experiment", no_drop)
+    monkeypatch.chdir(tmp_path)
+
+    def check(row):
+        commands, scenario, args, fragments = row
+        if scenario is not None:
+            text = scenario if isinstance(scenario, str) else json.dumps({**SCENARIO, **scenario})
+            (tmp_path / "scen.json").write_text(text)
+        argv = {"run": ["run", "--scenario", "scen.json", "--out", "m.csv", *args],
+                "validate": ["validate", "scen.json"], "size": ["size", *args]}
+        for command in commands:
+            assert cli.main(argv[command]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("invalid: ") and err.count("invalid: ") == 1
+            for fragment in fragments:
+                assert fragment in err
+        assert [p.name for p in tmp_path.iterdir()] == ([] if scenario is None else ["scen.json"])
+    return check
 
 
-@pytest.mark.parametrize("counts", [("0", "3", "2"), ("5", "0", "2"), ("5", "3", "-1")],
-                         ids=["K0", "N0", "L-1"])
-def test_cli_size_bad_counts_exit_2(capsys, counts):
-    K, N, L = counts
-    assert cli.main(["size", "-K", K, "-N", N, "-L", L]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("invalid: ") and "counts must be >= 1" in captured.err
-    assert f"K={K}, N={N}, L={L}" in captured.err
-    assert captured.out == ""
+def test_cli_validate_bad(refused):
+    refused(REFUSALS["validate"]["pathloss_exp"])
 
 
-@pytest.mark.parametrize("content", [None, "{not json", '{"seed": 1%s}' % ("0" * 5000)],
-                         ids=["missing", "malformed", "int-too-long"])
-def test_cli_run_bad_scenario_exits_2(tmp_path, capsys, content):
-    path = tmp_path / "scen.json"
-    if content is not None:
-        path.write_text(content)
-    out = tmp_path / "m.csv"
-    for argv in (["run", "--scenario", str(path), "--out", str(out)], ["validate", str(path)]):
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid: ") and "scen.json" in err
-    assert not out.exists()
+@refusals("seed_range")
+def test_cli_run_empty_seed_range_exits_2(refused, row):
+    refused(row)
+
+
+@refusals("values")
+def test_cli_rejects_bad_integers_exit_2(refused, row):
+    refused(row)
+
+
+def test_cli_run_unplaceable_receiver_exits_2(refused):
+    refused(REFUSALS["unplaceable"]["default"])
+
+
+@refusals("algorithms")
+def test_cli_run_bad_algorithms_exit_2(refused, row):
+    refused(row)
+
+
+@refusals("t_max")
+def test_cli_run_bad_t_max_exits_2(refused, row):
+    refused(row)
+
+
+@refusals("out")
+def test_cli_run_bad_out_exits_2(refused, row):
+    refused(row)
+
+
+@refusals("size")
+def test_cli_size_bad_counts_exit_2(refused, row):
+    refused(row)
+
+
+@refusals("file")
+def test_cli_run_bad_scenario_exits_2(refused, row):
+    refused(row)
