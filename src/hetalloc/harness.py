@@ -79,9 +79,9 @@ def load_scenario(path):
     """Parse and validate a scenario JSON file.
 
     The object must carry exactly the ScenarioConfig field names
-    (``rb_bandwidth`` may be omitted and defaults to 180 kHz); unknown
-    keys are rejected by name, missing and repeated keys likewise.  Every
-    rejection is a ConfigError.
+    (``rb_bandwidth`` may be omitted and defaults to 180 kHz); unknown,
+    missing and repeated keys are rejected by name.  Every rejection is a
+    ConfigError naming the path; a file that cannot be opened raises OSError.
     """
     with open(path) as fh:
         try:
@@ -100,8 +100,6 @@ def load_scenario(path):
         raise ConfigError(f"{path}: missing field(s): {', '.join(missing)}")
     try:
         return ScenarioConfig(**raw)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

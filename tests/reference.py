@@ -21,8 +21,8 @@ are compared with, and the blocking-pair scan over their rank dicts is
 what the stability scan on those int orders, ``blocking_pair``, is
 compared with.
 
-The scalar formulas after them (one gain, utility, cost or message entry
-at a time) are the definitions the library's tables and sweeps are
+The scalar formulas after them (one utility, cost or message entry at a
+time) are the definitions the library's tables and sweeps are
 checked against, next to the two message sweeps on the top-two
 (partition) form they took before their argmax form.  Then comes the
 auction round the library computed one transmitter at a time before its
@@ -434,13 +434,6 @@ def fitting_silent(net, alloc):
     return [k for k in range(net.num_tx) if alloc.get(k) is None
             and any(load[n] + net.ref_p[k, n, l] < net.i_max[n]
                     for n in range(net.num_rb) for l in range(net.num_levels))]
-
-
-def channel_gain(beta, dist, alpha):
-    """Linear link gain: fading power times distance^(-alpha)."""
-    if dist <= 0:
-        raise ValueError(f"distance must be > 0, got {dist}")
-    return beta * dist ** (-alpha)
 
 
 def _own_reference_contribution(net, alloc, k, n):

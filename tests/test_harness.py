@@ -552,21 +552,33 @@ def test_cli_size_exact_past_the_int_digit_limit(capsys):
             sys.set_int_max_str_digits(limit)
 
 
-def test_cli_validate_ok(tmp_path, capsys):
-    path, _ = write_scenario(tmp_path)
-    assert cli.main(["validate", str(path)]) == 0
-    assert "ok" in capsys.readouterr().out
+def test_cli_validate_ok(capsys):
+    paths = sorted(SCENARIOS.glob("*.json"))
+    assert paths
+    for path in paths:
+        assert cli.main(["validate", str(path)]) == 0, path
+        assert capsys.readouterr().out == "ok\n"
 
 
-def test_cli_run_end_to_end(tmp_path, capsys):
-    path, _ = write_scenario(tmp_path)
-    out = tmp_path / "metrics.csv"
-    rc = cli.main(["run", "--scenario", str(path), "--seeds", "0:2",
-                   "--oracle", "--out", str(out), "--t-max", "200"])
-    assert rc == 0
-    with open(out, newline="") as fh:
+def csv_without_wall_time(path):
+    with open(path, newline="") as fh:
         recs = list(csv.reader(fh))
-    assert len(recs) == 1 + 2 * 4  # two seeds, three algorithms plus oracle
+    col = recs[0].index("wall_time_ms")
+    return [rec[:col] + rec[col + 1:] for rec in recs]
+
+
+def test_cli_run_end_to_end(tmp_path):
+    # The CLI writes the library's CSV for the same drops, wall time aside,
+    # at its own t_max (500) and at a --t-max that stops the solvers early.
+    scenario = SCENARIOS / "tiny.json"
+    got, want = tmp_path / "cli.csv", tmp_path / "library.csv"
+    for args, t_max in ([], 500), (["--t-max", "2"], 2):
+        assert cli.main(["run", "--scenario", str(scenario), "--seeds", "0:3", "--oracle",
+                         "--out", str(got), *args]) == 0
+        write_metrics_csv(run_experiment(load_scenario(scenario), seeds=range(3),
+                                         with_oracle=True, t_max=t_max), want)
+        rows = csv_without_wall_time(got)
+        assert rows == csv_without_wall_time(want) and len(rows) == 1 + 3 * 4, t_max
 
 
 def readme_example():
@@ -596,7 +608,8 @@ RUN, VALIDATE, BOTH = ("run",), ("validate",), ("run", "validate")
 # gives the commands, the scenario file (an edit of SCENARIO, its raw text,
 # or None for no file), the arguments added to run or size, and the
 # fragments the message must hold.  A fragment that starts with "invalid: "
-# must open the message.
+# must open the message, and a row with a scenario edit or text must name
+# the file.
 REFUSALS = {
     "validate": {"pathloss_exp": (VALIDATE, {"pathloss_exp": 1.0}, [], ["pathloss_exp"])},
     "seed_range": {seeds: (RUN, {}, ["--seeds", seeds], [seeds]) for seeds in ("5:3", "9:9")},
@@ -627,7 +640,7 @@ REFUSALS = {
     "unplaceable": {"default": (
         BOTH, json.dumps({**json.loads((SCENARIOS / "default.json").read_text()),
                           "d2d_max_dist": 1.001}),
-        ["--seeds", "0:10"], ["invalid: d2d_max_dist must be >= sqrt(2 (K + 1))"])},
+        ["--seeds", "0:10"], ["invalid: scen.json: d2d_max_dist must be >= sqrt(2 (K + 1))"])},
     "algorithms": {
         "unknown": (RUN, {}, ["--algorithms", "msgpass,annealing"], ["annealing"]),
         "empty": (RUN, {}, ["--algorithms", ","], ["must name"]),
@@ -672,13 +685,16 @@ def no_drop(*args, **kwargs):
 @pytest.fixture
 def refused(tmp_path, capsys, monkeypatch):
     """Checks a REFUSALS row: each command exits 2 with one "invalid: "
-    message on stderr, holding every fragment, before any drop runs and
-    with nothing on stdout; no --out file is written."""
+    message on stderr, holding every fragment (and the file's name where
+    the row gives a scenario edit or text), before any drop runs and with
+    nothing on stdout; no --out file is written."""
     monkeypatch.setattr(harness, "run_experiment", no_drop)
     monkeypatch.chdir(tmp_path)
 
     def check(row):
         commands, scenario, args, fragments = row
+        if scenario:
+            fragments = [*fragments, "scen.json"]
         if scenario is not None:
             text = scenario if isinstance(scenario, str) else json.dumps({**SCENARIO, **scenario})
             (tmp_path / "scen.json").write_text(text)

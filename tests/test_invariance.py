@@ -11,7 +11,8 @@ They hold at any size, so they reach past the exact oracle (K <= 12).
   utility, benefit and message exactly, and message passing's stop
   tolerance and the auction's content slack (relative to the row, with
   no floor) with them, so every solver makes the same choices and stops
-  at the same iteration.
+  at the same iteration: every row keeps its bits but the weighted
+  benefit's and the wall time.
 - Relabeling: renumbering the transmitters and the RBs permutes every
   gain and cap but no term of any rate, SINR or load; only the order in
   which the oracle adds them moves, so its optimal rate must agree within
@@ -73,8 +74,9 @@ def scale_form(r):
 
 
 def weight_form(r):
-    """A row as the weight gate compares it: the weighted benefit scales."""
-    return (r.algorithm, r.seed, r.sum_rate, r.iterations, r.converged)
+    """A row as the weight gate compares it: as the scale gate does, with
+    the weighted benefit, which scales, zeroed too."""
+    return scale_form(dataclasses.replace(r, weighted_benefit=0.0))
 
 
 def rows(cfg, form, **run):
@@ -83,26 +85,30 @@ def rows(cfg, form, **run):
 
 
 @pytest.mark.parametrize("overrides, run", [
-    ({}, dict(seeds=range(5), with_oracle=True)),
-    (POOLS["mid-k10"], dict(seeds=range(3))),
-    (POOLS["wide-k50-tight"], dict(seeds=[0])),
-    (POOLS["k200-loose"], dict(seeds=[0], algorithms=["matching"])),
+    ({}, dict(seeds=range(5), with_oracle=True, t_max=500)),
+    (POOLS["mid-k10"], dict(seeds=range(3), t_max=100)),
+    (POOLS["wide-k50-tight"], dict(seeds=[0], t_max=100)),
+    (POOLS["k200-loose"], dict(seeds=[0], algorithms=["matching"], t_max=100)),
 ], ids=["default-oracle", "mid-k10", "k50-tight", "k200-loose-matching"])
 def test_scaling_powers_and_caps_keeps_every_row(overrides, run):
-    cfg, run = config(overrides), dict(run, t_max=100)
+    # Every power and cap times 2, 8 and 1/8; default-oracle is the CLI's
+    # run (t_max 500) on 5 seeds with the oracle.
+    cfg = config(overrides)
     want = rows(cfg, scale_form, **run)
-    for e in (1, -3):
+    for e in (1, 3, -3):
         assert rows(scaled(cfg, e), scale_form, **run) == want, e
 
 
 @pytest.mark.parametrize("overrides, run", [
-    ({}, dict(seeds=range(20))),
+    ({}, dict(seeds=range(20), with_oracle=True)),
     (POOLS["mid-k10"], dict(seeds=range(20))),
     (POOLS["wide-k50-tight"], dict(seeds=range(2), t_max=100)),
 ], ids=["default", "mid-k10", "k50-tight"])
 def test_scaling_weights_keeps_every_solver(overrides, run):
-    # Each row's (rate, iterations, converged) stays the same with w1 and
-    # w2 multiplied by 2**e, e = 1, 10, -10, -20, -30.
+    # Every field of every row but the weighted benefit and the wall time
+    # (the oracle's row and gaps, each message count) stays the same with
+    # w1 and w2 multiplied by 2**e, e = 1, 10, -10, -20, -30.  default is
+    # the CLI's run: 20 seeds, the oracle and t_max 500.
     cfg = config(overrides)
     want = rows(cfg, weight_form, **run)
     for e in (1, 10, -10, -20, -30):

@@ -64,45 +64,6 @@ def test_config_per_rb_i_max():
     assert cfg.i_max_array().tolist() == [1e-7, 2e-7, 3e-7]
 
 
-# --- channel gain -------------------------------------------------------
-
-def test_channel_gain_units():
-    assert reference.channel_gain(1.0, 1.0, 3.0) == 1.0
-    assert reference.channel_gain(1.0, 2.0, 3.0) == 0.125
-
-
-def test_channel_gain_high_precision_reference():
-    # independent arbitrary-precision evaluation of beta * d^-alpha
-    import mpmath
-    mpmath.mp.dps = 50
-    expected = float(mpmath.mpf("0.7") * mpmath.power(35, mpmath.mpf("-3.5")))
-    got = reference.channel_gain(0.7, 35.0, 3.5)
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_channel_gain_rejects_nonpositive_distance():
-    with pytest.raises(ValueError):
-        reference.channel_gain(1.0, 0.0, 3.0)
-    with pytest.raises(ValueError):
-        reference.channel_gain(1.0, -2.0, 3.0)
-
-
-@given(beta=st.floats(1e-3, 1e3), alpha=st.floats(2.1, 5.0),
-       d1=st.floats(1.0, 1e3), d2=st.floats(1.0, 1e3))
-def test_channel_gain_monotone_in_distance(beta, alpha, d1, d2):
-    lo, hi = sorted((d1, d2))
-    if lo < hi:
-        assert reference.channel_gain(beta, lo, alpha) > reference.channel_gain(beta, hi, alpha)
-
-
-@given(b1=st.floats(1e-3, 1e3), b2=st.floats(1e-3, 1e3),
-       d=st.floats(1.0, 1e3), alpha=st.floats(2.1, 5.0))
-def test_channel_gain_monotone_in_fading(b1, b2, d, alpha):
-    lo, hi = sorted((b1, b2))
-    if lo < hi:
-        assert reference.channel_gain(lo, d, alpha) < reference.channel_gain(hi, d, alpha)
-
-
 # --- topology -----------------------------------------------------------
 
 def test_build_topology_deterministic():
