@@ -22,6 +22,25 @@ measured overage, dual decomposition of the cap rows (Palomar & Chiang,
 IEEE JSAC 2006).  ``refill`` places an allocation's silent transmitters
 where they still fit, and ``greedy`` is that rule run from the empty
 allocation: one pass, no labels.
+
+``dual_bound`` reaches the LP's value with numpy alone.  With ``r`` the
+interference-free rate and ``a = ref_p / i_max`` the scaled load of each
+entry, relaxing the cap rows with prices ``lam >= 0`` leaves
+``sum_n lam_n + sum_k max(0, max_(n,l) (r_knl - lam_n * a_knl))``.  It
+bounds the LP, and so every feasible sum rate, at every lam (weak
+duality): for x in the LP's region, ``sum r x = sum (r - lam_n a) x +
+sum_n lam_n * load_n``, where each transmitter's x sums to at most 1 and
+each RB's load ``load_n = sum a x`` is at most 1.  The region left once
+the cap rows are relaxed, at most one entry per transmitter, is an
+integral polytope, so the lowest value over lam equals the LP's optimum
+(Geoffrion, "Lagrangean relaxation for integer programming", Math.
+Programming Study 1974).  It is sought by projected subgradient steps
+from ``lam = 0`` (Held, Wolfe & Crowder, "Validation of subgradient
+optimization", Math. Programming 1974): ``lam <- max(0, lam - s_t * g)``,
+where ``g_n = 1 - sum a`` over the entries picked on RB n and ``s_t = 0.5
+* max r / sqrt(t + 1)``.  Its prices approximate the caps' shadow prices
+at the LP's optimum, and an RB whose shadow price is above 0 has its cap
+binding there (complementary slackness).
 """
 
 import numpy as np
@@ -34,6 +53,17 @@ from hetalloc.allocation import Allocation, is_feasible
 MARGIN = 1e-12  # relative: the cap each RB stays under, and the gain a switch needs
 THETA = 0.2  # relative: the gain over its current score a priced move needs
 STEP = 0.2  # the price step per unit of relative overage
+DUAL_STEPS = 200  # dual_bound's subgradient steps
+
+
+def _entries(net):
+    """(r, a), each (K, N, L): k's interference-free rate on (n, l) in Mbps,
+    -inf where its own load ``ref_p[k, n, l]`` reaches ``i_max[n]``, and that
+    load over the cap."""
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    sig = net.sig_pt.T.reshape(K, N, L)  # k's own signal on (n, l)
+    r = net.rb_bandwidth * np.log2(1.0 + sig / (net.mbs_den + net.sigma2)[..., None]) / 1e6
+    return np.where(net.ref_p < net.i_max[:, None], r, -np.inf), net.ref_p / net.i_max[:, None]
 
 
 def rate_bound(net, integral):
@@ -41,15 +71,15 @@ def rate_bound(net, integral):
     relative gap of 1e-4 (never its incumbent), in Mbps.  Raises
     RuntimeError unless HiGHS reports success."""
     K, N = net.num_tx, net.num_rb
-    k, n, l = np.nonzero(net.ref_p < net.i_max[:, None])
+    r, a = _entries(net)
+    k, n, l = np.nonzero(r > -np.inf)
     if not k.size:
         return 0.0
-    sig = net.power_levels[l] * net.gain_ul[k, k, n]
-    rate = net.rb_bandwidth * np.log2(1.0 + sig / (net.mbs_den[k, n] + net.sigma2)) / 1e6
+    rate = r[k, n, l]
     j = np.arange(k.size)
     rows = sparse.vstack([
         sparse.csr_array((np.ones(k.size), (k, j)), shape=(K, k.size)),
-        sparse.csr_array((net.ref_p[k, n, l] / net.i_max[n], (n, j)), shape=(N, k.size)),
+        sparse.csr_array((a[k, n, l], (n, j)), shape=(N, k.size)),
     ])
     if integral:
         res = milp(-rate, constraints=LinearConstraint(rows, -np.inf, 1.0),
@@ -60,6 +90,35 @@ def rate_bound(net, integral):
     if not res.success:
         raise RuntimeError(f"HiGHS: {res.message}")
     return -(res.mip_dual_bound if integral else res.fun)
+
+
+def dual_bound(net):
+    """(bound in Mbps, lam): the lowest Lagrangian bound of the cap rows
+    over ``DUAL_STEPS`` projected subgradient steps from ``lam = 0``, that
+    value included, and the (N,) prices that reached it.
+
+    At each step every transmitter picks its entry of highest reduced rate
+    ``r - lam_n * a``, or none when no reduced rate is positive.  Where no
+    entry fits, the bound is 0.0 at ``lam = 0``, as ``rate_bound``'s.
+    """
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    r, a = _entries(net)
+    lam, top = np.zeros(N), r.max()
+    if top == -np.inf:
+        return 0.0, lam
+    r, a, rows = r.reshape(K, N * L), a.reshape(K, N * L), np.arange(K)
+    best, best_lam = np.inf, lam
+    for t in range(DUAL_STEPS):
+        reduced = r - np.repeat(lam, L) * a
+        j = reduced.argmax(axis=1)
+        gain = reduced[rows, j]
+        value = lam.sum() + np.maximum(gain, 0.0).sum()
+        if value < best:
+            best, best_lam = value, lam
+        k = (gain > 0.0).nonzero()[0]
+        g = 1.0 - np.bincount(j[k] // L, a[k, j[k]], N)
+        lam = np.maximum(0.0, lam - 0.5 * top / np.sqrt(t + 1) * g)
+    return float(best), best_lam
 
 
 def best_response(net):

@@ -30,12 +30,17 @@ The sum-rate bound of ``bound.py`` passes the scale and relabeling gates
 too: scaling hands HiGHS the same coefficients, so the bound keeps its
 bits, and relabeling hands it the columns and rows in another order, so
 it agrees within 1e-9 relative.  Its LP runs on mid-k10 and at K=50 under
-both caps, its MILP on mid-k10 only, which keeps the gate fast.
+both caps, its MILP on mid-k10 only, which keeps the gate fast.  On the
+LP's cases ``bound.dual_bound`` passes them as well: its rates and
+scaled loads keep their bits under scaling, so its every step, its bound
+and its prices do too, and relabeling only reorders its sums, so its
+bound agrees within 1e-9 relative.
 
 The scale and weight gates also run on generated scenarios, next to
-three checks that need only the drop: every row is feasible, the oracle
-(where it is cheap) is at or above every solver, and the LP bound of
-``bound.py`` is at or above every rate.
+four checks that need only the drop: every row is feasible, the oracle
+(where it is cheap) is at or above every solver, the LP bound of
+``bound.py`` is at or above every rate, and its dual bound is at or
+above the LP.
 """
 
 import dataclasses
@@ -45,7 +50,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bound import greedy, rate_bound
+from bound import dual_bound, greedy, rate_bound
 from hetalloc.allocation import exhaustive_search, oracle_cost
 from hetalloc.harness import run_experiment
 from hetalloc.netmodel import build_topology, make_network
@@ -142,10 +147,12 @@ def test_gates_hold_on_generated_scenarios(cfg):
     for e in (3, -5):
         assert rows(scaled(cfg, e), scale_form, **run) == [scale_form(r) for r in got], e
         assert rows(weighted(cfg, e), weight_form, **run) == [weight_form(r) for r in got], e
-    bound = rate_bound(build_topology(cfg), integral=False) * 1e6
+    net = build_topology(cfg)
+    lp = rate_bound(net, integral=False)
+    assert dual_bound(net)[0] >= lp * (1 - 1e-9)
     oracle = {r.algorithm: r.sum_rate for r in got}.get("oracle", math.inf)
     for r in got:
-        assert r.sum_rate <= min(bound, oracle) * (1 + 1e-9), r
+        assert r.sum_rate <= min(lp * 1e6, oracle) * (1 + 1e-9), r
 
 
 def relabeling(net, seed):
@@ -192,8 +199,14 @@ def test_bound_passes_the_scale_and_relabeling_gates(overrides, seed, integral):
     assert bound > 0
     for e in (3, -5):
         assert rate_bound(build_topology(scaled(cfg, e)), integral) == bound, e
-    again = rate_bound(relabeled(net, *relabeling(net, seed)), integral)
-    assert again == pytest.approx(bound, rel=1e-9, abs=0)
+    again = relabeled(net, *relabeling(net, seed))
+    assert rate_bound(again, integral) == pytest.approx(bound, rel=1e-9, abs=0)
+    if not integral:
+        dual, lam = dual_bound(net)
+        for e in (3, -5):
+            got, got_lam = dual_bound(build_topology(scaled(cfg, e)))
+            assert got == dual and got_lam.tobytes() == lam.tobytes(), e
+        assert dual_bound(again)[0] == pytest.approx(dual, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("overrides, seeds", [(POOLS["mid-k10"], range(10)),

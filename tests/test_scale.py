@@ -18,17 +18,27 @@ these rows:
   always counts as converged;
 - ``greedy@0.5`` to ``greedy@0.03``: with ``greedy`` (alpha = 1), the
   rate-macro frontier, the greedy run at every cap times alpha, scored at
-  the real caps.
+  the real caps;
+- ``matching@w2=x``, ``msgpass@w2=x`` and ``auction@w2=x`` for x in
+  {2, 4, 8}: each solver run on the drop with the utility weight ``w2``
+  set to x (the pools' is 0.5), scored on the drop, which no weight
+  enters.
 
-The tests check that the bound is one: at or above every row's rate and
-the oracle's, and the MILP, where there is one, within its LP
-relaxation; at mid-k10 every row stays at or below the oracle.
-``pytest -s`` prints the report: per size and row, the mean and the
-minimum ratio, the converged count, the minimum MUE SINR (the macro
-tier's worst RB) and the mean per-RB ``I/I_max``, each averaged over the
-drops.  Then, for each raw and refilled solver row, the first frontier
-point whose mean ratio and mean minimum MUE SINR both reach the row's, or
-"none".  The report gates no ratio yet.
+Every drop also gets ``bound.dual_bound``, the numpy dual of the LP, and
+its per-RB prices.  The tests check that the bound is one: at or above
+every row's rate and the oracle's, and the MILP, where there is one,
+within its LP relaxation; at mid-k10 every row stays at or below the
+oracle.  They check that the dual is at or above the LP and within 0.5%
+of it, and that it meets ``rate_bound`` at its edges: 0.0 where no entry
+fits, the one entry's rate where one fits.  ``pytest -s`` prints the
+report: per size and row, the mean and the minimum ratio, the converged
+count, the minimum MUE SINR (the macro tier's worst RB) and the mean
+per-RB ``I/I_max``, each averaged over the drops.  Then one line with
+the mean and the maximum dual/LP and the mean number of RBs the dual
+prices above 0 (its estimate of the caps that bind at the LP's optimum).  Then, for each
+raw, refilled and ``@w2`` solver row, the first frontier point whose mean
+ratio and mean minimum MUE SINR both reach the row's, or "none".  The
+report gates no ratio yet.
 """
 
 import dataclasses
@@ -37,12 +47,12 @@ import math
 import numpy as np
 import pytest
 
-from bound import best_response, greedy, priced_response, rate_bound, refill
+from bound import best_response, dual_bound, greedy, priced_response, rate_bound, refill
 from hetalloc import netmodel
 from hetalloc.allocation import exhaustive_search, is_feasible
 from hetalloc.harness import SOLVERS
 
-from conftest import POOLS, T_MAX, config, drop
+from conftest import POOLS, T_MAX, config, drop, toy_network
 
 # pool name -> (seeds, reference); each runs at its pool's T_MAX.
 SIZES = {
@@ -54,7 +64,9 @@ SIZES = {
 }
 REFILLED = {name: f"{name}+refill" for name in SOLVERS}
 FRONTIER = {a: f"greedy@{a:g}" if a < 1 else "greedy" for a in (1, 0.5, 0.25, 0.1, 0.03)}
-ROWS = (*SOLVERS, "br", "priced", *REFILLED.values(), *FRONTIER.values())
+W2 = (2.0, 4.0, 8.0)
+WEIGHTED = {(name, x): f"{name}@w2={x:g}" for x in W2 for name in SOLVERS}
+ROWS = (*SOLVERS, "br", "priced", *REFILLED.values(), *FRONTIER.values(), *WEIGHTED.values())
 REL = 1e-9
 
 
@@ -70,15 +82,16 @@ def row(net, alloc, converged):
 @pytest.fixture(scope="module", params=list(SIZES))
 def size(request):
     """(name, drops), each drop ``{"lp": ..., "milp": ..., "bound": ...,
-    "ref": ...}`` in Mbps, with a ``row`` under each of ``ROWS``, and the
-    oracle's where it is the reference ``ref``.  ``bound`` is the
-    MILP's, or the LP's at a size that solves no MILP."""
+    "ref": ...}`` in Mbps, with a ``row`` under each of ``ROWS``, the
+    oracle's where it is the reference ``ref``, and ``dual_bound``'s
+    (bound, prices) under "dual".  ``bound`` is the MILP's, or the LP's at
+    a size that solves no MILP."""
     seeds, reference = SIZES[request.param]
     cfg, t_max = config(POOLS[request.param]), T_MAX[request.param]
     drops = []
     for seed in seeds:
         net = drop(cfg, seed)
-        d = {"lp": rate_bound(net, False)}
+        d = {"lp": rate_bound(net, False), "dual": dual_bound(net)}
         if reference != "the LP bound":
             d["milp"] = rate_bound(net, True)
         d["bound"] = d.get("milp", d["lp"])
@@ -86,6 +99,11 @@ def size(request):
             res = run(net, t_max)
             d[name] = row(net, res.allocation, res.converged)
             d[REFILLED[name]] = row(net, refill(net, res.allocation), res.converged)
+        for x in W2:
+            weighted = dataclasses.replace(net, w2=x)
+            for name, run in SOLVERS.items():
+                res = run(weighted, t_max)
+                d[WEIGHTED[name, x]] = row(net, res.allocation, res.converged)
         d["br"] = row(net, *best_response(net))
         d["priced"] = row(net, priced_response(net), False)
         for alpha, name in FRONTIER.items():
@@ -119,6 +137,29 @@ def test_bound_is_above_every_feasible_rate(size):
                 assert d[name][0] <= d["oracle"][0] * (1 + REL), (name, d)
 
 
+def test_dual_bound_is_the_lp_bound(size):
+    # Weak duality puts every value of the dual at or above the LP, and
+    # its DUAL_STEPS steps bring the lowest within 0.5% of it.
+    _, drops = size
+    for d in drops:
+        assert d["lp"] * (1 - REL) <= d["dual"][0] <= d["lp"] * 1.005, d
+
+
+@pytest.mark.parametrize("load, fits", [(1.0, 0), (0.6, 1)], ids=["none-fits", "one-fits"])
+def test_dual_bound_at_its_edges(load, fits):
+    # Two transmitters on one RB, levels 1 and 2, cap 1: transmitter 0's
+    # own loads are load and 2 * load, transmitter 1's 1.5 and 3, so only
+    # (0, 0, 0) can fit, and it does below the cap.  Prices stay at 0:
+    # the picked entry's load leaves the RB under its cap.
+    net = toy_network(np.ones((2, 2, 1)), np.array([load, 1.5]).reshape(2, 1, 1),
+                      power_levels=(1.0, 2.0))
+    bound, lam = dual_bound(net)
+    rate = fits * 180e3 * math.log2(1.0 + 1.0 / (1.0 + net.mbs_den[0, 0])) / 1e6
+    assert bound == pytest.approx(rate, rel=REL, abs=0)
+    assert bound == pytest.approx(rate_bound(net, False), rel=REL, abs=0)
+    assert lam.tolist() == [0.0]
+
+
 def test_report(size):
     name, drops = size
     print(f"\n{name}, {len(drops)} drops, ratio to {SIZES[name][1]}:")
@@ -130,8 +171,12 @@ def test_report(size):
         print(f"  {solver:<15}  {mean[solver][0]:10.3f}  {min(ratios):9.3f}"
               f"  {sum(d[solver][1] for d in drops):9d}  {mean[solver][1]:9.1f} dB"
               f"  {np.mean([d[solver][3] for d in drops]):12.3f}")
+    dual = [d["dual"][0] / d["lp"] for d in drops]
+    print(f"  dual / LP: mean {np.mean(dual):.4f}, max {max(dual):.4f};"
+          f" RBs priced above 0: mean {np.mean([(d['dual'][1] > 0).sum() for d in drops]):.1f}"
+          f" of {drops[0]['dual'][1].size}")
     print("  first frontier point at or above the row in both mean ratio and mean min MUE SINR:")
-    for solver in (*SOLVERS, *REFILLED.values()):
+    for solver in (*SOLVERS, *REFILLED.values(), *WEIGHTED.values()):
         first = next((point for point in FRONTIER.values()
                       if all(p >= s for p, s in zip(mean[point], mean[solver]))), "none")
         print(f"  {solver:<15}  {first}")
