@@ -92,6 +92,9 @@ class SolverResult:
     info: dict
 
 
+DEFAULT_T_MAX = 500  # the iteration cap of every runner and of ``hetalloc run``, unless given
+
+
 def check_t_max(t_max, label):
     """Raise ValueError, starting with ``label`` (the field) and ending with
     the value, unless ``t_max`` is an integer, not a bool, and >= 1.
@@ -219,12 +222,15 @@ def search_space_size(num_tx, num_rb, num_levels, include_unassigned=False):
 
 
 def oracle_cost(num_tx, num_rb, num_levels):
-    """Work of ``exhaustive_search``: N * ((L+1)^K + 3^K).
+    """Work of ``exhaustive_search``: N*(L+1)^K + (N+K) * 3^K.
 
     Per RB it evaluates all (L+1)^K level vectors; joining the RBs visits
-    the 3^K (set, subset) pairs once per RB.  Python integers are exact.
+    the 3^K (set, subset) pairs once per RB, and building their index
+    takes K digit passes over them.  That build peaks at about 56 bytes
+    per pair, so the budget bounds the oracle's memory too (a cost of 1e8
+    admits K <= 14 at N = L = 1, about 270 MB).  Python integers are exact.
     """
-    return num_rb * ((num_levels + 1) ** num_tx + 3 ** num_tx)
+    return num_rb * (num_levels + 1) ** num_tx + (num_rb + num_tx) * 3 ** num_tx
 
 
 def exhaustive_search(net, budget=None, stats=None):
@@ -262,7 +268,7 @@ def exhaustive_search(net, budget=None, stats=None):
     limit = DEFAULT_ORACLE_BUDGET if budget is None else budget
     if cost > limit:
         raise OracleBudgetError(
-            f"oracle cost N*((L+1)^K + 3^K) = {cost} exceeds budget {limit}")
+            f"oracle cost N*(L+1)^K + (N+K)*3^K = {cost} exceeds budget {limit}")
 
     f, best_row, feasible = _rb_tables(net)
     S, T, starts = _subset_pairs(K)

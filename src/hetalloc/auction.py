@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import netmodel
-from .allocation import solve, start_alignment
+from .allocation import DEFAULT_T_MAX, solve, start_alignment
 
 NO_BIDDER = -1
 
@@ -148,7 +148,7 @@ def repaired_last(net):
     return lambda outputs, computed, converged: netmodel.repair(net, outputs[-1])
 
 
-def run_auction(net, t_max=500):
+def run_auction(net, t_max=DEFAULT_T_MAX):
     """MBS-coordinated auction loop.
 
     Starts from ``start_alignment`` with no recorded bidders, so every

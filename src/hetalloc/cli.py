@@ -8,7 +8,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from . import harness
-from .allocation import check_t_max, oracle_cost, search_space_size
+from .allocation import DEFAULT_T_MAX, check_t_max, oracle_cost, search_space_size
 from .netmodel import ConfigError
 
 
@@ -28,7 +28,7 @@ def _build_parser():
     run.add_argument("--oracle", action="store_true",
                      help="also run the exhaustive oracle and report gaps")
     run.add_argument("--out", default="metrics.csv", help="output CSV path")
-    run.add_argument("--t-max", type=int, default=500, dest="t_max",
+    run.add_argument("--t-max", type=int, default=DEFAULT_T_MAX, dest="t_max",
                      help="iteration cap per algorithm run")
 
     val = sub.add_parser("validate", help="lint a scenario file")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import netmodel
-from .allocation import (OracleBudgetError, SolverResult, check_t_max, exhaustive_search,
-                         is_feasible)
+from .allocation import (DEFAULT_T_MAX, OracleBudgetError, SolverResult, check_t_max,
+                         exhaustive_search, is_feasible)
 # Unused here, but bench/tracing.py wraps harness.sum_rate and
 # harness.weighted_benefit.
 from .allocation import sum_rate, weighted_benefit  # noqa: F401
@@ -105,7 +105,7 @@ def load_scenario(path):
 
 
 def run_experiment(config, algorithms=tuple(SOLVERS), seeds=None, with_oracle=False,
-                   t_max=500, budget=None):
+                   t_max=DEFAULT_T_MAX, budget=None):
     """Run every selected algorithm on one identical drop per seed.
 
     Returns RunMetrics rows sorted by (seed, algorithm).  The oracle and

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, solve, start_alignment, sum_rate
+from .allocation import DEFAULT_T_MAX, Allocation, solve, start_alignment, sum_rate
 
 
 # Nothing here calls the two builders below; bench/tracing.py times them by
@@ -118,7 +118,7 @@ def best_round(net):
         outputs[-1] if converged else max(computed, key=lambda x: sum_rate(net, x)))
 
 
-def run_stable_matching(net, t_max=100):
+def run_stable_matching(net, t_max=DEFAULT_T_MAX):
     """Iterated stable matching (``preference_orders`` + inner matching per round).
 
     Starts from ``start_alignment`` and runs under ``allocation.solve``

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import netmodel
-from .allocation import Allocation, solve, start_alignment
+from .allocation import DEFAULT_T_MAX, Allocation, solve, start_alignment
 
 MESSAGE_TOL = 1e-6  # settling step per unit of weight: see run_message_passing
 OMEGA = 0.5  # the damping weight of run_message_passing
@@ -177,7 +177,7 @@ class CycleWatch:
         return None
 
 
-def run_message_passing(net, t_max=500):
+def run_message_passing(net, t_max=DEFAULT_T_MAX):
     """Full damped max-sum loop, at damping weight ``OMEGA``.
 
     Starts from ``start_alignment``.  Per iteration the utilities are

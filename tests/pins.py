@@ -1,32 +1,34 @@
-"""Every digest the tests and CI pin, each with what it hashes.
+"""Every digest the tests pin, each with what it hashes.
 
 A change that moves a solver's answer on purpose re-pins the answer
-digests here, and only here: the golden tests import them, and CI's
-"Benchmark answer digests" step reads ``BENCH_ANSWERS``.  The drop
+digests here, and only here: the tier-1 tests read every one of them
+(``test_pins_hold_every_digest`` fails on a pin no test reads).  The drop
 digests at the end move only with the topology build.  "The pool" of a
 workload is the 40 drops (seeds 0..39) of that ``bench/run.py`` workload,
-its overrides applied to ``scenarios/default.json``.
+its overrides applied to ``scenarios/default.json``.  The row goldens of
+the four pools run what ``bench/run.py`` runs on them, so they pin at full
+precision every row its "answer digest" line hashes (at 9 significant
+digits); no digest of the benchmark's own is pinned.
 """
 
 # --- answers ---------------------------------------------------------------
 
-# test_harness.rows_sha256 (every row's fields, wall time blanked) of
-# run_experiment on scenarios/default.json, seeds 0..19, every solver.
-GOLDEN_DEFAULT_ROWS_SHA256 = "759f14719a72543e5ea5f2329de4388abac35e49171c2b6a1848337ee8edc06c"
-# The same with the oracle, on default.json (seeds 0..19) and on the
-# oracle-k4 pool; both hashes come from the full-enumeration oracle,
-# re-pinned when the oracle row's rate and the gaps came to be read from
-# is_feasible's report.
+# conftest.rows_sha256 (every row's fields, wall time blanked) of
+# run_experiment with every solver and the oracle, on scenarios/default.json
+# (seeds 0..19) and on the oracle-k4 pool; both hashes come from the
+# full-enumeration oracle, re-pinned when the oracle row's rate and the gaps
+# came to be read from is_feasible's report.  default.json's rows without the
+# oracle are these with the gaps blanked (test_allocation checks it).
 GOLDEN_DEFAULT_ORACLE_ROWS_SHA256 = (
     "83ea984fb80ed86c8f2c37f815ca5f78690108aa70b2188402498ea001b49558")
 GOLDEN_K4_ORACLE_ROWS_SHA256 = "f8d93aad314fe8d1274a8b16a68fd2b576d82dec6f53b732f7d471dd4a1a5b51"
-# Message passing and the auction on the wide-k50-loose pool's seeds
-# 0..4, t_max=100; pinned from the auction that bid one transmitter at a
+# Message passing and the auction on the wide-k50-loose pool, t_max=100;
+# its seeds 0..4 were pinned from the auction that bid one transmitter at a
 # time.
-GOLDEN_K50_ROWS_SHA256 = "e092b5c0070de361f9570010a804fc9ce036a88be4816997b6d3d3aec0741076"
+GOLDEN_K50_ROWS_SHA256 = "64eb3d5fa0084de38813685752432045e8948adacbc55631cca44c956401ee61"
 # The same on wide-k50-tight, where most RBs are over their cap at every
-# repair; pinned from the repair that scanned every RB.
-GOLDEN_K50_TIGHT_ROWS_SHA256 = "474dd8469feeaba59f7b56104010a7cf59d38b312689ea2cee9ceb413ff8ccc9"
+# repair; its seeds 0..4 were pinned from the repair that scanned every RB.
+GOLDEN_K50_TIGHT_ROWS_SHA256 = "ddd4f1c823c5416acd7b393932fe15817822f1e2e6b7aad234ac1827802c473b"
 # All three solvers on the mid-k10 pool, t_max=500; pinned from the
 # matching that ranked with per-entry profile lists.
 GOLDEN_MID_K10_ROWS_SHA256 = "a265c2fdd4372e80415dbe9992f00c0fc9e95610773622f2f715e74c6368708a"
@@ -65,20 +67,9 @@ AUCTION_BYTES = {
     "wide-k50-tight": "d3fe4e160972e5518f610e79d1085f84f9f169a65aca68d89a7dbad74bcd260d",
 }
 
-# The "answer digest" line that `bench/run.py --workload W --seed 0
-# --seconds 0` prints: its hash of every answer the workload's pool gives.
-# The digest sorts the drops, so --seed does not move it.  CI checks each
-# on every interpreter, because the answers must be the same on all.
-BENCH_ANSWERS = {
-    "oracle-k4": "68c78b140223a1227d9eea1b641b11258a954e9f7d2924669e6490a0af22adf7",
-    "mid-k10": "805252a059a68f1b3a5cde815f6cdf5ec8ae57593665416842c401022aecd9d5",
-    "wide-k50-loose": "7bd33eec629725b5bcbe8b62b81425d55995e3af306bdd5de52eb9d997de78b6",
-    "wide-k50-tight": "e1d93a682f2986d46aff4722a9d92591949a11c12d520ac28b597e57479d910b",
-}
-
 # test_exact.test_blocking_scan_equals_profile_scan: the inner matchings
-# that run_stable_matching computes on criterion 4's 100 drops, from the
-# random start draw.
+# that run_stable_matching returns at t_max=100 on criterion 4's 100 drops,
+# replayed rounds included, from the random start draw.
 BLOCKING_SCAN_MATCHINGS = 543
 
 # --- drops ---------------------------------------------------------------------

@@ -43,8 +43,9 @@ import math
 import numpy as np
 
 from hetalloc import matching, msgpass, netmodel
-from hetalloc.allocation import (DEFAULT_ORACLE_BUDGET, Allocation, OracleBudgetError,
-                                 SolverResult, search_space_size, start_alignment)
+from hetalloc.allocation import (DEFAULT_ORACLE_BUDGET, DEFAULT_T_MAX, Allocation,
+                                 OracleBudgetError, SolverResult, search_space_size,
+                                 start_alignment)
 from hetalloc.allocation import sum_rate as alloc_sum_rate
 from hetalloc.matching import Matching
 
@@ -722,7 +723,7 @@ def exhaustive_search(net, budget=None, stats=None):
     return alloc, best_rate * net.rb_bandwidth
 
 
-def run_stable_matching(net, t_max=100):
+def run_stable_matching(net, t_max=DEFAULT_T_MAX):
     """The matching runner computing every round up to ``t_max``."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -757,7 +758,7 @@ def run_stable_matching(net, t_max=100):
     )
 
 
-def run_message_passing(net, t_max=500):
+def run_message_passing(net, t_max=DEFAULT_T_MAX):
     """The message-passing runner computing every iteration up to ``t_max``."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")

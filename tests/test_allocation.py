@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 
@@ -296,11 +297,29 @@ def test_oracle_budget_guard():
 
 def test_oracle_budget_bounds_oracle_cost():
     net = build_topology(make_config())
-    cost = oracle_cost(net.num_tx, net.num_rb, net.num_levels)
-    assert cost == net.num_rb * ((net.num_levels + 1) ** net.num_tx + 3 ** net.num_tx)
+    K, N, L = net.num_tx, net.num_rb, net.num_levels
+    cost = oracle_cost(K, N, L)
+    assert cost == N * (L + 1) ** K + (N + K) * 3 ** K
     exhaustive_search(net, budget=cost)
     with pytest.raises(OracleBudgetError, match=str(cost)):
         exhaustive_search(net, budget=cost - 1)
+
+
+def test_oracle_budget_refuses_an_index_past_its_memory(monkeypatch):
+    # K=16 at N = L = 1: 2^16 level vectors, but an index of 3^16 (set,
+    # subset) pairs, about 2.4 GB at its peak.  The default budget refuses
+    # it before any table or index is built.
+    def never(*_args):
+        raise AssertionError("the oracle built a table past its budget")
+
+    monkeypatch.setattr(allocation, "_rb_tables", never)
+    monkeypatch.setattr(allocation, "_subset_pairs", never)
+    net = toy_network(np.full((16, 16, 1), 1e-3), np.full((16, 1, 1), 1e-3))
+    cost = oracle_cost(16, 1, 1)
+    assert cost == 2 ** 16 + 17 * 3 ** 16 > allocation.DEFAULT_ORACLE_BUDGET
+    with pytest.raises(OracleBudgetError, match=str(cost)):
+        exhaustive_search(net)
+    assert oracle_cost(14, 1, 1) <= allocation.DEFAULT_ORACLE_BUDGET < oracle_cost(15, 1, 1)
 
 
 def test_oracle_dominates_solvers_beyond_enumeration():
@@ -503,8 +522,13 @@ def test_start_alignment_returns_a_new_writable_copy():
 
 def test_run_experiment_rows_independent_of_algorithm_order():
     # Every solver starts from its own copy of the drop's start state, so
-    # no run can see what another did to it.
+    # no run can see what another did to it, the oracle's included: without
+    # the oracle, default.json's rows (seeds 0..19, t_max 500) are those of
+    # its oracle run, pinned in test_harness, with the gaps left empty.
     cfg = config({})
+    with_oracle = run_experiment(cfg, seeds=range(20), with_oracle=True)
+    assert rows_sha256(run_experiment(cfg, seeds=range(20))) == rows_sha256(
+        [dataclasses.replace(r, oracle_gap=None) for r in with_oracle if r.algorithm != "oracle"])
     want = rows_sha256(run_experiment(cfg, seeds=range(3), t_max=200))
     for order in itertools.permutations(SOLVERS):
         assert rows_sha256(run_experiment(cfg, algorithms=order, seeds=range(3),

@@ -222,6 +222,9 @@ def test_pools_are_the_bench_workloads(monkeypatch):
     assert BENCH == tuple(run.WORKLOADS)
     for name, workload in run.WORKLOADS.items():
         assert (POOLS[name], T_MAX[name]) == (workload.overrides, workload.t_max), name
+        timed = dict(seeds=range(run.POOL_DROPS), algorithms=workload.algorithms,
+                     with_oracle=workload.oracle, t_max=workload.t_max)
+        assert POOL_RUNS[name] == timed, name
 
 
 def imported_test_modules(path):
@@ -363,18 +366,27 @@ def test_parse_seed_spec_rejects_repeats(spec, repeated):
         parse_seed_spec(spec)
 
 
-K50_RUN = dict(seeds=range(5), algorithms=("msgpass", "auction"), t_max=100)
+K50_RUN = dict(seeds=range(40), algorithms=("msgpass", "auction"), with_oracle=False, t_max=100)
+# run_experiment's arguments for the golden rows of each bench pool: the run
+# bench/run.py times, as test_pools_are_the_bench_workloads checks.  So the
+# goldens pin, at full precision, every row the benchmark's answer digest
+# hashes.
+POOL_RUNS = {
+    "oracle-k4": dict(seeds=range(40), algorithms=tuple(SOLVERS), with_oracle=True, t_max=500),
+    "mid-k10": dict(seeds=range(40), algorithms=tuple(SOLVERS), with_oracle=False, t_max=500),
+    "wide-k50-loose": K50_RUN,
+    "wide-k50-tight": K50_RUN,
+}
 
 
 @pytest.mark.parametrize("overrides, run, count, expected", [
-    ({}, dict(seeds=range(20)), 60, pins.GOLDEN_DEFAULT_ROWS_SHA256),
     ({}, dict(seeds=range(20), with_oracle=True), 80, pins.GOLDEN_DEFAULT_ORACLE_ROWS_SHA256),
-    (POOLS["oracle-k4"], dict(seeds=range(40), with_oracle=True), 160,
-     pins.GOLDEN_K4_ORACLE_ROWS_SHA256),
-    (POOLS["mid-k10"], dict(seeds=range(40), t_max=500), 120, pins.GOLDEN_MID_K10_ROWS_SHA256),
-    (POOLS["wide-k50-loose"], K50_RUN, 10, pins.GOLDEN_K50_ROWS_SHA256),
-    (POOLS["wide-k50-tight"], K50_RUN, 10, pins.GOLDEN_K50_TIGHT_ROWS_SHA256),
-], ids=["default", "default-oracle", "oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
+    (POOLS["oracle-k4"], POOL_RUNS["oracle-k4"], 160, pins.GOLDEN_K4_ORACLE_ROWS_SHA256),
+    (POOLS["mid-k10"], POOL_RUNS["mid-k10"], 120, pins.GOLDEN_MID_K10_ROWS_SHA256),
+    (POOLS["wide-k50-loose"], POOL_RUNS["wide-k50-loose"], 80, pins.GOLDEN_K50_ROWS_SHA256),
+    (POOLS["wide-k50-tight"], POOL_RUNS["wide-k50-tight"], 80,
+     pins.GOLDEN_K50_TIGHT_ROWS_SHA256),
+], ids=["default-oracle", "oracle-k4", "mid-k10", "wide-k50-loose", "wide-k50-tight"])
 def test_golden_answers(overrides, run, count, expected):
     rows = run_experiment(config(overrides), **run)
     assert len(rows) == count
@@ -441,13 +453,19 @@ def test_golden_derived_fields(pool):
 
 def test_pins_hold_every_digest():
     # Every pinned digest lives in tests/pins.py, so a change that moves
-    # answers on purpose re-pins that one file.
+    # answers on purpose re-pins that one file, and a test reads each pin:
+    # a pin whose check is gone cannot linger.
     digest = re.compile(r"\b[0-9a-f]{64}\b")
     paths = [p for p in (ROOT / "tests").glob("*.py") if p.name != "pins.py"]
     paths.append(ROOT / ".github" / "workflows" / "tests.yml")
     stray = {p.name: digest.findall(p.read_text()) for p in paths}
     assert not {name: found for name, found in stray.items() if found}
     assert digest.findall((ROOT / "tests" / "pins.py").read_text())
+    read = {node.attr for p in paths if p.suffix == ".py"
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "pins"}
+    assert not [name for name in vars(pins) if name.isupper() and name not in read]
 
 
 def test_each_row_computes_its_sinrs_once(monkeypatch):
@@ -529,7 +547,7 @@ def test_cli_size(capsys):
     out = capsys.readouterr().out
     assert "alignment_combinations 1889568" in out
     assert "with_unassigned_option 2476099" in out
-    assert out.splitlines()[2] == "oracle_cost 7602"  # 6 * (4^5 + 3^5)
+    assert out.splitlines()[2] == "oracle_cost 8817"  # 6 * 4^5 + (6 + 5) * 3^5
 
 
 def test_cli_size_exact_past_the_int_digit_limit(capsys):
