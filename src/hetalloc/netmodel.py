@@ -183,6 +183,7 @@ class Network:
                 object.__setattr__(self, f.name, _read_only(view))
             elif f.type == "float":
                 object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        _check_drop(self)
         ref_mue = np.argmax(self.gain_mue, axis=1).astype(np.int64)  # (K, N)
         object.__setattr__(self, "ref_mue", _read_only(ref_mue))
         object.__setattr__(self, "ref_gain", _read_only(
@@ -264,6 +265,47 @@ class Network:
     def ref_p_list(self):
         """``ref_p`` as one flat list of floats, entry ``k*N*L + n*L + l``."""
         return self.ref_p.ravel().tolist()
+
+
+def _check_drop(net):
+    """Raise ConfigError, naming the field, unless every array has the
+    shape that gain_ul's (K, K, N) and gain_mue's C give it, every gain is
+    finite and >= 0, the power levels are > 0 and strictly increasing,
+    i_max, mbs_power, sigma2 and rb_bandwidth are finite and > 0, and w1
+    and w2 are finite.  A NaN gain would stall the matching for good."""
+    g = net.gain_ul
+    if g.ndim != 3 or g.shape[0] != g.shape[1] or 0 in g.shape:
+        raise ConfigError(f"gain_ul must have shape (K, K, N), K and N >= 1, got {g.shape}")
+    K, _, N = g.shape
+    m = net.gain_mue
+    if m.ndim != 3 or m.shape[::2] != (K, N) or m.shape[1] < 1:
+        raise ConfigError(f"gain_mue must have shape (K, C, N) = ({K}, C, {N}), C >= 1, "
+                          f"got {m.shape}")
+    C = m.shape[1]
+    S = len(net.sbs_pos) if net.sbs_pos.ndim else 0
+    shapes = {"gain_mbs_ul": (K, N), "gain_mbs_mue": (C, N), "i_max": (N,), "mue_pos": (C, 2),
+              "sbs_pos": (S, 2), "sue_pos": (S, 2), "d2d_tx_pos": (K - S, 2),
+              "d2d_rx_pos": (K - S, 2)}
+    for name, shape in shapes.items():
+        if getattr(net, name).shape != shape:
+            raise ConfigError(f"{name} must have shape {shape}, got {getattr(net, name).shape}")
+    for name in ("gain_ul", "gain_mbs_ul", "gain_mue", "gain_mbs_mue"):
+        a = getattr(net, name)
+        if not (a.min() >= 0.0 and a.max() < math.inf):
+            raise ConfigError(f"{name} must be finite and >= 0")
+    levels = net.power_levels.tolist() if net.power_levels.ndim == 1 else []
+    if not (levels and 0.0 < levels[0] and levels[-1] < math.inf
+            and all(a < b for a, b in zip(levels, levels[1:]))):
+        raise ConfigError(f"power_levels must be finite, > 0 and strictly increasing, "
+                          f"got {net.power_levels}")
+    if not (net.i_max.min() > 0.0 and net.i_max.max() < math.inf):
+        raise ConfigError(f"i_max must be finite and > 0, got {net.i_max}")
+    for name in ("mbs_power", "sigma2", "rb_bandwidth"):
+        if not 0.0 < getattr(net, name) < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {getattr(net, name)!r}")
+    for name in ("w1", "w2"):
+        if not math.isfinite(getattr(net, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(net, name)!r}")
 
 
 def _read_only(a):

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from hetalloc import matching, netmodel
 from hetalloc.allocation import start_alignment
 from hetalloc.harness import load_scenario
-from hetalloc.matching import preference_orders, run_stable_matching
+from hetalloc.matching import run_stable_matching
 from hetalloc.netmodel import ScenarioConfig, build_topology
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,13 +114,23 @@ def benefit_planes(table):
     return np.ascontiguousarray(table.reshape(K * N, L).T)
 
 
-def round_orders(net, res):
-    """Yield (orders, allocation) for each round of a ``run_stable_matching``
-    result, rebuilding the round's orders from the allocation before it."""
+def rounds(net, res):
+    """Yield (prev, allocation) for each round of a ``run_stable_matching``
+    result: the allocation the round started from (``start_alignment``
+    for round 1) and the one its inner matching returned."""
     prev = start_alignment(net)
     for alloc in res.info["allocations"]:
-        yield preference_orders(netmodel.utility_table(net, prev)), alloc
+        yield prev, alloc
         prev = alloc
+
+
+def profile_families(net, prev):
+    """The reference profiles of the matching round that starts from
+    ``prev``: one per transmitter and one per RB, both ranked by
+    ``netmodel.utility_table(net, prev)``."""
+    util = netmodel.utility_table(net, prev)
+    return ([reference.profile(("tx", k), util[k]) for k in range(net.num_tx)],
+            [reference.profile(("rb", n), util[:, n, :]) for n in range(net.num_rb)])
 
 
 def order_keys(orders, K, N, L):

@@ -67,11 +67,6 @@ AUCTION_BYTES = {
     "wide-k50-tight": "d3fe4e160972e5518f610e79d1085f84f9f169a65aca68d89a7dbad74bcd260d",
 }
 
-# test_exact.test_blocking_scan_equals_profile_scan: the inner matchings
-# that run_stable_matching returns at t_max=100 on criterion 4's 100 drops,
-# replayed rounds included, from the random start draw.
-BLOCKING_SCAN_MATCHINGS = 543
-
 # --- drops ---------------------------------------------------------------------
 
 # sha256 over reference.checksum of each pool drop, pinned from the

@@ -1,36 +1,41 @@
 """Scan-based reference implementations, kept for exact-equality tests.
 
+Each quantity the library computes has one reference here, and the tests
+compare the two with ``==`` or by bytes.  Every public name is read by
+some test; a helper that only another reference calls starts with an
+underscore.
+
 First come the solvers' start-state draw, as it was written before it
 moved into ``allocation.start_alignment``, the topology build as it was
 before receivers were placed in array blocks (one scalar try at a time,
-distances by ``np.linalg.norm``), the drop checksum, four views of an
+distances by ``np.linalg.norm``), the drop checksum, three views of an
 allocation that only tests read, and the library's tables as the
-(K, N, L) arrays that tests index.  Then the
-straightforward versions of routines that the library now computes on
-the allocation's int arrays, once per table or once per round.  Each one
-re-scans the whole allocation wherever it needs a co-channel sum, so its
-floating-point additions happen in the plain ascending-k order that the
-optimized code must reproduce bit for bit.  The per-RB load scan
+(K, N, L) arrays that tests index.  Then the straightforward versions of
+routines that the library now computes on the allocation's int arrays,
+once per table or once per round.  Each one re-scans the whole
+allocation wherever it needs a co-channel sum, so its floating-point
+additions happen in the plain ascending-k order that the optimized code
+must reproduce bit for bit.  The per-RB load scan
 ``aggregated_interference`` lives here, under ``repair``,
 ``interference_vector`` and ``utility``; ``sum_rate`` writes each rate
 as ``bandwidth * log2(1 + SINR)`` and ``match_alignments`` folds its
 loads with its own loop, so no reference calls the library formula it is
-compared with.  Among them, preference
-profiles of (key, utility) entries are what the matching's int orders
-are compared with, and the blocking-pair scan over their rank dicts is
-what the stability scan on those int orders, ``blocking_pair``, is
-compared with.
+compared with.  Preference profiles of (key, utility) entries are what
+the matching's int orders are compared with, and ``find_blocking_pair``,
+the stability test, scans their rank dicts.
 
 The scalar formulas after them (one utility, cost or message entry at a
-time) are the definitions the library's tables and sweeps are
-checked against, next to the two message sweeps on the top-two
-(partition) form they took before their argmax form.  Then comes the
-auction round the library computed one transmitter at a time before its
-whole-round array step, with the K local views it kept before it stored
-only their merged table, and the oracle the library used before its
-subset dynamic program: a full enumeration of the (N*L+1)^K allocations.  Last come the matching and
-message-passing runners as they were before a repeated state was
-replayed: they compute every round up to ``t_max``.
+time) are the definitions the library's tables and sweeps are checked
+against.  The two message sweeps take each line's max over its other
+entries by argmax and gather, on a full-size copy; they give the bytes
+of ``msgpass.tx_sweep`` and ``res_sweep``, signs of zero included.  Then
+comes the auction round the library computed one transmitter at a time
+before its whole-round array step, with the K local views it kept before
+it stored only their merged table, and the oracle the library used
+before its subset dynamic program: a full enumeration of the
+(N*L+1)^K allocations.  Last come the matching and message-passing
+runners as they were before a repeated state was replayed: they compute
+every round up to ``t_max``.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ def sample_receiver(rng, center, radius, anchors, label, tries):
                                f"all transmitters after {netmodel.MAX_PLACE_TRIES} tries")
 
 
-def place_receivers(rng, config, anchors, sbs_pos, d2d_tx_pos, tries):
+def _place_receivers(rng, config, anchors, sbs_pos, d2d_tx_pos, tries):
     """MUE, SUE and D2D receiver positions, one ``sample_receiver`` each."""
     C, S, D = config.num_mue, config.num_sbs, config.num_d2d
     mue_pos = np.array([
@@ -104,7 +109,7 @@ def build_topology(config, tries=None):
     d2d_tx_pos = netmodel._sample_disk(rng, np.zeros(2), config.cell_radius, D)
     tx_pos = np.vstack([sbs_pos, d2d_tx_pos])
     anchors = np.vstack([np.zeros((1, 2)), tx_pos])
-    mue_pos, sue_pos, d2d_rx_pos = place_receivers(
+    mue_pos, sue_pos, d2d_rx_pos = _place_receivers(
         rng, config, anchors, sbs_pos, d2d_tx_pos, [] if tries is None else tries)
     rx_pos = np.vstack([sue_pos, d2d_rx_pos])
 
@@ -144,14 +149,6 @@ def assigned_items(alloc):
     for k, (n, l) in enumerate(zip(alloc.rb.tolist(), alloc.level.tolist())):
         if n >= 0:
             yield k, (n, l)
-
-
-def indicator(alloc, num_rb, num_levels):
-    """The binary tensor x[k, n, l] of an allocation."""
-    x = np.zeros((alloc.num_tx, num_rb, num_levels), dtype=np.int8)
-    for k, (n, l) in assigned_items(alloc):
-        x[k, n, l] = 1
-    return x
 
 
 def is_empty(alloc):
@@ -297,7 +294,7 @@ def sinr_macro(net, alloc, m, n):
     return net.gain_mbs_mue[m, n] * net.mbs_power / den
 
 
-class PreferenceProfile:
+class _PreferenceProfile:
     """A strictly ordered preference list.
 
     ``entries`` holds (key, utility) best-first, where key is (n, l) for a
@@ -327,10 +324,10 @@ def profile(owner, utilities):
     rows = utilities.tolist()
     scored = [((i, j), u) for i, row in enumerate(rows) for j, u in enumerate(row)]
     scored.sort(key=lambda e: (-e[1], e[0]))
-    return PreferenceProfile(owner, scored)
+    return _PreferenceProfile(owner, scored)
 
 
-def remove(profile, key):
+def _remove(profile, key):
     profile.entries = [(k, u) for k, u in profile.entries if k != key]
 
 
@@ -338,8 +335,8 @@ def match_alignments(profiles_tx, profiles_rb, net):
     """Deferred acceptance on copied profiles, rebuilding a list per strike."""
     K = net.num_tx
     P = net.power_levels
-    work_tx = [PreferenceProfile(p.owner, p.entries) for p in profiles_tx]
-    work_rb = [PreferenceProfile(p.owner, p.entries) for p in profiles_rb]
+    work_tx = [_PreferenceProfile(p.owner, p.entries) for p in profiles_tx]
+    work_rb = [_PreferenceProfile(p.owner, p.entries) for p in profiles_rb]
     rank_rb = [p.rank() for p in profiles_rb]
     assigned = {}
     proposals = 0
@@ -368,8 +365,8 @@ def match_alignments(profiles_tx, profiles_rb, net):
             removed = [(kp, lv) for (kp, lv), _u in work_rb[n].entries
                        if rank_rb[n][(kp, lv)] >= cut]
             for kp, lv in removed:
-                remove(work_rb[n], (kp, lv))
-                remove(work_tx[kp], (n, lv))
+                _remove(work_rb[n], (kp, lv))
+                _remove(work_tx[kp], (n, lv))
 
     alloc = Allocation(K)
     for k, (n, l) in assigned.items():
@@ -396,33 +393,6 @@ def find_blocking_pair(allocation, profiles_tx, profiles_rb):
             pos = rank_rb[n][(k, l)]
             if any(pos < rank_rb[n][pair] for pair in on_rb[n]):
                 return (k, n, l)
-    return None
-
-
-def blocking_pair(allocation, orders):
-    """``find_blocking_pair`` on ``matching.preference_orders`` ``orders``:
-    one pass over the int orders, ranked by ``matching._struck``.
-
-    A tuple blocks when transmitter k ranks (n, l) above its own alignment
-    (any alignment, while k is silent) and RB n ranks (k, l) above at
-    least one of its holders, k itself included.
-    """
-    tx, util = orders
-    K, N, L = util.shape
-    NL = N * L
-    u = util.ravel().tolist() + [math.inf]  # u[-1]: no alignment ranks above it
-    mine = [-1] * K
-    worst = [-1] * N  # the holder RB n ranks last; -1 while it has none to displace
-    for k, (n, l) in assigned_items(allocation):
-        mine[k] = s = k * NL + n * L + l
-        if matching._struck(u, s, worst[n]):
-            worst[n] = s
-    for k in range(K):
-        for s in tx[k * NL:(k + 1) * NL]:
-            if s == mine[k]:
-                break  # best-first: nothing below k's own alignment blocks
-            if not matching._struck(u, s, worst[s // L % N]):
-                return (k, s // L % N, s % L)
     return None
 
 
@@ -480,37 +450,7 @@ def resource_cost(net, alloc, k, res):
     return net.w2 * ((own + others) / net.i_max[n] - 1.0)
 
 
-def clamped_resource_cost(net, alloc, k, res):
-    """The non-negative cost max{0, c}; zero while the RB is within budget."""
-    return max(0.0, resource_cost(net, alloc, k, res))
-
-
-def max_excluding_self(a, axis):
-    """out[i] = max of ``a`` along ``axis`` with index i left out, by a full sort."""
-    s = np.sort(a, axis=axis)
-    m1 = np.take(s, [-1], axis=axis)
-    m2 = np.take(s, [-2], axis=axis)
-    unique_peak = m1 > m2
-    return np.where((a == m1) & unique_peak, m2, m1)
-
-
-def max_excluding_self_top2(a, axis):
-    """The top-two form of ``msgpass._max_excluding_self``: the two largest
-    along ``axis`` by ``np.partition``, then a full-size mask picks the
-    second largest at a unique peak and the largest everywhere else."""
-    if a.shape[axis] == 1:
-        return np.zeros_like(a)
-    s = np.partition(a, a.shape[axis] - 2, axis=axis)
-    last = [slice(None)] * a.ndim
-    last[axis] = slice(-1, None)
-    m1 = s[tuple(last)]
-    last[axis] = slice(-2, -1)
-    m2 = s[tuple(last)]
-    unique_peak = m1 > m2
-    return np.where((a == m1) & unique_peak, m2, m1)
-
-
-def max_excluding_self_gather(a, axis):
+def _max_excluding_self_gather(a, axis):
     """Max-excluding-self by argmax and gather: every entry gets its line's
     max, except each line's first argmax, which gets the max of the line
     with that entry set to -inf (on a full-size copy).  ``axis`` is 0 or
@@ -534,21 +474,20 @@ def max_excluding_self_gather(a, axis):
     return out.reshape(a.shape)
 
 
-def tx_sweep(state, utilities, max_excluding=max_excluding_self_top2):
-    """``msgpass.tx_sweep`` on a full table of ``max_excluding`` (the
-    top-two form unless given)."""
+def tx_sweep(state, utilities):
+    """``msgpass.tx_sweep`` on a full table of ``_max_excluding_self_gather``."""
     w = state.omega
     K = utilities.shape[0]
     values = (utilities + state.psi_res).reshape(K, -1)
-    out = (utilities.reshape(K, -1) - w * max_excluding(values, axis=1)
+    out = (utilities.reshape(K, -1) - w * _max_excluding_self_gather(values, axis=1)
            - (1.0 - w) * values)
     return out.reshape(utilities.shape)
 
 
-def res_sweep(state, max_excluding=max_excluding_self_top2):
-    """``msgpass.res_sweep`` on a full table of ``max_excluding``."""
+def res_sweep(state):
+    """``msgpass.res_sweep`` on a full table of ``_max_excluding_self_gather``."""
     w = state.omega
-    return -w * max_excluding(state.psi_tx, axis=0) - (1.0 - w) * state.psi_tx
+    return -w * _max_excluding_self_gather(state.psi_tx, axis=0) - (1.0 - w) * state.psi_tx
 
 
 def tx_message_update(state, utilities, k, res):
@@ -596,7 +535,7 @@ def bid_increment(values, chosen, epsilon):
     return float(flat.max() - second + epsilon)
 
 
-def local_auction_round(k, state, net, interference_prev, benefits):
+def _local_auction_round(k, state, net, interference_prev, benefits):
     """Transmitter k's bidding round against the broadcast snapshot ``state``.
 
     ``interference_prev`` is the broadcast per-RB interference of the
@@ -637,12 +576,12 @@ def local_auction_round(k, state, net, interference_prev, benefits):
 
 
 def auction_rows(state, net, interference_prev, benefits):
-    """Every transmitter's ``local_auction_round`` on one snapshot, stacked.
+    """Every transmitter's ``_local_auction_round`` on one snapshot, stacked.
 
     Returns ``(allocation, costs, bidders, placed)``: the (K, N, L) local
     views, one row per transmitter, and each transmitter's bid flag.
     """
-    rows = [local_auction_round(k, state, net, interference_prev, benefits[k])
+    rows = [_local_auction_round(k, state, net, interference_prev, benefits[k])
             for k in range(net.num_tx)]
     return (Allocation(net.num_tx, [r[0] for r in rows]), np.stack([r[1] for r in rows]),
             np.stack([r[2] for r in rows]), [r[3] for r in rows])

@@ -15,19 +15,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import pins
 import reference
 from hetalloc import msgpass, netmodel
 from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
                                  sum_rate, weighted_benefit)
 from hetalloc.auction import NO_BIDDER, AuctionState, local_auction_round, run_auction
 from hetalloc.matching import (build_rb_profile, build_transmitter_profile,
-                               match_alignments, preference_orders, run_stable_matching)
+                               match_alignments, preference_orders)
 from hetalloc.msgpass import MessageState, extract_allocation, proposal
 from hetalloc.netmodel import build_topology
 
-from conftest import (BENCH, DESK, POOLS, benefit_planes, config, drop, drop_params,
-                      make_config, order_bytes, order_keys, toy_network)
+from conftest import (BENCH, POOLS, benefit_planes, config, drop, drop_params,
+                      make_config, order_bytes, order_keys, profile_families, toy_network)
 
 # Three pools' overrides on make_config's base (a 300 m cell, a 25 m D2D
 # disk), not on default.json: other drops than the bench pools'.
@@ -76,10 +75,17 @@ IDS = [f"K{c.num_tx}-N{c.num_rb}-L{len(c.power_levels)}-cap{c.i_max:g}-s{c.seed}
 def test_tables_and_objectives_equal_scans(cfg):
     net = build_topology(cfg)
     rng = np.random.default_rng(cfg.seed)
+    outcomes = set()
     for p in (0.0, 0.5, 1.0):
         alloc = random_allocation(net, rng, p)
-        assert same_array(netmodel.interference_vector(net, alloc),
-                          reference.interference_vector(net, alloc))
+        loads = reference.interference_vector(net, alloc)
+        assert same_array(netmodel.interference_vector(net, alloc), loads)
+        for n in range(net.num_rb):
+            assert netmodel.aggregated_interference(net, alloc, n) == \
+                reference.aggregated_interference(net, alloc, n)
+        feasible = is_feasible(net, alloc).feasible
+        assert feasible == (loads < net.i_max).all()
+        outcomes.add(feasible)
         assert same_array(netmodel.utility_table(net, alloc),
                           reference.utility_table(net, alloc))
         assert same_array(reference.library_table(net, alloc, "benefit"),
@@ -100,6 +106,7 @@ def test_tables_and_objectives_equal_scans(cfg):
         for i, (k, (n, _l)) in enumerate(reference.assigned_items(alloc)):
             assert sinrs[i] == reference.sinr(net, alloc, k, n)
         assert same_array(netmodel.macro_sinrs(net, alloc), macro_scan(net, alloc))
+    assert outcomes == {True, False}  # the empty allocation fits; a full one does not
 
 
 def macro_scan(net, alloc):
@@ -280,8 +287,7 @@ def profiles(net, alloc):
     reference sort."""
     util = netmodel.utility_table(net, alloc)
     orders = preference_orders(util)
-    tx = [reference.profile(("tx", k), util[k]) for k in range(net.num_tx)]
-    rb = [reference.profile(("rb", n), util[:, n, :]) for n in range(net.num_rb)]
+    tx, rb = profile_families(net, alloc)
     want = ([reference.keys(p) for p in tx], [reference.keys(p) for p in rb])
     assert order_keys(orders, *util.shape) == want
     assert ([build_transmitter_profile(k, util[k]) for k in range(net.num_tx)],
@@ -324,41 +330,6 @@ def test_matching_equals_list_rebuild_at_k30(i_max):
     revoked_rounds = assert_matching_equals_list_rebuild(
         make_config(i_max=i_max, **K30), range(3), 4)
     assert revoked_rounds == 12  # every round revoked and struck
-
-
-def test_blocking_scan_equals_profile_scan():
-    # Criterion 4's 100 drops: every inner matching of a 100-round run
-    # (replayed rounds included, as pinned), and per round five
-    # candidates that each re-draw about half of the transmitters' choices
-    # from silence and every (n, l).  So candidates hold silent
-    # transmitters, and RBs that hold the scanning transmitter itself at
-    # another level.
-    outcomes = {True: 0, False: 0}
-    matchings = 0
-    for seed in range(100):
-        net = drop(DESK, seed)
-        K, N, L = net.num_tx, net.num_rb, net.num_levels
-        rng = np.random.default_rng(seed)
-        x = start_alignment(net)
-        for alloc in run_stable_matching(net, t_max=100).info["allocations"]:
-            orders, tx, rb = profiles(net, x)
-            assert reference.blocking_pair(alloc, orders) == \
-                reference.find_blocking_pair(alloc, tx, rb)
-            matchings += 1
-            for _ in range(5):
-                cand = alloc.copy()
-                for k in np.flatnonzero(rng.random(K) < 0.5).tolist():
-                    j = int(rng.integers(N * L + 1)) - 1
-                    if j < 0:
-                        cand.rb[k] = cand.level[k] = -1
-                    else:
-                        cand.assign(k, *divmod(j, L))
-                got = reference.blocking_pair(cand, orders)
-                assert got == reference.find_blocking_pair(cand, tx, rb)
-                outcomes[got is None] += 1
-            x = alloc
-    assert matchings == pins.BLOCKING_SCAN_MATCHINGS
-    assert min(outcomes.values()) > 100  # both stable and blocked candidates
 
 
 def test_cap_sums_are_sequential_not_compensated():
@@ -450,7 +421,7 @@ def test_auction_kernel_equals_per_transmitter_rounds(cfg):
 
 def k_row_auction(net, t_max):
     """``run_auction`` as it ran before it stored only the merged table: K
-    local views per round from ``reference.local_auction_round``, reduced
+    local views per round from ``reference.auction_rows``, reduced
     by ``reference.merged_view`` at the start of the next round.  Returns
     ``(allocation, iterations, converged, merged_costs)``."""
     x = start_alignment(net)
@@ -616,17 +587,6 @@ def test_network_constant_tables_equal_inline_and_read_only():
         assert "sig_pt" not in {f.name for f in dataclasses.fields(net)}
 
 
-@pytest.mark.parametrize("shape, axis", [((5, 12), 1), ((6, 4, 3), 0), ((2, 2), 1),
-                                         ((2, 1, 1), 0), ((50, 100), 1)])
-def test_max_excluding_self_equals_sort(shape, axis):
-    rng = np.random.default_rng(7)
-    tied = rng.integers(0, 3, size=shape).astype(float)  # repeated peaks
-    for a in (rng.normal(size=shape), tied, np.zeros(shape)):
-        got = reference.max_excluding_self_gather(a, axis)
-        want = reference.max_excluding_self(a, axis)
-        assert got.shape == want.shape and (got == want).all()
-
-
 def tied_signed_table(rng, shape):
     """Entries from a few values, so lines share peaks, with a third of
     them replaced by +0.0 or -0.0."""
@@ -634,6 +594,24 @@ def tied_signed_table(rng, shape):
     zero = rng.random(shape) < 1 / 3
     a[zero] = np.copysign(0.0, rng.normal(size=shape))[zero]
     return a
+
+
+# Nonzero entries with many repeats; no sum of one from NONZERO_U and one
+# from NONZERO_RES is zero, so every message line is free of zeros too.
+NONZERO_U = np.array([-3.0, -1.0, 0.5, 2.0])
+NONZERO_RES = np.array([-0.25, 0.75, 1.5])
+
+
+def sweep_inputs(rng, shape, i):
+    """Draw i's (u, psi_tx, psi_res): normal tables, nonzero tables with
+    shared peaks, then tied and zero-heavy tables with signed zeros."""
+    kind = i % 4
+    if kind == 0:
+        return rng.normal(size=(3,) + shape)
+    if kind == 1:
+        return (*rng.choice(NONZERO_U, size=(2,) + shape), rng.choice(NONZERO_RES, size=shape))
+    draw = tied_signed_table if kind == 2 else zero_heavy_table
+    return [draw(rng, shape) for _ in range(3)]
 
 
 @pytest.mark.parametrize("shape", [(6, 4, 3), (50, 25, 4), (1, 4, 3), (5, 1, 1), (1, 1, 1)],
@@ -647,41 +625,15 @@ def test_sweeps_equal_gather_form_bytes(shape):
     # the size-1 shapes (K = 1, N*L = 1) included; the buffer starts as
     # NaN, so a half left unfilled shows.
     rng = np.random.default_rng(19)
-    for i in range(90):
-        omega = (0.3, 0.5, 1.0)[i % 3]
-        draw = tied_signed_table if i % 2 else zero_heavy_table
-        u, psi_tx, psi_res = (draw(rng, shape) for _ in range(3))
-        s = MessageState(psi_tx, psi_res, omega)
+    for i in range(120):
+        u, psi_tx, psi_res = sweep_inputs(rng, shape, i)
+        s = MessageState(psi_tx, psi_res, (0.3, 0.5, 1.0)[i % 3])
         before = [a.tobytes() for a in (u, psi_tx, psi_res)]
-        gather = reference.max_excluding_self_gather
-        want = reference.tx_sweep(s, u, gather), reference.res_sweep(s, gather)
+        want = reference.tx_sweep(s, u), reference.res_sweep(s)
         buf = np.full((2,) + shape, np.nan)
         for got in ((msgpass.tx_sweep(s, u, buf[0]), msgpass.res_sweep(s, buf[1])), buf):
             assert same_array(got[0], want[0]) and same_array(got[1], want[1])
         assert [a.tobytes() for a in (u, psi_tx, psi_res)] == before
-
-
-# Nonzero entries with many repeats; no sum of one from NONZERO_U and one
-# from NONZERO_RES is zero, so every message line is free of zeros too.
-NONZERO_U = np.array([-3.0, -1.0, 0.5, 2.0])
-NONZERO_RES = np.array([-0.25, 0.75, 1.5])
-
-
-@pytest.mark.parametrize("shape", [(10, 8, 3), (50, 25, 4)], ids=["K10", "K50"])
-def test_sweeps_equal_top2_form_bytes(shape):
-    # Away from zeros the argmax form returns the very floats the
-    # partition form did, shared peaks included.
-    rng = np.random.default_rng(5)
-    for i in range(60):
-        omega = (0.3, 0.5, 1.0)[i % 3]
-        if i % 2:
-            u, psi_tx = rng.choice(NONZERO_U, size=(2,) + shape)
-            psi_res = rng.choice(NONZERO_RES, size=shape)
-        else:
-            u, psi_tx, psi_res = rng.normal(size=(3,) + shape)
-        s = MessageState(psi_tx, psi_res, omega)
-        assert same_array(msgpass.tx_sweep(s, u, np.empty(shape)), reference.tx_sweep(s, u))
-        assert same_array(msgpass.res_sweep(s, np.empty(shape)), reference.res_sweep(s))
 
 
 def zero_heavy_table(rng, shape):
@@ -700,9 +652,9 @@ def flip_zero_signs(a):
                                  dataclasses.replace(SMALL_CELL_K50, seed=1, i_max=1e-7)],
                          ids=["K10", "K50"])
 def test_signs_of_zero_reach_no_allocation(cfg):
-    # A peak of exactly +-0 may leave the argmax form with the other sign
-    # of zero than the top-two form; the values stay equal, and neither the
-    # proposal nor the extraction reads the sign of a zero.
+    # Zero-heavy messages on real drops: the sweeps' bytes are the gather
+    # form's, and neither the proposal nor the extraction reads the sign of
+    # a zero.
     net = build_topology(cfg)
     shape = (net.num_tx, net.num_rb, net.num_levels)
     rng = np.random.default_rng(11)
@@ -711,8 +663,8 @@ def test_signs_of_zero_reach_no_allocation(cfg):
         s = MessageState(zero_heavy_table(rng, shape), zero_heavy_table(rng, shape),
                          (0.3, 0.5, 1.0)[i % 3])
         u = zero_heavy_table(rng, shape)
-        assert (msgpass.tx_sweep(s, u, np.empty(shape)) == reference.tx_sweep(s, u)).all()
-        assert (msgpass.res_sweep(s, np.empty(shape)) == reference.res_sweep(s)).all()
+        assert same_array(msgpass.tx_sweep(s, u, np.empty(shape)), reference.tx_sweep(s, u))
+        assert same_array(msgpass.res_sweep(s, np.empty(shape)), reference.res_sweep(s))
         flipped = MessageState(flip_zero_signs(s.psi_tx), flip_zero_signs(s.psi_res), s.omega)
         assert not same_array(flipped.tau, s.tau)
         best = msgpass.proposal(s.tau)

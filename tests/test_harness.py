@@ -468,6 +468,26 @@ def test_pins_hold_every_digest():
     assert not [name for name in vars(pins) if name.isupper() and name not in read]
 
 
+def test_every_reference_has_a_reader():
+    # Each public function and class of reference.py and bound.py is read
+    # by another tests/ module, as module.name or by a from-import, so a
+    # reference whose check is gone cannot linger.  A helper that only
+    # another reference calls carries a leading underscore.
+    paths = sorted((ROOT / "tests").glob("*.py"))
+    for module in ("reference", "bound"):
+        source = ROOT / "tests" / f"{module}.py"
+        defined = {node.name for node in ast.parse(source.read_text()).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")}
+        read = set()
+        for node in (n for p in paths if p != source for n in ast.walk(ast.parse(p.read_text()))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == module:
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == module:
+                read.update(alias.name for alias in node.names)
+        assert sorted(defined - read) == [], module
+
+
 def test_each_row_computes_its_sinrs_once(monkeypatch):
     # Count the SINR lists run_experiment computes to evaluate its rows,
     # not those a solver or the oracle computes while it runs.

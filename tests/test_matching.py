@@ -5,13 +5,13 @@ import pytest
 
 import reference
 from hetalloc import matching, netmodel
-from hetalloc.allocation import (Allocation, exhaustive_search, is_feasible, start_alignment,
-                                 sum_rate)
+from hetalloc.allocation import Allocation, exhaustive_search, is_feasible, sum_rate
 from hetalloc.matching import match_alignments, preference_orders, run_stable_matching
 from hetalloc.netmodel import build_topology, utility_table
 
 from conftest import (POOLS, config, count_calls, drop, drop_params, drops_where, make_config,
-                      matching_cycles, order_bytes, order_keys, round_orders, toy_network)
+                      matching_cycles, order_bytes, order_keys, profile_families, rounds,
+                      toy_network)
 
 
 def contention_net():
@@ -98,37 +98,36 @@ def test_contention_hand_trace():
     assert m.proposals == 3
     # the caller's orders are left intact
     assert order_bytes(orders) == before
-    assert reference.blocking_pair(m.allocation, orders) is None
+    tx, rb = profile_families(net, Allocation(2))
+    assert reference.find_blocking_pair(m.allocation, tx, rb) is None
 
 
 def test_matching_feasible_and_proposal_bound_on_drops():
     cfg = make_config(num_sbs=3, num_d2d=2, num_rb=3)
     for seed in range(10):
         net = drop(cfg, seed)
-        orders = orders_for(net)
-        m = match_alignments(orders, net)
+        m = match_alignments(orders_for(net), net)
         assert m.proposals <= net.num_tx * net.num_rb * net.num_levels
         assert is_feasible(net, m.allocation).feasible
-        assert reference.blocking_pair(m.allocation, orders) is None
+        tx, rb = profile_families(net, Allocation(net.num_tx))
+        assert reference.find_blocking_pair(m.allocation, tx, rb) is None
 
 
 # --- blocking pairs -------------------------------------------------------
 
 def test_blocking_pair_on_constructed_bad_matching():
-    net = contention_net()
-    orders = orders_for(net)
+    tx, rb = profile_families(contention_net(), Allocation(2))
     # RB 0 holds its less preferred transmitter while the favorite sits on
     # its own worst entry: (1, 0, 0) blocks
-    assert reference.blocking_pair(Allocation(2, [(0, 0), (1, 0)]), orders) == (1, 0, 0)
+    assert reference.find_blocking_pair(Allocation(2, [(0, 0), (1, 0)]), tx, rb) == (1, 0, 0)
 
 
 def test_blocking_pair_needs_a_holder_to_displace():
-    net = contention_net()
-    orders = orders_for(net)
+    tx, rb = profile_families(contention_net(), Allocation(2))
     # an RB without holders has no pair that (k, l) could displace
-    assert reference.blocking_pair(Allocation(2), orders) is None
+    assert reference.find_blocking_pair(Allocation(2), tx, rb) is None
     # silent k0 prefers RB 0, but RB 0 ranks its holder k1 first
-    assert reference.blocking_pair(Allocation(2, [None, (0, 0)]), orders) is None
+    assert reference.find_blocking_pair(Allocation(2, [None, (0, 0)]), tx, rb) is None
 
 
 # --- outer loop ------------------------------------------------------------
@@ -174,26 +173,26 @@ def test_rounds_recorded_and_stable():
     res = run_stable_matching(net)
     assert len(res.info["allocations"]) == res.iterations
     assert res.info["allocations"][-1] == res.allocation  # converged
-    for orders, alloc in round_orders(net, res):
-        assert reference.blocking_pair(alloc, orders) is None
+    for prev, alloc in rounds(net, res):
+        assert reference.find_blocking_pair(alloc, *profile_families(net, prev)) is None
 
 
 def test_no_stable_matching_dominates_on_tiny_drops():
     # enumerate every allocation of a 2x2x1 drop; among those that are
-    # feasible and blocking-pair-free under the final round's orders, none
+    # feasible and blocking-pair-free under the final round's profiles, none
     # beats the returned sum rate
     cfg = make_config(num_sbs=1, num_d2d=1, num_rb=2, power_levels=(0.5,))
     for seed in range(10):
         net = drop(cfg, seed)
         res = run_stable_matching(net)
-        last, _ = list(round_orders(net, res))[-1]
+        tx, rb = profile_families(net, list(rounds(net, res))[-1][0])
         achieved = sum_rate(net, res.allocation)
         choices = [None, (0, 0), (1, 0)]
         for combo in itertools.product(choices, repeat=2):
             cand = Allocation(2, list(combo))
             if not is_feasible(net, cand).feasible:
                 continue
-            if reference.blocking_pair(cand, last) is None:
+            if reference.find_blocking_pair(cand, tx, rb) is None:
                 assert sum_rate(net, cand) <= achieved * (1 + 1e-9)
 
 
@@ -223,16 +222,12 @@ def test_round_orders_equal_reference_sort_with_signed_zero_ties():
                       w1=-0.0, w2=0.0)
     util = utility_table(net, Allocation(3))
     assert {repr(u) for u in util.ravel().tolist()} == {"0.0", "-0.0"}
-    res = run_stable_matching(net)
-    x = start_alignment(net)
-    for orders, alloc in round_orders(net, res):
-        util = utility_table(net, x)
+    for prev, _alloc in rounds(net, run_stable_matching(net)):
+        util = utility_table(net, prev)
         assert {repr(u) for u in util.ravel().tolist()} <= {"0.0", "-0.0"}
-        want_tx = [reference.keys(reference.profile(("tx", k), util[k])) for k in range(3)]
-        want_rb = [reference.keys(reference.profile(("rb", n), util[:, n, :]))
-                   for n in range(2)]
-        assert order_keys(orders, 3, 2, 2) == (want_tx, want_rb)
-        x = alloc
+        tx, rb = profile_families(net, prev)
+        assert order_keys(preference_orders(util), 3, 2, 2) == (
+            [reference.keys(p) for p in tx], [reference.keys(p) for p in rb])
 
 
 # --- cycle replay ------------------------------------------------------------
